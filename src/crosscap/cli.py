@@ -16,22 +16,22 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import asymptotics, deformation, invariants, ruled, specio, surface
-from .errors import (
-    ChartError,
-    MetricError,
-    NormalFormError,
-    NotACrossCapError,
-    SingularPointError,
-    SpecFormatError,
-)
+from .errors import CrosscapError, NotACrossCapError, SpecFormatError
 
 __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a comma list such as "-1,2" is a value, not an option; argparse
+        # only lets a single negative number through
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.,eE+-]*$")
+
     # argparse exits 2 on usage errors by default; the CLI contract
     # reserves 2 for mathematical failures
     def error(self, message):
@@ -81,9 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _floats(text: str, flag: str) -> list[float]:
     items = [s.strip() for s in text.split(",") if s.strip()]
     try:
-        return [float(s) for s in items]
+        values = [float(s) for s in items]
     except ValueError as exc:
         raise SpecFormatError(f"{flag}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise SpecFormatError(f"{flag}: values must be finite")
+    return values
 
 
 def _deliver(payload: str, out: str | None):
@@ -279,7 +282,7 @@ def main(argv=None) -> int:
     except NotACrossCapError as exc:
         sys.stderr.write(f"not a cross cap: {exc}\n")
         return 2
-    except (NormalFormError, SingularPointError, MetricError, ChartError) as exc:
+    except (CrosscapError, ArithmeticError) as exc:
         sys.stderr.write(f"analysis failed: {exc}\n")
         return 2
     except OSError as exc:

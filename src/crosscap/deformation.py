@@ -20,17 +20,18 @@ member's curvature determines all third-order extrinsic data in closed
 form.
 
 Jets of the construction are assembled by exact series arithmetic; the
-evaluator integrates the spherical frame by RK4 and gamma by adaptive
-Simpson quadrature.  Exact Taylor data at off-origin points is produced
-by rebuilding the same series around the target point, so pointwise
-curvature checks never fall back to finite differences.
+evaluator reads the spherical frame off the piecewise Taylor path of
+numerics.FrenetPath and integrates gamma by adaptive Simpson quadrature.
+Exact Taylor data at off-origin points is produced by rebuilding the same
+series around the target point, so pointwise curvature checks never fall
+back to finite differences.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,39 +59,6 @@ __all__ = [
 FRAME_TOL = 1e-9
 
 
-def _poly_shift(coeffs: Sequence[float], s0: float) -> np.ndarray:
-    """Coefficients of p(s0 + x) given those of p(s)."""
-    out = np.zeros(len(coeffs))
-    for a, ca in enumerate(coeffs):
-        for j in range(a + 1):
-            out[j] += math.comb(a, j) * (s0 ** (a - j)) * ca
-    return out
-
-
-def frenet_series(
-    kappa_poly: Sequence[float],
-    c0: np.ndarray,
-    e0: np.ndarray,
-    order: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Taylor coefficients of (c, e, n) from c' = e, e' = kappa n - c, n' = -kappa e."""
-    kap = np.zeros(order + 1)
-    for i, val in enumerate(kappa_poly[: order + 1]):
-        kap[i] = val
-    C = np.zeros((order + 1, 3))
-    E = np.zeros((order + 1, 3))
-    N = np.zeros((order + 1, 3))
-    C[0], E[0] = c0, e0
-    N[0] = np.cross(c0, e0)
-    for k in range(order):
-        kn = sum(kap[i] * N[k - i] for i in range(k + 1))
-        ke = sum(kap[i] * E[k - i] for i in range(k + 1))
-        C[k + 1] = E[k] / (k + 1)
-        E[k + 1] = (kn - C[k]) / (k + 1)
-        N[k + 1] = -ke / (k + 1)
-    return C, E, N
-
-
 @dataclass(frozen=True)
 class SphericalCurve:
     """Unit-speed curve on S^2 given by its geodesic curvature polynomial."""
@@ -98,7 +66,6 @@ class SphericalCurve:
     kappa_poly: tuple[float, ...] = (0.0,)
     point0: tuple[float, float, float] = (1.0, 0.0, 0.0)
     tangent0: tuple[float, float, float] = (0.0, 1.0, 0.0)
-    kappa_fn: Callable[[float], float] | None = None
 
     def __post_init__(self):
         c0 = np.asarray(self.point0)
@@ -109,13 +76,11 @@ class SphericalCurve:
             raise ValueError("initial tangent must be unit and orthogonal to the point")
 
     def kappa(self, s: float) -> float:
-        if self.kappa_fn is not None:
-            return float(self.kappa_fn(s))
         return float(np.polynomial.polynomial.polyval(s, self.kappa_poly))
 
     @cached_property
     def path(self) -> FrenetPath:
-        return FrenetPath(self.kappa, np.asarray(self.point0), np.asarray(self.tangent0))
+        return FrenetPath(self.kappa_poly, self.point0, self.tangent0)
 
     def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, e, n) at arc length s; raises ChartError for |s| >= pi/2."""
@@ -126,12 +91,7 @@ class SphericalCurve:
 
     def series_at(self, s0: float, order: int):
         """Local Taylor coefficients of (c, e, n) around s0."""
-        if s0 == 0.0:
-            c0, e0 = np.asarray(self.point0, dtype=float), np.asarray(self.tangent0, dtype=float)
-        else:
-            c0, e0, _ = self.frame(s0)
-        kap = _poly_shift(self.kappa_poly, s0) if s0 != 0.0 else np.asarray(self.kappa_poly)
-        return frenet_series(kap, c0, e0, order)
+        return self.path.series(s0, order)
 
 
 def circle_point(kappa: float, s: float) -> np.ndarray:

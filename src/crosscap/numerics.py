@@ -1,30 +1,40 @@
-"""Small numerical kernels: adaptive Simpson quadrature and a spherical
-Frenet frame integrator with dense output.
+"""Small numerical kernels: adaptive Simpson quadrature and a piecewise
+Taylor integrator for the Frenet frame of a spherical curve.
 
 The frame system on the unit sphere, for geodesic curvature kappa(s),
 
     c' = e,    e' = kappa n - c,    n' = -kappa e,
 
-is integrated with classical RK4 at a fixed step.  After every step the
-frame is re-orthonormalized, which keeps the drift of |c|, |e|, c.e over a
-unit of arc length below 1e-9.  Node states and their exact derivatives are
-cached so that in-between queries reduce to cubic Hermite interpolation;
-that keeps repeated evaluations (quadrature nodes, mesh grids, finite
-difference probes) cheap and smooth in s.
+is linear and kappa is a polynomial, so the Taylor coefficients of
+(c, e, n) around any point follow exactly from a short recursion
+(frenet_series) once kappa is recentred there.  FrenetPath grows nodes
+lazily in each direction from s = 0.  Each node holds the order-TAYLOR_ORDER
+block of that series, and the step to the next node is read off the decay
+of the block's two last coefficients so that the dropped tail stays below
+TAYLOR_TOL: the high-order Taylor method of Jorba and Zou (Experimental
+Math. 14, 2005).  A frame query is one polynomial evaluation of the node
+whose piece holds s.  Where the tail asks for a step below STEP_FLOOR the
+curvature is too large for the chart to be followed, and ChartError is
+raised instead of spending unbounded work.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from bisect import bisect_right
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ChartError
+from .jets import vpoly
 
-RK4_STEP = 1e-3
 SIMPSON_TOL = 1e-12
+TAYLOR_ORDER = 20
+TAYLOR_TOL = 1e-16
+STEP_FLOOR = 1e-4
 
 _HALF_PI = math.pi / 2
+_POWERS = np.arange(TAYLOR_ORDER + 1)
 
 
 def adaptive_simpson(
@@ -41,100 +51,95 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fm = np.asarray(f(m))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
 
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = np.asarray(f(lm))
-        frm = np.asarray(f(rm))
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = np.max(np.abs(left + right - whole))
-        if depth <= 0 or err < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + recurse(
-            m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
-        )
 
-    return recurse(a, fa, b, fb, m, fm, whole, tol, max_depth)
+def _simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
+    # module level rather than nested: a self-referencing closure would keep
+    # f, and whatever f holds, alive until the cyclic collector runs
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = np.asarray(f(lm))
+    frm = np.asarray(f(rm))
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = np.max(np.abs(left + right - whole))
+    if depth <= 0 or err < 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _simpson(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + _simpson(
+        f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
+    )
+
+
+def frenet_series(
+    kappa_poly: Sequence[float],
+    c0: np.ndarray,
+    e0: np.ndarray,
+    order: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Taylor coefficients of (c, e, n) from c' = e, e' = kappa n - c, n' = -kappa e."""
+    kap = kappa_poly[: order + 1]
+    Y = np.zeros((order + 1, 9))  # row k: k-th coefficients of c, e, n
+    Y[0, :3], Y[0, 3:6], Y[0, 6:] = c0, e0, np.cross(c0, e0)
+    for k in range(order):
+        ken = sum(kap[i] * Y[k - i, 3:] for i in range(min(k + 1, len(kap))))
+        Y[k + 1] = np.concatenate([Y[k, 3:6], ken[3:] - Y[k, :3], -ken[:3]]) / (k + 1)
+    return Y[:, :3], Y[:, 3:6], Y[:, 6:]
 
 
 class FrenetPath:
     """Dense frame trajectory s -> (c, e, n) of a spherical unit-speed curve.
 
-    kappa is a callable returning geodesic curvature at arc length s.  The
-    chart is the open interval |s| < pi/2; queries outside raise ChartError.
+    kappa_poly holds the coefficients of the geodesic curvature polynomial.
+    The chart is the open interval |s| < pi/2; queries outside it, or past a
+    point where the curvature outruns STEP_FLOOR, raise ChartError.
     """
 
-    def __init__(
-        self,
-        kappa: Callable[[float], float],
-        point0: np.ndarray,
-        tangent0: np.ndarray,
-        step: float = RK4_STEP,
-    ):
-        self.kappa = kappa
-        self.step = float(step)
-        c0 = np.asarray(point0, dtype=float)
-        e0 = np.asarray(tangent0, dtype=float)
-        y0 = np.concatenate([c0, e0, np.cross(c0, e0)])
-        # nodes grown lazily in both directions from s = 0
-        self._nodes_pos: list[tuple[float, np.ndarray, np.ndarray]] = []
-        self._nodes_neg: list[tuple[float, np.ndarray, np.ndarray]] = []
-        y0 = self._renorm(y0)
-        self._y0 = (0.0, y0, self._rhs(0.0, y0))
+    def __init__(self, kappa_poly: Sequence[float], point0: np.ndarray, tangent0: np.ndarray):
+        self._kappa = vpoly(kappa_poly, len(kappa_poly) - 1)
+        # per direction: |s| where each piece starts, its Taylor block, and its step
+        root = np.hstack(self._series(0.0, np.concatenate([point0, tangent0]), TAYLOR_ORDER))
+        self._starts = {1: [0.0], -1: [0.0]}
+        self._blocks = {1: [root], -1: [root]}
+        self._steps = {1: [_step(root)], -1: [_step(root)]}
 
-    def _rhs(self, s: float, y: np.ndarray) -> np.ndarray:
-        c, e, n = y[0:3], y[3:6], y[6:9]
-        k = self.kappa(s)
-        return np.concatenate([e, k * n - c, -k * e])
+    def series(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Taylor coefficients of (c, e, n) around s0, kappa recentred there."""
+        return self._series(s0, self.state(s0), order)
 
-    @staticmethod
-    def _renorm(y: np.ndarray) -> np.ndarray:
-        c, e = y[0:3].copy(), y[3:6].copy()
-        c /= np.linalg.norm(c)
-        e -= (e @ c) * c
-        e /= np.linalg.norm(e)
-        return np.concatenate([c, e, np.cross(c, e)])
-
-    def _rk4_step(self, s: float, y: np.ndarray, h: float) -> np.ndarray:
-        k1 = self._rhs(s, y)
-        k2 = self._rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = self._rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = self._rhs(s + h, y + h * k3)
-        return self._renorm(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-    def _extend(self, nodes, sign: int, target: float) -> None:
-        if not nodes:
-            nodes.append(self._y0)
-        s, y, _ = nodes[-1]
-        h = sign * self.step
-        while sign * s < target:
-            y = self._rk4_step(s, y, h)
-            s += h
-            nodes.append((s, y, self._rhs(s, y)))
+    def _series(self, s0: float, y: np.ndarray, order: int):
+        kap = self._kappa.shifted_origin(0.0, s0).c[0]
+        return frenet_series(kap, y[0:3], y[3:6], order)
 
     def state(self, s: float) -> np.ndarray:
-        """Frame state (c, e, n) at arc length s, via Hermite dense output."""
+        """Frame state (c, e, n) at arc length s, from the piece holding s."""
         if abs(s) >= _HALF_PI:
             raise ChartError(f"arc length {s:.6f} outside the chart |s| < pi/2")
-        if s == 0.0:
-            return self._y0[1]
-        nodes = self._nodes_pos if s > 0 else self._nodes_neg
-        self._extend(nodes, 1 if s > 0 else -1, abs(s) + self.step)
-        idx = int(abs(s) / self.step)
-        if idx + 1 >= len(nodes):
-            idx = len(nodes) - 2
-        s0, y0, d0 = nodes[idx]
-        s1, y1, d1 = nodes[idx + 1]
-        h = s1 - s0
-        t = (s - s0) / h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
+        sign = 1 if s >= 0.0 else -1
+        starts, blocks, steps = self._starts[sign], self._blocks[sign], self._steps[sign]
+        while starts[-1] + steps[-1] <= abs(s):
+            if steps[-1] < STEP_FLOOR:
+                raise ChartError(
+                    f"curvature too large near arc length {sign * starts[-1]:.6f}: "
+                    f"Taylor step {steps[-1]:.3e} below {STEP_FLOOR:g}"
+                )
+            y = (sign * steps[-1]) ** _POWERS @ blocks[-1]
+            starts.append(starts[-1] + steps[-1])
+            blocks.append(np.hstack(self._series(sign * starts[-1], y, TAYLOR_ORDER)))
+            steps.append(_step(blocks[-1]))
+        idx = bisect_right(starts, abs(s)) - 1
+        return (s - sign * starts[idx]) ** _POWERS @ blocks[idx]
 
     def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y = self.state(s)
         return y[0:3], y[3:6], y[6:9]
+
+
+def _step(block: np.ndarray) -> float:
+    """Step whose two last Taylor terms each stay below TAYLOR_TOL."""
+    p = len(block) - 1
+    tail = np.max(np.abs(block[-2:]), axis=1)
+    return min(
+        [(TAYLOR_TOL / t) ** (1.0 / j) for j, t in zip((p - 1, p), tail) if t > 0.0],
+        default=_HALF_PI,
+    )

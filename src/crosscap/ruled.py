@@ -38,6 +38,7 @@ import numpy as np
 
 from .deformation import DeformationFamily, SphericalCurve, ruling_decomposition
 from .errors import SingularPointError
+from .invariants import _det3
 from .jets import Jet2, Jet3, vpoly
 from .numerics import SIMPSON_TOL, adaptive_simpson
 from .surface import SurfaceMap
@@ -299,10 +300,6 @@ def redeploy(
 # ----------------------------------------------------------------------
 # classification
 
-def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    return float(np.linalg.det(np.vstack([a, b, c])))
-
-
 def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     """Classify the origin by the frame criteria.
 
@@ -316,7 +313,7 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     xid0 = rs.xi.partial_vector(0, 1)
     if np.linalg.norm(gp0) <= tol:
         gpp0 = rs.gamma.partial_vector(0, 2)
-        if abs(_det3(gpp0, xi0, xid0)) > tol:
+        if abs(_det3([gpp0, xi0, xid0])) > tol:
             return "cross_cap"
     try:
         rsn = normalize(rs)
@@ -334,9 +331,9 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
         x0 = xi.coeff_vector(0, 0)
         n0 = nu.coeff_vector(0, 0)
         if (
-            abs(_det3(x0, n0, nu1.coeff_vector(0, 0))) <= tol
+            abs(_det3([x0, n0, nu1.coeff_vector(0, 0)])) <= tol
             and abs(a0) > tol
-            and abs(_det3(x0, n0, nu2.coeff_vector(0, 0))) > tol
+            and abs(_det3([x0, n0, nu2.coeff_vector(0, 0)])) > tol
         ):
             return "cuspidal_cross_cap"
         if abs(a0) <= tol and abs(a1) > tol:

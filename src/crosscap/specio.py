@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -72,6 +73,8 @@ def _require(cond: bool, field: str, detail: str):
 
 def _number(obj: Any, field: str) -> float:
     _require(isinstance(obj, (int, float)) and not isinstance(obj, bool), field, "expected a number")
+    # json accepts NaN and Infinity; NaN fails every comparison
+    _require(abs(obj) <= sys.float_info.max, field, "expected a finite number")
     return float(obj)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -91,6 +92,18 @@ def test_spec_validation_failures(tmp_path, capsys):
     assert main(["analyze", write_spec(tmp_path, quadratic_spec(a02=-1.0), "neg.json")]) == 1
     assert "positive" in capsys.readouterr().err
 
+    nan = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [2, 0, 0, 0, math.nan]]}
+    assert main(["analyze", write_spec(tmp_path, nan, "nan.json"), "--json"]) == 1
+    assert "polynomial[3].z" in capsys.readouterr().err
+
+
+def test_overflowing_coefficients_exit_two(tmp_path, capsys):
+    doc = {"polynomial": [[1, 0, 1e307, 0, 0], [1, 1, 0, 1e307, 0], [0, 2, 0, 0, 1e307]]}
+    assert main(["analyze", write_spec(tmp_path, doc), "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("analysis failed")
+
 
 def test_immersion_exits_two(tmp_path, capsys):
     doc = {"polynomial": [[1, 0, 1.0, 0.0, 0.0], [0, 1, 0.0, 1.0, 0.0]]}
@@ -115,9 +128,24 @@ def test_deform_rejections(tmp_path, capsys):
     doc = {"circle_deformation": {"kappa": 0.0, "a02": 2.0, "a11": 0.0}}
     assert main(["deform", write_spec(tmp_path, doc), "--kappas", ","]) == 1
     capsys.readouterr()
+    assert main(["deform", write_spec(tmp_path, doc), "--kappas=nan"]) == 1
+    assert "finite" in capsys.readouterr().err
     poly = {"polynomial": [[1, 0, 1.0, 0.0, 0.0]]}
     assert main(["deform", write_spec(tmp_path, poly, "p.json")]) == 1
     assert "deform needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("deform", "--kappas", "-1,2"), ("asymptotics", "--theta", "-0.5,1"), ("asymptotics", "--radii", "-0.2,0.1")],
+)
+def test_comma_list_may_start_negative(tmp_path, capsys, command, flag, value):
+    doc = {"circle_deformation": {"kappa": 0.0, "a02": 2.0, "a11": 0.0}}
+    path = write_spec(tmp_path, doc if command == "deform" else quadratic_spec())
+    joined = (main([command, path, f"{flag}={value}", "--json"]), capsys.readouterr())
+    split = (main([command, path, flag, value, "--json"]), capsys.readouterr())
+    assert joined[0] == 0
+    assert split == joined
 
 
 def test_classify_cross_cap(tmp_path, capsys):
@@ -197,6 +225,15 @@ def test_mesh_family_member_obj_is_valid(tmp_path, capsys):
         assert all(1 <= i <= len(verts) for i in idx)
     for vert in verts:
         assert all(math.isfinite(float(tok)) for tok in vert.split()[1:])
+
+
+def test_mesh_refuses_stiff_curvature_quickly(tmp_path, capsys):
+    doc = {"spherical_deformation": {"kappa_poly": [0, 1e6], "a02": 2, "a11": 0}}
+    start = time.perf_counter()
+    rc = main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "4"])
+    assert rc == 2
+    assert time.perf_counter() - start < 2.0
+    assert "curvature too large" in capsys.readouterr().err
 
 
 def test_asymptotics_json_and_text(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Isometric deformation family built from spherical curves."""
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from crosscap import (
     second_form_closed,
     verify_isometry,
 )
-from crosscap.deformation import circle_family, frenet_series, ruling_decomposition
+from crosscap.deformation import circle_family, ruling_decomposition
+from crosscap.numerics import frenet_series
+from crosscap.specio import build_surface, parse_spec, write_obj
 
 
 S_GRID = np.linspace(-1.2, 1.2, 13)
@@ -212,6 +216,39 @@ def test_frenet_series_matches_path():
     powers = h ** np.arange(11)
     assert np.linalg.norm(powers @ C2 - curve.point(0.4 + h)) <= 1e-9
     assert np.linalg.norm(powers @ E2 - curve.frame(0.4 + h)[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("k1", [1.0, 10.0, 100.0])
+def test_frame_matches_mpmath_oracle(k1):
+    import mpmath
+
+    def frenet_rhs(s, y):
+        c, e, n = y[0:3], y[3:6], y[6:9]
+        return [*e, *(k1 * s * ni - ci for ci, ni in zip(c, n)), *(-k1 * s * ei for ei in e)]
+
+    with mpmath.workdps(20):
+        ref = mpmath.odefun(frenet_rhs, 0, [1, 0, 0, 0, 1, 0, 0, 0, 1])(1.2)
+        ref = np.array([float(x) for x in ref])
+    path = SphericalCurve(kappa_poly=(0.0, k1)).path
+    assert np.max(np.abs(path.state(1.2) - ref)) <= 1e-10
+    # kappa is odd, so the rotation by pi about c(0) maps s to -s with
+    # (c, e, n) -> (D c, -D e, -D n)
+    d = np.array([1.0, -1.0, -1.0])
+    mirrored = np.concatenate([d * ref[0:3], -d * ref[3:6], -d * ref[6:9]])
+    assert np.max(np.abs(path.state(-1.2) - mirrored)) <= 1e-10
+
+
+def test_built_surface_is_freed_by_reference_counting(tmp_path):
+    spec = parse_spec({"spherical_deformation": {"kappa_poly": [0.5, -0.7], "a02": 2, "a11": 0.3}})
+    gc.disable()
+    try:
+        built = build_surface(spec)
+        write_obj(built.surface, str(tmp_path / "m.obj"), 4)
+        curve = weakref.ref(built.family.curve)
+        del built
+        assert curve() is None
+    finally:
+        gc.enable()
 
 
 def test_ruling_decomposition_consistency():

@@ -19,6 +19,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import asymptotics, deformation, invariants, ruled, specio, surface
 from .errors import CrosscapError, NotACrossCapError, SpecFormatError
 
@@ -48,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the structured report")
         p.add_argument("--out", help="write output to this file instead of stdout")
         if order:
-            p.add_argument("--order", type=int, help="jet order override")
+            p.add_argument("--order", type=int, choices=specio.ORDERS, metavar="N", help="jet order override")
 
     p = sub.add_parser("analyze", help="full invariant report")
     common(p, order=True)
@@ -184,7 +186,7 @@ def cmd_classify(args, tol: float) -> int:
         sys.stderr.write("classify needs a ruled spec\n")
         return 1
     built = specio.build_surface(spec)
-    cls = ruled.classify_singularity(built.ruling, tol=tol)
+    cls = ruled.classify_singularity(built.surface.ruling, tol=tol)
     if args.json:
         _deliver(specio.dumps_report({"classification": cls}), args.out)
     else:
@@ -275,7 +277,9 @@ def main(argv=None) -> int:
             return 1
 
     try:
-        return args.func(args, tol)
+        # overflow and invalid values fail loudly, like the arithmetic errors
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args, tol)
     except SpecFormatError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return 1

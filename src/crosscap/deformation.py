@@ -19,12 +19,12 @@ circle member with geodesic curvature zero) isometrically, and the
 member's curvature determines all third-order extrinsic data in closed
 form.
 
-Jets of the construction are assembled by exact series arithmetic; the
-evaluator reads the spherical frame off the piecewise Taylor path of
-numerics.FrenetPath and integrates gamma by adaptive Simpson quadrature.
-Exact Taylor data at off-origin points is produced by rebuilding the same
-series around the target point, so pointwise curvature checks never fall
-back to finite differences.
+A DeformationFamily is the backing of its member's ruled surface
+(ruled.from_deformation): jets of xi and gamma' around any v0 come from
+exact series arithmetic on the spherical frame's Taylor coefficients
+(numerics.FrenetPath), and pointwise values read the frame off the same
+path, so the member is exact anywhere in the chart and pointwise curvature
+checks never fall back to finite differences.
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import ChartError
 from .jets import Jet2, Jet3, vpoly
-from .numerics import SIMPSON_TOL, FrenetPath, adaptive_simpson
+from .numerics import FrenetPath
+from .ruled import from_deformation
 from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "circle_family",
     "circle_point",
     "deformation_family",
-    "ruling_decomposition",
     "build_crosscap",
     "degenerate_quadratic",
     "degenerate_first_form",
@@ -114,16 +114,57 @@ def circle_family(kappa: float) -> SphericalCurve:
 
 @dataclass(frozen=True)
 class DeformationFamily:
+    """One member; as a ruling backing it gives xi and gamma' exactly."""
+
     a02: float
     a11: float
     curve: SphericalCurve
 
-    @property
+    # cached: speed() runs once per quadrature node
+    @cached_property
     def m(self) -> float:
         return 1.0 + self.a11 * self.a11
 
+    @cached_property
+    def _root_m(self) -> float:
+        return math.sqrt(self.m)
+
+    @cached_property
+    def _scale(self) -> float:
+        return self.a02 / self.m
+
     def arc_parameter(self, v: float) -> float:
-        return math.atan(math.sqrt(self.m) * v)
+        return math.atan(self._root_m * v)
+
+    def xi_at(self, v: float) -> np.ndarray:
+        return math.sqrt(1.0 + self.m * v * v) * self.curve.frame(self.arc_parameter(v))[0]
+
+    def speed(self, v: float) -> np.ndarray:
+        """gamma'(v) = (a02/m) v (a11 xi'(v) + xi(v) x xi'(v))."""
+        m, sm = self.m, self._root_m
+        c, e, n = self.curve.frame(math.atan(sm * v))
+        xi_d = (m * v * c + sm * e) / math.sqrt(1.0 + m * v * v)
+        return (self._scale * v) * (self.a11 * xi_d + sm * n)
+
+    def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
+        """Jets in vhat = v - v0 of xi (to order) and gamma' (to order - 1)."""
+        m, sm = self.m, self._root_m
+        if v0 == 0.0:
+            # arctan(sm v): odd powers with alternating signs
+            odd = range(1, order + 1, 2)
+            shat = Jet2.from_terms({(0, i): (-1.0) ** (i // 2) * sm**i / i for i in odd}, order)
+            s0 = 0.0
+            w2 = vpoly([1.0, 0.0, m], order)
+        else:
+            s0 = self.arc_parameter(v0)
+            w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
+            shat = (w2.recip() * sm).integrate_v().truncated(order)
+        C, _, _ = self.curve.series_at(s0, order)
+        chat = Jet3(*(vpoly(C[:, i], order).compose(Jet2.zero(order), shat) for i in range(3)))
+        xi = chat * w2.sqrt()
+        xi_d = xi.deriv_v()
+        B = xi.truncated(order - 1).cross(xi_d) + xi_d * self.a11
+        return xi, B * vpoly([v0, 1.0], order - 1) * self._scale
 
 
 def deformation_family(
@@ -152,98 +193,9 @@ def deformation_family(
     return DeformationFamily(a02=float(a02), a11=float(a11), curve=curve)
 
 
-# ----------------------------------------------------------------------
-# series assembly
-
-def _ruling_series(fam: DeformationFamily, order: int, v0: float = 0.0):
-    """Jets in vhat of xi, B and gamma' around v = v0 (gamma' without constant)."""
-    m, sm = fam.m, math.sqrt(fam.m)
-    if v0 == 0.0:
-        # arctan(sm v): odd powers with alternating signs
-        coeffs = {}
-        for i in range(1, order + 1, 2):
-            coeffs[(0, i)] = (-1.0) ** (i // 2) * sm**i / i
-        shat = Jet2.from_terms(coeffs, order)
-        s0 = 0.0
-        w2 = vpoly([1.0, 0.0, m], order)
-    else:
-        s0 = fam.arc_parameter(v0)
-        denom = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
-        shat = (denom.recip() * sm).integrate_v().truncated(order)
-        w2 = denom
-    C, _, _ = fam.curve.series_at(s0, order)
-    chat = Jet3(
-        *(vpoly(C[:, i], order).compose(Jet2.zero(order), shat) for i in range(3))
-    )
-    w = w2.sqrt()
-    xi = chat * w
-    xi_d = xi.deriv_v()
-    xi_t = xi.truncated(order - 1)
-    B = xi_t.cross(xi_d) + xi_d * fam.a11
-    vv = vpoly([v0, 1.0], order - 1)
-    gamma_d = B * vv * (fam.a02 / m)
-    return xi, B, gamma_d
-
-
-def _gamma_value(fam: DeformationFamily, v: float) -> np.ndarray:
-    m, sm = fam.m, math.sqrt(fam.m)
-
-    def integrand(t: float) -> np.ndarray:
-        s = math.atan(sm * t)
-        c, e, n = fam.curve.frame(s)
-        w = math.sqrt(1.0 + m * t * t)
-        xi_d = (m * t * c + sm * e) / w
-        return t * (fam.a11 * xi_d + sm * n)
-
-    return (fam.a02 / m) * adaptive_simpson(integrand, 0.0, v, tol=SIMPSON_TOL)
-
-
-def ruling_decomposition(fam: DeformationFamily, order: int = 8) -> tuple[Jet3, Jet3]:
-    """(gamma, xi) v-jets of the family member seen as a ruled surface."""
-    xi, _, gamma_d = _ruling_series(fam, order)
-    return gamma_d.integrate_v().truncated(order), xi
-
-
 def build_crosscap(fam: DeformationFamily, order: int = 6) -> SurfaceMap:
-    """Surface map of the family member, with exact evaluator and local jets."""
-    work = order + 2
-    xi, _, gamma_d = _ruling_series(fam, work)
-    gamma = gamma_d.integrate_v()
-    u = Jet2.variable("u", work)
-    jet = Jet3(
-        *(
-            (gamma.components()[i].truncated(work) + xi.components()[i] * u)
-            for i in range(3)
-        )
-    ).truncated(order)
-
-    m, sm = fam.m, math.sqrt(fam.m)
-
-    def evaluator(uu: float, vv: float) -> np.ndarray:
-        s = math.atan(sm * vv)
-        c, _, _ = fam.curve.frame(s)
-        xi_v = math.sqrt(1.0 + m * vv * vv) * c
-        return _gamma_value(fam, vv) + uu * xi_v
-
-    def local_jet_fn(u0: float, v0: float, want: int) -> Jet3:
-        work_l = want + 1
-        xi_l, _, gamma_dl = _ruling_series(fam, work_l, v0)
-        gamma_l = gamma_dl.integrate_v().truncated(work_l)
-        base = _gamma_value(fam, v0) if v0 != 0.0 else np.zeros(3)
-        ul = Jet2.variable("u", work_l)
-        comps = []
-        for i in range(3):
-            comp = gamma_l.components()[i] + float(base[i])
-            comp = comp + xi_l.components()[i] * (ul + u0)
-            comps.append(comp)
-        return Jet3(*comps).truncated(want)
-
-    return SurfaceMap(
-        jet=jet,
-        evaluator=evaluator,
-        local_jet_fn=local_jet_fn,
-        domain_hint=((-1.0, 1.0), (-1.0, 1.0)),
-    )
+    """Surface map of the family member, exact anywhere in the chart."""
+    return from_deformation(fam, order).as_surface_map()
 
 
 def degenerate_quadratic(a02: float, a11: float, order: int = 6) -> SurfaceMap:

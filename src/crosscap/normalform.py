@@ -235,10 +235,7 @@ def frame(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapFrame:
     """Distinguished directions and planes at the cross cap point."""
     require_crosscap(f, tol)
     fu, _, _, _, fvv = origin_derivatives(f.jet)
-    e1 = fu / np.linalg.norm(fu)
-    w = fvv - (fvv @ e1) * e1
-    e3 = w / np.linalg.norm(w)
-    e2 = np.cross(e3, e1)
+    e1, e2, e3 = _rotation_for(fu, fvv)
     return CrossCapFrame(
         point=f.jet.coeff_vector(0, 0),
         tangent=e1,

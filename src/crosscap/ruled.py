@@ -22,25 +22,25 @@ the cuspidal edge / swallowtail / cuspidal cross cap trichotomy, and the
 criteria being sufficient conditions only, anything failing every test
 is reported as unclassified rather than guessed.
 
-Surfaces carrying a spherical-curve backing (built by ``redeploy`` or
-``from_frame``) evaluate and expand exactly anywhere in the chart;
-purely polynomial data is exact as well, while normalized series without
-a backing are exact at the origin and polynomial approximations away
-from it.
+Every surface can be backed (see RulingBacking) by exact pointwise data:
+a spherical curve plus frame coefficients (``redeploy`` and ``from_frame``)
+or an isometric deformation family member (``from_deformation``).  A
+backed surface evaluates gamma(v) = gamma(0) + int_0^v gamma' by adaptive
+Simpson quadrature and expands exactly around any point of the chart;
+unbacked surfaces are their polynomial jets, exact where those are the
+surface (``from_polynomials``) and truncations elsewhere (``normalize``).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .deformation import DeformationFamily, SphericalCurve, ruling_decomposition
 from .errors import SingularPointError
 from .invariants import _det3
 from .jets import Jet2, Jet3, vpoly
-from .numerics import SIMPSON_TOL, adaptive_simpson
+from .numerics import adaptive_simpson
 from .surface import SurfaceMap
 
 __all__ = [
@@ -60,6 +60,22 @@ __all__ = [
 NORMALIZED_TOL = 1e-8
 
 
+class SphericalFrame(Protocol):
+    """A unit-speed spherical curve, such as deformation.SphericalCurve."""
+
+    def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    def series_at(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+
+class RulingBacking(Protocol):
+    """Exact data behind a ruled surface: xi(v), speed(v) = gamma'(v), and
+    the jets of xi (to order) and gamma' (to order - 1) around v = v0."""
+
+    def xi_at(self, v: float) -> np.ndarray: ...
+    def speed(self, v: float) -> np.ndarray: ...
+    def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]: ...
+
+
 @dataclass(frozen=True)
 class FrameCoefficients:
     """Coordinates of gamma' in the frame (xi, xi', xi x xi')."""
@@ -68,19 +84,42 @@ class FrameCoefficients:
     b: Jet2
     c: Jet2
 
-    def at(self, v: float) -> tuple[float, float, float]:
-        return self.a(0.0, v), self.b(0.0, v), self.c(0.0, v)
+
+@dataclass(frozen=True)
+class _FrameBacking:
+    """A spherical ruling plus the frame coefficients of gamma'."""
+
+    curve: SphericalFrame
+    coeffs: FrameCoefficients
+
+    def xi_at(self, v: float) -> np.ndarray:
+        return self.curve.frame(v)[0]
+
+    def speed(self, v: float) -> np.ndarray:
+        c, e, n = self.curve.frame(v)
+        a, b, cc = (p(0.0, v) for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c))
+        return a * c + b * e + cc * n
+
+    def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
+        xi, xid, nu = (
+            Jet3(*(vpoly(X[:, i], order) for i in range(3)))
+            for X in self.curve.series_at(v0, order)
+        )
+        a, b, c = (
+            p.shifted_origin(0.0, v0).truncated(order)
+            for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c)
+        )
+        return xi, (xi * a + xid * b + nu * c).truncated(order - 1)
 
 
 @dataclass(frozen=True)
 class RuledSurface:
-    """Directrix and ruling as jets in v, optionally backed by an exact
-    spherical curve plus frame coefficients."""
+    """Directrix and ruling as jets in v at the origin, optionally backed
+    by exact pointwise data."""
 
     gamma: Jet3
     xi: Jet3
-    curve: SphericalCurve | None = None
-    coeffs: FrameCoefficients | None = None
+    backing: RulingBacking | None = None
 
     @property
     def order(self) -> int:
@@ -88,64 +127,35 @@ class RuledSurface:
 
     # ------------------------------------------------------------------
     # pointwise evaluation
-    def xi_at(self, v: float) -> np.ndarray:
-        if self.curve is not None:
-            return self.curve.frame(v)[0]
-        return self.xi(0.0, v)
+    def point(self, u: float, v: float) -> np.ndarray:
+        if self.backing is None:
+            return self.gamma(0.0, v) + u * self.xi(0.0, v)
+        return self._gamma_at(v) + u * self.backing.xi_at(v)
 
-    def _frame_directrix_speed(self, v: float) -> np.ndarray:
-        c, e, n = self.curve.frame(v)
-        a, b, cc = self.coeffs.at(v)
-        return a * c + b * e + cc * n
-
-    def gamma_at(self, v: float) -> np.ndarray:
-        if self.curve is not None and self.coeffs is not None:
-            base = self.gamma.coeff_vector(0, 0)
-            return base + adaptive_simpson(self._frame_directrix_speed, 0.0, v, tol=SIMPSON_TOL)
-        return self.gamma(0.0, v)
+    def _gamma_at(self, v: float) -> np.ndarray:
+        # gamma(v) = gamma(0) + int_0^v gamma', the one quadrature
+        return self.gamma.coeff_vector(0, 0) + adaptive_simpson(self.backing.speed, 0.0, v)
 
     def local_ruling(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
         """Jets of (gamma, xi) around v = v0, exact for backed surfaces."""
-        if v0 == 0.0:
-            return self.gamma.truncated(min(order, self.gamma.order)), self.xi.truncated(
-                min(order, self.xi.order)
-            )
-        if self.curve is not None and self.coeffs is not None:
-            C, E, N = self.curve.series_at(v0, order)
-            xi_l = Jet3(*(vpoly(C[:, i], order) for i in range(3)))
-            xid_l = Jet3(*(vpoly(E[:, i], order) for i in range(3)))
-            nu_l = Jet3(*(vpoly(N[:, i], order) for i in range(3)))
-            a_l = self.coeffs.a.shifted_origin(0.0, v0).truncated(order)
-            b_l = self.coeffs.b.shifted_origin(0.0, v0).truncated(order)
-            c_l = self.coeffs.c.shifted_origin(0.0, v0).truncated(order)
-            gp_l = (xi_l * a_l + xid_l * b_l + nu_l * c_l).truncated(order - 1)
-            gamma_l = gp_l.integrate_v() + Jet3.constant_vector(self.gamma_at(v0), order)
-            return gamma_l.truncated(order), xi_l
-        return (
-            self.gamma.shifted_origin(0.0, v0).truncated(order),
-            self.xi.shifted_origin(0.0, v0).truncated(order),
-        )
+        if v0 == 0.0 and order <= self.order:
+            return self.gamma.truncated(order), self.xi.truncated(order)
+        if self.backing is not None:
+            xi, gp = self.backing.ruling_series(v0, order)
+            gamma = gp.integrate_v() + Jet3.constant_vector(self._gamma_at(v0), order)
+            return gamma.truncated(order), xi
+        return tuple(j.shifted_origin(0.0, v0).truncated(order) for j in (self.gamma, self.xi))
+
+    def local_jet(self, u0: float, v0: float, order: int) -> Jet3:
+        """Taylor jet of gamma(v) + u xi(v) recentered at (u0, v0)."""
+        gl, xl = self.local_ruling(v0, order + 1)
+        ul = Jet2.variable("u", order + 1) + u0
+        return Jet3(*(g + x * ul for g, x in zip(gl.components(), xl.components()))).truncated(order)
 
     def as_surface_map(self) -> SurfaceMap:
-        n = self.order
-        u = Jet2.variable("u", n)
+        u = Jet2.variable("u", self.order)
         jet = Jet3(*(g + x * u for g, x in zip(self.gamma.components(), self.xi.components())))
-
-        def evaluator(uu: float, vv: float) -> np.ndarray:
-            return self.gamma_at(vv) + uu * self.xi_at(vv)
-
-        def local_jet_fn(u0: float, v0: float, want: int) -> Jet3:
-            gl, xl = self.local_ruling(v0, want + 1)
-            ul = Jet2.variable("u", want + 1) + u0
-            comps = [g + x * ul for g, x in zip(gl.components(), xl.components())]
-            return Jet3(*comps).truncated(want)
-
-        return SurfaceMap(
-            jet=jet,
-            evaluator=evaluator,
-            local_jet_fn=local_jet_fn,
-            domain_hint=((-1.0, 1.0), (-1.0, 1.0)),
-        )
+        return SurfaceMap(jet=jet, ruling=self)
 
 
 # ----------------------------------------------------------------------
@@ -167,18 +177,14 @@ def from_polynomials(
     )
 
 
-def _frame_build(curve: SphericalCurve, fc: FrameCoefficients, order: int) -> RuledSurface:
-    C, E, N = curve.series_at(0.0, order)
-    xi = Jet3(*(vpoly(C[:, i], order) for i in range(3)))
-    xid = Jet3(*(vpoly(E[:, i], order) for i in range(3)))
-    nu = Jet3(*(vpoly(N[:, i], order) for i in range(3)))
-    gp = (xi * fc.a + xid * fc.b + nu * fc.c).truncated(order - 1)
-    gamma = gp.integrate_v()
-    return RuledSurface(gamma=gamma, xi=xi, curve=curve, coeffs=fc)
+def _backed(backing: RulingBacking, order: int) -> RuledSurface:
+    """The surface through the origin with the backing's series at v = 0."""
+    xi, gp = backing.ruling_series(0.0, order)
+    return RuledSurface(gamma=gp.integrate_v().truncated(order), xi=xi, backing=backing)
 
 
 def from_frame(
-    curve: SphericalCurve,
+    curve: SphericalFrame,
     a: Sequence[float] | float = 0.0,
     b: Sequence[float] | float = 0.0,
     c: Sequence[float] | float = 0.0,
@@ -193,13 +199,13 @@ def from_frame(
         return vpoly(p, order)
 
     fc = FrameCoefficients(a=as_jet(a), b=as_jet(b), c=as_jet(c))
-    return _frame_build(curve, fc, order)
+    return _backed(_FrameBacking(curve, fc), order)
 
 
-def from_deformation(fam: DeformationFamily, order: int = 8) -> RuledSurface:
-    """The deformation family member in its natural ruled presentation."""
-    gamma, xi = ruling_decomposition(fam, order)
-    return RuledSurface(gamma=gamma, xi=xi)
+def from_deformation(fam: RulingBacking, order: int = 8) -> RuledSurface:
+    """The deformation family member (deformation.DeformationFamily) in its
+    natural ruled presentation, backed by the family's exact data."""
+    return _backed(fam, order)
 
 
 # ----------------------------------------------------------------------
@@ -278,22 +284,19 @@ def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> Jet3:
 
 def redeploy(
     fc: FrameCoefficients,
-    new_xi: SphericalCurve | Jet3,
+    new_xi: SphericalFrame | Jet3,
     order: int | None = None,
     tol: float = NORMALIZED_TOL,
 ) -> RuledSurface:
     """Ruled surface with the same frame coefficients along a new unit-speed
     spherical ruling; isometric to any other surface sharing (a, b, c)."""
     n = order if order is not None else fc.a.order + 1
-    if isinstance(new_xi, SphericalCurve):
-        return _frame_build(new_xi, fc, n)
+    if not isinstance(new_xi, Jet3):
+        return _backed(_FrameBacking(new_xi, fc), n)
     probe = RuledSurface(gamma=Jet3.zero(new_xi.order), xi=new_xi)
     if not is_normalized(probe, tol):
         raise ValueError("redeployment ruling must be a unit-speed spherical curve")
-    xid = new_xi.deriv_v()
-    xit = new_xi.truncated(xid.order)
-    nu = xit.cross(xid)
-    gp = (xit * fc.a + xid * fc.b + nu * fc.c).truncated(n - 1)
+    gp = reconstruct_directrix(fc, probe).truncated(n - 1)
     return RuledSurface(gamma=gp.integrate_v(), xi=new_xi.truncated(n))
 
 

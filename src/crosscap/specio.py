@@ -8,8 +8,9 @@ A surface spec is a JSON object naming exactly one construction:
     {"spherical_deformation": {"kappa_poly": [0, 1], "a02": 2, "a11": 0}}
     {"ruled": {"gamma_poly": [[x,y,z], ...], "xi_poly": [[x,y,z], ...]}}
 
-with optional "order" (jet order, default 6) and "domain"
-([[u0, u1], [v0, v1]], default [[-1, 1], [-1, 1]]).
+with optional "order" (jet order in 2..12, default 6) and "domain"
+([[u0, u1], [v0, v1]], default [[-1, 1], [-1, 1]]).  Polynomial terms
+above "order" are kept for evaluation, up to degree 64.
 
 Reports are plain dicts serialized deterministically: keys sorted,
 floats printed at 17 significant digits, so identical inputs yield
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from . import asymptotics, deformation, invariants, normalform, ruled, surface
@@ -48,6 +49,9 @@ SPEC_KINDS = (
     "ruled",
 )
 DEFAULT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
+ORDERS = range(2, 13)
+# polynomial specs keep every term, so their jets grow to the top degree
+MAX_DEGREE = 64
 REPORT_THETAS = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 
@@ -63,7 +67,6 @@ class SurfaceSpec:
 class BuiltSurface:
     surface: SurfaceMap
     family: deformation.DeformationFamily | None = None
-    ruling: ruled.RuledSurface | None = None
 
 
 def _require(cond: bool, field: str, detail: str):
@@ -90,7 +93,8 @@ def parse_spec(doc: Any) -> SurfaceSpec:
     kind = present[0]
     payload = doc[kind]
     order = doc.get("order", 6)
-    _require(isinstance(order, int) and 1 <= order <= 12, "order", "expected an integer in 1..12")
+    bounds = f"{ORDERS[0]}..{ORDERS[-1]}"
+    _require(isinstance(order, int) and order in ORDERS, "order", f"expected an integer in {bounds}")
 
     domain = DEFAULT_DOMAIN
     if "domain" in doc:
@@ -127,6 +131,7 @@ def parse_spec(doc: Any) -> SurfaceSpec:
                 f"{kind}[{i}]",
                 "monomial powers must be nonnegative integers",
             )
+            _require(j + k <= MAX_DEGREE, f"{kind}[{i}]", f"monomial degree above {MAX_DEGREE}")
             for c, name in zip(entry[2:], "xyz"):
                 _number(c, f"{kind}[{i}].{name}")
     elif kind == "quadratic_crosscap":
@@ -182,14 +187,6 @@ def load_spec(path: str) -> SurfaceSpec:
     return parse_spec(doc)
 
 
-def _with_domain(f: SurfaceMap, domain) -> SurfaceMap:
-    if f.domain_hint == domain:
-        return f
-    return SurfaceMap(
-        jet=f.jet, evaluator=f.evaluator, local_jet_fn=f.local_jet_fn, domain_hint=domain
-    )
-
-
 def build_surface(spec: SurfaceSpec) -> BuiltSurface:
     if spec.kind == "polynomial":
         terms = {}
@@ -198,22 +195,24 @@ def build_surface(spec: SurfaceSpec) -> BuiltSurface:
             vec[0] += x
             vec[1] += y
             vec[2] += z
-        f = surface.surface_from_polynomial(terms, order=spec.order, domain=spec.domain)
+        # every term is kept for evaluation; analysis truncates to its order
+        order = max(spec.order, *(j + k for j, k in terms))
+        f = surface.surface_from_polynomial(terms, order=order, domain=spec.domain)
         return BuiltSurface(surface=f)
     if spec.kind == "quadratic_crosscap":
         p = spec.payload
         f = surface.quadratic_crosscap(p["a20"], p["a11"], p["a02"], order=spec.order)
-        return BuiltSurface(surface=_with_domain(f, spec.domain))
+        return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
     if spec.kind in ("circle_deformation", "spherical_deformation"):
         p = spec.payload
         kap = float(p["kappa"]) if spec.kind == "circle_deformation" else tuple(p["kappa_poly"])
         fam = deformation.deformation_family(p["a02"], p["a11"], kap)
         f = deformation.build_crosscap(fam, order=spec.order)
-        return BuiltSurface(surface=_with_domain(f, spec.domain), family=fam)
+        return BuiltSurface(surface=replace(f, domain_hint=spec.domain), family=fam)
     rs = ruled.from_polynomials(
         spec.payload["gamma_poly"], spec.payload["xi_poly"], order=max(spec.order, 6)
     )
-    return BuiltSurface(surface=_with_domain(rs.as_surface_map(), spec.domain), ruling=rs)
+    return BuiltSurface(surface=replace(rs.as_surface_map(), domain_hint=spec.domain))
 
 
 # ----------------------------------------------------------------------

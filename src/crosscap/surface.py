@@ -1,12 +1,12 @@
 """Surface map germs and their pointwise differential geometry.
 
 A :class:`SurfaceMap` wraps the jet of a map germ (u,v) -> R^3 at the
-origin together with two optional extension points: an evaluator giving
-exact positions away from the origin, and a local-jet factory giving exact
-Taylor data recentered at an arbitrary parameter point.  Polynomial maps
-need neither (the jet is the map); transcendental constructions supply
-both.  All pointwise quantities (fundamental forms, curvatures) are read
-off local jets, so no finite differencing is involved on the library side.
+origin.  A polynomial map is its jet.  A ruled surface
+gamma(v) + u xi(v) also carries its ruled.RuledSurface, which gives
+positions and Taylor data recentered at any parameter point (exactly,
+when the ruling is backed).  All pointwise quantities (fundamental forms,
+curvatures) are read off local jets, so no finite differencing is
+involved on the library side.
 
 Conventions.  The unit normal at a regular point is f_u x f_v normalized.
 The limiting normal along the ray of angle theta is obtained by polar
@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import JetDomainError, NotACrossCapError, SingularPointError
 from .jets import Jet2, Jet3
+
+if TYPE_CHECKING:
+    from .ruled import RuledSurface
 
 DEFAULT_TOL = 1e-9
 
@@ -34,8 +37,7 @@ Domain = tuple[tuple[float, float], tuple[float, float]]
 @dataclass(frozen=True)
 class SurfaceMap:
     jet: Jet3
-    evaluator: Callable[[float, float], np.ndarray] | None = None
-    local_jet_fn: Callable[[float, float, int], Jet3] | None = None
+    ruling: RuledSurface | None = None
     domain_hint: Domain = ((-1.0, 1.0), (-1.0, 1.0))
 
     @property
@@ -43,14 +45,14 @@ class SurfaceMap:
         return self.jet.order
 
     def __call__(self, u: float, v: float) -> np.ndarray:
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(u, v), dtype=float)
+        if self.ruling is not None:
+            return self.ruling.point(u, v)
         return self.jet(u, v)
 
     def local_jet(self, u0: float, v0: float, order: int = 2) -> Jet3:
         """Taylor jet of the map recentered at (u0, v0)."""
-        if self.local_jet_fn is not None:
-            return self.local_jet_fn(u0, v0, order)
+        if self.ruling is not None:
+            return self.ruling.local_jet(u0, v0, order)
         return self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order))
 
 

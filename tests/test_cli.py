@@ -86,8 +86,16 @@ def test_spec_validation_failures(tmp_path, capsys):
     assert main(["analyze", write_spec(tmp_path, two, "two.json")]) == 1
     assert "exactly one" in capsys.readouterr().err
 
-    assert main(["analyze", write_spec(tmp_path, quadratic_spec(order=0), "ord.json")]) == 1
-    assert "order" in capsys.readouterr().err
+    for order in (0, 1, 13):
+        assert main(["analyze", write_spec(tmp_path, quadratic_spec(order=order), "ord.json")]) == 1
+        assert "order" in capsys.readouterr().err
+    for order in ("0", "1", "13", "x"):
+        assert main(["analyze", write_spec(tmp_path, quadratic_spec()), "--order", order]) == 1
+        assert "order" in capsys.readouterr().err
+
+    high = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [60, 5, 1, 0, 0]]}
+    assert main(["analyze", write_spec(tmp_path, high, "high.json")]) == 1
+    assert "polynomial[3]" in capsys.readouterr().err
 
     assert main(["analyze", write_spec(tmp_path, quadratic_spec(a02=-1.0), "neg.json")]) == 1
     assert "positive" in capsys.readouterr().err
@@ -102,7 +110,8 @@ def test_overflowing_coefficients_exit_two(tmp_path, capsys):
     assert main(["analyze", write_spec(tmp_path, doc), "--json"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith("analysis failed")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("analysis failed")
 
 
 def test_immersion_exits_two(tmp_path, capsys):
@@ -130,6 +139,8 @@ def test_deform_rejections(tmp_path, capsys):
     capsys.readouterr()
     assert main(["deform", write_spec(tmp_path, doc), "--kappas=nan"]) == 1
     assert "finite" in capsys.readouterr().err
+    assert main(["deform", write_spec(tmp_path, doc), "--order", "30"]) == 1
+    assert "order" in capsys.readouterr().err
     poly = {"polynomial": [[1, 0, 1.0, 0.0, 0.0]]}
     assert main(["deform", write_spec(tmp_path, poly, "p.json")]) == 1
     assert "deform needs" in capsys.readouterr().err
@@ -202,6 +213,14 @@ def test_mesh_small_grid(tmp_path, capsys):
     assert len(verts) == 9
     assert len(faces) == 8
     assert verts[4] == "v 0 0 0"
+
+
+def test_mesh_keeps_terms_above_order(tmp_path, capsys):
+    doc = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [9, 9, 1, 1, 1]]}
+    target = tmp_path / "out.obj"
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(target), "--resolution", "2"]) == 0
+    verts = [l for l in target.read_text(encoding="utf-8").splitlines() if l.startswith("v ")]
+    assert verts[-1] == "v 2 2 2"  # (u, v) = (1, 1), the u^9 v^9 term included
 
 
 def test_mesh_resolution_validation(tmp_path, capsys):

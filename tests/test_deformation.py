@@ -23,8 +23,9 @@ from crosscap import (
     second_form_closed,
     verify_isometry,
 )
-from crosscap.deformation import circle_family, ruling_decomposition
+from crosscap.deformation import circle_family
 from crosscap.numerics import frenet_series
+from crosscap.ruled import from_deformation
 from crosscap.specio import build_surface, parse_spec, write_obj
 
 
@@ -253,7 +254,8 @@ def test_built_surface_is_freed_by_reference_counting(tmp_path):
 
 def test_ruling_decomposition_consistency():
     fam = deformation_family(2.0, 0.5, 1.0)
-    gamma, xi = ruling_decomposition(fam, order=6)
+    rs = from_deformation(fam, order=6)
+    gamma, xi = rs.gamma, rs.xi
     jet = build_crosscap(fam, order=6).jet
     # f(u, v) = gamma(v) + u xi(v), compare pure-v and u-linear rows
     for k in range(7):

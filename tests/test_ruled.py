@@ -133,6 +133,18 @@ def test_family_members_classify_as_cross_caps():
             assert classify_singularity(rs) == "cross_cap"
 
 
+def test_family_ruled_surface_is_exact_off_origin():
+    # the ruled presentation is backed by the family, not its truncated jets
+    fam = deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))
+    ruled_map = from_deformation(fam, 8).as_surface_map()
+    built = build_crosscap(fam)
+    for u, v in ((0.5, 0.7), (-0.3, -0.6), (0.8, 0.2)):
+        assert np.linalg.norm(ruled_map(u, v) - built(u, v)) <= 1e-12
+        lr, lb = ruled_map.local_jet(u, v, 2), built.local_jet(u, v, 2)
+        assert lr.order == lb.order == 2
+        assert lr.max_coeff_diff(lb) <= 1e-12
+
+
 def test_redeploy_preserves_first_form(rng):
     curves = [
         circle_family(1.0),

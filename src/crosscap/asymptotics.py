@@ -37,6 +37,7 @@ __all__ = [
     "leading",
     "verify_convergence",
     "umbilic_gap",
+    "ray_reports",
 ]
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -125,24 +126,30 @@ def _extrapolate(radii: np.ndarray, values: np.ndarray) -> float:
     return float(coeffs[1])
 
 
-def verify_convergence(
+_RaySamples = tuple[float, tuple[float, ...], PolarLeading, tuple[tuple[float, float], ...]]
+
+
+def _sample_ray(
     f: SurfaceMap,
     theta: float,
-    radii: Sequence[float] | None = None,
-    triple: IntrinsicTriple | None = None,
-) -> ConvergenceReport:
-    """Sample r^2 K and r^2 H along the ray and compare with leading()."""
+    radii: Sequence[float] | None,
+    triple: IntrinsicTriple | None,
+) -> _RaySamples:
+    """(theta, clamped radii, leading terms, exact (K, H) at each radius)."""
     rs = _clamped_radii(radii)
     if triple is None:
         triple = intrinsic_from_map(f)
     lead = leading(triple, theta)
     sign = _sample_sign(f)
     co, si = math.cos(theta), math.sin(theta)
-    r2k, r2h = [], []
-    for r in rs:
-        K, H = curvatures_at(f, sign * r * co, sign * r * si)
-        r2k.append(r * r * K)
-        r2h.append(r * r * H)
+    kh = tuple(curvatures_at(f, sign * r * co, sign * r * si) for r in rs)
+    return float(theta), rs, lead, kh
+
+
+def _convergence_report(ray: _RaySamples) -> ConvergenceReport:
+    theta, rs, lead, kh = ray
+    r2k = [r * r * K for r, (K, _) in zip(rs, kh)]
+    r2h = [r * r * H for r, (_, H) in zip(rs, kh)]
     rarr = np.asarray(rs)
     k_err = np.abs(np.asarray(r2k) - lead.k_lead)
     h_err = np.abs(np.asarray(r2h) - lead.h_lead)
@@ -150,7 +157,7 @@ def verify_convergence(
     h_order, h_trivial = _fit_order(rs, h_err)
     passed = (k_trivial or k_order >= SLOPE_PASS) and (h_trivial or h_order >= SLOPE_PASS)
     return ConvergenceReport(
-        theta=float(theta),
+        theta=theta,
         radii=rs,
         r2k=tuple(r2k),
         r2h=tuple(r2h),
@@ -166,6 +173,16 @@ def verify_convergence(
     )
 
 
+def verify_convergence(
+    f: SurfaceMap,
+    theta: float,
+    radii: Sequence[float] | None = None,
+    triple: IntrinsicTriple | None = None,
+) -> ConvergenceReport:
+    """Sample r^2 K and r^2 H along the ray and compare with leading()."""
+    return _convergence_report(_sample_ray(f, theta, radii, triple))
+
+
 @dataclass(frozen=True)
 class GapReport:
     theta: float
@@ -176,6 +193,35 @@ class GapReport:
     negative_k_mode: bool
     k_values: tuple[float, ...]
     passed: bool
+
+
+def _gap_report(ray: _RaySamples) -> GapReport:
+    theta, rs, lead, kh = ray
+    gaps = tuple(r**4 * (H * H - K) for r, (K, H) in zip(rs, kh))
+    ks = tuple(K for K, _ in kh)
+    if abs(math.cos(theta)) < 1e-12:
+        return GapReport(
+            theta=theta,
+            radii=rs,
+            r4gap=gaps,
+            limit=None,
+            order=math.nan,
+            negative_k_mode=True,
+            k_values=ks,
+            passed=all(k < 0.0 for k in ks),
+        )
+    errs = np.abs(np.asarray(gaps) - lead.gap_lead)
+    order, trivial = _fit_order(rs, errs)
+    return GapReport(
+        theta=theta,
+        radii=rs,
+        r4gap=gaps,
+        limit=lead.gap_lead,
+        order=order,
+        negative_k_mode=False,
+        k_values=ks,
+        passed=(trivial or order >= SLOPE_PASS) and lead.gap_lead > 0.0,
+    )
 
 
 def umbilic_gap(
@@ -190,37 +236,15 @@ def umbilic_gap(
     a positive limit; on them the report instead records that K < 0 at
     every sampled radius.
     """
-    rs = _clamped_radii(radii)
-    if triple is None:
-        triple = intrinsic_from_map(f)
-    lead = leading(triple, theta)
-    sign = _sample_sign(f)
-    co, si = math.cos(theta), math.sin(theta)
-    gaps, ks = [], []
-    for r in rs:
-        K, H = curvatures_at(f, sign * r * co, sign * r * si)
-        gaps.append(r**4 * (H * H - K))
-        ks.append(K)
-    if abs(co) < 1e-12:
-        return GapReport(
-            theta=float(theta),
-            radii=rs,
-            r4gap=tuple(gaps),
-            limit=None,
-            order=math.nan,
-            negative_k_mode=True,
-            k_values=tuple(ks),
-            passed=all(k < 0.0 for k in ks),
-        )
-    errs = np.abs(np.asarray(gaps) - lead.gap_lead)
-    order, trivial = _fit_order(rs, errs)
-    return GapReport(
-        theta=float(theta),
-        radii=rs,
-        r4gap=tuple(gaps),
-        limit=lead.gap_lead,
-        order=order,
-        negative_k_mode=False,
-        k_values=tuple(ks),
-        passed=(trivial or order >= SLOPE_PASS) and lead.gap_lead > 0.0,
-    )
+    return _gap_report(_sample_ray(f, theta, radii, triple))
+
+
+def ray_reports(
+    f: SurfaceMap,
+    theta: float,
+    radii: Sequence[float] | None = None,
+    triple: IntrinsicTriple | None = None,
+) -> tuple[ConvergenceReport, GapReport]:
+    """verify_convergence and umbilic_gap of one ray from one set of samples."""
+    ray = _sample_ray(f, theta, radii, triple)
+    return _convergence_report(ray), _gap_report(ray)

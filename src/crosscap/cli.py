@@ -195,8 +195,8 @@ def cmd_classify(args, tol: float) -> int:
 
 
 def cmd_mesh(args, tol: float) -> int:
-    if args.resolution < 1:
-        sys.stderr.write("--resolution must be a positive integer\n")
+    if not 1 <= args.resolution <= specio.MAX_RESOLUTION:
+        sys.stderr.write(f"--resolution must be an integer in 1..{specio.MAX_RESOLUTION}\n")
         return 1
     spec = specio.load_spec(args.spec)
     built = specio.build_surface(spec)
@@ -217,8 +217,7 @@ def cmd_asymptotics(args, tol: float) -> int:
     triple = invariants.intrinsic_from_map(f, tol=tol)
     entries = []
     for theta in thetas:
-        conv = asymptotics.verify_convergence(f, theta, radii, triple=triple)
-        gap = asymptotics.umbilic_gap(f, theta, radii, triple=triple)
+        conv, gap = asymptotics.ray_reports(f, theta, radii, triple=triple)
         entries.append(
             {
                 "theta": theta,

@@ -254,8 +254,8 @@ class IsometryReport:
     passed: bool
 
 
-def _first_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:
-    jet = f.local_jet(u, v, order=1)
+def _first_form_of(jet: Jet3) -> tuple[float, float, float]:
+    """(E, F, G) at the centre of a local jet."""
     fu = jet.coeff_vector(1, 0)
     fv = jet.coeff_vector(0, 1)
     return float(fu @ fu), float(fu @ fv), float(fv @ fv)
@@ -277,13 +277,14 @@ def verify_isometry(
     )
     (u0, u1), (v0, v1) = f.domain_hint
     nu, nv = grid
+    us = [u0 + (u1 - u0) * (i + 0.5) / nu for i in range(nu)]
     grid_dev = 0.0
-    for i in range(nu):
-        for j in range(nv):
-            uu = u0 + (u1 - u0) * (i + 0.5) / nu
-            vv = v0 + (v1 - v0) * (j + 0.5) / nv
-            Ef, Ff, Gf = _first_form_at(f, uu, vv)
-            Eg, Fg, Gg = _first_form_at(g, uu, vv)
+    # one local ruling per surface and column, shared by the column's points
+    for j in range(nv):
+        vv = v0 + (v1 - v0) * (j + 0.5) / nv
+        for jf, jg in zip(f.local_jets(us, vv, order=1), g.local_jets(us, vv, order=1)):
+            Ef, Ff, Gf = _first_form_of(jf)
+            Eg, Fg, Gg = _first_form_of(jg)
             grid_dev = max(grid_dev, abs(Ef - Eg), abs(Ff - Fg), abs(Gf - Gg))
     return IsometryReport(
         jet_max_dev=float(jet_dev),

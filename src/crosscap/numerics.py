@@ -44,7 +44,11 @@ def adaptive_simpson(
     tol: float = SIMPSON_TOL,
     max_depth: int = 30,
 ) -> np.ndarray:
-    """Adaptive Simpson integral of a vector-valued function over [a, b]."""
+    """Adaptive Simpson integral of a vector-valued function over [a, b].
+
+    Raises ChartError where a subinterval misses its share of tol after
+    max_depth halvings.
+    """
     fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
     if a == b:
         return np.zeros_like(fa)
@@ -64,8 +68,12 @@ def _simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = np.max(np.abs(left + right - whole))
-    if depth <= 0 or err < 15.0 * tol:
+    if err < 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
+    if depth <= 0:
+        # an integrand no subdivision brings within tolerance (huge or not
+        # finite) would otherwise cost up to 2^max_depth evaluations
+        raise ChartError(f"adaptive Simpson quadrature does not converge near {m:.6g}")
     return _simpson(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + _simpson(
         f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
     )

@@ -29,6 +29,12 @@ backed surface evaluates gamma(v) = gamma(0) + int_0^v gamma' by adaptive
 Simpson quadrature and expands exactly around any point of the chart;
 unbacked surfaces are their polynomial jets, exact where those are the
 surface (``from_polynomials``) and truncations elsewhere (``normalize``).
+
+gamma and xi depend on v alone, so evaluation goes one v column at a
+time: ``grid`` takes one quadrature and one ruling value per column and
+broadcasts them over u, and ``local_jets`` expands every u0 of a column
+from one local ruling around v0.  Each quadrature runs from 0, so a
+column's values do not depend on which other columns are evaluated.
 """
 from __future__ import annotations
 
@@ -126,11 +132,20 @@ class RuledSurface:
         return min(self.gamma.order, self.xi.order)
 
     # ------------------------------------------------------------------
-    # pointwise evaluation
-    def point(self, u: float, v: float) -> np.ndarray:
+    # evaluation, one v column at a time
+    def grid(self, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
+        """Points gamma(v) + u xi(v), shape (len(us), len(vs), 3).
+
+        gamma(v) and xi(v) are computed once per column and broadcast over u.
+        """
+        gx = np.array([self._column(v) for v in vs], dtype=float).reshape(len(vs), 2, 3)
+        return gx[:, 0] + np.asarray(us, dtype=float)[:, None, None] * gx[:, 1]
+
+    def _column(self, v: float) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma(v), xi(v))."""
         if self.backing is None:
-            return self.gamma(0.0, v) + u * self.xi(0.0, v)
-        return self._gamma_at(v) + u * self.backing.xi_at(v)
+            return self.gamma(0.0, v), self.xi(0.0, v)
+        return self._gamma_at(v), self.backing.xi_at(v)
 
     def _gamma_at(self, v: float) -> np.ndarray:
         # gamma(v) = gamma(0) + int_0^v gamma', the one quadrature
@@ -146,11 +161,20 @@ class RuledSurface:
             return gamma.truncated(order), xi
         return tuple(j.shifted_origin(0.0, v0).truncated(order) for j in (self.gamma, self.xi))
 
+    def local_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
+        """Taylor jets of gamma(v) + u xi(v) recentered at each (u0, v0),
+        u0 in us, from one local ruling of the column v = v0."""
+        gl, xl = self.local_ruling(v0, order + 1)
+        u = Jet2.variable("u", order + 1)
+        jets = []
+        for u0 in us:
+            ul = u + u0
+            jets.append(Jet3(*(g + x * ul for g, x in zip(gl.components(), xl.components()))).truncated(order))
+        return jets
+
     def local_jet(self, u0: float, v0: float, order: int) -> Jet3:
         """Taylor jet of gamma(v) + u xi(v) recentered at (u0, v0)."""
-        gl, xl = self.local_ruling(v0, order + 1)
-        ul = Jet2.variable("u", order + 1) + u0
-        return Jet3(*(g + x * ul for g, x in zip(gl.components(), xl.components()))).truncated(order)
+        return self.local_jets([u0], v0, order)[0]
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)

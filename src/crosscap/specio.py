@@ -52,6 +52,8 @@ DEFAULT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
 ORDERS = range(2, 13)
 # polynomial specs keep every term, so their jets grow to the top degree
 MAX_DEGREE = 64
+# a mesh is one array of (n+1)^2 points
+MAX_RESOLUTION = 1024
 REPORT_THETAS = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 
@@ -146,6 +148,9 @@ def parse_spec(doc: Any) -> SurfaceSpec:
             _require(f in payload, f"{kind}.{f}", "missing")
             _number(payload[f], f"{kind}.{f}")
         _require(_number(payload["a02"], f"{kind}.a02") > 0.0, f"{kind}.a02", "must be positive")
+        a11 = _number(payload["a11"], f"{kind}.a11")
+        # the family's ruling speed is sqrt(1 + a11^2)
+        _require(math.isfinite(1.0 + a11 * a11), f"{kind}.a11", "too large: 1 + a11^2 overflows")
         if kind == "circle_deformation":
             _require("kappa" in payload, f"{kind}.kappa", "missing")
             _number(payload["kappa"], f"{kind}.kappa")
@@ -394,19 +399,19 @@ def write_obj(f: SurfaceMap, path: str, resolution: int, domain=None):
     """Triangulated Wavefront OBJ over an n x n parameter grid.
 
     Vertices are emitted row-major in u, (n+1)^2 of them, then 2 n^2
-    triangular faces with 1-based indices.
+    triangular faces with 1-based indices.  The vertices come from one
+    evaluate_grid call, so a ruled surface is evaluated once per v column.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be an integer in 1..{MAX_RESOLUTION}")
     (u0, u1), (v0, v1) = domain if domain is not None else f.domain_hint
     n = resolution
-    lines = []
-    for i in range(n + 1):
-        uu = u0 + (u1 - u0) * i / n
-        for j in range(n + 1):
-            vv = v0 + (v1 - v0) * j / n
-            x, y, z = f(uu, vv)
-            lines.append(f"v {format_float(float(x))} {format_float(float(y))} {format_float(float(z))}")
+    us = [u0 + (u1 - u0) * i / n for i in range(n + 1)]
+    vs = [v0 + (v1 - v0) * j / n for j in range(n + 1)]
+    lines = [
+        f"v {format_float(float(x))} {format_float(float(y))} {format_float(float(z))}"
+        for x, y, z in f.evaluate_grid(us, vs).reshape(-1, 3)
+    ]
     for i in range(n):
         for j in range(n):
             a = i * (n + 1) + j + 1

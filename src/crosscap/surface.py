@@ -8,6 +8,11 @@ when the ruling is backed).  All pointwise quantities (fundamental forms,
 curvatures) are read off local jets, so no finite differencing is
 involved on the library side.
 
+Positions come in grids (``evaluate_grid``) and local jets in columns of
+fixed v (``local_jets``): a ruled surface computes its directrix and
+ruling once per v and shares them along u.  A single point or jet is a
+one-point grid or column.
+
 Conventions.  The unit normal at a regular point is f_u x f_v normalized.
 The limiting normal along the ray of angle theta is obtained by polar
 substitution u = r cos(theta), v = r sin(theta) into the jet of f_u x f_v
@@ -45,15 +50,23 @@ class SurfaceMap:
         return self.jet.order
 
     def __call__(self, u: float, v: float) -> np.ndarray:
+        return self.evaluate_grid([u], [v])[0, 0]
+
+    def evaluate_grid(self, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
+        """Points f(u, v) for u in us and v in vs, shape (len(us), len(vs), 3)."""
         if self.ruling is not None:
-            return self.ruling.point(u, v)
-        return self.jet(u, v)
+            return self.ruling.grid(us, vs)
+        return np.array([[self.jet(u, v) for v in vs] for u in us], dtype=float).reshape(len(us), len(vs), 3)
 
     def local_jet(self, u0: float, v0: float, order: int = 2) -> Jet3:
         """Taylor jet of the map recentered at (u0, v0)."""
+        return self.local_jets([u0], v0, order)[0]
+
+    def local_jets(self, us: Sequence[float], v0: float, order: int = 2) -> list[Jet3]:
+        """Taylor jets of the map recentered at (u0, v0) for each u0 in us."""
         if self.ruling is not None:
-            return self.ruling.local_jet(u0, v0, order)
-        return self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order))
+            return self.ruling.local_jets(us, v0, order)
+        return [self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order)) for u0 in us]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """End-to-end command-line checks driven through main(argv)."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crosscap.cli import main
-from crosscap.specio import dumps_report
+from crosscap.specio import MAX_RESOLUTION, build_surface, dumps_report, parse_spec, write_obj
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
@@ -103,6 +107,12 @@ def test_spec_validation_failures(tmp_path, capsys):
     nan = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [2, 0, 0, 0, math.nan]]}
     assert main(["analyze", write_spec(tmp_path, nan, "nan.json"), "--json"]) == 1
     assert "polynomial[3].z" in capsys.readouterr().err
+
+    # 1 + a11^2 overflows, which would leave the family without a tangent
+    for kind, extra in (("circle_deformation", {"kappa": 0}), ("spherical_deformation", {"kappa_poly": [0]})):
+        huge = {kind: {"a11": 1e300, "a02": 1, **extra}}
+        assert main(["analyze", write_spec(tmp_path, huge, "huge.json"), "--json"]) == 1
+        assert f"{kind}.a11" in capsys.readouterr().err
 
 
 def test_overflowing_coefficients_exit_two(tmp_path, capsys):
@@ -225,8 +235,14 @@ def test_mesh_keeps_terms_above_order(tmp_path, capsys):
 
 def test_mesh_resolution_validation(tmp_path, capsys):
     path = write_spec(tmp_path, quadratic_spec())
-    assert main(["mesh", path, "--out", str(tmp_path / "x.obj"), "--resolution", "0"]) == 1
-    assert "resolution" in capsys.readouterr().err
+    for res in (0, MAX_RESOLUTION + 1):
+        target = tmp_path / "x.obj"
+        assert main(["mesh", path, "--out", str(target), "--resolution", str(res)]) == 1
+        assert "resolution" in capsys.readouterr().err
+        assert not target.exists()
+    with pytest.raises(ValueError, match="resolution"):
+        write_obj(build_surface(parse_spec(quadratic_spec())).surface, str(target), MAX_RESOLUTION + 1)
+    assert not target.exists()
 
 
 def test_mesh_family_member_obj_is_valid(tmp_path, capsys):
@@ -253,6 +269,16 @@ def test_mesh_refuses_stiff_curvature_quickly(tmp_path, capsys):
     assert rc == 2
     assert time.perf_counter() - start < 2.0
     assert "curvature too large" in capsys.readouterr().err
+
+
+def test_mesh_refuses_unreachable_quadrature_quickly(tmp_path, capsys):
+    # gamma is of size 1e300, far past the quadrature's absolute tolerance
+    doc = {"circle_deformation": {"kappa": 1, "a02": 1e300, "a11": 0.5}, "domain": [[-1, 1], [-100, 100]]}
+    start = time.perf_counter()
+    rc = main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "4"])
+    assert rc == 2
+    assert time.perf_counter() - start < 2.0
+    assert "does not converge" in capsys.readouterr().err
 
 
 def test_asymptotics_json_and_text(tmp_path, capsys):
@@ -288,3 +314,95 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
 def test_no_arguments_usage_error(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+# ----------------------------------------------------------------------
+# fuzzing the spec and CLI contract
+
+SPECIAL = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300]
+PLAIN = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3))
+EXTREME = st.one_of(PLAIN, st.sampled_from(SPECIAL))
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3))
+KINDS = ["polynomial", "quadratic_crosscap", "circle_deformation", "spherical_deformation", "ruled"]
+JSON = st.recursive(
+    st.one_of(EXTREME, JUNK),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(KINDS + ["a02"]), inner, max_size=2)),
+    max_leaves=6,
+)
+
+
+def _payload(kind: str, num):
+    if kind == "polynomial":
+        power = st.one_of(st.integers(-1, 4), st.sampled_from([9, 65]))
+        term = st.tuples(power, power, num, num, num).map(list)
+        # the standard cross cap plus a few terms, so that analysis goes deep
+        return st.lists(term, max_size=3).map(lambda extra: [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], *extra])
+    if kind == "ruled":
+        rows = st.lists(st.lists(num, min_size=3, max_size=3), min_size=1, max_size=3)
+        return st.fixed_dictionaries({"gamma_poly": rows, "xi_poly": rows})
+    fields = {"a20": num} if kind == "quadratic_crosscap" else {}
+    if kind == "circle_deformation":
+        fields["kappa"] = num
+    if kind == "spherical_deformation":
+        fields["kappa_poly"] = st.lists(num, min_size=1, max_size=3)
+    a02 = st.floats(0.25, 3.0) if num is PLAIN else num
+    return st.fixed_dictionaries({**fields, "a11": num, "a02": a02})
+
+
+@st.composite
+def spec_documents(draw):
+    """A spec of each kind with plain or extreme numbers, or with one field
+    dropped or replaced by junk; or any small JSON value."""
+    kind = draw(st.sampled_from(KINDS + [None]))
+    if kind is None:
+        return draw(JSON)
+    mode = draw(st.sampled_from(["plain", "extreme", "broken"]))
+    num = PLAIN if mode == "plain" else EXTREME
+    doc = {kind: draw(_payload(kind, num))}
+    if draw(st.booleans()):
+        doc["order"] = draw(st.integers(2, 12) if mode == "plain" else st.integers(-1, 14))
+    if draw(st.booleans()):
+        span = st.lists(num, min_size=2, max_size=2).map(sorted)
+        doc["domain"] = draw(st.lists(span, min_size=2, max_size=2))
+    if mode == "broken":
+        payload = doc[kind]
+        if isinstance(payload, dict) and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(payload)))
+            doc[kind] = {k: v for k, v in payload.items() if k != key}
+            if draw(st.booleans()):
+                doc[kind][key] = draw(JUNK)
+        else:
+            doc[draw(st.sampled_from([kind, "order", "domain"]))] = draw(JUNK)
+    return doc
+
+
+def _floats_in(obj):
+    if isinstance(obj, dict):
+        for val in obj.values():
+            yield from _floats_in(val)
+    elif isinstance(obj, list):
+        for val in obj:
+            yield from _floats_in(val)
+    elif obj is None or isinstance(obj, float):
+        yield obj
+
+
+@given(doc=spec_documents(), command=st.sampled_from(["analyze", "asymptotics", "mesh"]))
+@example(doc={"circle_deformation": {"a11": 1e300, "kappa": 0, "a02": 1}}, command="analyze")
+def test_cli_contract_holds_for_any_spec(tmp_path_factory, doc, command):
+    """Exit 0, 1 or 2 with at most one stderr line; exit-0 analyze reports are finite."""
+    work = tmp_path_factory.mktemp("fuzz", numbered=True)
+    spec = work / "spec.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {
+        "analyze": ["analyze", str(spec), "--json"],
+        "asymptotics": ["asymptotics", str(spec), "--json"],
+        "mesh": ["mesh", str(spec), "--resolution", "2", "--out", str(work / "m.obj")],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    if rc == 0 and command == "analyze":
+        assert all(x is not None and math.isfinite(x) for x in _floats_in(json.loads(out.getvalue())))

@@ -6,9 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from crosscap import SingularPointError, curvatures_at, deformation_family, reduce_to_normal_form
+from crosscap import (
+    SingularPointError,
+    curvatures_at,
+    deformation_family,
+    reduce_to_normal_form,
+    ruled,
+    verify_isometry,
+)
 from crosscap.deformation import SphericalCurve, build_crosscap, circle_family
 from crosscap.jets import Jet2, Jet3, vpoly
+from crosscap.numerics import adaptive_simpson
 from crosscap.ruled import (
     FrameCoefficients,
     RuledSurface,
@@ -22,6 +30,7 @@ from crosscap.ruled import (
     reconstruct_directrix,
     redeploy,
 )
+from crosscap.specio import build_surface, parse_spec, write_obj
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040]
@@ -262,3 +271,63 @@ def test_developables_have_zero_gauss_curvature():
                 assert abs(K) < 1e-8, (u, v, K)
                 count += 1
         assert count == 50
+
+
+# ----------------------------------------------------------------------
+# column evaluation: one directrix quadrature per v column
+
+def _column_surfaces():
+    member = build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)))
+    above_order = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [9, 9, 1, 1, 1]]}
+    return [member, standard_ruled().as_surface_map(), build_surface(parse_spec(above_order)).surface]
+
+
+def _reference_point(f, u: float, v: float) -> np.ndarray:
+    """f(u, v) point by point, with gamma(v) integrated afresh for each point."""
+    rs = f.ruling
+    if rs is None:
+        return f.jet(u, v)
+    if rs.backing is None:
+        return rs.gamma(0.0, v) + u * rs.xi(0.0, v)
+    gamma = rs.gamma.coeff_vector(0, 0) + adaptive_simpson(rs.backing.speed, 0.0, v)
+    return gamma + u * rs.backing.xi_at(v)
+
+
+def test_evaluate_grid_matches_pointwise():
+    us, vs = [-0.9, 0.0, 0.35, 1.0], [-0.8, -0.1, 0.0, 0.6, 0.95]
+    for f in _column_surfaces():
+        grid = f.evaluate_grid(us, vs)
+        assert grid.shape == (len(us), len(vs), 3)
+        assert np.array_equal(grid, np.array([[f(u, v) for v in vs] for u in us]))
+        assert np.array_equal(grid, np.array([[_reference_point(f, u, v) for v in vs] for u in us]))
+
+
+def test_local_jets_match_local_jet():
+    us = [-0.7, 0.0, 0.45]
+    for f in _column_surfaces():
+        for v0, order in ((0.0, 2), (-0.55, 1), (0.8, 3)):
+            for column, u0 in zip(f.local_jets(us, v0, order), us):
+                single = f.local_jet(u0, v0, order)
+                assert column.order == single.order
+                for a, b in zip(column.components(), single.components()):
+                    assert np.array_equal(a.c, b.c)
+
+
+def test_quadrature_runs_once_per_column(monkeypatch, tmp_path):
+    calls = []
+    quadrature = ruled.adaptive_simpson
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(ruled, "adaptive_simpson", counted)
+    f = build_crosscap(deformation_family(1.3, -0.4, 0.8))
+    g = build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)))
+    n = 6
+    write_obj(f, str(tmp_path / "m.obj"), n)
+    assert len(calls) == n + 1
+    calls.clear()
+    nu, nv = 5, 4
+    assert verify_isometry(f, g, grid=(nu, nv)).passed
+    assert len(calls) == 2 * nv

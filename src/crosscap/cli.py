@@ -148,18 +148,7 @@ def cmd_deform(args, tol: float) -> int:
         surfaces.append(f)
 
     forms = [surface.first_form(f) for f in surfaces]
-    matrix = []
-    for fa in forms:
-        row = []
-        for fb in forms:
-            row.append(
-                max(
-                    fa.E.max_coeff_diff(fb.E),
-                    fa.F.max_coeff_diff(fb.F),
-                    fa.G.max_coeff_diff(fb.G),
-                )
-            )
-        matrix.append(row)
+    matrix = [[fa.max_coeff_diff(fb) for fb in forms] for fa in forms]
     report = {"members": members, "metric_deviation": matrix}
 
     if args.json:
@@ -198,9 +187,8 @@ def cmd_mesh(args, tol: float) -> int:
     if not 1 <= args.resolution <= specio.MAX_RESOLUTION:
         sys.stderr.write(f"--resolution must be an integer in 1..{specio.MAX_RESOLUTION}\n")
         return 1
-    spec = specio.load_spec(args.spec)
-    built = specio.build_surface(spec)
-    specio.write_obj(built.surface, args.out, args.resolution, domain=spec.domain)
+    built = specio.build_surface(specio.load_spec(args.spec))
+    specio.write_obj(built.surface, args.out, args.resolution)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0
 

@@ -148,19 +148,11 @@ class DeformationFamily:
 
     def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
         """Jets in vhat = v - v0 of xi (to order) and gamma' (to order - 1)."""
-        m, sm = self.m, self._root_m
-        if v0 == 0.0:
-            # arctan(sm v): odd powers with alternating signs
-            odd = range(1, order + 1, 2)
-            shat = Jet2.from_terms({(0, i): (-1.0) ** (i // 2) * sm**i / i for i in odd}, order)
-            s0 = 0.0
-            w2 = vpoly([1.0, 0.0, m], order)
-        else:
-            s0 = self.arc_parameter(v0)
-            w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
-            shat = (w2.recip() * sm).integrate_v().truncated(order)
-        C, _, _ = self.curve.series_at(s0, order)
-        chat = Jet3(*(vpoly(C[:, i], order).compose(Jet2.zero(order), shat) for i in range(3)))
+        m = self.m
+        w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
+        shat = (w2.recip() * self._root_m).integrate_v().truncated(order)
+        C, _, _ = self.curve.series_at(self.arc_parameter(v0), order)
+        chat = Jet3(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
         xi = chat * w2.sqrt()
         xi_d = xi.deriv_v()
         B = xi.truncated(order - 1).cross(xi_d) + xi_d * self.a11
@@ -269,12 +261,7 @@ def verify_isometry(
     grid_tol: float = 1e-6,
 ) -> IsometryReport:
     """Compare first fundamental forms coefficient-wise and on a grid."""
-    ff, fg = first_form(f), first_form(g)
-    jet_dev = max(
-        ff.E.max_coeff_diff(fg.E),
-        ff.F.max_coeff_diff(fg.F),
-        ff.G.max_coeff_diff(fg.G),
-    )
+    jet_dev = first_form(f).max_coeff_diff(first_form(g))
     (u0, u1), (v0, v1) = f.domain_hint
     nu, nv = grid
     us = [u0 + (u1 - u0) * (i + 0.5) / nu for i in range(nu)]

@@ -10,6 +10,19 @@ normal-form reductions of surface germs.  Coefficients are monomial
 coefficients, not derivative values; the (j,k) partial derivative at the
 origin is ``c[j,k] * j! * k!`` and is exposed as :meth:`Jet2.partial`.
 
+Each series operation is one array operation:
+
+- the product pads the rows of both tables to width 2n+1 and convolves
+  the flattened rows once: u^j v^k becomes t^(j(2n+1)+k), and no product
+  of two rows reaches the next row (Kronecker substitution);
+- composition p(g, h) forms the powers of h once, the rows
+  r_j = sum_k c[j,k] h^k with one tensordot, and sums r_j g^j by Horner's
+  rule in g, so about 2n products where the monomial sum took n^2/2.
+  A Jet3 shares the powers of h between its components; sqrt and recip
+  are the composition of their series with p/p(0) - 1;
+- recentring at (u0, v0) is U^T c V with the binomial (Pascal) matrices
+  U[a,j] = C(a,j) u0^(a-j) and V[b,k] = C(b,k) v0^(b-k).
+
 Binary operations truncate at the smaller of the two operand orders, so
 precision bookkeeping stays explicit at the call site.  Jets are immutable:
 every operation returns a fresh instance and the coefficient arrays are
@@ -21,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +49,60 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
 def _mask(order: int) -> np.ndarray:
     j = np.arange(order + 1)
-    return (j[:, None] + j[None, :]) <= order
+    return _frozen((j[:, None] + j[None, :]) <= order)
+
+
+@lru_cache(maxsize=None)
+def _binomials(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(a, j) and the exponents max(a - j, 0), for a, j <= order."""
+    a = np.arange(order + 1)
+    table = [[math.comb(i, j) for j in a] for i in a]
+    return _frozen(np.array(table, dtype=float)), _frozen(np.maximum(a[:, None] - a[None, :], 0))
+
+
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Table of the product of two coefficient tables, truncated at order n."""
+    width = 2 * n + 1
+    pa = np.zeros((n + 1, width))
+    pb = np.zeros((n + 1, width))
+    pa[:, : n + 1] = a[: n + 1, : n + 1]
+    pb[:, : n + 1] = b[: n + 1, : n + 1]
+    full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
+    out = np.where(_mask(n), full.reshape(n + 1, width)[:, : n + 1], 0.0)
+    if not np.isfinite(out).all() and np.isfinite(pa).all() and np.isfinite(pb).all():
+        # np.convolve does not report overflow through np.errstate; a kept
+        # coefficient that overflowed from finite operands is reported here
+        np.multiply(np.finfo(float).max, 2.0)
+    return out
+
+
+def _compose(outer: Sequence["Jet2"], g: "Jet2", h: "Jet2") -> list["Jet2"]:
+    """[p(g, h) for p in outer], each at order min(p.order, g.order, h.order)."""
+    if g.coeff(0, 0) != 0.0 or h.coeff(0, 0) != 0.0:
+        raise JetDomainError("composition requires inner jets with zero constant term")
+    orders = [min(p.order, g.order, h.order) for p in outer]
+    tables = [p.c[: n + 1, : n + 1] for p, n in zip(outer, orders)]
+    # powers of h up to the highest one any outer jet uses, shared by all
+    kmax = max(np.flatnonzero(t.any(axis=0)).max(initial=0) for t in tables)
+    top = max(orders)
+    powers = [Jet2.constant(1.0, top), h.truncated(top)][: kmax + 1]
+    while len(powers) <= kmax:
+        powers.append(powers[-1] * powers[1])
+    hp = np.array([p.c for p in powers])
+    out = []
+    for t, n in zip(tables, orders):
+        # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
+        k = min(kmax, n) + 1
+        rows = np.tensordot(t[:, :k], hp[:k, : n + 1, : n + 1], axes=1)
+        jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
+        acc = Jet2(n, rows[jtop])
+        for j in range(jtop - 1, -1, -1):
+            acc = acc * g + Jet2(n, rows[j])
+        out.append(acc)
+    return out
 
 
 class Jet2:
@@ -165,16 +230,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return NotImplemented
         n = min(self.order, other.order)
-        a = self.c
-        b = other.c[: n + 1, : n + 1]
-        out = np.zeros((n + 1, n + 1))
-        for j in range(min(self.order, n) + 1):
-            for k in range(min(self.order, n) + 1 - j):
-                ajk = a[j, k]
-                if ajk == 0.0:
-                    continue
-                out[j:, k:] += ajk * b[: n + 1 - j, : n + 1 - k]
-        return Jet2(n, out)
+        return Jet2(n, _product(self.c, other.c, n))
 
     __rmul__ = __mul__
 
@@ -190,34 +246,16 @@ class Jet2:
     # composition and inverses
     def compose(self, g: "Jet2", h: "Jet2") -> "Jet2":
         """Return self(g(u,v), h(u,v)); g and h must vanish at the origin."""
-        if g.coeff(0, 0) != 0.0 or h.coeff(0, 0) != 0.0:
-            raise JetDomainError("composition requires inner jets with zero constant term")
-        n = min(self.order, g.order, h.order)
-        gn = g.truncated(n)
-        hn = h.truncated(n)
-        gp: list[Jet2] = [Jet2.constant(1.0, n)]
-        hp: list[Jet2] = [Jet2.constant(1.0, n)]
-        for _ in range(n):
-            gp.append(gp[-1] * gn)
-            hp.append(hp[-1] * hn)
-        out = Jet2.zero(n)
-        for j in range(min(self.order, n) + 1):
-            for k in range(min(self.order, n) + 1 - j):
-                val = self.c[j, k]
-                if val != 0.0:
-                    out = out + (gp[j] * hp[k]) * val
-        return out
+        if isinstance(self, Jet3):  # Jet3.compose: one call, shared powers of h
+            return Jet3(*_compose(self.components(), g, h))
+        return _compose([self], g, h)[0]
 
-    def _series_of_unit_offset(self, coeff_fn: Callable[[int], float], scale: float) -> "Jet2":
-        # scale * sum_n coeff_fn(n) * w^n  where w = self/c00 - 1 has zero constant term
-        c00 = self.coeff(0, 0)
-        w = self * (1.0 / c00) - 1.0
-        out = Jet2.constant(coeff_fn(0), self.order)
-        wp = Jet2.constant(1.0, self.order)
-        for n in range(1, self.order + 1):
-            wp = wp * w
-            out = out + wp * coeff_fn(n)
-        return out * scale
+    def _unit_series(self, coeffs: Sequence[float]) -> "Jet2":
+        # sum_n coeffs[n] w^n with w = self/c00 - 1, whose constant term is 0
+        w = self.c * (1.0 / self.c[0, 0])
+        w[0, 0] = 0.0
+        series = upoly(coeffs, self.order)
+        return _compose([series], Jet2(self.order, w), Jet2.zero(self.order))[0]
 
     def sqrt(self) -> "Jet2":
         c00 = self.coeff(0, 0)
@@ -226,13 +264,13 @@ class Jet2:
         binom = [1.0]
         for n in range(1, self.order + 1):
             binom.append(binom[-1] * (0.5 - (n - 1)) / n)
-        return self._series_of_unit_offset(lambda n: binom[n], math.sqrt(c00))
+        return self._unit_series(binom) * math.sqrt(c00)
 
     def recip(self) -> "Jet2":
         c00 = self.coeff(0, 0)
         if c00 <= 0.0:
             raise SingularJetError("recip of a jet needs a positive constant term")
-        return self._series_of_unit_offset(lambda n: (-1.0) ** n, 1.0 / c00)
+        return self._unit_series([(-1.0) ** n for n in range(self.order + 1)]) * (1.0 / c00)
 
     # ------------------------------------------------------------------
     # calculus
@@ -281,21 +319,9 @@ class Jet2:
 
     def shifted_origin(self, u0: float, v0: float) -> "Jet2":
         """Exact Taylor recentering: q(s,t) = p(u0+s, v0+t)."""
-        n = self.order
-        work = self.c.copy()
-        if u0 != 0.0:
-            out = np.zeros_like(work)
-            for a in range(n + 1):
-                for j in range(a + 1):
-                    out[j] += math.comb(a, j) * (u0 ** (a - j)) * work[a]
-            work = out
-        if v0 != 0.0:
-            out = np.zeros_like(work)
-            for b in range(n + 1):
-                for k in range(b + 1):
-                    out[:, k] += math.comb(b, k) * (v0 ** (b - k)) * work[:, b]
-            work = out
-        return Jet2(n, np.where(_mask(n), work, 0.0))
+        # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
+        binom, expo = _binomials(self.order)
+        return Jet2(self.order, (binom * u0**expo).T @ self.c @ (binom * v0**expo))
 
     def polar_profile(self, theta: float) -> np.ndarray:
         """Coefficients of r^m along u = r cos(theta), v = r sin(theta)."""
@@ -390,7 +416,7 @@ class Jet3:
         return Jet3(self.x.integrate_v(), self.y.integrate_v(), self.z.integrate_v())
 
     def compose(self, g: Jet2, h: Jet2) -> "Jet3":
-        return Jet3(self.x.compose(g, h), self.y.compose(g, h), self.z.compose(g, h))
+        return Jet2.compose(self, g, h)
 
     def truncated(self, order: int) -> "Jet3":
         return Jet3(self.x.truncated(order), self.y.truncated(order), self.z.truncated(order))

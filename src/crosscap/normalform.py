@@ -24,7 +24,9 @@ diffeomorphism bringing an admissible germ to this shape, order by order:
 
 The recomposition rotation @ (f(P,Q) - translation) is compared against
 the canonical shape and the largest stray coefficient is stored on the
-result as ``residual``.
+result as ``residual``.  A domain change that shrinks u and v by a factor
+s magnifies the round-off at degree d by about s^d, so every residual check
+at degree d allows RESIDUAL_TOL * s^d with s = max(1, |P_u(0)|, |Q_v(0)|).
 """
 from __future__ import annotations
 
@@ -120,6 +122,12 @@ def _rotation_for(fu: np.ndarray, fvv: np.ndarray) -> np.ndarray:
     return np.vstack([e1, e2, e3])
 
 
+def _residual_scale(P: Jet2, Q: Jet2) -> float:
+    # composing with (P, Q) multiplies degree-d coefficients, and their
+    # round-off, by about P_u(0)^j Q_v(0)^k; RESIDUAL_TOL holds at s = 1
+    return max(1.0, abs(P.coeff(1, 0)), abs(Q.coeff(0, 1)))
+
+
 def reduce_to_normal_form(
     f: SurfaceMap, order: int | None = None, tol: float = DEFAULT_TOL
 ) -> NormalForm:
@@ -150,55 +158,43 @@ def reduce_to_normal_form(
     Q = Jet2.zero(n)
     qdiv = gamma2 / alpha  # gamma2 * P_u(0), the diagonal divisor for Q
 
-    def compose() -> Jet3:
-        return g.compose(P, Q)
+    uv = Jet2.from_terms({(1, 1): 1.0}, n).c  # the canonical second component, b_i aside
 
     for d in range(2, n + 1):
-        comp = compose()
+        j = np.arange(d + 1)  # u^j v^(d-j) runs over the degree-d monomials
+        m = j[1:]
         # second component: mixed monomials of degree d determine Q at d-1
-        target2 = 1.0 if d == 2 else 0.0
         q_new = Q.c.copy()
-        for j in range(1, d + 1):
-            k = d - j
-            res = comp.y.coeff(j, k) - (target2 if (j, k) == (1, 1) else 0.0)
-            q_new[j - 1, k] -= res / qdiv
+        q_new[m - 1, d - m] -= (g.compose(P, Q).y.c - uv)[m, d - m] / qdiv
         Q = Jet2(n, q_new)
-        comp = compose()
-        for j in range(1, d + 1):
-            k = d - j
-            if abs(comp.y.coeff(j, k) - (target2 if (j, k) == (1, 1) else 0.0)) > RESIDUAL_TOL:
-                raise NormalFormError(
-                    f"second-component residual survived at degree {d}", degree=d
-                )
+        comp = g.compose(P, Q)
+        if np.abs(comp.y.c - uv)[m, d - m].max() > RESIDUAL_TOL * _residual_scale(P, Q) ** d:
+            raise NormalFormError(f"second-component residual survived at degree {d}", degree=d)
         # first component: degree-d monomials determine P at d
         p_new = P.c.copy()
-        for j in range(d + 1):
-            k = d - j
-            p_new[j, k] -= comp.x.coeff(j, k) / alpha
+        p_new[j, d - j] -= comp.x.c[j, d - j] / alpha
         P = Jet2(n, p_new)
 
-    final = compose()
-    a = np.zeros((n + 1, n + 1))
-    b = np.zeros(n + 1)
-    residual = 0.0
-    for j in range(n + 1):
-        for k in range(n + 1 - j):
-            d = j + k
-            cx, cy, cz = final.x.coeff(j, k), final.y.coeff(j, k), final.z.coeff(j, k)
-            residual = max(residual, abs(cx - (1.0 if (j, k) == (1, 0) else 0.0)))
-            if (j, k) == (1, 1):
-                residual = max(residual, abs(cy - 1.0))
-            elif j == 0 and k >= 3:
-                b[k] = cy * math.factorial(k)
-            else:
-                residual = max(residual, abs(cy))
-            if d >= 2:
-                a[j, k] = cz * math.factorial(j) * math.factorial(k)
-            else:
-                residual = max(residual, abs(cz))
-    if residual > RESIDUAL_TOL:
+    final = np.stack([comp.c for comp in g.compose(P, Q).components()])
+    idx = np.arange(n + 1)
+    degree = idx[:, None] + idx[None, :]
+    fact = np.array([math.factorial(i) for i in idx], dtype=float)
+    b = final[1, 0] * fact
+    b[:3] = 0.0
+    a = np.where(degree >= 2, final[2] * fact[:, None] * fact[None, :], 0.0)
+    # the canonical shape with the tables read off it; dev is the distance
+    canon = np.zeros_like(final)
+    canon[0, 1, 0] = 1.0
+    canon[1] = uv
+    canon[1, 0, 3:] = final[1, 0, 3:]
+    canon[2] = np.where(degree >= 2, final[2], 0.0)
+    dev = np.abs(final - canon).max(axis=0)
+    residual = float(dev.max())
+    scale = _residual_scale(P, Q)
+    if not (dev / scale ** np.minimum(degree, n)).max() <= RESIDUAL_TOL:
         raise NormalFormError(
-            f"canonical shape residual {residual:.3e} exceeds {RESIDUAL_TOL}", degree=n
+            f"canonical shape residual {residual:.3e} exceeds {RESIDUAL_TOL} x {scale:.3g}^degree",
+            degree=n,
         )
     if a[0, 2] <= 0:
         raise NormalFormError("pure quadratic v-coefficient failed to come out positive", degree=2)

@@ -395,16 +395,17 @@ def _emit(obj: Any, out: list[str], depth: int):
 # ----------------------------------------------------------------------
 # mesh export
 
-def write_obj(f: SurfaceMap, path: str, resolution: int, domain=None):
+def write_obj(f: SurfaceMap, path: str, resolution: int):
     """Triangulated Wavefront OBJ over an n x n parameter grid.
 
-    Vertices are emitted row-major in u, (n+1)^2 of them, then 2 n^2
-    triangular faces with 1-based indices.  The vertices come from one
-    evaluate_grid call, so a ruled surface is evaluated once per v column.
+    The grid covers ``f.domain_hint``.  Vertices are emitted row-major in
+    u, (n+1)^2 of them, then 2 n^2 triangular faces with 1-based indices.
+    The vertices come from one evaluate_grid call, so a ruled surface is
+    evaluated once per v column.
     """
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be an integer in 1..{MAX_RESOLUTION}")
-    (u0, u1), (v0, v1) = domain if domain is not None else f.domain_hint
+    (u0, u1), (v0, v1) = f.domain_hint
     n = resolution
     us = [u0 + (u1 - u0) * i / n for i in range(n + 1)]
     vs = [v0 + (v1 - v0) * j / n for j in range(n + 1)]

@@ -77,6 +77,14 @@ class FundamentalForms:
     F: Jet2
     G: Jet2
 
+    def max_coeff_diff(self, other: "FundamentalForms") -> float:
+        """Largest coefficient difference between the two first forms."""
+        return max(
+            self.E.max_coeff_diff(other.E),
+            self.F.max_coeff_diff(other.F),
+            self.G.max_coeff_diff(other.G),
+        )
+
 
 @dataclass(frozen=True)
 class CrossCapTest:

@@ -14,15 +14,70 @@ from crosscap.jets import upoly, vpoly
 from helpers import random_rotation
 
 
-def naive_mul(p: Jet2, q: Jet2, order: int) -> dict[tuple[int, int], float]:
+def as_dict(p: Jet2) -> dict[tuple[int, int], float]:
+    return {(j, k): c for j, k, c in p.terms()}
+
+
+def naive_mul(p: dict, q: dict, order: int) -> dict[tuple[int, int], float]:
     """Convolution straight from the definition of polynomial product."""
     out: dict[tuple[int, int], float] = {}
-    for j1, k1, c1 in p.terms():
-        for j2, k2, c2 in q.terms():
+    for (j1, k1), c1 in p.items():
+        for (j2, k2), c2 in q.items():
             if j1 + j2 + k1 + k2 <= order:
                 key = (j1 + j2, k1 + k2)
                 out[key] = out.get(key, 0.0) + c1 * c2
     return out
+
+
+def naive_powers(p: dict, top: int, order: int) -> list[dict]:
+    out = [{(0, 0): 1.0}]
+    for _ in range(top):
+        out.append(naive_mul(out[-1], p, order))
+    return out
+
+
+def naive_compose(f: Jet2, g: Jet2, h: Jet2) -> dict[tuple[int, int], float]:
+    """sum_{j,k} c[j,k] g^j h^k, every monomial product formed separately."""
+    n = min(f.order, g.order, h.order)
+    gp = naive_powers(as_dict(g), n, n)
+    hp = naive_powers(as_dict(h), n, n)
+    out: dict[tuple[int, int], float] = {}
+    for j, k, c in f.terms():
+        if j + k <= n:
+            for key, val in naive_mul(gp[j], hp[k], n).items():
+                out[key] = out.get(key, 0.0) + c * val
+    return out
+
+
+def naive_shift(p: Jet2, u0: float, v0: float) -> dict[tuple[int, int], float]:
+    """p(u0 + s, v0 + t) from binomial powers of u0 + s and v0 + t."""
+    n = p.order
+    up = naive_powers({(0, 0): u0, (1, 0): 1.0}, n, n)
+    vp = naive_powers({(0, 0): v0, (0, 1): 1.0}, n, n)
+    out: dict[tuple[int, int], float] = {}
+    for j, k, c in p.terms():
+        for key, val in naive_mul(up[j], vp[k], n).items():
+            out[key] = out.get(key, 0.0) + c * val
+    return out
+
+
+def max_dev(jet: Jet2, expect: dict) -> float:
+    keys = set(expect) | {(j, k) for j, k, _ in jet.terms()}
+    return max((abs(jet.coeff(j, k) - expect.get((j, k), 0.0)) for j, k in keys), default=0.0)
+
+
+def abs_jet(p: Jet2) -> Jet2:
+    return Jet2(p.order, np.abs(p.c))
+
+
+def inner_jet(rng, order: int, scale: float = 0.7) -> Jet2:
+    c = rng.uniform(-scale, scale, size=(order + 1, order + 1))
+    c[0, 0] = 0.0
+    return Jet2(order, c)
+
+
+# (order of the first operand, order of the second)
+ORDER_PAIRS = [(0, 0), (1, 1), (4, 4), (12, 12), (5, 3), (3, 5)]
 
 
 def random_jet(rng, order: int = 4, scale: float = 1.0) -> Jet2:
@@ -46,15 +101,30 @@ def jet_strategy(order: int = 3, zero_constant: bool = False):
 # ring structure
 
 def test_mul_matches_convolution_oracle(rng):
-    for _ in range(25):
-        p = random_jet(rng, 4)
-        q = random_jet(rng, 4)
-        expect = naive_mul(p, q, 4)
-        prod = p * q
-        scale = max(1.0, max(abs(val) for val in expect.values()))
-        for j in range(5):
-            for k in range(5 - j):
-                assert abs(prod.coeff(j, k) - expect.get((j, k), 0.0)) <= 1e-14 * scale
+    for orders in ORDER_PAIRS:
+        for _ in range(25):
+            p = random_jet(rng, orders[0])
+            q = random_jet(rng, orders[1])
+            n = min(orders)
+            expect = naive_mul(as_dict(p), as_dict(q), n)
+            prod = p * q
+            assert prod.order == n
+            scale = max(1.0, max((abs(val) for val in expect.values()), default=0.0))
+            assert max_dev(prod, expect) <= 1e-14 * scale
+
+
+def test_mul_reports_overflow_of_kept_coefficients_only():
+    big = Jet2.from_terms({(0, 0): 1e200, (1, 0): 1.0}, 2)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            big * big
+    # u^2 v times v and u^2 times u land above order 2, u v times v inside
+    # the stored table but outside the triangle: neither is kept
+    high = Jet2.from_terms({(2, 0): 1e200, (1, 1): 1e200}, 2)
+    low = Jet2.from_terms({(1, 0): 1e200, (0, 1): 1e200}, 2)
+    with np.errstate(over="raise"):
+        prod = high * low
+    assert prod.max_abs() == 0.0
 
 
 @given(jet_strategy(), jet_strategy(), jet_strategy())
@@ -110,24 +180,69 @@ def test_compose_requires_zero_constant():
 
 
 def test_compose_evaluates_correctly(rng):
-    f = random_jet(rng, 4)
-    g = Jet2.from_terms({(1, 0): 0.5, (0, 2): 0.25}, 4)
-    h = Jet2.from_terms({(0, 1): -0.75, (2, 0): 0.1}, 4)
-    comp = f.compose(g, h)
-    # degree-2 jets of the substitution agree with direct evaluation
-    for u, v in [(0.01, 0.02), (-0.015, 0.01)]:
-        direct = f(g(u, v), h(u, v))
-        assert abs(comp(u, v) - direct) <= 1e-8
+    for orders in ORDER_PAIRS:
+        f = random_jet(rng, orders[0])
+        n = orders[1]
+        g = Jet2.from_terms({(1, 0): 0.5, (0, 2): 0.25}, n)
+        h = Jet2.from_terms({(0, 1): -0.75, (2, 0): 0.1}, n)
+        pairs = ((g, h), (inner_jet(rng, n), inner_jet(rng, n)), (Jet2.zero(n), inner_jet(rng, n)))
+        for inner in pairs:
+            comp = f.compose(*inner)
+            expect = naive_compose(f, *inner)
+            bound = naive_compose(abs_jet(f), *(abs_jet(x) for x in inner))
+            assert comp.order == min(orders)
+            assert max_dev(comp, expect) <= 1e-14 * max(1.0, max(bound.values(), default=0.0))
+        # the substitution agrees with direct evaluation near the origin
+        if min(orders) >= 4:
+            comp = f.compose(g, h)
+            for u, v in [(0.01, 0.02), (-0.015, 0.01)]:
+                assert abs(comp(u, v) - f(g(u, v), h(u, v))) <= 1e-8
 
 
-@given(jet_strategy(order=4))
+def test_jet3_compose_shares_powers_of_h(rng, monkeypatch):
+    n = 12
+    F = Jet3(*(random_jet(rng, n) for _ in range(3)))
+    g, h = inner_jet(rng, n), inner_jet(rng, n)
+    expect = [naive_compose(comp, g, h) for comp in F.components()]
+    products = []
+    mul = Jet2.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Jet2):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet2, "__mul__", counting)
+    comp = F.compose(g, h)
+    monkeypatch.undo()
+    # n - 1 for the powers of h, n per component for Horner in g
+    assert len(products) <= 4 * n
+    for got, want, outer in zip(comp.components(), expect, F.components()):
+        bound = naive_compose(abs_jet(outer), abs_jet(g), abs_jet(h))
+        assert max_dev(got, want) <= 1e-14 * max(bound.values())
+
+
+@given(st.sampled_from([0, 1, 4]).flatmap(jet_strategy))
 def test_sqrt_and_recip_roundtrip(a):
     base = a + 1.5 + a.max_abs()  # force a positive constant term
     s = base.sqrt()
     scale = max(1.0, base.max_abs()) ** 2
     assert (s * s).max_coeff_diff(base) <= 1e-12 * scale
     r = base.recip()
-    assert (base * r).max_coeff_diff(Jet2.constant(1.0, 4)) <= 1e-12 * scale
+    assert (base * r).max_coeff_diff(Jet2.constant(1.0, base.order)) <= 1e-12 * scale
+
+
+@given(jet_strategy(order=12))
+def test_sqrt_and_recip_roundtrip_order_12(a):
+    base = a + 1.5 + a.max_abs()
+    s = base.sqrt()
+    r = base.recip()
+    # at order 12 the coefficients of s and r grow like |base/c00 - 1|^12, so
+    # the bound is the round-off of a product: eps times the factors' 1-norms
+    size = np.abs(base.c).sum()
+    assert (s * s).max_coeff_diff(base) <= 1e-14 * max(size, np.abs(s.c).sum() ** 2)
+    one = Jet2.constant(1.0, base.order)
+    assert (base * r).max_coeff_diff(one) <= 1e-14 * max(1.0, size * np.abs(r.c).sum())
 
 
 def test_sqrt_rejects_nonpositive_constant():
@@ -158,14 +273,18 @@ def test_partial_is_factorial_times_coeff():
 
 
 def test_shifted_origin_is_exact(rng):
-    p = random_jet(rng, 5)
     u0, v0 = 0.37, -0.81
-    q = p.shifted_origin(u0, v0)
-    for s, t in rng.uniform(-0.5, 0.5, size=(8, 2)):
-        assert abs(q(s, t) - p(u0 + s, v0 + t)) <= 1e-10
-    # two shifts compose into one
-    r = q.shifted_origin(-u0, -v0)
-    assert r.max_coeff_diff(p) <= 1e-9
+    for order in (0, 1, 5, 12):
+        p = random_jet(rng, order)
+        q = p.shifted_origin(u0, v0)
+        bound = max(naive_shift(abs_jet(p), abs(u0), abs(v0)).values())
+        assert max_dev(q, naive_shift(p, u0, v0)) <= 1e-15 * (order + 1) ** 2 * bound
+        for s, t in rng.uniform(-0.5, 0.5, size=(8, 2)):
+            assert abs(q(s, t) - p(u0 + s, v0 + t)) <= 1e-10
+        # two shifts compose into one
+        r = q.shifted_origin(-u0, -v0)
+        assert r.max_coeff_diff(p) <= 1e-9
+        assert p.shifted_origin(0.0, 0.0).max_coeff_diff(p) == 0.0
 
 
 def test_polar_profile_matches_radial_evaluation(rng):

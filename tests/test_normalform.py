@@ -1,6 +1,8 @@
 """Reduction to the canonical coordinate form and its uniqueness."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from crosscap import (
 from crosscap.jets import Jet2
 from crosscap.surface import SurfaceMap
 
-from helpers import random_canonical, scramble, table_dev
+from helpers import random_canonical, random_rotation, scramble, table_dev
 
 
 def test_reduce_is_identity_on_canonical(rng):
@@ -51,6 +53,34 @@ def test_scramble_roundtrip(rng):
         assert table_dev(nf, a, b) <= 1e-7
         assert nf.residual <= 1e-9
         assert nf.a_coeff(0, 2) > 0.0
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_halving_domain_change_reduces_at_order_12(seed):
+    # P_u(0), Q_v(0) near 1/2 magnify round-off at degree d by about 2^d;
+    # an absolute residual tolerance took that for a failed reduction
+    rng = np.random.default_rng(seed)
+    n = 12
+    a = {(0, 2): rng.uniform(0.5, 2.5), (1, 1): rng.uniform(-1, 1), (2, 0): rng.uniform(-1, 1)}
+    for d in range(3, n + 1):
+        for j in range(d + 1):
+            a[(j, d - j)] = rng.uniform(-0.5, 0.5) * math.factorial(j) * math.factorial(d - j)
+    b = {i: rng.uniform(-0.5, 0.5) * math.factorial(i) for i in range(3, n + 1)}
+    p = {(1, 0): rng.uniform(0.45, 0.55)}
+    q = {(0, 1): rng.uniform(0.45, 0.55), (1, 0): rng.uniform(-0.3, 0.3)}
+    for d in (2, 3):
+        for j in range(d + 1):
+            p[(j, d - j)] = rng.uniform(-0.3, 0.3)
+            q[(j, d - j)] = rng.uniform(-0.3, 0.3)
+    jet = canonical_crosscap(a, b, order=n).jet.compose(Jet2.from_terms(p, n), Jet2.from_terms(q, n))
+    g = SurfaceMap(jet=jet.rotated(random_rotation(rng)).translated(rng.uniform(-1, 1, 3)))
+    nf = reduce_to_normal_form(g)
+    assert nf.order == n and not nf.flipped
+    # in monomial units the reduction may lose up to 2^12 times more than at scale 1
+    dev = [abs(nf.a_coeff(j, k) - v) / (math.factorial(j) * math.factorial(k)) for (j, k), v in a.items()]
+    dev += [abs(nf.b_coeff(i) - v) / math.factorial(i) for i, v in b.items()]
+    assert max(dev) <= 1e-9 * 2.0**n
+    assert nf.residual <= 1e-9 * 2.0**n
 
 
 def test_two_scrambles_agree(rng):

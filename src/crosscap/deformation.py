@@ -22,9 +22,10 @@ form.
 A DeformationFamily is the backing of its member's ruled surface
 (ruled.from_deformation): jets of xi and gamma' around any v0 come from
 exact series arithmetic on the spherical frame's Taylor coefficients
-(numerics.FrenetPath), and pointwise values read the frame off the same
-path, so the member is exact anywhere in the chart and pointwise curvature
-checks never fall back to finite differences.
+(numerics.FrenetPath), and pointwise values of gamma and xi are node
+evaluations of a Taylor path in v grown from those jets, so the member is
+exact anywhere in the chart and pointwise curvature checks never fall
+back to finite differences.
 """
 from __future__ import annotations
 
@@ -120,43 +121,24 @@ class DeformationFamily:
     a11: float
     curve: SphericalCurve
 
-    # cached: speed() runs once per quadrature node
-    @cached_property
+    @property
     def m(self) -> float:
         return 1.0 + self.a11 * self.a11
 
-    @cached_property
-    def _root_m(self) -> float:
-        return math.sqrt(self.m)
-
-    @cached_property
-    def _scale(self) -> float:
-        return self.a02 / self.m
-
     def arc_parameter(self, v: float) -> float:
-        return math.atan(self._root_m * v)
-
-    def xi_at(self, v: float) -> np.ndarray:
-        return math.sqrt(1.0 + self.m * v * v) * self.curve.frame(self.arc_parameter(v))[0]
-
-    def speed(self, v: float) -> np.ndarray:
-        """gamma'(v) = (a02/m) v (a11 xi'(v) + xi(v) x xi'(v))."""
-        m, sm = self.m, self._root_m
-        c, e, n = self.curve.frame(math.atan(sm * v))
-        xi_d = (m * v * c + sm * e) / math.sqrt(1.0 + m * v * v)
-        return (self._scale * v) * (self.a11 * xi_d + sm * n)
+        return math.atan(math.sqrt(self.m) * v)
 
     def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
         """Jets in vhat = v - v0 of xi (to order) and gamma' (to order - 1)."""
         m = self.m
         w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
-        shat = (w2.recip() * self._root_m).integrate_v().truncated(order)
+        shat = (w2.recip() * math.sqrt(m)).integrate_v().truncated(order)
         C, _, _ = self.curve.series_at(self.arc_parameter(v0), order)
         chat = Jet3(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
         xi = chat * w2.sqrt()
         xi_d = xi.deriv_v()
         B = xi.truncated(order - 1).cross(xi_d) + xi_d * self.a11
-        return xi, B * vpoly([v0, 1.0], order - 1) * self._scale
+        return xi, B * vpoly([v0, 1.0], order - 1) * (self.a02 / m)
 
 
 def deformation_family(

@@ -63,16 +63,21 @@ def _binomials(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.array(table, dtype=float)), _frozen(np.maximum(a[:, None] - a[None, :], 0))
 
 
-def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Table of the product of two coefficient tables, truncated at order n."""
-    width = 2 * n + 1
-    pa = np.zeros((n + 1, width))
-    pb = np.zeros((n + 1, width))
-    pa[:, : n + 1] = a[: n + 1, : n + 1]
-    pb[:, : n + 1] = b[: n + 1, : n + 1]
-    full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
-    out = np.where(_mask(n), full.reshape(n + 1, width)[:, : n + 1], 0.0)
-    if not np.isfinite(out).all() and np.isfinite(pa).all() and np.isfinite(pb).all():
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> "Jet2":
+    """Product of two coefficient tables as a jet of order n."""
+    a, b = a[: n + 1, : n + 1], b[: n + 1, : n + 1]
+    if np.count_nonzero(a[1:]) or np.count_nonzero(b[1:]):
+        width = 2 * n + 1
+        pa, pb = np.zeros((2, n + 1, width))
+        pa[:, : n + 1], pb[:, : n + 1] = a, b
+        full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
+        table = full.reshape(n + 1, width)[:, : n + 1]
+    else:
+        # both series in v alone: one convolution of the first rows
+        table = np.zeros((n + 1, n + 1))
+        table[0] = np.convolve(a[0], b[0])[: n + 1]
+    out = Jet2(n, table)
+    if not np.isfinite(out.c).all() and np.isfinite(a).all() and np.isfinite(b).all():
         # np.convolve does not report overflow through np.errstate; a kept
         # coefficient that overflowed from finite operands is reported here
         np.multiply(np.finfo(float).max, 2.0)
@@ -117,7 +122,7 @@ class Jet2:
         if coeffs is None:
             c = np.zeros((order + 1, order + 1))
         else:
-            c = np.array(coeffs, dtype=float)
+            c = np.asarray(coeffs, dtype=float)
             if c.shape != (order + 1, order + 1):
                 raise JetDomainError(
                     f"coefficient table must be {(order + 1, order + 1)}, got {c.shape}"
@@ -230,7 +235,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return NotImplemented
         n = min(self.order, other.order)
-        return Jet2(n, _product(self.c, other.c, n))
+        return _product(self.c, other.c, n)
 
     __rmul__ = __mul__
 
@@ -278,27 +283,19 @@ class Jet2:
         n = self.order - 1
         if n < 0:
             raise JetDomainError("cannot differentiate an order-0 jet")
-        out = np.zeros((n + 1, n + 1))
-        for j in range(n + 1):
-            out[j, : n + 1 - j] = (j + 1) * self.c[j + 1, : n + 1 - j]
-        return Jet2(n, out)
+        return Jet2(n, self.c[1:, : n + 1] * np.arange(1, n + 2)[:, None])
 
     def deriv_v(self) -> "Jet2":
         n = self.order - 1
         if n < 0:
             raise JetDomainError("cannot differentiate an order-0 jet")
-        out = np.zeros((n + 1, n + 1))
-        for j in range(n + 1):
-            out[j, : n + 1 - j] = self.c[j, 1 : n + 2 - j] * np.arange(1, n + 2 - j)
-        return Jet2(n, out)
+        return Jet2(n, self.c[: n + 1, 1:] * np.arange(1, n + 2))
 
     def integrate_v(self) -> "Jet2":
         """Termwise integral from 0 in v; the order grows by one."""
         n = self.order + 1
         out = np.zeros((n + 1, n + 1))
-        for j in range(self.order + 1):
-            ks = np.arange(self.order + 1 - j)
-            out[j, 1 : self.order + 2 - j] = self.c[j, : self.order + 1 - j] / (ks + 1)
+        out[:n, 1:] = self.c / np.arange(1, n + 1)
         return Jet2(n, out)
 
     # ------------------------------------------------------------------

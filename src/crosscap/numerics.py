@@ -1,32 +1,36 @@
-"""Small numerical kernels: adaptive Simpson quadrature and a piecewise
-Taylor integrator for the Frenet frame of a spherical curve.
+"""Small numerical kernels: a lazily grown piecewise Taylor path, the
+Frenet frame of a spherical curve on it, and adaptive Simpson quadrature.
 
-The frame system on the unit sphere, for geodesic curvature kappa(s),
+A TaylorPath follows y(t) from y(0) where a block function gives the
+order-TAYLOR_ORDER Taylor coefficients around any t0 exactly from y(t0).
+Nodes grow lazily in each direction from 0; the step to the next is read
+off the block's two last coefficients so that the dropped tail stays
+below TAYLOR_TOL, the high-order Taylor method of Jorba and Zou
+(Experimental Math. 14, 2005).  A query is one polynomial evaluation of
+the node, found by bisection, whose piece holds t.  Node positions depend
+only on the block function, never on the order of queries.  Where the
+tail asks for a step below STEP_FLOOR, ChartError is raised instead of
+spending unbounded work.
+
+FrenetPath is the path whose block is frenet_series, the exact recursion
+for the frame system on the unit sphere with geodesic curvature kappa(s),
 
     c' = e,    e' = kappa n - c,    n' = -kappa e,
 
-is linear and kappa is a polynomial, so the Taylor coefficients of
-(c, e, n) around any point follow exactly from a short recursion
-(frenet_series) once kappa is recentred there.  FrenetPath grows nodes
-lazily in each direction from s = 0.  Each node holds the order-TAYLOR_ORDER
-block of that series, and the step to the next node is read off the decay
-of the block's two last coefficients so that the dropped tail stays below
-TAYLOR_TOL: the high-order Taylor method of Jorba and Zou (Experimental
-Math. 14, 2005).  A frame query is one polynomial evaluation of the node
-whose piece holds s.  Where the tail asks for a step below STEP_FLOOR the
-curvature is too large for the chart to be followed, and ChartError is
-raised instead of spending unbounded work.
+kappa recentred at each node.  A backed ruled surface holds a second
+path, in v, for its directrix and ruling (ruled.RuledSurface).
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ChartError
-from .jets import vpoly
+from .jets import Jet2, vpoly
 
 SIMPSON_TOL = 1e-12
 TAYLOR_ORDER = 20
@@ -47,7 +51,10 @@ def adaptive_simpson(
     """Adaptive Simpson integral of a vector-valued function over [a, b].
 
     Raises ChartError where a subinterval misses its share of tol after
-    max_depth halvings.
+    max_depth halvings.  No library code calls it, _simpson or SIMPSON_TOL:
+    directrices are Taylor paths.  They stay only because perfbench's
+    tracer wraps adaptive_simpson by name, and go with the benchmark change
+    that re-points the tracer.
     """
     fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
     if a == b:
@@ -95,7 +102,40 @@ def frenet_series(
     return Y[:, :3], Y[:, 3:6], Y[:, 6:]
 
 
-class FrenetPath:
+class TaylorPath:
+    """y(t) from y(0) = y0, where block(t0, y(t0)) is the Taylor table of y
+    around t0; refusal opens the ChartError raised below STEP_FLOOR."""
+
+    def __init__(self, block: Callable[..., np.ndarray], y0: np.ndarray, refusal: str):
+        self._block, self._refusal = block, refusal
+        root = block(0.0, y0)
+        # per direction: |t| where each piece starts, its Taylor block, and its step
+        self._nodes = {sign: ([0.0], [root], [_step(root)]) for sign in (1, -1)}
+
+    def state(self, t: float) -> np.ndarray:
+        """y(t), from the piece holding t."""
+        sign = 1 if t >= 0.0 else -1
+        starts, blocks, steps = self._nodes[sign]
+        while starts[-1] + steps[-1] <= abs(t):
+            if steps[-1] < STEP_FLOOR:
+                raise ChartError(
+                    f"{self._refusal} {sign * starts[-1]:.6f}: "
+                    f"Taylor step {steps[-1]:.3e} below {STEP_FLOOR:g}"
+                )
+            y = (sign * steps[-1]) ** _POWERS @ blocks[-1]
+            starts.append(starts[-1] + steps[-1])
+            blocks.append(self._block(sign * starts[-1], y))
+            steps.append(_step(blocks[-1]))
+        idx = bisect_right(starts, abs(t)) - 1
+        return (t - sign * starts[idx]) ** _POWERS @ blocks[idx]
+
+
+def _frame_block(kappa: Jet2, s0: float, y: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
+    kap = kappa.shifted_origin(0.0, s0).c[0]
+    return np.hstack(frenet_series(kap, y[0:3], y[3:6], order))
+
+
+class FrenetPath(TaylorPath):
     """Dense frame trajectory s -> (c, e, n) of a spherical unit-speed curve.
 
     kappa_poly holds the coefficients of the geodesic curvature polynomial.
@@ -104,49 +144,30 @@ class FrenetPath:
     """
 
     def __init__(self, kappa_poly: Sequence[float], point0: np.ndarray, tangent0: np.ndarray):
-        self._kappa = vpoly(kappa_poly, len(kappa_poly) - 1)
-        # per direction: |s| where each piece starts, its Taylor block, and its step
-        root = np.hstack(self._series(0.0, np.concatenate([point0, tangent0]), TAYLOR_ORDER))
-        self._starts = {1: [0.0], -1: [0.0]}
-        self._blocks = {1: [root], -1: [root]}
-        self._steps = {1: [_step(root)], -1: [_step(root)]}
+        kappa = vpoly(kappa_poly, len(kappa_poly) - 1)
+        y0 = np.concatenate([point0, tangent0])
+        super().__init__(partial(_frame_block, kappa), y0, "curvature too large near arc length")
 
     def series(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Taylor coefficients of (c, e, n) around s0, kappa recentred there."""
-        return self._series(s0, self.state(s0), order)
-
-    def _series(self, s0: float, y: np.ndarray, order: int):
-        kap = self._kappa.shifted_origin(0.0, s0).c[0]
-        return frenet_series(kap, y[0:3], y[3:6], order)
+        return tuple(np.hsplit(self._block(s0, self.state(s0), order), 3))
 
     def state(self, s: float) -> np.ndarray:
-        """Frame state (c, e, n) at arc length s, from the piece holding s."""
+        """Frame state (c, e, n) at arc length s."""
         if abs(s) >= _HALF_PI:
             raise ChartError(f"arc length {s:.6f} outside the chart |s| < pi/2")
-        sign = 1 if s >= 0.0 else -1
-        starts, blocks, steps = self._starts[sign], self._blocks[sign], self._steps[sign]
-        while starts[-1] + steps[-1] <= abs(s):
-            if steps[-1] < STEP_FLOOR:
-                raise ChartError(
-                    f"curvature too large near arc length {sign * starts[-1]:.6f}: "
-                    f"Taylor step {steps[-1]:.3e} below {STEP_FLOOR:g}"
-                )
-            y = (sign * steps[-1]) ** _POWERS @ blocks[-1]
-            starts.append(starts[-1] + steps[-1])
-            blocks.append(np.hstack(self._series(sign * starts[-1], y, TAYLOR_ORDER)))
-            steps.append(_step(blocks[-1]))
-        idx = bisect_right(starts, abs(s)) - 1
-        return (s - sign * starts[idx]) ** _POWERS @ blocks[idx]
+        return super().state(s)
 
     def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        y = self.state(s)
-        return y[0:3], y[3:6], y[6:9]
+        return tuple(np.hsplit(self.state(s), 3))
 
 
 def _step(block: np.ndarray) -> float:
-    """Step whose two last Taylor terms each stay below TAYLOR_TOL."""
+    """Step whose two last Taylor terms stay below TAYLOR_TOL; 0 if not finite."""
     p = len(block) - 1
     tail = np.max(np.abs(block[-2:]), axis=1)
+    if not np.isfinite(tail).all():
+        return 0.0
     return min(
         [(TAYLOR_TOL / t) ** (1.0 / j) for j, t in zip((p - 1, p), tail) if t > 0.0],
         default=_HALF_PI,

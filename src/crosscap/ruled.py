@@ -22,23 +22,26 @@ the cuspidal edge / swallowtail / cuspidal cross cap trichotomy, and the
 criteria being sufficient conditions only, anything failing every test
 is reported as unclassified rather than guessed.
 
-Every surface can be backed (see RulingBacking) by exact pointwise data:
+Every surface can be backed (see RulingBacking) by exact series data:
 a spherical curve plus frame coefficients (``redeploy`` and ``from_frame``)
 or an isometric deformation family member (``from_deformation``).  A
-backed surface evaluates gamma(v) = gamma(0) + int_0^v gamma' by adaptive
-Simpson quadrature and expands exactly around any point of the chart;
-unbacked surfaces are their polynomial jets, exact where those are the
-surface (``from_polynomials``) and truncations elsewhere (``normalize``).
+backed surface follows gamma and xi along one Taylor path in v
+(numerics.TaylorPath): the block at each node is the backing's exact
+series there, gamma' integrated from the node's gamma(v) with xi beside
+it.  It expands exactly around any point of the chart; unbacked surfaces
+are their polynomial jets, exact where those are the surface
+(``from_polynomials``) and truncations elsewhere (``normalize``).
 
 gamma and xi depend on v alone, so evaluation goes one v column at a
-time: ``grid`` takes one quadrature and one ruling value per column and
-broadcasts them over u, and ``local_jets`` expands every u0 of a column
-from one local ruling around v0.  Each quadrature runs from 0, so a
-column's values do not depend on which other columns are evaluated.
+time: ``grid`` takes one path value per column and broadcasts it over
+u, and ``local_jets`` expands every u0 of a column from one local ruling
+around v0.  Node positions depend only on the backing, so a column's
+values do not depend on which other columns are evaluated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -46,7 +49,7 @@ import numpy as np
 from .errors import SingularPointError
 from .invariants import _det3
 from .jets import Jet2, Jet3, vpoly
-from .numerics import adaptive_simpson
+from .numerics import TAYLOR_ORDER, TaylorPath
 from .surface import SurfaceMap
 
 __all__ = [
@@ -69,16 +72,13 @@ NORMALIZED_TOL = 1e-8
 class SphericalFrame(Protocol):
     """A unit-speed spherical curve, such as deformation.SphericalCurve."""
 
-    def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
     def series_at(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 class RulingBacking(Protocol):
-    """Exact data behind a ruled surface: xi(v), speed(v) = gamma'(v), and
-    the jets of xi (to order) and gamma' (to order - 1) around v = v0."""
+    """Exact data behind a ruled surface: the jets of xi (to order) and
+    gamma' (to order - 1) around v = v0."""
 
-    def xi_at(self, v: float) -> np.ndarray: ...
-    def speed(self, v: float) -> np.ndarray: ...
     def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]: ...
 
 
@@ -97,14 +97,6 @@ class _FrameBacking:
 
     curve: SphericalFrame
     coeffs: FrameCoefficients
-
-    def xi_at(self, v: float) -> np.ndarray:
-        return self.curve.frame(v)[0]
-
-    def speed(self, v: float) -> np.ndarray:
-        c, e, n = self.curve.frame(v)
-        a, b, cc = (p(0.0, v) for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c))
-        return a * c + b * e + cc * n
 
     def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
         xi, xid, nu = (
@@ -138,18 +130,19 @@ class RuledSurface:
 
         gamma(v) and xi(v) are computed once per column and broadcast over u.
         """
-        gx = np.array([self._column(v) for v in vs], dtype=float).reshape(len(vs), 2, 3)
+        if self.backing is None:
+            gx = [(self.gamma(0.0, v), self.xi(0.0, v)) for v in vs]
+        else:
+            gx = [self._path.state(v) for v in vs]
+        gx = np.array(gx, dtype=float).reshape(len(vs), 2, 3)
         return gx[:, 0] + np.asarray(us, dtype=float)[:, None, None] * gx[:, 1]
 
-    def _column(self, v: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma(v), xi(v))."""
-        if self.backing is None:
-            return self.gamma(0.0, v), self.xi(0.0, v)
-        return self._gamma_at(v), self.backing.xi_at(v)
-
-    def _gamma_at(self, v: float) -> np.ndarray:
-        # gamma(v) = gamma(0) + int_0^v gamma', the one quadrature
-        return self.gamma.coeff_vector(0, 0) + adaptive_simpson(self.backing.speed, 0.0, v)
+    @cached_property
+    def _path(self) -> TaylorPath:
+        """(gamma, xi) of a backed surface as one Taylor path in v."""
+        block = partial(_directrix_block, self.backing)
+        refusal = "directrix series does not converge near v ="
+        return TaylorPath(block, self.gamma.coeff_vector(0, 0), refusal)
 
     def local_ruling(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
         """Jets of (gamma, xi) around v = v0, exact for backed surfaces."""
@@ -157,7 +150,7 @@ class RuledSurface:
             return self.gamma.truncated(order), self.xi.truncated(order)
         if self.backing is not None:
             xi, gp = self.backing.ruling_series(v0, order)
-            gamma = gp.integrate_v() + Jet3.constant_vector(self._gamma_at(v0), order)
+            gamma = gp.integrate_v() + Jet3.constant_vector(self._path.state(v0)[:3], order)
             return gamma.truncated(order), xi
         return tuple(j.shifted_origin(0.0, v0).truncated(order) for j in (self.gamma, self.xi))
 
@@ -180,6 +173,14 @@ class RuledSurface:
         u = Jet2.variable("u", self.order)
         jet = Jet3(*(g + x * u for g, x in zip(self.gamma.components(), self.xi.components())))
         return SurfaceMap(jet=jet, ruling=self)
+
+
+def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of (gamma, xi) around v0, with gamma(v0) = y[:3]."""
+    xi, gp = backing.ruling_series(v0, TAYLOR_ORDER)
+    block = np.array([j.c[0] for j in (*gp.integrate_v().components(), *xi.components())]).T
+    block[0, :3] += y[:3]
+    return block
 
 
 # ----------------------------------------------------------------------

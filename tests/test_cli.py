@@ -7,6 +7,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -279,6 +280,19 @@ def test_mesh_refuses_unreachable_quadrature_quickly(tmp_path, capsys):
     assert rc == 2
     assert time.perf_counter() - start < 2.0
     assert "does not converge" in capsys.readouterr().err
+
+
+def test_mesh_of_large_member_scales_with_a02(tmp_path):
+    # gamma is linear in a02, and the directrix path's steps follow its size
+    def member(a02):
+        return {"circle_deformation": {"kappa": 1, "a02": a02, "a11": 0.5}, "domain": [[-1, 1], [-3, 3]]}
+
+    doc = member(1e6)
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "8"]) == 0
+    vs = [-3.0, -2.2, -0.7, 0.0, 0.4, 1.9, 3.0]
+    big = build_surface(parse_spec(doc)).surface.ruling.grid([0.0], vs)[0]
+    unit = build_surface(parse_spec(member(1.0))).surface.ruling.grid([0.0], vs)[0]
+    assert np.max(np.abs(big - 1e6 * unit)) <= 1e-13 * np.max(np.abs(big))
 
 
 def test_asymptotics_json_and_text(tmp_path, capsys):

@@ -239,6 +239,50 @@ def test_frame_matches_mpmath_oracle(k1):
     assert np.max(np.abs(path.state(-1.2) - mirrored)) <= 1e-10
 
 
+def test_frame_refuses_series_that_is_not_finite():
+    # outside the CLI's errstate the recursion overflows to inf - inf = nan,
+    # which must not pass for a zero tail
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ChartError, match="curvature too large"):
+            SphericalCurve(kappa_poly=(0.0, 1e100)).path.state(0.5)
+
+
+@pytest.mark.parametrize("k1", [1.0, 10.0, 100.0])
+def test_directrix_matches_mpmath_oracle(k1):
+    import mpmath
+
+    a02, a11 = 1.3, 0.5
+    m = 1.0 + a11 * a11
+    sm = math.sqrt(m)
+
+    def rhs(s, y):
+        # the frame system in arc length s, kappa = k1 s, carrying gamma along
+        # by d gamma/ds = gamma'(v) dv/ds with t = tan s = sqrt(m) v; n = c x e
+        c, e, t = y[0:3], y[3:6], y[9]
+        n = [c[1] * e[2] - c[2] * e[1], c[2] * e[0] - c[0] * e[2], c[0] * e[1] - c[1] * e[0]]
+        w = mpmath.sqrt(1 + t * t)
+        g = (a02 / m) * t * w / sm
+        return [
+            *e,
+            *(k1 * s * ni - ci for ci, ni in zip(c, n)),
+            *(g * (a11 * (t * ci + ei) + w * ni) for ci, ei, ni in zip(c, e, n)),
+            1 + t * t,
+        ]
+
+    ref = {}
+    with mpmath.workdps(20):
+        # tol far below the 1e-12 checked, and larger steps than the default
+        sol = mpmath.odefun(rhs, 0, [1, 0, 0, 0, 1 / sm, a11 / sm, 0, 0, 0, 0], tol=1e-18)
+        for v in (0.5, 1.0):
+            ref[v] = np.array([float(x) for x in sol(mpmath.atan(sm * v))[6:9]])
+            # kappa is odd, so c(-s) = D c(s) and gamma(-v) = -D gamma(v),
+            # D the rotation by pi about c(0)
+            ref[-v] = np.array([-1.0, 1.0, 1.0]) * ref[v]
+    vs = sorted(ref)
+    gamma = from_deformation(deformation_family(a02, a11, (0.0, k1))).grid([0.0], vs)[0]
+    assert max(np.max(np.abs(g - ref[v])) for g, v in zip(gamma, vs)) <= 1e-12
+
+
 def test_built_surface_is_freed_by_reference_counting(tmp_path):
     spec = parse_spec({"spherical_deformation": {"kappa_poly": [0.5, -0.7], "a02": 2, "a11": 0.3}})
     gc.disable()

@@ -100,11 +100,20 @@ def jet_strategy(order: int = 3, zero_constant: bool = False):
 # ----------------------------------------------------------------------
 # ring structure
 
+def random_vpoly(rng, order: int) -> Jet2:
+    return vpoly(rng.uniform(-1.0, 1.0, size=order + 1), order)
+
+
 def test_mul_matches_convolution_oracle(rng):
-    for orders in ORDER_PAIRS:
+    # series in v alone take their own route through the product
+    v_only = [(random_vpoly, random_vpoly), (random_vpoly, random_jet), (random_jet, random_vpoly)]
+    pairs = [(random_jet, random_jet, orders) for orders in ORDER_PAIRS] + [
+        (first, second, (n, n)) for n in (0, 1, 12, 20) for first, second in v_only
+    ]
+    for first, second, orders in pairs:
         for _ in range(25):
-            p = random_jet(rng, orders[0])
-            q = random_jet(rng, orders[1])
+            p = first(rng, orders[0])
+            q = second(rng, orders[1])
             n = min(orders)
             expect = naive_mul(as_dict(p), as_dict(q), n)
             prod = p * q
@@ -124,6 +133,13 @@ def test_mul_reports_overflow_of_kept_coefficients_only():
     low = Jet2.from_terms({(1, 0): 1e200, (0, 1): 1e200}, 2)
     with np.errstate(over="raise"):
         prod = high * low
+    assert prod.max_abs() == 0.0
+    # the same from two series in v alone: v^2 times v lands above order 2
+    vbig = vpoly([1e200, 1.0], 2)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            vbig * vbig
+        prod = vpoly([0.0, 0.0, 1e200], 2) * vpoly([0.0, 1e200], 2)
     assert prod.max_abs() == 0.0
 
 
@@ -263,6 +279,16 @@ def test_deriv_and_integrate_are_inverse(rng):
     assert q.deriv_v().coeff(0, 2) == 9.0
     with pytest.raises(JetDomainError):
         Jet2.constant(1.0, 0).deriv_u()
+
+
+def test_calculus_matches_termwise_definition(rng):
+    for order in (1, 4, 12):
+        p = random_jet(rng, order)
+        terms = list(p.terms())
+        assert max_dev(p.deriv_u(), {(j - 1, k): j * c for j, k, c in terms if j}) == 0.0
+        assert max_dev(p.deriv_v(), {(j, k - 1): k * c for j, k, c in terms if k}) == 0.0
+        assert max_dev(p.integrate_v(), {(j, k + 1): c / (k + 1) for j, k, c in terms}) == 0.0
+        assert (p.deriv_u().order, p.deriv_v().order, p.integrate_v().order) == (order - 1, order - 1, order + 1)
 
 
 def test_partial_is_factorial_times_coeff():

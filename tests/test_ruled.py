@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from crosscap import (
 )
 from crosscap.deformation import SphericalCurve, build_crosscap, circle_family
 from crosscap.jets import Jet2, Jet3, vpoly
-from crosscap.numerics import adaptive_simpson
 from crosscap.ruled import (
     FrameCoefficients,
     RuledSurface,
@@ -274,7 +274,7 @@ def test_developables_have_zero_gauss_curvature():
 
 
 # ----------------------------------------------------------------------
-# column evaluation: one directrix quadrature per v column
+# column evaluation: one directrix Taylor path per surface, read per v column
 
 def _column_surfaces():
     member = build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)))
@@ -283,14 +283,16 @@ def _column_surfaces():
 
 
 def _reference_point(f, u: float, v: float) -> np.ndarray:
-    """f(u, v) point by point, with gamma(v) integrated afresh for each point."""
+    """f(u, v) point by point, each on a freshly built surface whose
+    directrix and frame paths have grown no node yet."""
     rs = f.ruling
     if rs is None:
         return f.jet(u, v)
     if rs.backing is None:
         return rs.gamma(0.0, v) + u * rs.xi(0.0, v)
-    gamma = rs.gamma.coeff_vector(0, 0) + adaptive_simpson(rs.backing.speed, 0.0, v)
-    return gamma + u * rs.backing.xi_at(v)
+    fam = rs.backing
+    fresh = replace(rs, backing=replace(fam, curve=replace(fam.curve)))
+    return fresh.grid([u], [v])[0, 0]
 
 
 def test_evaluate_grid_matches_pointwise():
@@ -314,20 +316,22 @@ def test_local_jets_match_local_jet():
 
 
 def test_quadrature_runs_once_per_column(monkeypatch, tmp_path):
-    calls = []
-    quadrature = ruled.adaptive_simpson
+    # the directrix is integrated once per surface: every Taylor node of
+    # its path grows once, and later columns inside its range grow none
+    grown = []
+    block = ruled._directrix_block
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return quadrature(*args, **kwargs)
+    def counted(backing, v0, y):
+        grown.append((id(backing), v0))
+        return block(backing, v0, y)
 
-    monkeypatch.setattr(ruled, "adaptive_simpson", counted)
+    monkeypatch.setattr(ruled, "_directrix_block", counted)
     f = build_crosscap(deformation_family(1.3, -0.4, 0.8))
     g = build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)))
-    n = 6
-    write_obj(f, str(tmp_path / "m.obj"), n)
-    assert len(calls) == n + 1
-    calls.clear()
-    nu, nv = 5, 4
-    assert verify_isometry(f, g, grid=(nu, nv)).passed
-    assert len(calls) == 2 * nv
+    for h, name in ((f, "f.obj"), (g, "g.obj")):
+        write_obj(h, str(tmp_path / name), 6)
+    assert len(set(grown)) == len(grown) > 2
+    nodes = len(grown)
+    write_obj(f, str(tmp_path / "again.obj"), 6)
+    assert verify_isometry(f, g, grid=(5, 4)).passed
+    assert len(grown) == nodes

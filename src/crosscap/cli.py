@@ -6,10 +6,21 @@
     crosscap mesh        spec.json --out F.obj [--resolution n]
     crosscap asymptotics spec.json [--theta t,...] [--radii r,...] [--json] [--out F]
 
+``main`` is the one path from spec to output.  It loads the spec, sets
+its order to ``--order`` where given, so that analyze and deform build and
+reduce the surface at that order, and checks that the command accepts
+the spec's kind.  A report command returns its report and a text
+renderer; ``main`` writes the report as JSON under ``--json``, else as
+text, to ``--out`` or stdout.  mesh writes its OBJ file itself.
+
 Exit codes: 0 success, 1 usage or parse error, 2 mathematical
 precondition failure (the spec parsed but the surface fails a
-requirement, e.g. no cross cap at the origin).  The environment
-variable CROSSCAP_TOL overrides the default tolerance 1e-9.
+requirement, e.g. no cross cap at the origin).  After argument parsing,
+a spec or flag value that cannot be used (a malformed spec, a spec of a
+kind the command does not take, an empty or non-finite comma list, a
+resolution out of range) exits 1 with one ``spec error:`` line on
+stderr.  The environment variable CROSSCAP_TOL overrides the default
+tolerance 1e-9.
 """
 from __future__ import annotations
 
@@ -18,10 +29,11 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import asymptotics, deformation, invariants, ruled, specio, surface
+from . import asymptotics, invariants, ruled, specio, surface
 from .errors import CrosscapError, NotACrossCapError, SpecFormatError
 
 __all__ = ["main", "build_parser"]
@@ -45,37 +57,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crosscap", description="cross cap singularity analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=False):
+    def command(name, func, help, kinds=specio.SPEC_KINDS, order=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="surface spec JSON file")
         p.add_argument("--json", action="store_true", help="emit the structured report")
         p.add_argument("--out", help="write output to this file instead of stdout")
         if order:
-            p.add_argument("--order", type=int, choices=specio.ORDERS, metavar="N", help="jet order override")
+            p.add_argument(
+                "--order", type=int, choices=specio.ORDERS, metavar="N",
+                help="jet order at which the surface is built and reduced",
+            )
+        p.set_defaults(func=func, kinds=kinds, order=None)
+        return p
 
-    p = sub.add_parser("analyze", help="full invariant report")
-    common(p, order=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("deform", help="isometric family sweep")
-    common(p, order=True)
+    command("analyze", cmd_analyze, "full invariant report", order=True)
+    p = command("deform", cmd_deform, "isometric family sweep", specio.FAMILY_KINDS, order=True)
     p.add_argument("--kappas", help="comma-separated curvature values replacing the spec's")
-    p.set_defaults(func=cmd_deform)
-
-    p = sub.add_parser("classify", help="ruled-surface singularity class")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    command("classify", cmd_classify, "ruled-surface singularity class", ("ruled",))
 
     p = sub.add_parser("mesh", help="export a triangulated OBJ mesh")
     p.add_argument("spec", help="surface spec JSON file")
-    p.add_argument("--out", required=True, help="output OBJ path")
+    # the OBJ path, not where the report goes: mesh prints one line to stdout
+    p.add_argument("--out", dest="obj", metavar="OUT", required=True, help="output OBJ path")
     p.add_argument("--resolution", type=int, default=32, help="grid cells per side")
-    p.set_defaults(func=cmd_mesh)
+    p.set_defaults(func=cmd_mesh, kinds=specio.SPEC_KINDS, order=None, json=False, out=None)
 
-    p = sub.add_parser("asymptotics", help="radial curvature convergence report")
-    common(p)
+    p = command("asymptotics", cmd_asymptotics, "radial curvature convergence report")
     p.add_argument("--theta", help="comma-separated ray angles (radians)")
     p.add_argument("--radii", help="comma-separated sample radii")
-    p.set_defaults(func=cmd_asymptotics)
 
     return parser
 
@@ -86,121 +95,64 @@ def _floats(text: str, flag: str) -> list[float]:
         values = [float(s) for s in items]
     except ValueError as exc:
         raise SpecFormatError(f"{flag}: {exc}") from exc
+    if not values:
+        raise SpecFormatError(f"{flag}: expected at least one value")
     if not all(map(math.isfinite, values)):
         raise SpecFormatError(f"{flag}: values must be finite")
     return values
 
 
-def _deliver(payload: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def cmd_analyze(spec: specio.SurfaceSpec, args, tol: float):
+    report = specio.invariant_report(specio.build_surface(spec), order=spec.order, tol=tol)
+    return report, specio.report_text
 
 
-def _emit_report(report, args) -> int:
-    payload = specio.dumps_report(report) if args.json else specio.report_text(report)
-    _deliver(payload, args.out)
-    return 0
-
-
-def cmd_analyze(args, tol: float) -> int:
-    spec = specio.load_spec(args.spec)
-    order = args.order if args.order is not None else spec.order
-    built = specio.build_surface(spec)
-    report = specio.invariant_report(built, order=order, tol=tol)
-    return _emit_report(report, args)
-
-
-def cmd_deform(args, tol: float) -> int:
-    spec = specio.load_spec(args.spec)
-    if spec.kind not in ("circle_deformation", "spherical_deformation"):
-        sys.stderr.write("deform needs a circle_deformation or spherical_deformation spec\n")
-        return 1
-    order = args.order if args.order is not None else spec.order
-    p = spec.payload
-    if args.kappas is not None:
-        kappas = _floats(args.kappas, "--kappas")
-        if not kappas:
-            sys.stderr.write("--kappas must list at least one value\n")
-            return 1
-    elif spec.kind == "circle_deformation":
-        kappas = [float(p["kappa"])]
-    else:
-        kappas = [float(p["kappa_poly"][0])]
-
-    tail = tuple(float(c) for c in p.get("kappa_poly", [0.0])[1:])
+def cmd_deform(spec: specio.SurfaceSpec, args, tol: float):
+    kappa_poly = spec.payload["kappa_poly"]
+    kappas = kappa_poly[:1] if args.kappas is None else _floats(args.kappas, "--kappas")
     members = []
-    surfaces = []
+    forms = []
     for kap in kappas:
-        fam = deformation.deformation_family(p["a02"], p["a11"], (kap,) + tail)
-        f = deformation.build_crosscap(fam, order=order)
-        rep = specio.invariant_report(
-            specio.BuiltSurface(surface=f, family=fam),
-            order=order,
-            tol=tol,
-            with_asymptotics=False,
-        )
+        member = replace(spec, payload={**spec.payload, "kappa_poly": (kap, *kappa_poly[1:])})
+        built = specio.build_surface(member)
+        rep = specio.invariant_report(built, order=spec.order, tol=tol, with_asymptotics=False)
         b3 = next((val for i, val in rep["normal_form"]["b"] if i == 3), 0.0)
-        rep = {"kappa": kap, "b3": b3, **rep}
-        members.append(rep)
-        surfaces.append(f)
-
-    forms = [surface.first_form(f) for f in surfaces]
+        members.append({"kappa": kap, "b3": b3, **rep})
+        forms.append(surface.first_form(built.surface))
     matrix = [[fa.max_coeff_diff(fb) for fb in forms] for fa in forms]
-    report = {"members": members, "metric_deviation": matrix}
+    return {"members": members, "metric_deviation": matrix}, _deform_text
 
-    if args.json:
-        _deliver(specio.dumps_report(report), args.out)
-        return 0
+
+def _deform_text(report: dict) -> str:
     ff = specio.format_float
     lines = ["kappa        a02          a20          a11          b3"]
-    for rep in members:
+    for rep in report["members"]:
         t = rep["intrinsic"]["map_route"]
         lines.append(
             f"{ff(rep['kappa']):<12} {ff(t['a02']):<12} {ff(t['a20']):<12}"
             f" {ff(t['a11']):<12} {ff(rep['b3'])}"
         )
     lines.append("pairwise metric deviation (jet coefficients):")
-    for row in matrix:
+    for row in report["metric_deviation"]:
         lines.append("  " + "  ".join(ff(x) for x in row))
-    _deliver("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_classify(args, tol: float) -> int:
-    spec = specio.load_spec(args.spec)
-    if spec.kind != "ruled":
-        sys.stderr.write("classify needs a ruled spec\n")
-        return 1
-    built = specio.build_surface(spec)
-    cls = ruled.classify_singularity(built.surface.ruling, tol=tol)
-    if args.json:
-        _deliver(specio.dumps_report({"classification": cls}), args.out)
-    else:
-        _deliver(cls + "\n", args.out)
-    return 0
+def cmd_classify(spec: specio.SurfaceSpec, args, tol: float):
+    cls = ruled.classify_singularity(specio.build_surface(spec).surface.ruling, tol=tol)
+    return {"classification": cls}, lambda report: report["classification"] + "\n"
 
 
-def cmd_mesh(args, tol: float) -> int:
+def cmd_mesh(spec: specio.SurfaceSpec, args, tol: float):
     if not 1 <= args.resolution <= specio.MAX_RESOLUTION:
-        sys.stderr.write(f"--resolution must be an integer in 1..{specio.MAX_RESOLUTION}\n")
-        return 1
-    built = specio.build_surface(specio.load_spec(args.spec))
-    specio.write_obj(built.surface, args.out, args.resolution)
-    sys.stdout.write(f"wrote {args.out}\n")
-    return 0
+        raise SpecFormatError(f"--resolution must be an integer in 1..{specio.MAX_RESOLUTION}")
+    specio.write_obj(specio.build_surface(spec).surface, args.obj, args.resolution)
+    return None, lambda report: f"wrote {args.obj}\n"
 
 
-def cmd_asymptotics(args, tol: float) -> int:
-    spec = specio.load_spec(args.spec)
-    built = specio.build_surface(spec)
-    f = built.surface
-    thetas = _floats(args.theta, "--theta") if args.theta else list(specio.REPORT_THETAS)
-    if not thetas:
-        sys.stderr.write("--theta must list at least one angle\n")
-        return 1
+def cmd_asymptotics(spec: specio.SurfaceSpec, args, tol: float):
+    f = specio.build_surface(spec).surface
+    thetas = _floats(args.theta, "--theta") if args.theta else specio.REPORT_THETAS
     radii = _floats(args.radii, "--radii") if args.radii else None
     triple = invariants.intrinsic_from_map(f, tol=tol)
     entries = []
@@ -215,21 +167,21 @@ def cmd_asymptotics(args, tol: float) -> int:
                 "h_limit": conv.h_limit,
                 "k_extrapolated": conv.k_extrapolated,
                 "h_extrapolated": conv.h_extrapolated,
-                "k_order": None if not math.isfinite(conv.k_order) else conv.k_order,
-                "h_order": None if not math.isfinite(conv.h_order) else conv.h_order,
+                "k_order": conv.k_order,
+                "h_order": conv.h_order,
                 "converged": conv.passed,
                 "gap_limit": gap.limit,
                 "gap_negative_k_mode": gap.negative_k_mode,
                 "gap_passed": gap.passed,
             }
         )
-    report = {"radii": list(conv.radii), "rays": entries}
-    if args.json:
-        _deliver(specio.dumps_report(report), args.out)
-        return 0
+    return {"radii": list(conv.radii), "rays": entries}, _asymptotics_text
+
+
+def _asymptotics_text(report: dict) -> str:
     ff = specio.format_float
     lines = []
-    for e in entries:
+    for e in report["rays"]:
         status = "ok" if e["converged"] and e["gap_passed"] else "FAIL"
         if e["gap_negative_k_mode"]:
             gap_txt = "K<0 along ray"
@@ -240,8 +192,7 @@ def cmd_asymptotics(args, tol: float) -> int:
             f" (measured {ff(e['k_extrapolated'])})  r2H->{ff(e['h_limit'])}"
             f" (measured {ff(e['h_extrapolated'])})  {gap_txt}  [{status}]"
         )
-    _deliver("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -266,7 +217,19 @@ def main(argv=None) -> int:
     try:
         # overflow and invalid values fail loudly, like the arithmetic errors
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args, tol)
+            spec = specio.load_spec(args.spec)
+            if args.order is not None:
+                spec = replace(spec, order=args.order)
+            if spec.kind not in args.kinds:
+                raise SpecFormatError(f"{args.command} needs a {' or '.join(args.kinds)} spec")
+            report, render = args.func(spec, args, tol)
+            payload = specio.dumps_report(report) if args.json else render(report)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            else:
+                sys.stdout.write(payload)
+        return 0
     except SpecFormatError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return 1

@@ -239,20 +239,10 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise JetDomainError("jet powers need a nonnegative integer exponent")
-        out = Jet2.constant(1.0, self.order)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     # ------------------------------------------------------------------
     # composition and inverses
     def compose(self, g: "Jet2", h: "Jet2") -> "Jet2":
         """Return self(g(u,v), h(u,v)); g and h must vanish at the origin."""
-        if isinstance(self, Jet3):  # Jet3.compose: one call, shared powers of h
-            return Jet3(*_compose(self.components(), g, h))
         return _compose([self], g, h)[0]
 
     def _unit_series(self, coeffs: Sequence[float]) -> "Jet2":
@@ -413,7 +403,8 @@ class Jet3:
         return Jet3(self.x.integrate_v(), self.y.integrate_v(), self.z.integrate_v())
 
     def compose(self, g: Jet2, h: Jet2) -> "Jet3":
-        return Jet2.compose(self, g, h)
+        # one call, so the components share the powers of h
+        return Jet3(*_compose(self.components(), g, h))
 
     def truncated(self, order: int) -> "Jet3":
         return Jet3(self.x.truncated(order), self.y.truncated(order), self.z.truncated(order))

@@ -118,8 +118,9 @@ class TaylorPath:
         starts, blocks, steps = self._nodes[sign]
         while starts[-1] + steps[-1] <= abs(t):
             if steps[-1] < STEP_FLOOR:
+                # + 0.0 prints the root as 0, never as -0
                 raise ChartError(
-                    f"{self._refusal} {sign * starts[-1]:.6f}: "
+                    f"{self._refusal} {sign * starts[-1] + 0.0:.6f}: "
                     f"Taylor step {steps[-1]:.3e} below {STEP_FLOOR:g}"
                 )
             y = (sign * steps[-1]) ** _POWERS @ blocks[-1]

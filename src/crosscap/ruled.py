@@ -162,7 +162,7 @@ class RuledSurface:
         jets = []
         for u0 in us:
             ul = u + u0
-            jets.append(Jet3(*(g + x * ul for g, x in zip(gl.components(), xl.components()))).truncated(order))
+            jets.append((gl + xl * ul).truncated(order))
         return jets
 
     def local_jet(self, u0: float, v0: float, order: int) -> Jet3:
@@ -171,8 +171,7 @@ class RuledSurface:
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)
-        jet = Jet3(*(g + x * u for g, x in zip(self.gamma.components(), self.xi.components())))
-        return SurfaceMap(jet=jet, ruling=self)
+        return SurfaceMap(jet=self.gamma + self.xi * u, ruling=self)
 
 
 def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ with optional "order" (jet order in 2..12, default 6) and "domain"
 ([[u0, u1], [v0, v1]], default [[-1, 1], [-1, 1]]).  Polynomial terms
 above "order" are kept for evaluation, up to degree 64.
 
+``parse_spec`` hands the three named-number constructions on with their
+numbers as floats, and both family kinds as one payload
+{"a02", "a11", "kappa_poly"}: a circle_deformation spec is read as a
+spherical_deformation spec with "kappa_poly": [kappa].  Every malformed
+field raises SpecFormatError, which the command line reports as one
+"spec error:" line with exit code 1.
+
 Reports are plain dicts serialized deterministically: keys sorted,
 floats printed at 17 significant digits, so identical inputs yield
 byte-identical output and reports survive a parse/serialize round trip
@@ -22,8 +29,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Any
 
 from . import asymptotics, deformation, invariants, normalform, ruled, surface
 from .errors import SpecFormatError
@@ -48,6 +55,13 @@ SPEC_KINDS = (
     "spherical_deformation",
     "ruled",
 )
+FAMILY_KINDS = ("circle_deformation", "spherical_deformation")
+# the numbers each named-number construction requires
+FIELDS = {
+    "quadratic_crosscap": ("a20", "a11", "a02"),
+    "circle_deformation": ("a02", "a11", "kappa"),
+    "spherical_deformation": ("a02", "a11"),
+}
 DEFAULT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
 ORDERS = range(2, 13)
 # polynomial specs keep every term, so their jets grow to the top degree
@@ -68,7 +82,6 @@ class SurfaceSpec:
 @dataclass(frozen=True)
 class BuiltSurface:
     surface: SurfaceMap
-    family: deformation.DeformationFamily | None = None
 
 
 def _require(cond: bool, field: str, detail: str):
@@ -136,33 +149,25 @@ def parse_spec(doc: Any) -> SurfaceSpec:
             _require(j + k <= MAX_DEGREE, f"{kind}[{i}]", f"monomial degree above {MAX_DEGREE}")
             for c, name in zip(entry[2:], "xyz"):
                 _number(c, f"{kind}[{i}].{name}")
-    elif kind == "quadratic_crosscap":
+    elif kind in FIELDS:
         _require(isinstance(payload, dict), kind, "expected an object")
-        for f in ("a20", "a11", "a02"):
+        values = {}
+        for f in FIELDS[kind]:
             _require(f in payload, f"{kind}.{f}", "missing")
-            _number(payload[f], f"{kind}.{f}")
-        _require(_number(payload["a02"], f"{kind}.a02") > 0.0, f"{kind}.a02", "must be positive")
-    elif kind in ("circle_deformation", "spherical_deformation"):
-        _require(isinstance(payload, dict), kind, "expected an object")
-        for f in ("a02", "a11"):
-            _require(f in payload, f"{kind}.{f}", "missing")
-            _number(payload[f], f"{kind}.{f}")
-        _require(_number(payload["a02"], f"{kind}.a02") > 0.0, f"{kind}.a02", "must be positive")
-        a11 = _number(payload["a11"], f"{kind}.a11")
-        # the family's ruling speed is sqrt(1 + a11^2)
-        _require(math.isfinite(1.0 + a11 * a11), f"{kind}.a11", "too large: 1 + a11^2 overflows")
-        if kind == "circle_deformation":
-            _require("kappa" in payload, f"{kind}.kappa", "missing")
-            _number(payload["kappa"], f"{kind}.kappa")
-        else:
-            kp = payload.get("kappa_poly")
+            values[f] = _number(payload[f], f"{kind}.{f}")
+        _require(values["a02"] > 0.0, f"{kind}.a02", "must be positive")
+        if kind in FAMILY_KINDS:
+            # the family's ruling speed is sqrt(1 + a11^2)
+            a11 = values["a11"]
+            _require(math.isfinite(1.0 + a11 * a11), f"{kind}.a11", "too large: 1 + a11^2 overflows")
+            kp = [values.pop("kappa")] if "kappa" in values else payload.get("kappa_poly")
             _require(
                 isinstance(kp, list) and kp,
                 f"{kind}.kappa_poly",
                 "expected a nonempty list of numbers",
             )
-            for i, c in enumerate(kp):
-                _number(c, f"{kind}.kappa_poly[{i}]")
+            values["kappa_poly"] = tuple(_number(c, f"{kind}.kappa_poly[{i}]") for i, c in enumerate(kp))
+        payload = values
     else:
         _require(isinstance(payload, dict), kind, "expected an object")
         for f in ("gamma_poly", "xi_poly"):
@@ -208,12 +213,11 @@ def build_surface(spec: SurfaceSpec) -> BuiltSurface:
         p = spec.payload
         f = surface.quadratic_crosscap(p["a20"], p["a11"], p["a02"], order=spec.order)
         return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
-    if spec.kind in ("circle_deformation", "spherical_deformation"):
+    if spec.kind in FAMILY_KINDS:
         p = spec.payload
-        kap = float(p["kappa"]) if spec.kind == "circle_deformation" else tuple(p["kappa_poly"])
-        fam = deformation.deformation_family(p["a02"], p["a11"], kap)
+        fam = deformation.deformation_family(p["a02"], p["a11"], p["kappa_poly"])
         f = deformation.build_crosscap(fam, order=spec.order)
-        return BuiltSurface(surface=replace(f, domain_hint=spec.domain), family=fam)
+        return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
     rs = ruled.from_polynomials(
         spec.payload["gamma_poly"], spec.payload["xi_poly"], order=max(spec.order, 6)
     )
@@ -245,12 +249,7 @@ def invariant_report(
     combos = invariants.isometry_combos(nf)
     flags = normalform.classify(nf, tol=max(tol, 1e-7))
     report = {
-        "crosscap": {
-            "is_crosscap": test.is_crosscap,
-            "delta": test.delta,
-            "fv_norm": test.fv_norm,
-            "tol": test.tol,
-        },
+        "crosscap": asdict(test),
         "normal_form": {
             "order": nf.order,
             "flipped": nf.flipped,
@@ -264,14 +263,8 @@ def invariant_report(
             "max_discrepancy": invariants.route_discrepancy(t_map, t_metric),
             "a02_from_height_hessian": invariants.a02_from_height_hessian(forms),
         },
-        "focal_conic": {
-            "yy": conic.yy,
-            "yz": conic.yz,
-            "zz": conic.zz,
-            "z": conic.z,
-            "kind": conic.kind,
-        },
-        "combos": {"c1": combos.c1, "c2": combos.c2, "c3": combos.c3, "c4": combos.c4},
+        "focal_conic": asdict(conic),
+        "combos": asdict(combos),
         "classification": {
             "sign_class": invariants.classify_sign(t_map, tol=tol),
             **flags,

@@ -34,6 +34,9 @@ def write_spec(tmp_path, doc, name="spec.json"):
     return str(path)
 
 
+FAMILY_SPEC = {"circle_deformation": {"kappa": 0.0, "a02": 2.0, "a11": 0.0}}
+
+
 def quadratic_spec(a20=0.0, a11=0.0, a02=2.0, **extra):
     return {"quadratic_crosscap": {"a20": a20, "a11": a11, "a02": a02}, **extra}
 
@@ -279,7 +282,9 @@ def test_mesh_refuses_unreachable_quadrature_quickly(tmp_path, capsys):
     rc = main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "4"])
     assert rc == 2
     assert time.perf_counter() - start < 2.0
-    assert "does not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "does not converge near v = 0.000000:" in err
+    assert "-0.000000" not in err
 
 
 def test_mesh_of_large_member_scales_with_a02(tmp_path):
@@ -310,6 +315,37 @@ def test_asymptotics_json_and_text(tmp_path, capsys):
 
     assert main(["asymptotics", path, "--theta", ","]) == 1
     assert "--theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        ("deform", quadratic_spec(), []),
+        ("classify", quadratic_spec(), []),
+        ("deform", FAMILY_SPEC, ["--kappas=,"]),
+        ("asymptotics", quadratic_spec(), ["--theta=,"]),
+        ("asymptotics", quadratic_spec(), ["--radii=,"]),
+        ("mesh", quadratic_spec(), ["--resolution", "0"]),
+    ],
+    ids=["deform-kind", "classify-kind", "kappas-empty", "theta-empty", "radii-empty", "resolution-0"],
+)
+def test_unusable_spec_or_flag_is_one_spec_error_line(tmp_path, capsys, command, doc, flags):
+    out = ["--out", str(tmp_path / "x.obj")] if command == "mesh" else []
+    assert main([command, write_spec(tmp_path, doc), *flags, *out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("spec error:")
+
+
+def test_order_flag_sets_build_and_reduction_order(tmp_path, capsys):
+    path = write_spec(tmp_path, {"circle_deformation": {"kappa": 0.7, "a02": 2.0, "a11": -0.3}})
+    assert main(["analyze", path, "--order", "12", "--json"]) == 0
+    analyzed = json.loads(capsys.readouterr().out)["normal_form"]
+    assert main(["deform", path, "--order", "12", "--json"]) == 0
+    member = json.loads(capsys.readouterr().out)["members"][0]
+    assert member["kappa"] == 0.7
+    assert analyzed["order"] == 12
+    assert analyzed == member["normal_form"]
 
 
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
@@ -401,18 +437,32 @@ def _floats_in(obj):
         yield obj
 
 
-@given(doc=spec_documents(), command=st.sampled_from(["analyze", "asymptotics", "mesh"]))
-@example(doc={"circle_deformation": {"a11": 1e300, "kappa": 0, "a02": 1}}, command="analyze")
-def test_cli_contract_holds_for_any_spec(tmp_path_factory, doc, command):
+# comma lists for deform and asymptotics; None leaves the flag out
+LISTS = st.one_of(st.none(), st.sampled_from(["", ",", "nan", "1e400", "x", "-1,2"]))
+
+
+@given(
+    doc=spec_documents(),
+    command=st.sampled_from(["analyze", "deform", "classify", "asymptotics", "mesh"]),
+    flag=st.sampled_from(["--theta", "--radii"]),
+    values=LISTS,
+)
+@example(doc={"circle_deformation": {"a11": 1e300, "kappa": 0, "a02": 1}}, command="analyze", flag="--theta", values=None)
+def test_cli_contract_holds_for_any_spec(tmp_path_factory, doc, command, flag, values):
     """Exit 0, 1 or 2 with at most one stderr line; exit-0 analyze reports are finite."""
     work = tmp_path_factory.mktemp("fuzz", numbered=True)
     spec = work / "spec.json"
     spec.write_text(json.dumps(doc), encoding="utf-8")
     argv = {
         "analyze": ["analyze", str(spec), "--json"],
+        "deform": ["deform", str(spec), "--json"],
+        "classify": ["classify", str(spec), "--json"],
         "asymptotics": ["asymptotics", str(spec), "--json"],
         "mesh": ["mesh", str(spec), "--resolution", "2", "--out", str(work / "m.obj")],
     }[command]
+    if values is not None and command in ("deform", "asymptotics"):
+        # the = form, so that argparse never reads the list as an option
+        argv.append(f"{'--kappas' if command == 'deform' else flag}={values}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)

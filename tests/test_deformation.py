@@ -58,6 +58,10 @@ def test_frame_conservation_drift():
 def test_chart_boundary_raises():
     with pytest.raises(ChartError):
         circle_family(1.0).frame(1.6)
+    # a refusal at the root names it as 0 in either direction, never as -0
+    for s in (-0.1, 0.1):
+        with pytest.raises(ChartError, match=r"near arc length 0\.000000:"):
+            circle_family(1e6).frame(s)
 
 
 def test_flat_member_jet_is_quadratic():
@@ -289,7 +293,7 @@ def test_built_surface_is_freed_by_reference_counting(tmp_path):
     try:
         built = build_surface(spec)
         write_obj(built.surface, str(tmp_path / "m.obj"), 4)
-        curve = weakref.ref(built.family.curve)
+        curve = weakref.ref(built.surface.ruling.backing.curve)
         del built
         assert curve() is None
     finally:

@@ -158,7 +158,7 @@ def test_scalar_and_int_coercion():
     assert (1 + p).coeff(1, 0) == 2.0
     assert (p - 0.5).coeff(0, 0) == -0.5
     assert (2 * p).coeff(0, 1) == -2.0
-    assert (p ** 2).coeff(2, 0) == 4.0
+    assert (p * p).coeff(2, 0) == 4.0
 
 
 def test_truncation_to_smaller_order():

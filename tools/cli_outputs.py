@@ -1,0 +1,91 @@
+"""Write the output of every crosscap command on fixed specs to a directory.
+
+    python tools/cli_outputs.py ROOT OUTDIR
+
+imports crosscap from ROOT/src and runs each command through
+``cli.main`` inside OUTDIR, with relative paths, so that two checkouts
+give byte-identical trees exactly when their outputs agree:
+
+    python tools/cli_outputs.py parent out-parent
+    python tools/cli_outputs.py .      out-change
+    diff -r out-parent out-change
+
+For each run, ``NAME.txt`` holds its stdout and ``NAME.json`` or
+``NAME.obj`` the file written with ``--out``; ``status.txt`` lists each
+run's exit code and stderr.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+# the standard cross cap (u, uv, v^2) with terms up to degree 6
+GERM = [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [2, 0, 0, 0.25, -0.5],
+        [0, 3, 0.1, 0, 0.3], [1, 2, 0, -0.2, 0.15], [2, 2, 0.05, 0, -0.1], [0, 6, 0, 0, 0.01]]
+
+SPECS = {
+    "quadratic": {"quadratic_crosscap": {"a20": -1, "a11": 0, "a02": 1}},
+    "circle": {"circle_deformation": {"kappa": 0.7, "a02": 2, "a11": -0.3},
+               "domain": [[-0.5, 0.75], [-1, 1.25]]},
+    "poly_kappa": {"spherical_deformation": {"kappa_poly": [0.5, -0.4, 0.2], "a02": 1.5, "a11": 0.25},
+                   "order": 8},
+    "germ12": {"polynomial": GERM, "order": 12},
+    "ruled": {"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, 1, 0]]}},
+}
+FAMILY = ("circle", "poly_kappa")
+
+
+def runs(name: str, doc: dict) -> dict[str, list[str]]:
+    """Run name -> argv of every command that accepts this spec."""
+    spec = f"{name}.spec.json"
+    order = doc.get("order", 6)
+    out = {
+        "analyze": ["analyze", spec],
+        "analyze.json": ["analyze", spec, "--json", "--out", f"{name}.analyze.json"],
+        "analyze.below.json": ["analyze", spec, "--json", "--order", str(order - 2)],
+        "analyze.above.json": ["analyze", spec, "--json", "--order", str(min(order + 3, 12))],
+        "asymptotics": ["asymptotics", spec],
+        "asymptotics.json": ["asymptotics", spec, "--json", "--theta=-0.5,1.2", "--radii", "0.1,0.01,0.001"],
+        "mesh": ["mesh", spec, "--out", f"{name}.mesh.obj", "--resolution", "24"],
+    }
+    if order == 12:  # no order above the largest
+        del out["analyze.above.json"]
+    if name in FAMILY:
+        out["deform"] = ["deform", spec]
+        out["deform.json"] = ["deform", spec, "--kappas=-1,0.5,2", "--json", "--out", f"{name}.deform.json"]
+        out["deform.order.json"] = ["deform", spec, "--kappas", "0.3", "--json", "--order", "10"]
+    if name == "ruled":
+        out["classify"] = ["classify", spec]
+        out["classify.json"] = ["classify", spec, "--json"]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 1
+    root, outdir = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(root / "src"))
+    from crosscap import cli
+
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    status = []
+    for name, doc in SPECS.items():
+        Path(f"{name}.spec.json").write_text(json.dumps(doc), encoding="utf-8")
+        for tag, args in runs(name, doc).items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.main(args)
+            Path(f"{name}.{tag}.txt").write_text(stdout.getvalue(), encoding="utf-8")
+            status.append(f"{name}.{tag} {rc} {stderr.getvalue()!r}\n")
+    Path("status.txt").write_text("".join(status), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -152,8 +152,8 @@ def cmd_mesh(spec: specio.SurfaceSpec, args, tol: float):
 
 def cmd_asymptotics(spec: specio.SurfaceSpec, args, tol: float):
     f = specio.build_surface(spec).surface
-    thetas = _floats(args.theta, "--theta") if args.theta else specio.REPORT_THETAS
-    radii = _floats(args.radii, "--radii") if args.radii else None
+    thetas = specio.REPORT_THETAS if args.theta is None else _floats(args.theta, "--theta")
+    radii = None if args.radii is None else _floats(args.radii, "--radii")
     triple = invariants.intrinsic_from_map(f, tol=tol)
     entries = []
     for theta in thetas:

@@ -20,12 +20,13 @@ member's curvature determines all third-order extrinsic data in closed
 form.
 
 A DeformationFamily is the backing of its member's ruled surface
-(ruled.from_deformation): jets of xi and gamma' around any v0 come from
-exact series arithmetic on the spherical frame's Taylor coefficients
-(numerics.FrenetPath), and pointwise values of gamma and xi are node
-evaluations of a Taylor path in v grown from those jets, so the member is
-exact anywhere in the chart and pointwise curvature checks never fall
-back to finite differences.
+(ruled.from_deformation): the Taylor coefficients of xi and gamma' in
+vhat = v - v0, around any v0, are coefficient arrays computed by exact
+series arithmetic in one variable (jets.series_product and its kin) on
+the spherical frame's Taylor coefficients (numerics.FrenetPath).  Pointwise
+values of gamma and xi are node evaluations of a Taylor path in v grown
+from those arrays, so the member is exact anywhere in the chart and
+pointwise curvature checks never fall back to finite differences.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import Jet2, Jet3, vpoly
+from .jets import Jet2, Jet3, series_compose, series_cross, series_power, series_product
 from .numerics import FrenetPath
 from .ruled import from_deformation
 from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
@@ -128,17 +129,18 @@ class DeformationFamily:
     def arc_parameter(self, v: float) -> float:
         return math.atan(math.sqrt(self.m) * v)
 
-    def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
-        """Jets in vhat = v - v0 of xi (to order) and gamma' (to order - 1)."""
-        m = self.m
-        w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
-        shat = (w2.recip() * math.sqrt(m)).integrate_v().truncated(order)
-        C, _, _ = self.curve.series_at(self.arc_parameter(v0), order)
-        chat = Jet3(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
-        xi = chat * w2.sqrt()
-        xi_d = xi.deriv_v()
-        B = xi.truncated(order - 1).cross(xi_d) + xi_d * self.a11
-        return xi, B * vpoly([v0, 1.0], order - 1) * (self.a02 / m)
+    def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients in vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows)."""
+        m, n = self.m, order
+        w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
+        # shat = arc length of chat, the integral of sqrt(m) / w2 from v0
+        shat = np.zeros(n + 1)
+        shat[1:] = series_power(w2, -1.0, n - 1) * math.sqrt(m) / np.arange(1, n + 1)
+        C, _, _ = self.curve.series_at(self.arc_parameter(v0), n)
+        xi = series_product(series_compose(C, shat, n), series_power(w2, 0.5, n), n)
+        xi_d = xi[1:] * np.arange(1, n + 1)[:, None]
+        B = series_cross(xi[:n], xi_d, n - 1) + xi_d * self.a11
+        return xi, series_product(B, [v0, 1.0], n - 1) * (self.a02 / m)
 
 
 def deformation_family(

@@ -29,6 +29,14 @@ every operation returns a fresh instance and the coefficient arrays are
 frozen.  A :class:`Jet3` is a triple of scalar jets representing a map germ
 ``(u, v) -> R^3`` and adds the vector operations (dot, cross, rigid motion)
 used throughout the geometry modules.
+
+A series in one variable t needs no table: the ``series_*`` functions
+take and return its coefficient array (a vector series has one 3-vector
+row per power of t) and truncate to the first n + 1 coefficients.  The
+product is one lower triangular (Toeplitz) matrix product, which also
+serves Jet2 products of two series in v alone; powers such as square
+roots and reciprocals follow a coefficient recurrence, and composition
+is one matrix of powers of the inner series.
 """
 from __future__ import annotations
 
@@ -41,7 +49,16 @@ import numpy as np
 
 from .errors import JetDomainError, SingularJetError
 
-__all__ = ["Jet2", "Jet3", "vpoly", "upoly"]
+__all__ = [
+    "Jet2",
+    "Jet3",
+    "vpoly",
+    "upoly",
+    "series_product",
+    "series_cross",
+    "series_power",
+    "series_compose",
+]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -63,6 +80,79 @@ def _binomials(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.array(table, dtype=float)), _frozen(np.maximum(a[:, None] - a[None, :], 0))
 
 
+def _checked(out: np.ndarray, *operands: np.ndarray) -> np.ndarray:
+    """out, after reporting overflow if it is not finite but the operands are."""
+    if not np.isfinite(out).all() and all(np.isfinite(x).all() for x in operands):
+        # np.convolve, matrix products and Python floats do not report
+        # overflow through np.errstate; a kept coefficient that overflowed
+        # from finite operands is reported here
+        np.multiply(np.finfo(float).max, 2.0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lags(n: int) -> np.ndarray:
+    """k - j at row k, column j <= k, else n + 1 (a zero past the series)."""
+    k = np.arange(n + 1)
+    return _frozen(np.where(k[:, None] >= k[None, :], k[:, None] - k[None, :], n + 1))
+
+
+def _product_matrix(b: np.ndarray, n: int) -> np.ndarray:
+    """Lower triangular M with M @ a the first n + 1 coefficients of a(t) b(t)."""
+    padded = np.zeros(n + 2)
+    padded[: len(b)] = b
+    return padded[_lags(n)]
+
+
+def series_product(a, b, n: int) -> np.ndarray:
+    """First n + 1 coefficients of a(t) b(t) for series in one variable.
+
+    a may be a vector series (one row per power of t); b is scalar.
+    """
+    a, b = np.asarray(a, dtype=float)[: n + 1], np.asarray(b, dtype=float)[: n + 1]
+    return _checked(_product_matrix(b, n)[:, : len(a)] @ a, a, b)
+
+
+def series_cross(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n + 1 coefficients of a(t) x b(t) for vector series."""
+    p = [series_product(b, a[:, i], n) for i in range(3)]  # p[i][:, j] = a_i b_j
+    cols = [p[1][:, 2] - p[2][:, 1], p[2][:, 0] - p[0][:, 2], p[0][:, 1] - p[1][:, 0]]
+    return np.stack(cols, axis=1)
+
+
+def series_power(a, p: float, n: int) -> np.ndarray:
+    """First n + 1 coefficients of a(t)^p for a(0) > 0, by J. C. P. Miller's
+    recurrence k a_0 s_k = sum_(j=1..k) ((p + 1) j - k) a_j s_(k-j), whose
+    sum stops at the last nonzero a_j (two terms for a quadratic)."""
+    a = np.asarray(a, dtype=float)[: n + 1].tolist()
+    while a and a[-1] == 0.0:
+        a.pop()
+    if not a or a[0] <= 0.0:
+        raise SingularJetError("power of a series needs a positive constant term")
+    s = [a[0] ** p]
+    for k in range(1, n + 1):
+        acc = 0.0
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc += ((p + 1.0) * j - k) * a[j] * s[k - j]
+        s.append(acc / (k * a[0]))
+    return _checked(np.array(s), np.array(a))
+
+
+def series_compose(c, h, n: int) -> np.ndarray:
+    """First n + 1 coefficients of sum_k c_k h(t)^k, for h(0) = 0; c may be
+    a vector series.  The powers of h are the rows of one matrix."""
+    c, h = np.asarray(c, dtype=float)[: n + 1], np.asarray(h, dtype=float)[: n + 1]
+    if h[0] != 0.0:
+        raise JetDomainError("composition requires an inner series with zero constant term")
+    times_h = _product_matrix(h, n)
+    powers = np.zeros((len(c), n + 1))
+    powers[0, 0] = 1.0
+    for k in range(1, len(c)):
+        powers[k] = times_h @ powers[k - 1]
+    # an overflowing power leaves inf or nan in the result
+    return _checked(powers.T @ c, c, h)
+
+
 def _product(a: np.ndarray, b: np.ndarray, n: int) -> "Jet2":
     """Product of two coefficient tables as a jet of order n."""
     a, b = a[: n + 1, : n + 1], b[: n + 1, : n + 1]
@@ -71,17 +161,14 @@ def _product(a: np.ndarray, b: np.ndarray, n: int) -> "Jet2":
         pa, pb = np.zeros((2, n + 1, width))
         pa[:, : n + 1], pb[:, : n + 1] = a, b
         full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
-        table = full.reshape(n + 1, width)[:, : n + 1]
-    else:
-        # both series in v alone: one convolution of the first rows
-        table = np.zeros((n + 1, n + 1))
-        table[0] = np.convolve(a[0], b[0])[: n + 1]
-    out = Jet2(n, table)
-    if not np.isfinite(out.c).all() and np.isfinite(a).all() and np.isfinite(b).all():
-        # np.convolve does not report overflow through np.errstate; a kept
-        # coefficient that overflowed from finite operands is reported here
-        np.multiply(np.finfo(float).max, 2.0)
-    return out
+        out = Jet2(n, full.reshape(n + 1, width)[:, : n + 1])
+        # only coefficients inside the triangle are kept, and checked
+        _checked(out.c, a, b)
+        return out
+    # both series in v alone: one product of the first rows
+    table = np.zeros((n + 1, n + 1))
+    table[0] = series_product(a[0], b[0], n)
+    return Jet2(n, table)
 
 
 def _compose(outer: Sequence["Jet2"], g: "Jet2", h: "Jet2") -> list["Jet2"]:
@@ -360,10 +447,6 @@ class Jet3:
                 Jet2.from_terms({jk: vec[i] for jk, vec in terms.items()}, order)
             )
         return cls(*comps)
-
-    @classmethod
-    def constant_vector(cls, vec: Sequence[float], order: int) -> "Jet3":
-        return cls(*(Jet2.constant(float(vec[i]), order) for i in range(3)))
 
     def components(self) -> tuple[Jet2, Jet2, Jet2]:
         return (self.x, self.y, self.z)

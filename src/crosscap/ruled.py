@@ -25,12 +25,16 @@ is reported as unclassified rather than guessed.
 Every surface can be backed (see RulingBacking) by exact series data:
 a spherical curve plus frame coefficients (``redeploy`` and ``from_frame``)
 or an isometric deformation family member (``from_deformation``).  A
-backed surface follows gamma and xi along one Taylor path in v
-(numerics.TaylorPath): the block at each node is the backing's exact
-series there, gamma' integrated from the node's gamma(v) with xi beside
-it.  It expands exactly around any point of the chart; unbacked surfaces
-are their polynomial jets, exact where those are the surface
-(``from_polynomials``) and truncations elsewhere (``normalize``).
+backing gives the Taylor coefficients of xi and gamma' in vhat = v - v0
+as coefficient arrays, computed by series arithmetic in one variable
+(jets.series_product and its kin).  A backed surface follows gamma and xi
+along one Taylor path in v (numerics.TaylorPath): the block at each node
+is the backing's arrays there, gamma' integrated from the node's gamma(v)
+with xi beside it.  Only ``local_ruling`` and the constructors
+(``_backed``) make jets of the arrays, so a backed surface expands exactly
+around any point of the chart; unbacked surfaces are their polynomial
+jets, exact where those are the surface (``from_polynomials``) and
+truncations elsewhere (``normalize``).
 
 gamma and xi depend on v alone, so evaluation goes one v column at a
 time: ``grid`` takes one path value per column and broadcasts it over
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .invariants import _det3
-from .jets import Jet2, Jet3, vpoly
+from .jets import Jet2, Jet3, series_product, vpoly
 from .numerics import TAYLOR_ORDER, TaylorPath
 from .surface import SurfaceMap
 
@@ -76,10 +80,11 @@ class SphericalFrame(Protocol):
 
 
 class RulingBacking(Protocol):
-    """Exact data behind a ruled surface: the jets of xi (to order) and
-    gamma' (to order - 1) around v = v0."""
+    """Exact data behind a ruled surface: the Taylor coefficients in
+    vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows), one
+    3-vector per power of vhat."""
 
-    def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]: ...
+    def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -98,16 +103,14 @@ class _FrameBacking:
     curve: SphericalFrame
     coeffs: FrameCoefficients
 
-    def ruling_series(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
-        xi, xid, nu = (
-            Jet3(*(vpoly(X[:, i], order) for i in range(3)))
-            for X in self.curve.series_at(v0, order)
+    def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+        frame = self.curve.series_at(v0, order)
+        coeffs = (self.coeffs.a, self.coeffs.b, self.coeffs.c)
+        gp = sum(
+            series_product(X, p.shifted_origin(0.0, v0).c[0], order - 1)
+            for X, p in zip(frame, coeffs)
         )
-        a, b, c = (
-            p.shifted_origin(0.0, v0).truncated(order)
-            for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c)
-        )
-        return xi, (xi * a + xid * b + nu * c).truncated(order - 1)
+        return frame[0], gp
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,8 @@ class RuledSurface:
             return self.gamma.truncated(order), self.xi.truncated(order)
         if self.backing is not None:
             xi, gp = self.backing.ruling_series(v0, order)
-            gamma = gp.integrate_v() + Jet3.constant_vector(self._path.state(v0)[:3], order)
-            return gamma.truncated(order), xi
+            gamma = _integrated(gp, self._path.state(v0)[:3])
+            return _vjet3(gamma, order), _vjet3(xi, order)
         return tuple(j.shifted_origin(0.0, v0).truncated(order) for j in (self.gamma, self.xi))
 
     def local_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
@@ -177,9 +180,20 @@ class RuledSurface:
 def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:
     """Taylor coefficients of (gamma, xi) around v0, with gamma(v0) = y[:3]."""
     xi, gp = backing.ruling_series(v0, TAYLOR_ORDER)
-    block = np.array([j.c[0] for j in (*gp.integrate_v().components(), *xi.components())]).T
-    block[0, :3] += y[:3]
-    return block
+    return np.hstack([_integrated(gp, y[:3]), xi])
+
+
+def _integrated(gp: np.ndarray, gamma0) -> np.ndarray:
+    """Coefficients of gamma from those of gamma' and the value gamma0."""
+    gamma = np.empty((len(gp) + 1, 3))
+    gamma[0] = gamma0
+    gamma[1:] = gp / np.arange(1, len(gp) + 1)[:, None]
+    return gamma
+
+
+def _vjet3(rows: np.ndarray, order: int) -> Jet3:
+    """The jet in v of a vector series, one 3-vector per power of v."""
+    return Jet3(*(vpoly(rows[:, i], order) for i in range(3)))
 
 
 # ----------------------------------------------------------------------
@@ -195,16 +209,14 @@ def from_polynomials(
     g = np.asarray(gamma, dtype=float).reshape(-1, 3)
     x = np.asarray(xi, dtype=float).reshape(-1, 3)
     order = max(order, g.shape[0] - 1, x.shape[0] - 1)
-    return RuledSurface(
-        gamma=Jet3(*(vpoly(g[:, i], order) for i in range(3))),
-        xi=Jet3(*(vpoly(x[:, i], order) for i in range(3))),
-    )
+    return RuledSurface(gamma=_vjet3(g, order), xi=_vjet3(x, order))
 
 
 def _backed(backing: RulingBacking, order: int) -> RuledSurface:
     """The surface through the origin with the backing's series at v = 0."""
     xi, gp = backing.ruling_series(0.0, order)
-    return RuledSurface(gamma=gp.integrate_v().truncated(order), xi=xi, backing=backing)
+    gamma = _integrated(gp, 0.0)
+    return RuledSurface(gamma=_vjet3(gamma, order), xi=_vjet3(xi, order), backing=backing)
 
 
 def from_frame(

@@ -325,9 +325,14 @@ def test_asymptotics_json_and_text(tmp_path, capsys):
         ("deform", FAMILY_SPEC, ["--kappas=,"]),
         ("asymptotics", quadratic_spec(), ["--theta=,"]),
         ("asymptotics", quadratic_spec(), ["--radii=,"]),
+        ("asymptotics", quadratic_spec(), ["--theta="]),
+        ("asymptotics", quadratic_spec(), ["--radii="]),
         ("mesh", quadratic_spec(), ["--resolution", "0"]),
     ],
-    ids=["deform-kind", "classify-kind", "kappas-empty", "theta-empty", "radii-empty", "resolution-0"],
+    ids=[
+        "deform-kind", "classify-kind", "kappas-empty", "theta-empty", "radii-empty",
+        "theta-blank", "radii-blank", "resolution-0",
+    ],
 )
 def test_unusable_spec_or_flag_is_one_spec_error_line(tmp_path, capsys, command, doc, flags):
     out = ["--out", str(tmp_path / "x.obj")] if command == "mesh" else []

@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosscap import Jet2, Jet3, JetDomainError, SingularJetError
-from crosscap.jets import upoly, vpoly
+from crosscap.jets import (
+    series_compose,
+    series_cross,
+    series_power,
+    series_product,
+    upoly,
+    vpoly,
+)
 
 from helpers import random_rotation
 
@@ -373,3 +380,48 @@ def test_jet3_evaluation_and_partials():
     assert np.allclose(f(0.5, 0.25), [0.5, 0.125, 0.0625])
     assert np.allclose(f.partial_vector(0, 2), [0.0, 0.0, 2.0])
     assert f.order == 4
+
+
+def test_series_in_one_variable_match_jets(rng):
+    # the coefficient-array series agree with the same operations on jets
+    # in v alone, including a vector series times a scalar one
+    n = 12
+    a = rng.uniform(-1.0, 1.0, n + 1)
+    a[0] = 1.5
+    b = rng.uniform(-1.0, 1.0, n + 1)
+    X = rng.uniform(-1.0, 1.0, (n + 1, 3))
+    Y = rng.uniform(-1.0, 1.0, (n + 1, 3))
+    jet_a, jet_b = vpoly(a, n), vpoly(b, n)
+    jx, jy = (Jet3(*(vpoly(Z[:, i], n) for i in range(3))) for Z in (X, Y))
+
+    def rows(j3):
+        return np.array([c.c[0] for c in j3.components()]).T
+
+    assert np.max(np.abs(series_product(a, b, n) - (jet_a * jet_b).c[0])) <= 1e-14
+    assert np.max(np.abs(series_product(X, b, n) - rows(jx * jet_b))) <= 1e-14
+    assert np.max(np.abs(series_cross(X, Y, n) - rows(jx.cross(jy)))) <= 1e-14
+    assert np.max(np.abs(series_power(a, 0.5, n) - jet_a.sqrt().c[0])) <= 1e-12
+    assert np.max(np.abs(series_power(a, -1.0, n) - jet_a.recip().c[0])) <= 1e-12
+    h = b.copy()
+    h[0] = 0.0
+    composed = jx.compose(Jet2.zero(n), vpoly(h, n))
+    assert np.max(np.abs(series_compose(X, h, n) - rows(composed))) <= 1e-13
+    # short operands are zero beyond their last coefficient
+    assert np.array_equal(series_product([2.0], [1.0, 3.0], 3), [2.0, 6.0, 0.0, 0.0])
+    assert np.allclose(series_power([1.0, 2.0, 1.0], 0.5, 4), [1.0, 1.0, 0.0, 0.0, 0.0])
+
+
+def test_series_refuse_bad_input_and_report_overflow():
+    with pytest.raises(SingularJetError):
+        series_power([0.0, 1.0], 0.5, 3)
+    with pytest.raises(SingularJetError):
+        series_power([-1.0, 1.0], -1.0, 3)
+    with pytest.raises(JetDomainError):
+        series_compose(np.ones((3, 3)), [1.0, 1.0], 2)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            series_product([1e200, 1.0], [1e200, 1.0], 2)
+        with pytest.raises(FloatingPointError):
+            series_compose([0.0, 0.0, 1.0], [0.0, 1e200], 2)
+        # the coefficient that would overflow lies past the truncation
+        assert series_product([0.0, 1e200], [0.0, 1e200], 1).tolist() == [0.0, 0.0]

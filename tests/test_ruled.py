@@ -11,6 +11,7 @@ from crosscap import (
     SingularPointError,
     curvatures_at,
     deformation_family,
+    jets,
     reduce_to_normal_form,
     ruled,
     verify_isometry,
@@ -335,3 +336,80 @@ def test_quadrature_runs_once_per_column(monkeypatch, tmp_path):
     write_obj(f, str(tmp_path / "again.obj"), 6)
     assert verify_isometry(f, g, grid=(5, 4)).passed
     assert len(grown) == nodes
+
+
+def _rows(jet: Jet3) -> np.ndarray:
+    return np.array([comp.c[0] for comp in jet.components()]).T
+
+
+def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
+    # the member's xi and gamma' as bivariate jet algebra, term by term the
+    # formulas of the module docstring
+    m = fam.m
+    w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
+    shat = (w2.recip() * math.sqrt(m)).integrate_v().truncated(order)
+    C, _, _ = fam.curve.series_at(fam.arc_parameter(v0), order)
+    chat = Jet3(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
+    xi = chat * w2.sqrt()
+    xi_d = xi.deriv_v()
+    B = xi.truncated(order - 1).cross(xi_d) + xi_d * fam.a11
+    return xi, B * vpoly([v0, 1.0], order - 1) * (fam.a02 / m)
+
+
+def _frame_series_by_jets(backing, v0: float, order: int) -> tuple[Jet3, Jet3]:
+    # gamma' = a xi + b xi' + c (xi x xi') as bivariate jet algebra
+    xi, xid, nu = (
+        Jet3(*(vpoly(X[:, i], order) for i in range(3)))
+        for X in backing.curve.series_at(v0, order)
+    )
+    a, b, c = (
+        p.shifted_origin(0.0, v0).truncated(order)
+        for p in (backing.coeffs.a, backing.coeffs.b, backing.coeffs.c)
+    )
+    return xi, (xi * a + xid * b + nu * c).truncated(order - 1)
+
+
+def test_ruling_series_arrays_match_jet_algebra():
+    members = [deformation_family(1.3, -0.4, 0.8), deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))]
+    cases = []
+    for fam in members:
+        cases.append((fam, _family_series_by_jets))
+        frame = from_frame(fam.curve, a=[0.4, -0.2, 0.1], b=0.3, c=[0.0, 0.5], order=8)
+        cases.append((frame.backing, _frame_series_by_jets))
+        fc = frame_coefficients(normalize(from_deformation(fam, order=8)))
+        cases.append((redeploy(fc, circle_family(0.6), order=8).backing, _frame_series_by_jets))
+    for backing, by_jets in cases:
+        for v0 in (0.0, -0.55, 0.3, 0.9):
+            for order in (2, 3, 8, 20):
+                xi, gp = backing.ruling_series(v0, order)
+                assert xi.shape == (order + 1, 3) and gp.shape == (order, 3)
+                for got, jet in zip((xi, gp), by_jets(backing, v0, order)):
+                    want = _rows(jet)
+                    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_directrix_path_grows_without_jet_algebra(monkeypatch, tmp_path):
+    # growing a backed member's Taylor path is series arithmetic in v alone:
+    # no bivariate product, square root, reciprocal or composition
+    frame = from_frame(SphericalCurve(kappa_poly=(0.5, -1.0)), a=[0.4, -0.2], b=0.3, c=0.1)
+    surfaces = [
+        build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))),
+        frame.as_surface_map(),
+    ]
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((Jet2, "__mul__"), (Jet2, "sqrt"), (Jet2, "recip"), (jets, "_compose")):
+        counting(owner, name)
+    for i, f in enumerate(surfaces):
+        write_obj(f, str(tmp_path / f"{i}.obj"), 16)
+        assert len(f.ruling._path._nodes[1][0]) > 2
+    assert calls == []

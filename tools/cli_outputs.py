@@ -1,6 +1,8 @@
-"""Write the output of every crosscap command on fixed specs to a directory.
+"""Write the output of every crosscap command on fixed specs to a directory,
+or compare two such directories number by number.
 
     python tools/cli_outputs.py ROOT OUTDIR
+    python tools/cli_outputs.py --compare OUT_A OUT_B
 
 imports crosscap from ROOT/src and runs each command through
 ``cli.main`` inside OUTDIR, with relative paths, so that two checkouts
@@ -13,6 +15,12 @@ give byte-identical trees exactly when their outputs agree:
 For each run, ``NAME.txt`` holds its stdout and ``NAME.json`` or
 ``NAME.obj`` the file written with ``--out``; ``status.txt`` lists each
 run's exit code and stderr.
+
+``--compare`` prints, for each file that differs between two trees, how
+many numbers changed and the worst relative change |a - b| / max(|a|, |b|);
+numbers below TINY on both sides are round-off residuals, and their
+largest absolute change is printed instead.  It exits 1 if anything other
+than numbers differs: a word, a layout, a file present in one tree only.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -64,7 +73,60 @@ def runs(name: str, doc: dict) -> dict[str, list[str]]:
     return out
 
 
+# a number that is not part of a name such as a02 or r2K
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+# numbers below this size on both sides are round-off residuals (a normal
+# form residual, a metric deviation): their change is reported absolutely
+TINY = 1e-12
+
+
+def _describe(changed: list[tuple[str, str]]) -> str:
+    values = [(x, y, float(x), float(y)) for x, y in changed]
+    tiny = [abs(a - b) for _, _, a, b in values if max(abs(a), abs(b)) < TINY]
+    sized = [
+        (abs(a - b) / max(abs(a), abs(b)), x, y)
+        for x, y, a, b in values
+        if max(abs(a), abs(b)) >= TINY
+    ]
+    parts = [f"{len(changed)} numbers changed"]
+    if sized:
+        worst, x, y = max(sized)
+        parts.append(f"worst relative change {worst:.2g} ({x} -> {y})")
+    if tiny:
+        parts.append(f"{len(tiny)} below {TINY:g} changed by at most {max(tiny):.2g}")
+    return ", ".join(parts)
+
+
+def compare(tree_a: str, tree_b: str) -> int:
+    """Report numeric changes file by file; 1 if any other text differs."""
+    a_dir, b_dir = Path(tree_a), Path(tree_b)
+    names = sorted(
+        {p.relative_to(d).as_posix() for d in (a_dir, b_dir) for p in d.rglob("*") if p.is_file()}
+    )
+    text_differs = False
+    for name in names:
+        pa, pb = a_dir / name, b_dir / name
+        if not (pa.is_file() and pb.is_file()):
+            print(f"{name}: only in {tree_a if pa.is_file() else tree_b}")
+            text_differs = True
+            continue
+        ta, tb = pa.read_text(encoding="utf-8"), pb.read_text(encoding="utf-8")
+        if ta == tb:
+            continue
+        if NUMBER.split(ta) != NUMBER.split(tb):
+            print(f"{name}: text differs")
+            text_differs = True
+            continue
+        changed = [(x, y) for x, y in zip(NUMBER.findall(ta), NUMBER.findall(tb)) if x != y]
+        print(f"{name}: {_describe(changed)}")
+    return 1 if text_differs else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import CrosscapError, MetricError
 from .jets import Jet2
 from .normalform import NormalForm
 from .surface import DEFAULT_TOL, FundamentalForms, SurfaceMap, origin_derivatives, require_crosscap
@@ -76,17 +76,23 @@ def intrinsic_from_map(f: SurfaceMap, tol: float = DEFAULT_TOL) -> IntrinsicTrip
         # admissible flip (u,v) -> (-u,-v)
         fu = -fu
         delta = -delta
-    nu_fu = float(np.linalg.norm(fu))
-    cross = np.cross(fu, fvv)
-    nc = float(np.linalg.norm(cross))
-    d2 = delta * delta
-    a02 = nu_fu * nc**3 / d2
-    br_uu_vv = _det3([fu, fuu, fvv])
-    br_uv_uu = _det3([fu, fuv, fuu])
-    a20 = nc / (4.0 * nu_fu**3 * d2) * (br_uu_vv**2 + 4.0 * delta * br_uv_uu)
-    gram = (fu @ fu) * (fvv @ fuv) - (fu @ fuv) * (fvv @ fu)
-    a11 = (2.0 * delta * gram - nc**2 * br_uu_vv) / (2.0 * nu_fu * d2)
-    return IntrinsicTriple(a02=float(a02), a20=float(a20), a11=float(a11), delta_sq=float(d2))
+    # numpy scalars, whose powers overflow to inf where Python floats raise
+    nu_fu = np.linalg.norm(fu)
+    nc = np.linalg.norm(np.cross(fu, fvv))
+    with np.errstate(all="ignore"):
+        d2 = delta * delta
+        a02 = nu_fu * nc**3 / d2
+        br_uu_vv = _det3([fu, fuu, fvv])
+        br_uv_uu = _det3([fu, fuv, fuu])
+        a20 = nc / (4.0 * nu_fu**3 * d2) * (br_uu_vv**2 + 4.0 * delta * br_uv_uu)
+        gram = (fu @ fu) * (fvv @ fuv) - (fu @ fuv) * (fvv @ fu)
+        a11 = (2.0 * delta * gram - nc**2 * br_uu_vv) / (2.0 * nu_fu * d2)
+    fields = {"delta_sq": d2, "a02": a02, "a20": a20, "a11": a11}
+    for name, value in fields.items():
+        # a02 > 0 at a cross cap, so a02 = 0 underflowed
+        if not np.isfinite(value) or (name == "a02" and value <= 0.0):
+            raise CrosscapError(f"map route gives {name} = {value}, out of floating point range")
+    return IntrinsicTriple(**{name: float(value) for name, value in fields.items()})
 
 
 def intrinsic_from_metric(forms: FundamentalForms, tol: float = ROUTE_TOL) -> IntrinsicTriple:

@@ -5,8 +5,8 @@ A :class:`Jet2` stores the coefficients c[j,k] of a polynomial
     p(u, v) = sum_{j+k <= order} c[j,k] u^j v^k
 
 in a dense triangular table and supports the ring operations plus the
-composition, square root, reciprocal and calculus operations needed for
-normal-form reductions of surface germs.  Coefficients are monomial
+composition, square root, reciprocal, derivative and recentring
+operations of normal-form reductions.  Coefficients are monomial
 coefficients, not derivative values; the (j,k) partial derivative at the
 origin is ``c[j,k] * j! * k!`` and is exposed as :meth:`Jet2.partial`.
 
@@ -35,8 +35,8 @@ take and return its coefficient array (a vector series has one 3-vector
 row per power of t) and truncate to the first n + 1 coefficients.  The
 product is one lower triangular (Toeplitz) matrix product, which also
 serves Jet2 products of two series in v alone; powers such as square
-roots and reciprocals follow a coefficient recurrence, and composition
-is one matrix of powers of the inner series.
+roots and reciprocals follow a coefficient recurrence, composition is
+one matrix of powers of the inner series, and a shift is one product with V.
 """
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ __all__ = [
     "series_cross",
     "series_power",
     "series_compose",
+    "series_shift",
 ]
 
 
@@ -151,6 +152,19 @@ def series_compose(c, h, n: int) -> np.ndarray:
         powers[k] = times_h @ powers[k - 1]
     # an overflowing power leaves inf or nan in the result
     return _checked(powers.T @ c, c, h)
+
+
+def series_shift(c, t0: float, n: int | None = None) -> np.ndarray:
+    """The first n + 1 coefficients of c(t0 + t), zero past the series (all
+    when n is None); c may be a vector series."""
+    c = np.asarray(c, dtype=float)
+    binom, expo = _binomials(len(c) - 1)
+    out = (binom * t0**expo).T @ c
+    if n is None:
+        return out
+    kept = np.zeros((n + 1,) + out.shape[1:])
+    kept[: len(out)] = out[: n + 1]
+    return kept
 
 
 def _product(a: np.ndarray, b: np.ndarray, n: int) -> "Jet2":
@@ -368,13 +382,6 @@ class Jet2:
             raise JetDomainError("cannot differentiate an order-0 jet")
         return Jet2(n, self.c[: n + 1, 1:] * np.arange(1, n + 2))
 
-    def integrate_v(self) -> "Jet2":
-        """Termwise integral from 0 in v; the order grows by one."""
-        n = self.order + 1
-        out = np.zeros((n + 1, n + 1))
-        out[:n, 1:] = self.c / np.arange(1, n + 1)
-        return Jet2(n, out)
-
     # ------------------------------------------------------------------
     # evaluation and recentering
     def truncated(self, order: int) -> "Jet2":
@@ -481,9 +488,6 @@ class Jet3:
 
     def deriv_v(self) -> "Jet3":
         return Jet3(self.x.deriv_v(), self.y.deriv_v(), self.z.deriv_v())
-
-    def integrate_v(self) -> "Jet3":
-        return Jet3(self.x.integrate_v(), self.y.integrate_v(), self.z.integrate_v())
 
     def compose(self, g: Jet2, h: Jet2) -> "Jet3":
         # one call, so the components share the powers of h

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import Jet2, vpoly
+from .jets import series_shift
 
 SIMPSON_TOL = 1e-12
 TAYLOR_ORDER = 20
@@ -131,9 +131,8 @@ class TaylorPath:
         return (t - sign * starts[idx]) ** _POWERS @ blocks[idx]
 
 
-def _frame_block(kappa: Jet2, s0: float, y: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
-    kap = kappa.shifted_origin(0.0, s0).c[0]
-    return np.hstack(frenet_series(kap, y[0:3], y[3:6], order))
+def _frame_block(kappa: Sequence[float], s0: float, y: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
+    return np.hstack(frenet_series(series_shift(kappa, s0), y[0:3], y[3:6], order))
 
 
 class FrenetPath(TaylorPath):
@@ -145,9 +144,8 @@ class FrenetPath(TaylorPath):
     """
 
     def __init__(self, kappa_poly: Sequence[float], point0: np.ndarray, tangent0: np.ndarray):
-        kappa = vpoly(kappa_poly, len(kappa_poly) - 1)
         y0 = np.concatenate([point0, tangent0])
-        super().__init__(partial(_frame_block, kappa), y0, "curvature too large near arc length")
+        super().__init__(partial(_frame_block, kappa_poly), y0, "curvature too large near arc length")
 
     def series(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Taylor coefficients of (c, e, n) around s0, kappa recentred there."""

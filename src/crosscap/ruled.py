@@ -22,25 +22,26 @@ the cuspidal edge / swallowtail / cuspidal cross cap trichotomy, and the
 criteria being sufficient conditions only, anything failing every test
 is reported as unclassified rather than guessed.
 
-Every surface can be backed (see RulingBacking) by exact series data:
-a spherical curve plus frame coefficients (``redeploy`` and ``from_frame``)
-or an isometric deformation family member (``from_deformation``).  A
-backing gives the Taylor coefficients of xi and gamma' in vhat = v - v0
-as coefficient arrays, computed by series arithmetic in one variable
-(jets.series_product and its kin).  A backed surface follows gamma and xi
-along one Taylor path in v (numerics.TaylorPath): the block at each node
-is the backing's arrays there, gamma' integrated from the node's gamma(v)
-with xi beside it.  Only ``local_ruling`` and the constructors
-(``_backed``) make jets of the arrays, so a backed surface expands exactly
-around any point of the chart; unbacked surfaces are their polynomial
-jets, exact where those are the surface (``from_polynomials``) and
-truncations elsewhere (``normalize``).
+Series in v alone are coefficient arrays, one row per power of v, and
+all of the above is series arithmetic in one variable (jets.series_product
+and its kin); FrameCoefficients holds them, and the arc length chart of
+``normalize`` is a series reversion.  RuledSurface keeps gamma and xi as
+jets in v for SurfaceMap.  A surface can be backed (see RulingBacking)
+by exact data: a spherical curve plus frame coefficients (``redeploy``,
+``from_frame``) or a deformation family member (``from_deformation``),
+which give the Taylor coefficients of xi and gamma' around any v0.  A
+backed surface follows gamma and xi along one Taylor path in v
+(numerics.TaylorPath) whose block at each node is the backing's arrays
+there, so it expands exactly around any point of the chart; unbacked
+surfaces are their polynomial jets, exact where those are the surface
+(``from_polynomials``) and truncations elsewhere (``normalize``).
 
 gamma and xi depend on v alone, so evaluation goes one v column at a
 time: ``grid`` takes one path value per column and broadcasts it over
-u, and ``local_jets`` expands every u0 of a column from one local ruling
-around v0.  Node positions depend only on the backing, so a column's
-values do not depend on which other columns are evaluated.
+u, and ``local_jets`` writes the jet at every u0 of a column from one
+expansion of (gamma, xi) around v0.  Node positions depend only on the
+backing, so a column's values do not depend on which other columns are
+evaluated.
 """
 from __future__ import annotations
 
@@ -50,9 +51,10 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import JetDomainError, SingularPointError
 from .invariants import _det3
-from .jets import Jet2, Jet3, series_product, vpoly
+from .jets import Jet2, Jet3, series_compose, series_cross, series_power, series_product
+from .jets import series_shift, vpoly
 from .numerics import TAYLOR_ORDER, TaylorPath
 from .surface import SurfaceMap
 
@@ -89,11 +91,11 @@ class RulingBacking(Protocol):
 
 @dataclass(frozen=True)
 class FrameCoefficients:
-    """Coordinates of gamma' in the frame (xi, xi', xi x xi')."""
+    """Coefficient arrays in v of gamma' in the frame (xi, xi', xi x xi')."""
 
-    a: Jet2
-    b: Jet2
-    c: Jet2
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,8 @@ class _FrameBacking:
 
     def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         frame = self.curve.series_at(v0, order)
-        coeffs = (self.coeffs.a, self.coeffs.b, self.coeffs.c)
-        gp = sum(
-            series_product(X, p.shifted_origin(0.0, v0).c[0], order - 1)
-            for X, p in zip(frame, coeffs)
-        )
-        return frame[0], gp
+        coeffs = [series_shift(p, v0) for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c)]
+        return frame[0], _directrix_derivative(frame, coeffs, order - 1)
 
 
 @dataclass(frozen=True)
@@ -147,30 +145,22 @@ class RuledSurface:
         refusal = "directrix series does not converge near v ="
         return TaylorPath(block, self.gamma.coeff_vector(0, 0), refusal)
 
-    def local_ruling(self, v0: float, order: int) -> tuple[Jet3, Jet3]:
-        """Jets of (gamma, xi) around v = v0, exact for backed surfaces."""
-        if v0 == 0.0 and order <= self.order:
-            return self.gamma.truncated(order), self.xi.truncated(order)
-        if self.backing is not None:
-            xi, gp = self.backing.ruling_series(v0, order)
-            gamma = _integrated(gp, self._path.state(v0)[:3])
-            return _vjet3(gamma, order), _vjet3(xi, order)
-        return tuple(j.shifted_origin(0.0, v0).truncated(order) for j in (self.gamma, self.xi))
-
     def local_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
         """Taylor jets of gamma(v) + u xi(v) recentered at each (u0, v0),
-        u0 in us, from one local ruling of the column v = v0."""
-        gl, xl = self.local_ruling(v0, order + 1)
-        u = Jet2.variable("u", order + 1)
-        jets = []
-        for u0 in us:
-            ul = u + u0
-            jets.append((gl + xl * ul).truncated(order))
-        return jets
-
-    def local_jet(self, u0: float, v0: float, order: int) -> Jet3:
-        """Taylor jet of gamma(v) + u xi(v) recentered at (u0, v0)."""
-        return self.local_jets([u0], v0, order)[0]
+        u0 in us: row 0 of each table is gamma + u0 xi around v0 and row 1
+        is xi, from one expansion of the column, exact for backed surfaces."""
+        if v0 == 0.0 and order <= self.order:
+            gamma, xi = _rows(self.gamma), _rows(self.xi)
+        elif self.backing is not None:
+            xi, gp = self.backing.ruling_series(v0, order)
+            gamma = _integrated(gp, self._path.state(v0)[:3])
+        else:
+            gamma, xi = (series_shift(_rows(j), v0, order) for j in (self.gamma, self.xi))
+        n = order + 1
+        tables = np.zeros((len(us), 3, n, n))
+        tables[:, :, 0] = (gamma[:n] + np.multiply.outer(us, xi[:n])).transpose(0, 2, 1)
+        tables[:, :, 1:2, :order] = xi[:order].T[:, None]
+        return [Jet3(*(Jet2(order, t) for t in table)) for table in tables]
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)
@@ -183,17 +173,44 @@ def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.nda
     return np.hstack([_integrated(gp, y[:3]), xi])
 
 
-def _integrated(gp: np.ndarray, gamma0) -> np.ndarray:
-    """Coefficients of gamma from those of gamma' and the value gamma0."""
-    gamma = np.empty((len(gp) + 1, 3))
-    gamma[0] = gamma0
-    gamma[1:] = gp / np.arange(1, len(gp) + 1)[:, None]
-    return gamma
+def _integrated(dx: np.ndarray, x0) -> np.ndarray:
+    """Coefficients of a series x from those of x' and the value x0."""
+    x = np.empty((len(dx) + 1,) + dx.shape[1:])
+    x[0] = x0
+    x[1:] = (dx.T / np.arange(1, len(dx) + 1)).T
+    return x
+
+
+def _derivative(x: np.ndarray) -> np.ndarray:
+    """Coefficients of x' from those of a series x."""
+    return (x[1:].T * np.arange(1, len(x))).T
 
 
 def _vjet3(rows: np.ndarray, order: int) -> Jet3:
     """The jet in v of a vector series, one 3-vector per power of v."""
     return Jet3(*(vpoly(rows[:, i], order) for i in range(3)))
+
+
+def _rows(jet: Jet3) -> np.ndarray:
+    """The vector series of a jet in v alone, one 3-vector per power of v."""
+    return np.stack([comp.c[0] for comp in jet.components()], axis=1)
+
+
+def _dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """First n + 1 coefficients of x(v) . y(v) for vector series."""
+    return sum(series_product(x[:, i], y[:, i], n) for i in range(3))
+
+
+def _frame(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, xi', xi x xi'), each to one order below xi."""
+    xid = _derivative(xi)
+    n = len(xid) - 1
+    return xi[: n + 1], xid, series_cross(xi[: n + 1], xid, n)
+
+
+def _directrix_derivative(frame, coeffs, n: int) -> np.ndarray:
+    """First n + 1 coefficients of a xi + b xi' + c (xi x xi')."""
+    return sum(series_product(X, p, n) for X, p in zip(frame, coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -227,14 +244,8 @@ def from_frame(
     order: int = 8,
 ) -> RuledSurface:
     """Ruled surface from a unit-speed spherical ruling and polynomial frame
-    coefficients of the directrix derivative."""
-
-    def as_jet(p) -> Jet2:
-        if isinstance(p, (int, float)):
-            return Jet2.constant(float(p), order)
-        return vpoly(p, order)
-
-    fc = FrameCoefficients(a=as_jet(a), b=as_jet(b), c=as_jet(c))
+    coefficients of the directrix derivative, kept to degree order."""
+    fc = FrameCoefficients(*(np.array(p, dtype=float, ndmin=1)[: order + 1] for p in (a, b, c)))
     return _backed(_FrameBacking(curve, fc), order)
 
 
@@ -248,29 +259,26 @@ def from_deformation(fam: RulingBacking, order: int = 8) -> RuledSurface:
 # normalization
 
 def is_normalized(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> bool:
-    one = Jet2.constant(1.0, rs.xi.order)
-    if rs.xi.dot(rs.xi).max_coeff_diff(one) > tol:
-        return False
-    xid = rs.xi.deriv_v()
-    return xid.dot(xid).max_coeff_diff(Jet2.constant(1.0, xid.order)) <= tol
+    """|xi|^2 = |xi'|^2 = 1 to within tol in every coefficient."""
+    xi = _rows(rs.xi)
+    devs = (_dot(x, x, len(x) - 1) - np.eye(1, len(x))[0] for x in (xi, _derivative(xi)))
+    return all(np.max(np.abs(dev)) <= tol for dev in devs)
 
 
-def _invert_series(sigma: Jet2) -> Jet2:
-    """Compositional inverse of a v-series with zero constant term."""
-    n = sigma.order
-    s1 = sigma.coeff(0, 1)
-    if s1 == 0.0:
-        raise SingularPointError("series has no linear term; not invertible")
-    v = Jet2.variable("v", n)
-    tail = sigma - v * s1
-    w = v * (1.0 / s1)
+def _reverted(sigma: np.ndarray) -> np.ndarray:
+    """w with sigma(w(t)) = t for sigma(0) = 0 < sigma'(0), by the fixed
+    point w = (t - tail(w)) / sigma'(0), which gains one coefficient a step."""
+    n, s1 = len(sigma) - 1, sigma[1]
+    t = np.eye(1, n + 1, 1)[0]
+    tail = sigma - s1 * t
+    w = t / s1
     for _ in range(n):
-        w = (v - tail.compose(Jet2.zero(n), w)) * (1.0 / s1)
+        w = (t - series_compose(tail, w, n)) / s1
     return w
 
 
 def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
-    """Equivalent surface with |xi| = 1 and |xi'| = 1 as jet identities.
+    """Equivalent surface with |xi| = 1 and |xi'| = 1 as series identities.
 
     Rescales u pointwise by |xi(v)| and reparametrizes v by the arc
     length of the unit ruling.  Requires xi(0) != 0 and xi'(0) != 0
@@ -279,21 +287,20 @@ def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
     """
     if is_normalized(rs, tol):
         return rs
-    n2 = rs.xi.dot(rs.xi)
-    if n2.coeff(0, 0) <= 0.0:
+    xi = _rows(rs.xi)
+    n = len(xi) - 1
+    n2 = _dot(xi, xi, n)
+    if n2[0] <= 0.0:
         raise SingularPointError("ruling vanishes at v = 0")
-    xi1 = rs.xi * n2.sqrt().recip()
-    d = xi1.deriv_v()
-    speed2 = d.dot(d)
-    if speed2.coeff(0, 0) <= tol * tol:
+    xi1 = series_product(xi, series_power(n2, -0.5, n), n)
+    d = _derivative(xi1)
+    speed2 = _dot(d, d, n - 1)
+    if speed2[0] <= tol * tol:
         raise SingularPointError("ruling direction is stationary at v = 0")
-    sigma = speed2.sqrt().integrate_v()
-    w = _invert_series(sigma)
-    zero = Jet2.zero(w.order)
-    return RuledSurface(
-        gamma=rs.gamma.compose(zero, w),
-        xi=xi1.compose(zero, w),
-    )
+    w = _reverted(_integrated(series_power(speed2, 0.5, n - 1), 0.0))
+    m = min(rs.gamma.order, n)
+    gamma = series_compose(_rows(rs.gamma), w, m)
+    return RuledSurface(gamma=_vjet3(gamma, m), xi=_vjet3(series_compose(xi1, w, n), n))
 
 
 # ----------------------------------------------------------------------
@@ -303,19 +310,18 @@ def frame_coefficients(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> FrameCo
     """Project gamma' onto the orthonormal frame (xi, xi', xi x xi')."""
     if not is_normalized(rs, tol):
         raise ValueError("frame coefficients need a normalized ruled surface")
-    xi = rs.xi
-    xid = xi.deriv_v()
-    xit = xi.truncated(xid.order)
-    nu = xit.cross(xid)
-    gp = rs.gamma.deriv_v()
-    return FrameCoefficients(a=gp.dot(xit), b=gp.dot(xid), c=gp.dot(nu))
+    frame = _frame(_rows(rs.xi))
+    gp = _derivative(_rows(rs.gamma))
+    n = min(len(gp), len(frame[0])) - 1
+    return FrameCoefficients(*(_dot(gp, X, n) for X in frame))
 
 
-def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> Jet3:
-    """a xi + b xi' + c (xi x xi'), for checking against gamma'."""
-    xid = rs.xi.deriv_v()
-    xit = rs.xi.truncated(xid.order)
-    return xit * fc.a + xid * fc.b + xit.cross(xid) * fc.c
+def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> np.ndarray:
+    """Coefficients of a xi + b xi' + c (xi x xi'), for checking against
+    gamma', to the lowest order of fc and xi'."""
+    frame = _frame(_rows(rs.xi))
+    n = min(len(frame[0]), len(fc.a), len(fc.b), len(fc.c)) - 1
+    return _directrix_derivative(frame, (fc.a, fc.b, fc.c), n)
 
 
 def redeploy(
@@ -326,14 +332,14 @@ def redeploy(
 ) -> RuledSurface:
     """Ruled surface with the same frame coefficients along a new unit-speed
     spherical ruling; isometric to any other surface sharing (a, b, c)."""
-    n = order if order is not None else fc.a.order + 1
+    n = order if order is not None else len(fc.a)
     if not isinstance(new_xi, Jet3):
         return _backed(_FrameBacking(new_xi, fc), n)
     probe = RuledSurface(gamma=Jet3.zero(new_xi.order), xi=new_xi)
     if not is_normalized(probe, tol):
         raise ValueError("redeployment ruling must be a unit-speed spherical curve")
-    gp = reconstruct_directrix(fc, probe).truncated(n - 1)
-    return RuledSurface(gamma=gp.integrate_v(), xi=new_xi.truncated(n))
+    gamma = _integrated(reconstruct_directrix(fc, probe)[:n], 0.0)
+    return RuledSurface(gamma=_vjet3(gamma, n), xi=new_xi.truncated(n))
 
 
 # ----------------------------------------------------------------------
@@ -347,38 +353,29 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     then regular; everything else is unclassified (the criteria are
     sufficient, not exhaustive).
     """
-    gp0 = rs.gamma.partial_vector(0, 1)
-    xi0 = rs.xi.coeff_vector(0, 0)
-    xid0 = rs.xi.partial_vector(0, 1)
-    if np.linalg.norm(gp0) <= tol:
-        gpp0 = rs.gamma.partial_vector(0, 2)
-        if abs(_det3([gpp0, xi0, xid0])) > tol:
-            return "cross_cap"
+    if rs.order < 3:
+        raise JetDomainError(f"classification reads jets of order 3, got order {rs.order}")
+    gamma, xi = _rows(rs.gamma), _rows(rs.xi)
+    if np.linalg.norm(gamma[1]) <= tol and abs(_det3([2.0 * gamma[2], xi[0], xi[1]])) > tol:
+        return "cross_cap"
     try:
         rsn = normalize(rs)
         fc = frame_coefficients(rsn)
     except (SingularPointError, ValueError):
         fc = None
-    if fc is not None and fc.b.max_abs() <= tol and fc.c.max_abs() <= tol:
-        a0 = fc.a.coeff(0, 0)
-        a1 = fc.a.partial(0, 1)
-        xi = rsn.xi
-        xid = xi.deriv_v()
-        nu = xi.truncated(xid.order).cross(xid)
-        nu1 = nu.deriv_v()
-        nu2 = nu1.deriv_v()
-        x0 = xi.coeff_vector(0, 0)
-        n0 = nu.coeff_vector(0, 0)
+    if fc is not None and np.max(np.abs(fc.b)) <= tol and np.max(np.abs(fc.c)) <= tol:
+        a0, a1 = fc.a[0], fc.a[1]
+        x, _, nu = _frame(_rows(rsn.xi))
         if (
-            abs(_det3([x0, n0, nu1.coeff_vector(0, 0)])) <= tol
+            abs(_det3([x[0], nu[0], nu[1]])) <= tol
             and abs(a0) > tol
-            and abs(_det3([x0, n0, nu2.coeff_vector(0, 0)])) > tol
+            and abs(_det3([x[0], nu[0], 2.0 * nu[2]])) > tol
         ):
             return "cuspidal_cross_cap"
         if abs(a0) <= tol and abs(a1) > tol:
             return "swallowtail"
         if abs(a0) > tol:
             return "cuspidal_edge"
-    if np.linalg.norm(np.cross(xi0, gp0)) > tol:
+    if np.linalg.norm(np.cross(xi[0], gamma[1])) > tol:
         return "regular"
     return "unclassified"

@@ -33,7 +33,6 @@ from crosscap import (
 )
 from crosscap.deformation import SphericalCurve, circle_family
 from crosscap.invariants import a02_from_height_hessian
-from crosscap.jets import vpoly
 from crosscap.ruled import (
     FrameCoefficients,
     classify_singularity,
@@ -273,9 +272,9 @@ def test_criterion_8_ruled_classification(acceptance, rng):
     metric_dev = 0.0
     for _ in range(10):
         fc = FrameCoefficients(
-            a=vpoly(rng.uniform(-0.5, 0.5, 3), 7),
-            b=vpoly(rng.uniform(-0.5, 0.5, 3), 7),
-            c=vpoly(rng.uniform(-0.5, 0.5, 3), 7),
+            a=rng.uniform(-0.5, 0.5, 3),
+            b=rng.uniform(-0.5, 0.5, 3),
+            c=rng.uniform(-0.5, 0.5, 3),
         )
         forms = [
             first_form(redeploy(fc, curve, order=8).as_surface_map()) for curve in curves

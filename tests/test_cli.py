@@ -126,6 +126,17 @@ def test_overflowing_coefficients_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith("analysis failed")
+    # the map route's quantities overflow: a02 through |f_u x f_vv|^3, and
+    # the squared bracket, which would leave a02 = 0
+    cases = [
+        ("analyze", {"circle_deformation": {"kappa": 1, "a02": 1e150, "a11": 0.5}}, "a02"),
+        ("asymptotics", {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1e200, 0], [0, 2, 0, 0, 0.5]]}, "delta_sq"),
+    ]
+    for command, doc, quantity in cases:
+        assert main([command, write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("analysis failed") and quantity in err
 
 
 def test_immersion_exits_two(tmp_path, capsys):

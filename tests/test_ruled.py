@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from crosscap import (
+    JetDomainError,
     SingularPointError,
     curvatures_at,
+    deformation,
     deformation_family,
     jets,
     reduce_to_normal_form,
@@ -64,11 +66,11 @@ def test_normalize_standard_ruling_is_circle():
 def test_standard_frame_coefficients():
     rsn = normalize(standard_ruled())
     fc = frame_coefficients(rsn)
-    assert fc.a.max_abs() <= 1e-12
-    assert fc.b.max_abs() <= 1e-12
+    assert np.max(np.abs(fc.a)) <= 1e-12
+    assert np.max(np.abs(fc.b)) <= 1e-12
     expect = [0.0, 2.0, 0.0, 8.0 / 3.0, 0.0, 34.0 / 15.0]
     for k, val in enumerate(expect):
-        assert fc.c.coeff(0, k) == pytest.approx(val, abs=1e-12)
+        assert fc.c[k] == pytest.approx(val, abs=1e-12)
 
 
 def test_normalize_is_idempotent():
@@ -99,19 +101,20 @@ def test_frame_coefficients_require_normalized():
 def test_tangent_directrix_coefficients():
     rs = from_frame(circle_family(0.0), a=1.0)
     fc = frame_coefficients(rs)
-    one = Jet2.constant(1.0, fc.a.order)
-    assert fc.a.max_coeff_diff(one) <= 1e-12
-    assert fc.b.max_abs() <= 1e-12
-    assert fc.c.max_abs() <= 1e-12
+    one = np.zeros(len(fc.a))
+    one[0] = 1.0
+    assert np.max(np.abs(fc.a - one)) <= 1e-12
+    assert np.max(np.abs(fc.b)) <= 1e-12
+    assert np.max(np.abs(fc.c)) <= 1e-12
 
 
 def test_reconstruct_directrix_roundtrip():
     rsn = normalize(standard_ruled())
     fc = frame_coefficients(rsn)
     gp = reconstruct_directrix(fc, rsn)
-    direct = rsn.gamma.deriv_v()
-    n = min(gp.order, direct.order)
-    assert gp.truncated(n).max_coeff_diff(direct.truncated(n)) <= 1e-10
+    direct = _rows(rsn.gamma.deriv_v())
+    n = min(len(gp), len(direct))
+    assert np.max(np.abs(gp[:n] - direct[:n])) <= 1e-10
 
 
 def test_classification_exemplars():
@@ -134,6 +137,14 @@ def test_classification_exemplars():
         order=8,
     )
     assert classify_singularity(cone) == "unclassified"
+
+
+def test_classification_refuses_jets_below_order_3():
+    # the cuspidal criteria read nu''(0), a third derivative of the ruling
+    for order in (1, 2):
+        with pytest.raises(JetDomainError):
+            classify_singularity(from_frame(circle_family(0.0), a=1.0, order=order))
+    assert classify_singularity(from_frame(circle_family(0.0), a=1.0, order=3)) == "cuspidal_edge"
 
 
 def test_family_members_classify_as_cross_caps():
@@ -171,9 +182,9 @@ def test_redeploy_preserves_first_form(rng):
 
     for _ in range(4):
         fc = FrameCoefficients(
-            a=vpoly(rng.uniform(-0.5, 0.5, 3), 7),
-            b=vpoly(rng.uniform(-0.5, 0.5, 3), 7),
-            c=vpoly(rng.uniform(-0.5, 0.5, 3), 7),
+            a=rng.uniform(-0.5, 0.5, 3),
+            b=rng.uniform(-0.5, 0.5, 3),
+            c=rng.uniform(-0.5, 0.5, 3),
         )
         forms = [
             first_form(redeploy(fc, curve, order=8).as_surface_map()) for curve in curves
@@ -342,12 +353,20 @@ def _rows(jet: Jet3) -> np.ndarray:
     return np.array([comp.c[0] for comp in jet.components()]).T
 
 
+def _integrate_v(p: Jet2) -> Jet2:
+    # termwise integral from 0 in v; the order grows by one
+    n = p.order + 1
+    out = np.zeros((n + 1, n + 1))
+    out[:n, 1:] = p.c / np.arange(1, n + 1)
+    return Jet2(n, out)
+
+
 def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
     # the member's xi and gamma' as bivariate jet algebra, term by term the
     # formulas of the module docstring
     m = fam.m
     w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
-    shat = (w2.recip() * math.sqrt(m)).integrate_v().truncated(order)
+    shat = _integrate_v(w2.recip() * math.sqrt(m)).truncated(order)
     C, _, _ = fam.curve.series_at(fam.arc_parameter(v0), order)
     chat = Jet3(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
     xi = chat * w2.sqrt()
@@ -363,7 +382,7 @@ def _frame_series_by_jets(backing, v0: float, order: int) -> tuple[Jet3, Jet3]:
         for X in backing.curve.series_at(v0, order)
     )
     a, b, c = (
-        p.shifted_origin(0.0, v0).truncated(order)
+        vpoly(p, len(p) - 1).shifted_origin(0.0, v0).truncated(order)
         for p in (backing.coeffs.a, backing.coeffs.b, backing.coeffs.c)
     )
     return xi, (xi * a + xid * b + nu * c).truncated(order - 1)
@@ -389,13 +408,21 @@ def test_ruling_series_arrays_match_jet_algebra():
 
 
 def test_directrix_path_grows_without_jet_algebra(monkeypatch, tmp_path):
-    # growing a backed member's Taylor path is series arithmetic in v alone:
-    # no bivariate product, square root, reciprocal or composition
+    # growing a backed member's Taylor path, a grid of local jets and the
+    # ruled chain are series arithmetic in v alone: no bivariate product,
+    # square root, reciprocal or composition
     frame = from_frame(SphericalCurve(kappa_poly=(0.5, -1.0)), a=[0.4, -0.2], b=0.3, c=0.1)
     surfaces = [
         build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))),
         frame.as_surface_map(),
     ]
+    pair = [build_crosscap(deformation_family(1.3, -0.4, k)) for k in (0.8, (0.7, -0.5, 0.3))]
+    # the coefficient-wise half of verify_isometry multiplies the origin
+    # jets by design; only its grid, read from local jets, is counted
+    forms = {id(f): deformation.first_form(f) for f in pair}
+    monkeypatch.setattr(deformation, "first_form", lambda f: forms[id(f)])
+    member = from_deformation(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)), order=8)
+    developable = from_frame(SphericalCurve(kappa_poly=(0.5, -1.0)), a=[1.0, 0.3])
     calls = []
 
     def counting(owner, name):
@@ -412,4 +439,69 @@ def test_directrix_path_grows_without_jet_algebra(monkeypatch, tmp_path):
     for i, f in enumerate(surfaces):
         write_obj(f, str(tmp_path / f"{i}.obj"), 16)
         assert len(f.ruling._path._nodes[1][0]) > 2
+    assert verify_isometry(*pair, grid=(6, 5)).passed
+    moved = redeploy(frame_coefficients(normalize(member)), circle_family(0.6))
+    assert classify_singularity(moved) == "cross_cap"
+    assert classify_singularity(developable) == "cuspidal_edge"
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the ruled chain on arrays against the same chain in bivariate jet algebra
+
+def _invert_by_jets(sigma: Jet2) -> Jet2:
+    # n fixed-point steps, each a full composition
+    n = sigma.order
+    s1 = sigma.coeff(0, 1)
+    v = Jet2.variable("v", n)
+    tail = sigma - v * s1
+    w = v * (1.0 / s1)
+    for _ in range(n):
+        w = (v - tail.compose(Jet2.zero(n), w)) * (1.0 / s1)
+    return w
+
+
+def _normalize_by_jets(rs: RuledSurface) -> tuple[Jet3, Jet3]:
+    # u rescaled by 1 / |xi| through sqrt and recip, v by the arc length
+    xi1 = rs.xi * rs.xi.dot(rs.xi).sqrt().recip()
+    d = xi1.deriv_v()
+    w = _invert_by_jets(_integrate_v(d.dot(d).sqrt()))
+    zero = Jet2.zero(w.order)
+    return rs.gamma.compose(zero, w), xi1.compose(zero, w)
+
+
+def _frame_coefficients_by_jets(gamma: Jet3, xi: Jet3) -> tuple[Jet2, Jet2, Jet2]:
+    xid = xi.deriv_v()
+    xit = xi.truncated(xid.order)
+    gp = gamma.deriv_v()
+    return gp.dot(xit), gp.dot(xid), gp.dot(xit.cross(xid))
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_ruled_chain_arrays_match_jet_algebra():
+    tilted = from_polynomials([[0, 0, 0], [0.5, 0, 0.2]], [[1, 0, 0], [0, 1, 0.3], [0, 0, 0.5]])
+    surfaces = [standard_ruled(), tilted]
+    for order in (6, 8, 10, 12):
+        for kappa in (0.7, (0.7, -0.5, 0.3)):
+            surfaces.append(from_deformation(deformation_family(1.3, -0.4, kappa), order=order))
+    for rs in surfaces:
+        rsn = normalize(rs)
+        gamma, xi = _normalize_by_jets(rs)
+        assert _close(_rows(rsn.gamma), _rows(gamma)) and _close(_rows(rsn.xi), _rows(xi))
+        fc = frame_coefficients(rsn)
+        for got, want in zip((fc.a, fc.b, fc.c), _frame_coefficients_by_jets(gamma, xi)):
+            assert _close(got, want.c[0])
+
+
+def test_reverted_series_inverts(rng):
+    for n in (1, 6, 12):
+        sigma = rng.uniform(-1.0, 1.0, n + 1)
+        sigma[:2] = 0.0, 1.3
+        w = ruled._reverted(sigma)
+        t = np.zeros(n + 1)
+        t[1] = 1.0
+        assert np.max(np.abs(jets.series_compose(sigma, w, n) - t)) <= 1e-13
+        assert _close(w, _invert_by_jets(vpoly(sigma, n)).c[0])

@@ -44,6 +44,10 @@ SPECS = {
                    "order": 8},
     "germ12": {"polynomial": GERM, "order": 12},
     "ruled": {"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, 1, 0]]}},
+    # the tangent developable of (v, v^2/2, v^3/6): its classify goes
+    # through normalize and frame_coefficients to a cuspidal edge
+    "tangent": {"ruled": {"gamma_poly": [[0, 0, 0], [1, 0, 0], [0, 0.5, 0], [0, 0, 1 / 6]],
+                          "xi_poly": [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]}},
 }
 FAMILY = ("circle", "poly_kappa")
 
@@ -67,7 +71,7 @@ def runs(name: str, doc: dict) -> dict[str, list[str]]:
         out["deform"] = ["deform", spec]
         out["deform.json"] = ["deform", spec, "--kappas=-1,0.5,2", "--json", "--out", f"{name}.deform.json"]
         out["deform.order.json"] = ["deform", spec, "--kappas", "0.3", "--json", "--order", "10"]
-    if name == "ruled":
+    if "ruled" in doc:
         out["classify"] = ["classify", spec]
         out["classify.json"] = ["classify", spec, "--json"]
     return out

@@ -15,8 +15,9 @@ free of umbilics.
 
 The verification helpers sample exact curvatures on a shrinking radius
 sweep and fit the remainder decay rate; the expansions carry an O(r)
-remainder, so a fitted order of at least 0.9 passes.  Radii are clamped
-above 1e-6, below which double precision cancellation dominates.
+remainder, so a fitted order of at least 0.9 passes.  Radii must be
+positive and are clamped above 1e-6, below which double precision
+cancellation dominates.
 """
 from __future__ import annotations
 
@@ -74,10 +75,11 @@ def leading(triple: IntrinsicTriple, theta: float) -> PolarLeading:
 
 def _clamped_radii(radii: Sequence[float] | None) -> tuple[float, ...]:
     vals = DEFAULT_RADII if radii is None else tuple(radii)
-    out = tuple(sorted({max(float(r), MIN_RADIUS) for r in vals}, reverse=True))
-    if not out:
+    if not vals:
         raise ValueError("need at least one radius")
-    return out
+    if min(vals) <= 0.0:
+        raise ValueError("radii must be positive")
+    return tuple(sorted({max(float(r), MIN_RADIUS) for r in vals}, reverse=True))
 
 
 def _fit_order(radii: Sequence[float], errors: Sequence[float]) -> tuple[float, bool]:

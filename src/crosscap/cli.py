@@ -18,9 +18,9 @@ precondition failure (the spec parsed but the surface fails a
 requirement, e.g. no cross cap at the origin).  After argument parsing,
 a spec or flag value that cannot be used (a malformed spec, a spec of a
 kind the command does not take, an empty or non-finite comma list, a
-resolution out of range) exits 1 with one ``spec error:`` line on
-stderr.  The environment variable CROSSCAP_TOL overrides the default
-tolerance 1e-9.
+radius that is not positive, a resolution out of range) exits 1 with one
+``spec error:`` line on stderr.  The environment variable CROSSCAP_TOL
+overrides the default tolerance 1e-9.
 """
 from __future__ import annotations
 
@@ -154,6 +154,8 @@ def cmd_asymptotics(spec: specio.SurfaceSpec, args, tol: float):
     f = specio.build_surface(spec).surface
     thetas = specio.REPORT_THETAS if args.theta is None else _floats(args.theta, "--theta")
     radii = None if args.radii is None else _floats(args.radii, "--radii")
+    if radii is not None and min(radii) <= 0.0:
+        raise SpecFormatError("--radii: values must be positive")
     triple = invariants.intrinsic_from_map(f, tol=tol)
     entries = []
     for theta in thetas:

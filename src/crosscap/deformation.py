@@ -38,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import Jet2, Jet3, series_compose, series_cross, series_power, series_product
+from .jets import Jet2, Jet3, series_compose, series_cross, series_derivative, series_integral
+from .jets import series_power, series_product
 from .numerics import FrenetPath
 from .ruled import from_deformation
 from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
@@ -134,11 +135,10 @@ class DeformationFamily:
         m, n = self.m, order
         w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
         # shat = arc length of chat, the integral of sqrt(m) / w2 from v0
-        shat = np.zeros(n + 1)
-        shat[1:] = series_power(w2, -1.0, n - 1) * math.sqrt(m) / np.arange(1, n + 1)
+        shat = series_integral(series_power(w2, -1.0, n - 1) * math.sqrt(m), 0.0)
         C, _, _ = self.curve.series_at(self.arc_parameter(v0), n)
         xi = series_product(series_compose(C, shat, n), series_power(w2, 0.5, n), n)
-        xi_d = xi[1:] * np.arange(1, n + 1)[:, None]
+        xi_d = series_derivative(xi)
         B = series_cross(xi[:n], xi_d, n - 1) + xi_d * self.a11
         return xi, series_product(B, [v0, 1.0], n - 1) * (self.a02 / m)
 

@@ -1,16 +1,21 @@
 """Truncated bivariate power series (jets) at the origin.
 
-A :class:`Jet2` stores the coefficients c[j,k] of a polynomial
+A jet is a dense triangular table of the coefficients c[j,k] of a polynomial
 
-    p(u, v) = sum_{j+k <= order} c[j,k] u^j v^k
+    p(u, v) = sum_{j+k <= order} c[j,k] u^j v^k.
 
-in a dense triangular table and supports the ring operations plus the
-composition, square root, reciprocal, derivative and recentring
-operations of normal-form reductions.  Coefficients are monomial
-coefficients, not derivative values; the (j,k) partial derivative at the
-origin is ``c[j,k] * j! * k!`` and is exposed as :meth:`Jet2.partial`.
+A :class:`Jet2` holds one table.  A :class:`Jet3`, the jet of a map germ
+``(u, v) -> R^3``, stacks its three component tables as c of shape
+(3, order + 1, order + 1).  Both share the operations of normal-form
+reductions, each acting on the last two axes of c: sums and scaling,
+the product with a scalar jet, composition, derivatives, truncation and
+recentring.  Jet2 adds the square root and reciprocal, and Jet3 the
+vector operations (dot, cross, rigid motion) used throughout the
+geometry modules.  Coefficients are monomial coefficients, not
+derivative values; the (j,k) partial derivative at the origin is
+``c[j,k] * j! * k!`` and is exposed as :meth:`Jet2.partial`.
 
-Each series operation is one array operation:
+Each series operation is one array operation on tables:
 
 - the product pads the rows of both tables to width 2n+1 and convolves
   the flattened rows once: u^j v^k becomes t^(j(2n+1)+k), and no product
@@ -18,17 +23,16 @@ Each series operation is one array operation:
 - composition p(g, h) forms the powers of h once, the rows
   r_j = sum_k c[j,k] h^k with one tensordot, and sums r_j g^j by Horner's
   rule in g, so about 2n products where the monomial sum took n^2/2.
-  A Jet3 shares the powers of h between its components; sqrt and recip
-  are the composition of their series with p/p(0) - 1;
+  The tables of a Jet3 share the powers of h.  A power p^q (square root,
+  reciprocal) is c00^q (1 + w)^q with w = p/c00 - 1, the binomial series
+  composed with w;
 - recentring at (u0, v0) is U^T c V with the binomial (Pascal) matrices
   U[a,j] = C(a,j) u0^(a-j) and V[b,k] = C(b,k) v0^(b-k).
 
 Binary operations truncate at the smaller of the two operand orders, so
 precision bookkeeping stays explicit at the call site.  Jets are immutable:
 every operation returns a fresh instance and the coefficient arrays are
-frozen.  A :class:`Jet3` is a triple of scalar jets representing a map germ
-``(u, v) -> R^3`` and adds the vector operations (dot, cross, rigid motion)
-used throughout the geometry modules.
+frozen.
 
 A series in one variable t needs no table: the ``series_*`` functions
 take and return its coefficient array (a vector series has one 3-vector
@@ -36,12 +40,12 @@ row per power of t) and truncate to the first n + 1 coefficients.  The
 product is one lower triangular (Toeplitz) matrix product, which also
 serves Jet2 products of two series in v alone; powers such as square
 roots and reciprocals follow a coefficient recurrence, composition is
-one matrix of powers of the inner series, and a shift is one product with V.
+one matrix of powers of the inner series, a shift is one product with V,
+and the derivative and integral scale the rows by their powers.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -59,6 +63,8 @@ __all__ = [
     "series_power",
     "series_compose",
     "series_shift",
+    "series_derivative",
+    "series_integral",
 ]
 
 
@@ -167,111 +173,222 @@ def series_shift(c, t0: float, n: int | None = None) -> np.ndarray:
     return kept
 
 
-def _product(a: np.ndarray, b: np.ndarray, n: int) -> "Jet2":
-    """Product of two coefficient tables as a jet of order n."""
-    a, b = a[: n + 1, : n + 1], b[: n + 1, : n + 1]
+def series_derivative(x: np.ndarray) -> np.ndarray:
+    """Coefficients of x' from those of a series x."""
+    return (x[1:].T * np.arange(1, len(x))).T
+
+
+def series_integral(dx: np.ndarray, x0) -> np.ndarray:
+    """Coefficients of a series x from those of x' and the value x0."""
+    x = np.empty((len(dx) + 1,) + dx.shape[1:])
+    x[0] = x0
+    x[1:] = (dx.T / np.arange(1, len(dx) + 1)).T
+    return x
+
+
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Product of coefficient tables at order n; a and b may stack tables
+    along leading axes, which broadcast."""
+    a, b = a[..., : n + 1, : n + 1], b[..., : n + 1, : n + 1]
+    if a.ndim > 2 or b.ndim > 2:
+        return np.stack([_product(x, y, n) for x, y in zip(*np.broadcast_arrays(a, b))])
     if np.count_nonzero(a[1:]) or np.count_nonzero(b[1:]):
         width = 2 * n + 1
         pa, pb = np.zeros((2, n + 1, width))
         pa[:, : n + 1], pb[:, : n + 1] = a, b
         full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
-        out = Jet2(n, full.reshape(n + 1, width)[:, : n + 1])
         # only coefficients inside the triangle are kept, and checked
-        _checked(out.c, a, b)
-        return out
+        return _checked(np.where(_mask(n), full.reshape(n + 1, width)[:, : n + 1], 0.0), a, b)
     # both series in v alone: one product of the first rows
     table = np.zeros((n + 1, n + 1))
     table[0] = series_product(a[0], b[0], n)
-    return Jet2(n, table)
+    return table
 
 
-def _compose(outer: Sequence["Jet2"], g: "Jet2", h: "Jet2") -> list["Jet2"]:
-    """[p(g, h) for p in outer], each at order min(p.order, g.order, h.order)."""
-    if g.coeff(0, 0) != 0.0 or h.coeff(0, 0) != 0.0:
+def _compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Tables of p(g, h) at order n for each table p stacked in c[..., j, k];
+    g and h are tables of order >= n that vanish at the origin."""
+    if g[0, 0] != 0.0 or h[0, 0] != 0.0:
         raise JetDomainError("composition requires inner jets with zero constant term")
-    orders = [min(p.order, g.order, h.order) for p in outer]
-    tables = [p.c[: n + 1, : n + 1] for p, n in zip(outer, orders)]
-    # powers of h up to the highest one any outer jet uses, shared by all
-    kmax = max(np.flatnonzero(t.any(axis=0)).max(initial=0) for t in tables)
-    top = max(orders)
-    powers = [Jet2.constant(1.0, top), h.truncated(top)][: kmax + 1]
-    while len(powers) <= kmax:
-        powers.append(powers[-1] * powers[1])
-    hp = np.array([p.c for p in powers])
-    out = []
-    for t, n in zip(tables, orders):
+    c = c[..., : n + 1, : n + 1]
+    tables = c.reshape(-1, n + 1, n + 1)
+    # powers of h up to the highest one any table uses, shared by all
+    kmax = np.flatnonzero(tables.any(axis=(0, 1))).max(initial=0)
+    hp = np.zeros((kmax + 1, n + 1, n + 1))
+    hp[0, 0, 0] = 1.0
+    if kmax:
+        hp[1] = np.where(_mask(n), h[: n + 1, : n + 1], 0.0)
+    for k in range(2, kmax + 1):
+        hp[k] = _product(hp[k - 1], hp[1], n)
+    out = np.empty_like(tables)
+    for i, t in enumerate(tables):
         # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
-        k = min(kmax, n) + 1
-        rows = np.tensordot(t[:, :k], hp[:k, : n + 1, : n + 1], axes=1)
+        rows = np.where(_mask(n), np.tensordot(t[:, : kmax + 1], hp, axes=1), 0.0)
         jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
-        acc = Jet2(n, rows[jtop])
+        acc = rows[jtop]
         for j in range(jtop - 1, -1, -1):
-            acc = acc * g + Jet2(n, rows[j])
-        out.append(acc)
-    return out
+            acc = _product(acc, g, n) + rows[j]
+        out[i] = acc
+    return out.reshape(c.shape)
 
 
-class Jet2:
-    """Polynomial in (u, v) truncated at total degree ``order``."""
+class _Jet:
+    """Coefficient tables c[..., j, k] truncated at total degree ``order``;
+    the operations act on the last two axes."""
 
     __slots__ = ("order", "c")
+    _stack: tuple[int, ...] = ()  # the leading axes of c
 
     def __init__(self, order: int, coeffs: np.ndarray | None = None):
         if order < 0:
             raise JetDomainError("jet order must be nonnegative")
         self.order = order
+        shape = self._stack + (order + 1, order + 1)
         if coeffs is None:
-            c = np.zeros((order + 1, order + 1))
+            c = np.zeros(shape)
         else:
             c = np.asarray(coeffs, dtype=float)
-            if c.shape != (order + 1, order + 1):
-                raise JetDomainError(
-                    f"coefficient table must be {(order + 1, order + 1)}, got {c.shape}"
-                )
+            if c.shape != shape:
+                raise JetDomainError(f"coefficient table must be {shape}, got {c.shape}")
             c = np.where(_mask(order), c, 0.0)
         self.c = _frozen(c)
 
-    # ------------------------------------------------------------------
-    # constructors
     @classmethod
-    def zero(cls, order: int) -> "Jet2":
+    def zero(cls, order: int):
         return cls(order)
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "Jet2":
-        c = np.zeros((order + 1, order + 1))
-        c[0, 0] = value
+    def from_terms(cls, terms: Mapping[tuple[int, int], float | Sequence[float]], order: int):
+        c = np.zeros(cls._stack + (order + 1, order + 1))
+        for (j, k), val in terms.items():
+            if j < 0 or k < 0:
+                raise JetDomainError("monomial exponents must be nonnegative")
+            if j + k <= order:
+                c[..., j, k] = val
         return cls(order, c)
+
+    def _entry(self, j: int, k: int) -> np.ndarray:
+        """c[..., j, k], zero outside the triangle."""
+        if j < 0 or k < 0 or j + k > self.order:
+            return np.zeros(self._stack)
+        return self.c[..., j, k]
+
+    def max_coeff_diff(self, other) -> float:
+        n = min(self.order, other.order)
+        return float(np.max(np.abs(self.truncated(n).c - other.truncated(n).c)))
+
+    # ------------------------------------------------------------------
+    # ring operations
+    def _coerce(self, other):
+        """other if it is a jet of this type, a number as a constant one, else None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, float)):
+            return type(self).from_terms({(0, 0): other}, self.order)
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        n = min(self.order, rhs.order)
+        return type(self)(n, self.c[..., : n + 1, : n + 1] + rhs.c[..., : n + 1, : n + 1])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.order, -self.c)
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else rhs + (-self)
+
+    def __mul__(self, other):
+        """Scaling by a number, or the product of each table with a scalar jet."""
+        if isinstance(other, (int, float)):
+            return type(self)(self.order, self.c * float(other))
+        if not isinstance(other, Jet2):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return type(self)(n, _product(self.c, other.c, n))
+
+    __rmul__ = __mul__
+
+    def compose(self, g: "Jet2", h: "Jet2"):
+        """Return self(g(u,v), h(u,v)); g and h must vanish at the origin."""
+        n = min(self.order, g.order, h.order)
+        return type(self)(n, _compose(self.c, g.c, h.c, n))
+
+    # ------------------------------------------------------------------
+    # calculus, truncation and recentring
+    def deriv_u(self):
+        n = self.order - 1
+        if n < 0:
+            raise JetDomainError("cannot differentiate an order-0 jet")
+        return type(self)(n, self.c[..., 1:, : n + 1] * np.arange(1, n + 2)[:, None])
+
+    def deriv_v(self):
+        n = self.order - 1
+        if n < 0:
+            raise JetDomainError("cannot differentiate an order-0 jet")
+        return type(self)(n, self.c[..., : n + 1, 1:] * np.arange(1, n + 2))
+
+    def truncated(self, order: int):
+        if order == self.order:
+            return self
+        c = np.zeros(self._stack + (order + 1, order + 1))
+        m = min(order, self.order) + 1
+        c[..., :m, :m] = self.c[..., :m, :m]
+        return type(self)(order, c)
+
+    def shifted_origin(self, u0: float, v0: float):
+        """Exact Taylor recentering: q(s,t) = p(u0+s, v0+t)."""
+        # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
+        binom, expo = _binomials(self.order)
+        return type(self)(self.order, (binom * u0**expo).T @ self.c @ (binom * v0**expo))
+
+    def polar_profile(self, theta: float) -> np.ndarray:
+        """Coefficients of r^m along u = r cos(theta), v = r sin(theta), in
+        the last axis."""
+        n = self.order
+        cs, sn = math.cos(theta), math.sin(theta)
+        powers = [[cs**j for j in range(n + 1)], [sn**k for k in range(n + 1)]]
+        terms = self.c * np.array(powers[0])[:, None] * np.array(powers[1])
+        # out[m] sums c[j, m - j] cs^j sn^(m-j) in the order of j
+        out = np.zeros(self._stack + (n + 1,))
+        for j in range(n + 1):
+            out[..., j:] += terms[..., j, : n + 1 - j]
+        return out
+
+
+class Jet2(_Jet):
+    """Polynomial in (u, v) truncated at total degree ``order``."""
+
+    __slots__ = ()
+
+    # named in Jet2's own body, where the benchmark's tracer wraps them
+    __mul__ = __rmul__ = _Jet.__mul__
+    compose = _Jet.compose
+    shifted_origin = _Jet.shifted_origin
+
+    @classmethod
+    def constant(cls, value: float, order: int) -> "Jet2":
+        return cls.from_terms({(0, 0): value}, order)
 
     @classmethod
     def variable(cls, name: str, order: int) -> "Jet2":
         if order < 1:
             raise JetDomainError("variable jet needs order >= 1")
-        c = np.zeros((order + 1, order + 1))
-        if name == "u":
-            c[1, 0] = 1.0
-        elif name == "v":
-            c[0, 1] = 1.0
-        else:
+        if name not in ("u", "v"):
             raise JetDomainError(f"unknown variable {name!r}")
-        return cls(order, c)
+        return cls.from_terms({(1, 0) if name == "u" else (0, 1): 1.0}, order)
 
-    @classmethod
-    def from_terms(cls, terms: Mapping[tuple[int, int], float], order: int) -> "Jet2":
-        c = np.zeros((order + 1, order + 1))
-        for (j, k), val in terms.items():
-            if j < 0 or k < 0:
-                raise JetDomainError("monomial exponents must be nonnegative")
-            if j + k <= order:
-                c[j, k] = val
-        return cls(order, c)
-
-    # ------------------------------------------------------------------
-    # basic queries
     def coeff(self, j: int, k: int) -> float:
-        if j < 0 or k < 0 or j + k > self.order:
-            return 0.0
-        return float(self.c[j, k])
+        return float(self._entry(j, k))
 
     def partial(self, j: int, k: int) -> float:
         """Value of the (j,k) partial derivative at the origin."""
@@ -287,248 +404,85 @@ class Jet2:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.c)))
 
-    def max_coeff_diff(self, other: "Jet2") -> float:
-        n = min(self.order, other.order)
-        a = self.truncated(n).c
-        b = other.truncated(n).c
-        return float(np.max(np.abs(a - b)))
-
     def __repr__(self) -> str:
         body = ", ".join(f"u^{j} v^{k}: {val:.6g}" for j, k, val in self.terms())
         return f"Jet2(order={self.order}, {{{body}}})"
 
-    # ------------------------------------------------------------------
-    # ring operations
-    def _coerce(self, other) -> "Jet2 | None":
-        if isinstance(other, Jet2):
-            return other
-        if isinstance(other, (int, float)):
-            return Jet2.constant(float(other), self.order)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = min(self.order, rhs.order)
-        return Jet2(n, self.c[: n + 1, : n + 1] + rhs.c[: n + 1, : n + 1])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(self.order, -self.c)
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet2(self.order, self.c * float(other))
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return _product(self.c, other.c, n)
-
-    __rmul__ = __mul__
-
-    # ------------------------------------------------------------------
-    # composition and inverses
-    def compose(self, g: "Jet2", h: "Jet2") -> "Jet2":
-        """Return self(g(u,v), h(u,v)); g and h must vanish at the origin."""
-        return _compose([self], g, h)[0]
-
-    def _unit_series(self, coeffs: Sequence[float]) -> "Jet2":
-        # sum_n coeffs[n] w^n with w = self/c00 - 1, whose constant term is 0
-        w = self.c * (1.0 / self.c[0, 0])
+    def _power(self, p: float) -> "Jet2":
+        """self^p = c00^p (1 + w)^p with w = self/c00 - 1, whose constant term is 0."""
+        c00 = self.coeff(0, 0)
+        if c00 <= 0.0:
+            raise SingularJetError("power of a jet needs a positive constant term")
+        n = self.order
+        w = self.c * (1.0 / c00)
         w[0, 0] = 0.0
-        series = upoly(coeffs, self.order)
-        return _compose([series], Jet2(self.order, w), Jet2.zero(self.order))[0]
+        binomials = np.zeros((n + 1, n + 1))
+        binomials[:, 0] = series_power([1.0, 1.0], p, n)
+        return Jet2(n, _compose(binomials, w, np.zeros((n + 1, n + 1)), n)) * c00**p
 
     def sqrt(self) -> "Jet2":
-        c00 = self.coeff(0, 0)
-        if c00 <= 0.0:
-            raise SingularJetError("sqrt of a jet needs a positive constant term")
-        binom = [1.0]
-        for n in range(1, self.order + 1):
-            binom.append(binom[-1] * (0.5 - (n - 1)) / n)
-        return self._unit_series(binom) * math.sqrt(c00)
+        return self._power(0.5)
 
     def recip(self) -> "Jet2":
-        c00 = self.coeff(0, 0)
-        if c00 <= 0.0:
-            raise SingularJetError("recip of a jet needs a positive constant term")
-        return self._unit_series([(-1.0) ** n for n in range(self.order + 1)]) * (1.0 / c00)
-
-    # ------------------------------------------------------------------
-    # calculus
-    def deriv_u(self) -> "Jet2":
-        n = self.order - 1
-        if n < 0:
-            raise JetDomainError("cannot differentiate an order-0 jet")
-        return Jet2(n, self.c[1:, : n + 1] * np.arange(1, n + 2)[:, None])
-
-    def deriv_v(self) -> "Jet2":
-        n = self.order - 1
-        if n < 0:
-            raise JetDomainError("cannot differentiate an order-0 jet")
-        return Jet2(n, self.c[: n + 1, 1:] * np.arange(1, n + 2))
-
-    # ------------------------------------------------------------------
-    # evaluation and recentering
-    def truncated(self, order: int) -> "Jet2":
-        if order >= self.order:
-            if order == self.order:
-                return self
-            c = np.zeros((order + 1, order + 1))
-            c[: self.order + 1, : self.order + 1] = self.c
-            return Jet2(order, c)
-        return Jet2(order, self.c[: order + 1, : order + 1].copy())
+        return self._power(-1.0)
 
     def __call__(self, u: float, v: float) -> float:
         up = u ** np.arange(self.order + 1)
         vp = v ** np.arange(self.order + 1)
         return float(up @ self.c @ vp)
 
-    def shifted_origin(self, u0: float, v0: float) -> "Jet2":
-        """Exact Taylor recentering: q(s,t) = p(u0+s, v0+t)."""
-        # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
-        binom, expo = _binomials(self.order)
-        return Jet2(self.order, (binom * u0**expo).T @ self.c @ (binom * v0**expo))
-
-    def polar_profile(self, theta: float) -> np.ndarray:
-        """Coefficients of r^m along u = r cos(theta), v = r sin(theta)."""
-        cs, sn = math.cos(theta), math.sin(theta)
-        out = np.zeros(self.order + 1)
-        for j, k, val in self.terms():
-            out[j + k] += val * cs**j * sn**k
-        return out
-
 
 def vpoly(coeffs: Sequence[float], order: int) -> Jet2:
     """Univariate polynomial in v embedded as a Jet2."""
-    c = np.zeros((order + 1, order + 1))
-    for k, val in enumerate(coeffs[: order + 1]):
-        c[0, k] = val
-    return Jet2(order, c)
+    return Jet2.from_terms({(0, k): val for k, val in enumerate(coeffs)}, order)
 
 
 def upoly(coeffs: Sequence[float], order: int) -> Jet2:
-    c = np.zeros((order + 1, order + 1))
-    for j, val in enumerate(coeffs[: order + 1]):
-        c[j, 0] = val
-    return Jet2(order, c)
+    return Jet2.from_terms({(j, 0): val for j, val in enumerate(coeffs)}, order)
 
 
-@dataclass(frozen=True)
-class Jet3:
-    """Jet of a map germ (u,v) -> R^3, one scalar jet per component."""
+class Jet3(_Jet):
+    """Jet of a map germ (u,v) -> R^3, its component tables stacked as c[i]."""
 
-    x: Jet2
-    y: Jet2
-    z: Jet2
-
-    @property
-    def order(self) -> int:
-        return min(self.x.order, self.y.order, self.z.order)
+    __slots__ = ()
+    _stack = (3,)
 
     @classmethod
-    def zero(cls, order: int) -> "Jet3":
-        return cls(Jet2.zero(order), Jet2.zero(order), Jet2.zero(order))
-
-    @classmethod
-    def from_terms(
-        cls, terms: Mapping[tuple[int, int], Sequence[float]], order: int
-    ) -> "Jet3":
-        comps = []
-        for i in range(3):
-            comps.append(
-                Jet2.from_terms({jk: vec[i] for jk, vec in terms.items()}, order)
-            )
-        return cls(*comps)
+    def stack(cls, x: Jet2, y: Jet2, z: Jet2) -> "Jet3":
+        n = min(x.order, y.order, z.order)
+        return cls(n, np.stack([comp.truncated(n).c for comp in (x, y, z)]))
 
     def components(self) -> tuple[Jet2, Jet2, Jet2]:
-        return (self.x, self.y, self.z)
-
-    def __add__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Jet3") -> "Jet3":
-        return Jet3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Jet3":
-        return Jet3(-self.x, -self.y, -self.z)
-
-    def __mul__(self, other) -> "Jet3":
-        # scalar, float, or Jet2 multiplier applied componentwise
-        return Jet3(self.x * other, self.y * other, self.z * other)
-
-    __rmul__ = __mul__
+        return tuple(Jet2(self.order, t) for t in self.c)
 
     def dot(self, other: "Jet3") -> Jet2:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        n = min(self.order, other.order)
+        p = _product(self.c, other.c, n)
+        return Jet2(n, p[0] + p[1] + p[2])
 
     def cross(self, other: "Jet3") -> "Jet3":
-        return Jet3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def deriv_u(self) -> "Jet3":
-        return Jet3(self.x.deriv_u(), self.y.deriv_u(), self.z.deriv_u())
-
-    def deriv_v(self) -> "Jet3":
-        return Jet3(self.x.deriv_v(), self.y.deriv_v(), self.z.deriv_v())
-
-    def compose(self, g: Jet2, h: Jet2) -> "Jet3":
-        # one call, so the components share the powers of h
-        return Jet3(*_compose(self.components(), g, h))
-
-    def truncated(self, order: int) -> "Jet3":
-        return Jet3(self.x.truncated(order), self.y.truncated(order), self.z.truncated(order))
-
-    def shifted_origin(self, u0: float, v0: float) -> "Jet3":
-        return Jet3(
-            self.x.shifted_origin(u0, v0),
-            self.y.shifted_origin(u0, v0),
-            self.z.shifted_origin(u0, v0),
-        )
+        n = min(self.order, other.order)
+        a, b = self.c, other.c
+        return Jet3(n, _product(a[[1, 2, 0]], b[[2, 0, 1]], n) - _product(a[[2, 0, 1]], b[[1, 2, 0]], n))
 
     def __call__(self, u: float, v: float) -> np.ndarray:
-        return np.array([self.x(u, v), self.y(u, v), self.z(u, v)])
+        up = u ** np.arange(self.order + 1)
+        vp = v ** np.arange(self.order + 1)
+        # one product per table: a batched product moves last digits
+        return np.array([up @ t @ vp for t in self.c])
 
     def coeff_vector(self, j: int, k: int) -> np.ndarray:
-        return np.array([self.x.coeff(j, k), self.y.coeff(j, k), self.z.coeff(j, k)])
+        return np.array(self._entry(j, k))
 
     def partial_vector(self, j: int, k: int) -> np.ndarray:
-        return np.array([self.x.partial(j, k), self.y.partial(j, k), self.z.partial(j, k)])
+        return self.coeff_vector(j, k) * math.factorial(j) * math.factorial(k)
 
     def rotated(self, rotation: np.ndarray) -> "Jet3":
-        R = np.asarray(rotation, dtype=float)
-        comps = self.components()
-        new = []
-        for i in range(3):
-            acc = comps[0] * R[i, 0]
-            acc = acc + comps[1] * R[i, 1]
-            acc = acc + comps[2] * R[i, 2]
-            new.append(acc)
-        return Jet3(*new)
+        R = np.asarray(rotation, dtype=float)[:, :, None, None]
+        c = self.c
+        # summed c0 R[:, 0] + c1 R[:, 1] + c2 R[:, 2], in this order, as the
+        # component sums always were, so results keep their last bits
+        return Jet3(self.order, c[0] * R[:, 0] + c[1] * R[:, 1] + c[2] * R[:, 2])
 
     def translated(self, vec: Sequence[float]) -> "Jet3":
-        return Jet3(self.x + float(vec[0]), self.y + float(vec[1]), self.z + float(vec[2]))
-
-    def max_coeff_diff(self, other: "Jet3") -> float:
-        return max(
-            self.x.max_coeff_diff(other.x),
-            self.y.max_coeff_diff(other.y),
-            self.z.max_coeff_diff(other.z),
-        )
+        return self + Jet3.from_terms({(0, 0): vec}, self.order)

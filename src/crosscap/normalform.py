@@ -107,13 +107,6 @@ class CrossCapFrame:
         return (self.point, self.principal_normal, self.conormal)
 
 
-def _flip_jet(jet: Jet3) -> Jet3:
-    order = jet.order
-    idx = np.arange(order + 1)
-    sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
-    return Jet3(*(Jet2(order, comp.c * sign) for comp in jet.components()))
-
-
 def _rotation_for(fu: np.ndarray, fvv: np.ndarray) -> np.ndarray:
     e1 = fu / np.linalg.norm(fu)
     w = fvv - (fvv @ e1) * e1
@@ -143,16 +136,19 @@ def reduce_to_normal_form(
 
     fu, _, _, fuv, fvv = origin_derivatives(work)
     delta = float(np.linalg.det(np.column_stack([fu, fuv, fvv])))
+    idx = np.arange(n + 1)
+    degree = idx[:, None] + idx[None, :]
     flipped = delta < 0
     if flipped:
-        work = _flip_jet(work)
+        # (u, v) -> (-u, -v) changes the sign of the odd degrees
+        work = Jet3(n, work.c * np.where(degree % 2 == 0, 1.0, -1.0))
         fu, fvv = -fu, fvv
 
     rotation = _rotation_for(fu, fvv)
     g = work.rotated(rotation)
 
     alpha = float(np.linalg.norm(fu))
-    gamma2 = g.y.partial(1, 1)  # nonzero iff the bracket is
+    gamma2 = float(g.c[1, 1, 1])  # the uv-coefficient of g_y, nonzero iff the bracket is
 
     P = Jet2.from_terms({(1, 0): 1.0 / alpha}, n)
     Q = Jet2.zero(n)
@@ -165,19 +161,17 @@ def reduce_to_normal_form(
         m = j[1:]
         # second component: mixed monomials of degree d determine Q at d-1
         q_new = Q.c.copy()
-        q_new[m - 1, d - m] -= (g.compose(P, Q).y.c - uv)[m, d - m] / qdiv
+        q_new[m - 1, d - m] -= (g.compose(P, Q).c[1] - uv)[m, d - m] / qdiv
         Q = Jet2(n, q_new)
         comp = g.compose(P, Q)
-        if np.abs(comp.y.c - uv)[m, d - m].max() > RESIDUAL_TOL * _residual_scale(P, Q) ** d:
+        if np.abs(comp.c[1] - uv)[m, d - m].max() > RESIDUAL_TOL * _residual_scale(P, Q) ** d:
             raise NormalFormError(f"second-component residual survived at degree {d}", degree=d)
         # first component: degree-d monomials determine P at d
         p_new = P.c.copy()
-        p_new[j, d - j] -= comp.x.c[j, d - j] / alpha
+        p_new[j, d - j] -= comp.c[0, j, d - j] / alpha
         P = Jet2(n, p_new)
 
-    final = np.stack([comp.c for comp in g.compose(P, Q).components()])
-    idx = np.arange(n + 1)
-    degree = idx[:, None] + idx[None, :]
+    final = g.compose(P, Q).c
     fact = np.array([math.factorial(i) for i in idx], dtype=float)
     b = final[1, 0] * fact
     b[:3] = 0.0

@@ -26,7 +26,8 @@ Series in v alone are coefficient arrays, one row per power of v, and
 all of the above is series arithmetic in one variable (jets.series_product
 and its kin); FrameCoefficients holds them, and the arc length chart of
 ``normalize`` is a series reversion.  RuledSurface keeps gamma and xi as
-jets in v for SurfaceMap.  A surface can be backed (see RulingBacking)
+jets in v for SurfaceMap; the first rows of their tables, ``jet.c[:, 0].T``,
+are the vector series, one 3-vector per power of v.  A surface can be backed (see RulingBacking)
 by exact data: a spherical curve plus frame coefficients (``redeploy``,
 ``from_frame``) or a deformation family member (``from_deformation``),
 which give the Taylor coefficients of xi and gamma' around any v0.  A
@@ -53,8 +54,8 @@ import numpy as np
 
 from .errors import JetDomainError, SingularPointError
 from .invariants import _det3
-from .jets import Jet2, Jet3, series_compose, series_cross, series_power, series_product
-from .jets import series_shift, vpoly
+from .jets import Jet2, Jet3, series_compose, series_cross, series_derivative, series_integral
+from .jets import series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
 from .surface import SurfaceMap
 
@@ -150,17 +151,17 @@ class RuledSurface:
         u0 in us: row 0 of each table is gamma + u0 xi around v0 and row 1
         is xi, from one expansion of the column, exact for backed surfaces."""
         if v0 == 0.0 and order <= self.order:
-            gamma, xi = _rows(self.gamma), _rows(self.xi)
+            gamma, xi = self.gamma.c[:, 0].T, self.xi.c[:, 0].T
         elif self.backing is not None:
             xi, gp = self.backing.ruling_series(v0, order)
-            gamma = _integrated(gp, self._path.state(v0)[:3])
+            gamma = series_integral(gp, self._path.state(v0)[:3])
         else:
-            gamma, xi = (series_shift(_rows(j), v0, order) for j in (self.gamma, self.xi))
+            gamma, xi = (series_shift(j.c[:, 0].T, v0, order) for j in (self.gamma, self.xi))
         n = order + 1
         tables = np.zeros((len(us), 3, n, n))
         tables[:, :, 0] = (gamma[:n] + np.multiply.outer(us, xi[:n])).transpose(0, 2, 1)
         tables[:, :, 1:2, :order] = xi[:order].T[:, None]
-        return [Jet3(*(Jet2(order, t) for t in table)) for table in tables]
+        return [Jet3(order, table) for table in tables]
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)
@@ -170,30 +171,12 @@ class RuledSurface:
 def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:
     """Taylor coefficients of (gamma, xi) around v0, with gamma(v0) = y[:3]."""
     xi, gp = backing.ruling_series(v0, TAYLOR_ORDER)
-    return np.hstack([_integrated(gp, y[:3]), xi])
-
-
-def _integrated(dx: np.ndarray, x0) -> np.ndarray:
-    """Coefficients of a series x from those of x' and the value x0."""
-    x = np.empty((len(dx) + 1,) + dx.shape[1:])
-    x[0] = x0
-    x[1:] = (dx.T / np.arange(1, len(dx) + 1)).T
-    return x
-
-
-def _derivative(x: np.ndarray) -> np.ndarray:
-    """Coefficients of x' from those of a series x."""
-    return (x[1:].T * np.arange(1, len(x))).T
+    return np.hstack([series_integral(gp, y[:3]), xi])
 
 
 def _vjet3(rows: np.ndarray, order: int) -> Jet3:
     """The jet in v of a vector series, one 3-vector per power of v."""
-    return Jet3(*(vpoly(rows[:, i], order) for i in range(3)))
-
-
-def _rows(jet: Jet3) -> np.ndarray:
-    """The vector series of a jet in v alone, one 3-vector per power of v."""
-    return np.stack([comp.c[0] for comp in jet.components()], axis=1)
+    return Jet3.from_terms({(0, k): row for k, row in enumerate(rows)}, order)
 
 
 def _dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -203,7 +186,7 @@ def _dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 
 def _frame(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(xi, xi', xi x xi'), each to one order below xi."""
-    xid = _derivative(xi)
+    xid = series_derivative(xi)
     n = len(xid) - 1
     return xi[: n + 1], xid, series_cross(xi[: n + 1], xid, n)
 
@@ -232,7 +215,7 @@ def from_polynomials(
 def _backed(backing: RulingBacking, order: int) -> RuledSurface:
     """The surface through the origin with the backing's series at v = 0."""
     xi, gp = backing.ruling_series(0.0, order)
-    gamma = _integrated(gp, 0.0)
+    gamma = series_integral(gp, 0.0)
     return RuledSurface(gamma=_vjet3(gamma, order), xi=_vjet3(xi, order), backing=backing)
 
 
@@ -260,8 +243,8 @@ def from_deformation(fam: RulingBacking, order: int = 8) -> RuledSurface:
 
 def is_normalized(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> bool:
     """|xi|^2 = |xi'|^2 = 1 to within tol in every coefficient."""
-    xi = _rows(rs.xi)
-    devs = (_dot(x, x, len(x) - 1) - np.eye(1, len(x))[0] for x in (xi, _derivative(xi)))
+    xi = rs.xi.c[:, 0].T
+    devs = (_dot(x, x, len(x) - 1) - np.eye(1, len(x))[0] for x in (xi, series_derivative(xi)))
     return all(np.max(np.abs(dev)) <= tol for dev in devs)
 
 
@@ -287,19 +270,19 @@ def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
     """
     if is_normalized(rs, tol):
         return rs
-    xi = _rows(rs.xi)
+    xi = rs.xi.c[:, 0].T
     n = len(xi) - 1
     n2 = _dot(xi, xi, n)
     if n2[0] <= 0.0:
         raise SingularPointError("ruling vanishes at v = 0")
     xi1 = series_product(xi, series_power(n2, -0.5, n), n)
-    d = _derivative(xi1)
+    d = series_derivative(xi1)
     speed2 = _dot(d, d, n - 1)
     if speed2[0] <= tol * tol:
         raise SingularPointError("ruling direction is stationary at v = 0")
-    w = _reverted(_integrated(series_power(speed2, 0.5, n - 1), 0.0))
+    w = _reverted(series_integral(series_power(speed2, 0.5, n - 1), 0.0))
     m = min(rs.gamma.order, n)
-    gamma = series_compose(_rows(rs.gamma), w, m)
+    gamma = series_compose(rs.gamma.c[:, 0].T, w, m)
     return RuledSurface(gamma=_vjet3(gamma, m), xi=_vjet3(series_compose(xi1, w, n), n))
 
 
@@ -310,8 +293,8 @@ def frame_coefficients(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> FrameCo
     """Project gamma' onto the orthonormal frame (xi, xi', xi x xi')."""
     if not is_normalized(rs, tol):
         raise ValueError("frame coefficients need a normalized ruled surface")
-    frame = _frame(_rows(rs.xi))
-    gp = _derivative(_rows(rs.gamma))
+    frame = _frame(rs.xi.c[:, 0].T)
+    gp = series_derivative(rs.gamma.c[:, 0].T)
     n = min(len(gp), len(frame[0])) - 1
     return FrameCoefficients(*(_dot(gp, X, n) for X in frame))
 
@@ -319,7 +302,7 @@ def frame_coefficients(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> FrameCo
 def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> np.ndarray:
     """Coefficients of a xi + b xi' + c (xi x xi'), for checking against
     gamma', to the lowest order of fc and xi'."""
-    frame = _frame(_rows(rs.xi))
+    frame = _frame(rs.xi.c[:, 0].T)
     n = min(len(frame[0]), len(fc.a), len(fc.b), len(fc.c)) - 1
     return _directrix_derivative(frame, (fc.a, fc.b, fc.c), n)
 
@@ -338,7 +321,7 @@ def redeploy(
     probe = RuledSurface(gamma=Jet3.zero(new_xi.order), xi=new_xi)
     if not is_normalized(probe, tol):
         raise ValueError("redeployment ruling must be a unit-speed spherical curve")
-    gamma = _integrated(reconstruct_directrix(fc, probe)[:n], 0.0)
+    gamma = series_integral(reconstruct_directrix(fc, probe)[:n], 0.0)
     return RuledSurface(gamma=_vjet3(gamma, n), xi=new_xi.truncated(n))
 
 
@@ -355,7 +338,7 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     """
     if rs.order < 3:
         raise JetDomainError(f"classification reads jets of order 3, got order {rs.order}")
-    gamma, xi = _rows(rs.gamma), _rows(rs.xi)
+    gamma, xi = rs.gamma.c[:, 0].T, rs.xi.c[:, 0].T
     if np.linalg.norm(gamma[1]) <= tol and abs(_det3([2.0 * gamma[2], xi[0], xi[1]])) > tol:
         return "cross_cap"
     try:
@@ -365,7 +348,7 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
         fc = None
     if fc is not None and np.max(np.abs(fc.b)) <= tol and np.max(np.abs(fc.c)) <= tol:
         a0, a1 = fc.a[0], fc.a[1]
-        x, _, nu = _frame(_rows(rsn.xi))
+        x, _, nu = _frame(rsn.xi.c[:, 0].T)
         if (
             abs(_det3([x[0], nu[0], nu[1]])) <= tol
             and abs(a0) > tol

@@ -236,7 +236,7 @@ def limiting_normal(f: SurfaceMap, theta: float, tol: float = DEFAULT_TOL) -> Li
     fu = f.jet.deriv_u()
     fv = f.jet.deriv_v()
     n = fu.cross(fv)
-    profiles = np.column_stack([comp.polar_profile(theta) for comp in n.components()])
+    profiles = n.polar_profile(theta).T
     scale = max(np.max(np.abs(profiles)), 1.0)
     for m in range(profiles.shape[0]):
         vec = profiles[m]

@@ -180,8 +180,13 @@ def test_comma_list_may_start_negative(tmp_path, capsys, command, flag, value):
     path = write_spec(tmp_path, doc if command == "deform" else quadratic_spec())
     joined = (main([command, path, f"{flag}={value}", "--json"]), capsys.readouterr())
     split = (main([command, path, flag, value, "--json"]), capsys.readouterr())
-    assert joined[0] == 0
     assert split == joined
+    if flag == "--radii":
+        # parsed as a value, then refused: a radius must be positive
+        assert joined[0] == 1
+        assert joined[1].err == "spec error: --radii: values must be positive\n"
+    else:
+        assert joined[0] == 0
 
 
 def test_classify_cross_cap(tmp_path, capsys):
@@ -338,11 +343,12 @@ def test_asymptotics_json_and_text(tmp_path, capsys):
         ("asymptotics", quadratic_spec(), ["--radii=,"]),
         ("asymptotics", quadratic_spec(), ["--theta="]),
         ("asymptotics", quadratic_spec(), ["--radii="]),
+        ("asymptotics", quadratic_spec(), ["--radii=-0.5,0"]),
         ("mesh", quadratic_spec(), ["--resolution", "0"]),
     ],
     ids=[
         "deform-kind", "classify-kind", "kappas-empty", "theta-empty", "radii-empty",
-        "theta-blank", "radii-blank", "resolution-0",
+        "theta-blank", "radii-blank", "radii-nonpositive", "resolution-0",
     ],
 )
 def test_unusable_spec_or_flag_is_one_spec_error_line(tmp_path, capsys, command, doc, flags):

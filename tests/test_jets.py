@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosscap import Jet2, Jet3, JetDomainError, SingularJetError
+from crosscap import Jet2, Jet3, JetDomainError, SingularJetError, jets
 from crosscap.jets import (
     series_compose,
     series_cross,
@@ -225,18 +225,17 @@ def test_compose_evaluates_correctly(rng):
 
 def test_jet3_compose_shares_powers_of_h(rng, monkeypatch):
     n = 12
-    F = Jet3(*(random_jet(rng, n) for _ in range(3)))
+    F = Jet3.stack(*(random_jet(rng, n) for _ in range(3)))
     g, h = inner_jet(rng, n), inner_jet(rng, n)
     expect = [naive_compose(comp, g, h) for comp in F.components()]
     products = []
-    mul = Jet2.__mul__
+    product = jets._product
 
-    def counting(self, other):
-        if isinstance(other, Jet2):
-            products.append(other)
-        return mul(self, other)
+    def counting(a, b, n):
+        products.append(n)
+        return product(a, b, n)
 
-    monkeypatch.setattr(Jet2, "__mul__", counting)
+    monkeypatch.setattr(jets, "_product", counting)
     comp = F.compose(g, h)
     monkeypatch.undo()
     # n - 1 for the powers of h, n per component for Horner in g
@@ -351,8 +350,8 @@ def test_upoly_vpoly_layout():
 
 def test_jet3_cross_and_dot_identities(rng):
     order = 4
-    a = Jet3(*(random_jet(rng, order) for _ in range(3)))
-    b = Jet3(*(random_jet(rng, order) for _ in range(3)))
+    a = Jet3.stack(*(random_jet(rng, order) for _ in range(3)))
+    b = Jet3.stack(*(random_jet(rng, order) for _ in range(3)))
     scale = max(1.0, max(c.max_abs() for c in (*a.components(), *b.components()))) ** 4
     # antisymmetry and orthogonality of the cross product
     assert a.cross(b).max_coeff_diff(-b.cross(a)) <= 1e-13 * scale
@@ -364,13 +363,46 @@ def test_jet3_cross_and_dot_identities(rng):
 
 
 def test_jet3_rigid_motion(rng):
-    a = Jet3(*(random_jet(rng, 3) for _ in range(3)))
+    a = Jet3.stack(*(random_jet(rng, 3) for _ in range(3)))
     R = random_rotation(rng)
     rotated = a.rotated(R)
     assert rotated.dot(rotated).max_coeff_diff(a.dot(a)) <= 1e-12 * max(1.0, a.dot(a).max_abs())
     shifted = a.translated([1.0, -2.0, 3.0])
     assert np.allclose(shifted.coeff_vector(0, 0) - a.coeff_vector(0, 0), [1.0, -2.0, 3.0])
     assert shifted.coeff_vector(1, 1) == pytest.approx(a.coeff_vector(1, 1))
+
+
+def test_jet3_shares_the_jet2_operations_exactly(rng):
+    # each operation on the stacked tables is the same operation on each
+    # component, to the last bit; the random tables are dense, so every
+    # component uses all the powers of h that the stack shares
+    n = 6
+    F, G = (Jet3.stack(*(random_jet(rng, n) for _ in range(3))) for _ in range(2))
+    s, g, h = random_jet(rng, n), inner_jet(rng, n), inner_jet(rng, n)
+    ops = [
+        (lambda J: J + G, lambda p, i: p + G.components()[i]),
+        (lambda J: J - G, lambda p, i: p - G.components()[i]),
+        (lambda J: -J, lambda p, i: -p),
+        (lambda J: J * 0.37, lambda p, i: p * 0.37),
+        (lambda J: J * s, lambda p, i: p * s),
+        (lambda J: J.compose(g, h), lambda p, i: p.compose(g, h)),
+        (lambda J: J.deriv_u(), lambda p, i: p.deriv_u()),
+        (lambda J: J.deriv_v(), lambda p, i: p.deriv_v()),
+        (lambda J: J.truncated(4), lambda p, i: p.truncated(4)),
+        (lambda J: J.truncated(8), lambda p, i: p.truncated(8)),
+        (lambda J: J.shifted_origin(0.37, -0.81), lambda p, i: p.shifted_origin(0.37, -0.81)),
+    ]
+    for stacked, single in ops:
+        got = stacked(F)
+        for i, comp in enumerate(F.components()):
+            want = single(comp, i)
+            assert got.order == want.order
+            assert np.array_equal(got.c[i], want.c)
+    profile = F.polar_profile(0.83)
+    for i, comp in enumerate(F.components()):
+        assert np.array_equal(profile[i], comp.polar_profile(0.83))
+    assert F.max_coeff_diff(G) == max(a.max_coeff_diff(b) for a, b in zip(F.components(), G.components()))
+    assert np.array_equal(F(0.3, -0.2), [comp(0.3, -0.2) for comp in F.components()])
 
 
 def test_jet3_evaluation_and_partials():
@@ -390,7 +422,7 @@ def test_series_in_one_variable_match_jets(rng):
     X = rng.uniform(-1.0, 1.0, (n + 1, 3))
     Y = rng.uniform(-1.0, 1.0, (n + 1, 3))
     jet_a, jet_b = vpoly(a, n), vpoly(b, n)
-    jx, jy = (Jet3(*(vpoly(Z[:, i], n) for i in range(3))) for Z in (X, Y))
+    jx, jy = (Jet3.stack(*(vpoly(Z[:, i], n) for i in range(3))) for Z in (X, Y))
 
     def rows(j3):
         return np.array([c.c[0] for c in j3.components()]).T

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CrosscapError
 from .invariants import IntrinsicTriple, intrinsic_from_map
 from .surface import SurfaceMap, curvatures_at, detect_crosscap
 
@@ -64,13 +65,16 @@ def leading(triple: IntrinsicTriple, theta: float) -> PolarLeading:
     if triple.a02 <= 0:
         raise ValueError("polar expansion needs a02 > 0")
     co, si = math.cos(theta), math.sin(theta)
-    a = math.sqrt(co * co + (triple.a11 * co + triple.a02 * si) ** 2)
-    return PolarLeading(
-        theta=float(theta),
-        a_theta=a,
-        h_lead=triple.a02 * co / (2.0 * a**3),
-        k_lead=triple.a02 * (triple.a20 * co * co - triple.a02 * si * si) / a**4,
-    )
+    name = "a_theta"
+    try:
+        a = math.sqrt(co * co + (triple.a11 * co + triple.a02 * si) ** 2)
+        name = "h_lead"
+        h_lead = triple.a02 * co / (2.0 * a**3)
+        name = "k_lead"
+        k_lead = triple.a02 * (triple.a20 * co * co - triple.a02 * si * si) / a**4
+    except OverflowError:
+        raise CrosscapError(f"polar expansion overflows in {name} at theta = {theta}") from None
+    return PolarLeading(theta=float(theta), a_theta=a, h_lead=h_lead, k_lead=k_lead)
 
 
 def _clamped_radii(radii: Sequence[float] | None) -> tuple[float, ...]:

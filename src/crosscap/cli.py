@@ -25,6 +25,7 @@ overrides the default tolerance 1e-9.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -53,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="crosscap", description="cross cap singularity analysis")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -87,10 +87,7 @@ class SphericalCurve:
 
     def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, e, n) at arc length s; raises ChartError for |s| >= pi/2."""
-        return self.path.frame(s)
-
-    def point(self, s: float) -> np.ndarray:
-        return self.frame(s)[0]
+        return tuple(np.hsplit(self.path.state(s), 3))
 
     def series_at(self, s0: float, order: int):
         """Local Taylor coefficients of (c, e, n) around s0."""

@@ -59,9 +59,6 @@ class ComboQuadruple:
     c3: float
     c4: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4])
-
 
 def _det3(rows) -> float:
     return float(np.linalg.det(np.vstack(rows)))
@@ -98,6 +95,9 @@ def intrinsic_from_map(f: SurfaceMap, tol: float = DEFAULT_TOL) -> IntrinsicTrip
 def intrinsic_from_metric(forms: FundamentalForms, tol: float = ROUTE_TOL) -> IntrinsicTriple:
     """Quadratic canonical coefficients from the first form alone."""
     E, F, G = forms.E, forms.F, forms.G
+    low = min(E.order, F.order, G.order)
+    if low < 2:  # second partials of E, F, G would read 0 past the table
+        raise MetricError(f"metric route needs first-form order >= 2 (germ order >= 3), got {low}")
     E0 = E.partial(0, 0)
     if E0 <= 0:
         raise MetricError("E(0,0) must be positive")

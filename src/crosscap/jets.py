@@ -56,8 +56,6 @@ from .errors import JetDomainError, SingularJetError
 __all__ = [
     "Jet2",
     "Jet3",
-    "vpoly",
-    "upoly",
     "series_product",
     "series_cross",
     "series_power",
@@ -376,10 +374,6 @@ class Jet2(_Jet):
     shifted_origin = _Jet.shifted_origin
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "Jet2":
-        return cls.from_terms({(0, 0): value}, order)
-
-    @classmethod
     def variable(cls, name: str, order: int) -> "Jet2":
         if order < 1:
             raise JetDomainError("variable jet needs order >= 1")
@@ -401,13 +395,12 @@ class Jet2(_Jet):
                 if val != 0.0:
                     yield j, k, float(val)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.c)))
-
     def __repr__(self) -> str:
         body = ", ".join(f"u^{j} v^{k}: {val:.6g}" for j, k, val in self.terms())
         return f"Jet2(order={self.order}, {{{body}}})"
 
+    # no library code calls sqrt, recip or Jet3.components; the benchmark
+    # wraps and reads them by name
     def _power(self, p: float) -> "Jet2":
         """self^p = c00^p (1 + w)^p with w = self/c00 - 1, whose constant term is 0."""
         c00 = self.coeff(0, 0)
@@ -432,25 +425,11 @@ class Jet2(_Jet):
         return float(up @ self.c @ vp)
 
 
-def vpoly(coeffs: Sequence[float], order: int) -> Jet2:
-    """Univariate polynomial in v embedded as a Jet2."""
-    return Jet2.from_terms({(0, k): val for k, val in enumerate(coeffs)}, order)
-
-
-def upoly(coeffs: Sequence[float], order: int) -> Jet2:
-    return Jet2.from_terms({(j, 0): val for j, val in enumerate(coeffs)}, order)
-
-
 class Jet3(_Jet):
     """Jet of a map germ (u,v) -> R^3, its component tables stacked as c[i]."""
 
     __slots__ = ()
     _stack = (3,)
-
-    @classmethod
-    def stack(cls, x: Jet2, y: Jet2, z: Jet2) -> "Jet3":
-        n = min(x.order, y.order, z.order)
-        return cls(n, np.stack([comp.truncated(n).c for comp in (x, y, z)]))
 
     def components(self) -> tuple[Jet2, Jet2, Jet2]:
         return tuple(Jet2(self.order, t) for t in self.c)

@@ -125,7 +125,7 @@ def reduce_to_normal_form(
     f: SurfaceMap, order: int | None = None, tol: float = DEFAULT_TOL
 ) -> NormalForm:
     """Canonical coefficient tables plus the motions realizing them."""
-    require_crosscap(f, tol)
+    delta = require_crosscap(f, tol).delta
     n = f.jet.order if order is None else min(order, f.jet.order)
     if n < 2:
         raise NormalFormError("reduction needs jets of order >= 2", degree=n)
@@ -134,8 +134,8 @@ def reduce_to_normal_form(
     translation = jet.coeff_vector(0, 0)
     work = jet.translated(-translation)
 
-    fu, _, _, fuv, fvv = origin_derivatives(work)
-    delta = float(np.linalg.det(np.column_stack([fu, fuv, fvv])))
+    # translation and truncation leave f_u, f_uv, f_vv and so the bracket alone
+    fu, _, _, _, fvv = origin_derivatives(work)
     idx = np.arange(n + 1)
     degree = idx[:, None] + idx[None, :]
     flipped = delta < 0

@@ -157,9 +157,6 @@ class FrenetPath(TaylorPath):
             raise ChartError(f"arc length {s:.6f} outside the chart |s| < pi/2")
         return super().state(s)
 
-    def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.hsplit(self.state(s), 3))
-
 
 def _step(block: np.ndarray) -> float:
     """Step whose two last Taylor terms stay below TAYLOR_TOL; 0 if not finite."""

@@ -160,19 +160,20 @@ def first_form(f: SurfaceMap) -> FundamentalForms:
     return FundamentalForms(E=fu.dot(fu), F=fu.dot(fv), G=fv.dot(fv))
 
 
-def _point_derivatives(f: SurfaceMap, u: float, v: float):
-    jet = f.local_jet(u, v, order=2)
-    fu = jet.coeff_vector(1, 0)
-    fv = jet.coeff_vector(0, 1)
-    fuu = 2.0 * jet.coeff_vector(2, 0)
-    fuv = jet.coeff_vector(1, 1)
-    fvv = 2.0 * jet.coeff_vector(0, 2)
-    return fu, fv, fuu, fuv, fvv
+def origin_derivatives(jet: Jet3):
+    """f_u, f_v, f_uu, f_uv, f_vv at the jet's origin, as vectors."""
+    return (
+        jet.partial_vector(1, 0),
+        jet.partial_vector(0, 1),
+        jet.partial_vector(2, 0),
+        jet.partial_vector(1, 1),
+        jet.partial_vector(0, 2),
+    )
 
 
 def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:
     """(L, M, N) with respect to the unit normal f_u x f_v / |f_u x f_v|."""
-    fu, fv, fuu, fuv, fvv = _point_derivatives(f, u, v)
+    fu, fv, fuu, fuv, fvv = origin_derivatives(f.local_jet(u, v))
     n = np.cross(fu, fv)
     norm = np.linalg.norm(n)
     if norm < 1e-14:
@@ -183,7 +184,7 @@ def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, flo
 
 def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
     """(K, H) at a regular point; H follows the f_u x f_v normal."""
-    fu, fv, fuu, fuv, fvv = _point_derivatives(f, u, v)
+    fu, fv, fuu, fuv, fvv = origin_derivatives(f.local_jet(u, v))
     E, F, G = fu @ fu, fu @ fv, fv @ fv
     n = np.cross(fu, fv)
     W2 = E * G - F * F
@@ -198,17 +199,6 @@ def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
 
 # ----------------------------------------------------------------------
 # cross cap detection and limiting normals
-
-def origin_derivatives(jet: Jet3):
-    """f_u, f_v, f_uu, f_uv, f_vv at the origin as vectors."""
-    return (
-        jet.partial_vector(1, 0),
-        jet.partial_vector(0, 1),
-        jet.partial_vector(2, 0),
-        jet.partial_vector(1, 1),
-        jet.partial_vector(0, 2),
-    )
-
 
 def detect_crosscap(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapTest:
     """Criterion: f_v(0,0) = 0 while f_u, f_uv, f_vv are independent."""
@@ -243,8 +233,7 @@ def limiting_normal(f: SurfaceMap, theta: float, tol: float = DEFAULT_TOL) -> Li
         norm = np.linalg.norm(vec)
         if norm > tol * scale:
             nu = vec / norm
-            fu0 = f.jet.partial_vector(1, 0)
-            fvv0 = f.jet.partial_vector(0, 2)
+            fu0, _, _, _, fvv0 = origin_derivatives(f.jet)
             det = float(np.linalg.det(np.column_stack([fu0, fvv0, nu])))
             if det < -tol:
                 nu, det = -nu, -det

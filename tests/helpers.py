@@ -1,10 +1,22 @@
-"""Randomized construction helpers shared by the test modules."""
+"""Jet constructors and randomized construction helpers shared by the test
+modules."""
 from __future__ import annotations
 
 import numpy as np
 
-from crosscap import Jet2, SurfaceMap, canonical_crosscap
+from crosscap import Jet2, Jet3, SurfaceMap, canonical_crosscap
 from crosscap.normalform import NormalForm
+
+
+def vpoly(coeffs, order: int) -> Jet2:
+    """Polynomial in v alone, embedded as a Jet2 of the given order."""
+    return Jet2.from_terms({(0, k): val for k, val in enumerate(coeffs)}, order)
+
+
+def stack(x: Jet2, y: Jet2, z: Jet2) -> Jet3:
+    """The Jet3 with components x, y, z, at the smallest of their orders."""
+    n = min(x.order, y.order, z.order)
+    return Jet3(n, np.stack([comp.truncated(n).c for comp in (x, y, z)]))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

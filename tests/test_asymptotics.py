@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from crosscap import (
+    CrosscapError,
     build_crosscap,
     deformation_family,
     intrinsic_from_map,
@@ -38,6 +39,14 @@ def test_leading_standard_values():
 def test_leading_rejects_bad_a02():
     with pytest.raises(ValueError):
         leading(IntrinsicTriple(a02=0.0, a20=0.0, a11=0.0, delta_sq=1.0), 0.3)
+
+
+def test_leading_names_the_overflowing_quantity():
+    # a^4, a^3 and the square inside a(theta) overflow in turn as a02 grows
+    for a02, name in ((1e80, "k_lead"), (1e120, "h_lead"), (1e160, "a_theta")):
+        triple = IntrinsicTriple(a02=a02, a20=0.5, a11=0.3, delta_sq=1.0)
+        with pytest.raises(CrosscapError, match=f"{name} at theta = 1.0"):
+            leading(triple, 1.0)
 
 
 def test_convergence_standard_side_ray():

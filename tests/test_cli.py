@@ -69,6 +69,28 @@ def test_analyze_order_override(tmp_path, capsys):
     assert parsed["normal_form"]["order"] == 3
 
 
+def test_order_2_refuses_the_metric_route(tmp_path, capsys):
+    # an order-2 germ has an order-1 first form, too short for the metric route
+    for command, doc in (("analyze", quadratic_spec(a20=0.5, a11=0.3, a02=1.0)), ("deform", FAMILY_SPEC)):
+        assert main([command, write_spec(tmp_path, doc), "--order", "2"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("analysis failed") and "order >= 2" in err
+
+
+def test_main_calls_share_no_flag_values(tmp_path, capsys):
+    path = write_spec(tmp_path, quadratic_spec(order=5))
+    assert main(["analyze", path, "--json", "--order", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"]["order"] == 3
+    assert main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"]["order"] == 5
+    obj = tmp_path / "m.obj"
+    assert main(["mesh", path, "--out", str(obj), "--resolution", "2"]) == 0
+    assert capsys.readouterr().out == f"wrote {obj}\n"
+    assert main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"]["order"] == 5
+
+
 def test_analyze_out_file(tmp_path, capsys):
     path = write_spec(tmp_path, quadratic_spec())
     target = tmp_path / "report.json"
@@ -131,6 +153,9 @@ def test_overflowing_coefficients_exit_two(tmp_path, capsys):
     cases = [
         ("analyze", {"circle_deformation": {"kappa": 1, "a02": 1e150, "a11": 0.5}}, "a02"),
         ("asymptotics", {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1e200, 0], [0, 2, 0, 0, 0.5]]}, "delta_sq"),
+        # a finite triple whose leading polar coefficients overflow: a^4 in k_lead
+        ("analyze", quadratic_spec(a20=0.5, a11=0.3, a02=1e80), "k_lead"),
+        ("asymptotics", quadratic_spec(a20=0.5, a11=0.3, a02=1e80), "k_lead"),
     ]
     for command, doc, quantity in cases:
         assert main([command, write_spec(tmp_path, doc)]) == 2

@@ -36,7 +36,7 @@ def test_circle_point_matches_integrated_frame():
     for kappa in (0.0, 1.0, 3.0):
         curve = circle_family(kappa)
         for s in S_GRID:
-            assert np.linalg.norm(curve.point(s) - circle_point(kappa, s)) <= 1e-9
+            assert np.linalg.norm(curve.frame(s)[0] - circle_point(kappa, s)) <= 1e-9
 
 
 def test_circle_point_stays_on_sphere():
@@ -213,13 +213,13 @@ def test_frenet_series_matches_path():
     s = 0.3
     powers = s ** np.arange(11)
     c_series = powers @ C
-    assert np.linalg.norm(c_series - curve.point(s)) <= 1e-9
+    assert np.linalg.norm(c_series - curve.frame(s)[0]) <= 1e-9
 
     # recentered series around s0 reproduces nearby frames
     C2, E2, N2 = curve.series_at(0.4, 10)
     h = 0.05
     powers = h ** np.arange(11)
-    assert np.linalg.norm(powers @ C2 - curve.point(0.4 + h)) <= 1e-9
+    assert np.linalg.norm(powers @ C2 - curve.frame(0.4 + h)[0]) <= 1e-9
     assert np.linalg.norm(powers @ E2 - curve.frame(0.4 + h)[1]) <= 1e-9
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -157,18 +158,21 @@ def test_gauss_sign_tracks_a20():
 
 def test_metric_route_rejections():
     zero = Jet2.zero(4)
-    one = Jet2.constant(1.0, 4)
+    one = Jet2.from_terms({(0, 0): 1.0}, 4)
     with pytest.raises(MetricError):
         intrinsic_from_metric(FundamentalForms(E=zero, F=zero, G=zero))
     # flat plane metric: bracket determinant vanishes
     with pytest.raises(MetricError):
         intrinsic_from_metric(FundamentalForms(E=one, F=zero, G=one))
+    # an order-2 germ has order-1 forms, whose second partials read 0
+    with pytest.raises(MetricError, match="order >= 2"):
+        intrinsic_from_metric(first_form(quadratic_crosscap(0.5, 0.3, 1.0, order=2)))
 
 
 def test_combo_quadruple():
     nf = reduce_to_normal_form(quadratic_crosscap(1.0, 0.5, 2.0))
     combos = isometry_combos(nf)
-    assert np.allclose(combos.as_array(), 0.0, atol=1e-12)
+    assert np.allclose(astuple(combos), 0.0, atol=1e-12)
 
     bad = NormalForm(
         order=2,

@@ -15,11 +15,9 @@ from crosscap.jets import (
     series_power,
     series_product,
     series_shift,
-    upoly,
-    vpoly,
 )
 
-from helpers import random_rotation
+from helpers import random_rotation, stack, vpoly
 
 
 def as_dict(p: Jet2) -> dict[tuple[int, int], float]:
@@ -141,19 +139,19 @@ def test_mul_reports_overflow_of_kept_coefficients_only():
     low = Jet2.from_terms({(1, 0): 1e200, (0, 1): 1e200}, 2)
     with np.errstate(over="raise"):
         prod = high * low
-    assert prod.max_abs() == 0.0
+    assert np.abs(prod.c).max() == 0.0
     # the same from two series in v alone: v^2 times v lands above order 2
     vbig = vpoly([1e200, 1.0], 2)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             vbig * vbig
         prod = vpoly([0.0, 0.0, 1e200], 2) * vpoly([0.0, 1e200], 2)
-    assert prod.max_abs() == 0.0
+    assert np.abs(prod.c).max() == 0.0
 
 
 @given(jet_strategy(), jet_strategy(), jet_strategy())
 def test_ring_axioms(a, b, c):
-    scale = max(1.0, a.max_abs(), b.max_abs(), c.max_abs()) ** 2
+    scale = max(1.0, np.abs(a.c).max(), np.abs(b.c).max(), np.abs(c.c).max()) ** 2
     assert ((a + b) + c).max_coeff_diff(a + (b + c)) <= 1e-12 * scale
     assert (a * b).max_coeff_diff(b * a) <= 1e-12 * scale
     assert (a * (b + c)).max_coeff_diff(a * b + a * c) <= 1e-12 * scale
@@ -192,13 +190,13 @@ def test_compose_associativity(rng):
         g1, h1, g2, h2 = inner
         lhs = f.compose(g1, h1).compose(g2, h2)
         rhs = f.compose(g1.compose(g2, h2), h1.compose(g2, h2))
-        scale = max(1.0, lhs.max_abs())
+        scale = max(1.0, np.abs(lhs.c).max())
         assert lhs.max_coeff_diff(rhs) <= 1e-12 * scale
 
 
 def test_compose_requires_zero_constant():
     f = random_jet(np.random.default_rng(0), 3)
-    bad = Jet2.constant(1.0, 3)
+    bad = Jet2.from_terms({(0, 0): 1.0}, 3)
     with pytest.raises(JetDomainError):
         f.compose(bad, Jet2.zero(3))
 
@@ -225,7 +223,7 @@ def test_compose_evaluates_correctly(rng):
 
 def test_jet3_compose_shares_powers_of_h(rng, monkeypatch):
     n = 12
-    F = Jet3.stack(*(random_jet(rng, n) for _ in range(3)))
+    F = stack(*(random_jet(rng, n) for _ in range(3)))
     g, h = inner_jet(rng, n), inner_jet(rng, n)
     expect = [naive_compose(comp, g, h) for comp in F.components()]
     products = []
@@ -247,24 +245,24 @@ def test_jet3_compose_shares_powers_of_h(rng, monkeypatch):
 
 @given(st.sampled_from([0, 1, 4]).flatmap(jet_strategy))
 def test_sqrt_and_recip_roundtrip(a):
-    base = a + 1.5 + a.max_abs()  # force a positive constant term
+    base = a + 1.5 + np.abs(a.c).max()  # force a positive constant term
     s = base.sqrt()
-    scale = max(1.0, base.max_abs()) ** 2
+    scale = max(1.0, np.abs(base.c).max()) ** 2
     assert (s * s).max_coeff_diff(base) <= 1e-12 * scale
     r = base.recip()
-    assert (base * r).max_coeff_diff(Jet2.constant(1.0, base.order)) <= 1e-12 * scale
+    assert (base * r).max_coeff_diff(Jet2.from_terms({(0, 0): 1.0}, base.order)) <= 1e-12 * scale
 
 
 @given(jet_strategy(order=12))
 def test_sqrt_and_recip_roundtrip_order_12(a):
-    base = a + 1.5 + a.max_abs()
+    base = a + 1.5 + np.abs(a.c).max()
     s = base.sqrt()
     r = base.recip()
     # at order 12 the coefficients of s and r grow like |base/c00 - 1|^12, so
     # the bound is the round-off of a product: eps times the factors' 1-norms
     size = np.abs(base.c).sum()
     assert (s * s).max_coeff_diff(base) <= 1e-14 * max(size, np.abs(s.c).sum() ** 2)
-    one = Jet2.constant(1.0, base.order)
+    one = Jet2.from_terms({(0, 0): 1.0}, base.order)
     assert (base * r).max_coeff_diff(one) <= 1e-14 * max(1.0, size * np.abs(r.c).sum())
 
 
@@ -272,7 +270,7 @@ def test_sqrt_rejects_nonpositive_constant():
     with pytest.raises(SingularJetError):
         Jet2.from_terms({(1, 0): 1.0}, 3).sqrt()
     with pytest.raises(SingularJetError):
-        Jet2.constant(-2.0, 3).recip()
+        Jet2.from_terms({(0, 0): -2.0}, 3).recip()
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +281,7 @@ def test_deriv_and_integrate_are_inverse(rng):
     assert q.deriv_v().coeff(0, 0) == 1.0
     assert q.deriv_v().coeff(0, 2) == 9.0
     with pytest.raises(JetDomainError):
-        Jet2.constant(1.0, 0).deriv_u()
+        Jet2.from_terms({(0, 0): 1.0}, 0).deriv_u()
 
 
 def test_calculus_matches_termwise_definition(rng):
@@ -339,23 +337,17 @@ def test_constructor_validation():
         Jet2(2, np.zeros((4, 4)))
 
 
-def test_upoly_vpoly_layout():
-    assert upoly([1.0, 2.0], 3).coeff(1, 0) == 2.0
-    assert vpoly([1.0, 2.0], 3).coeff(0, 1) == 2.0
-    assert vpoly([1.0, 2.0, 3.0, 4.0, 5.0], 3).coeff(0, 4) == 0.0
-
-
 # ----------------------------------------------------------------------
 # vector jets
 
 def test_jet3_cross_and_dot_identities(rng):
     order = 4
-    a = Jet3.stack(*(random_jet(rng, order) for _ in range(3)))
-    b = Jet3.stack(*(random_jet(rng, order) for _ in range(3)))
-    scale = max(1.0, max(c.max_abs() for c in (*a.components(), *b.components()))) ** 4
+    a = stack(*(random_jet(rng, order) for _ in range(3)))
+    b = stack(*(random_jet(rng, order) for _ in range(3)))
+    scale = max(1.0, max(np.abs(c.c).max() for c in (*a.components(), *b.components()))) ** 4
     # antisymmetry and orthogonality of the cross product
     assert a.cross(b).max_coeff_diff(-b.cross(a)) <= 1e-13 * scale
-    assert a.cross(b).dot(a).max_abs() <= 1e-12 * scale
+    assert np.abs(a.cross(b).dot(a).c).max() <= 1e-12 * scale
     # Lagrange identity |a x b|^2 = |a|^2 |b|^2 - (a.b)^2
     lhs = a.cross(b).dot(a.cross(b))
     rhs = a.dot(a) * b.dot(b) - a.dot(b) * a.dot(b)
@@ -363,10 +355,10 @@ def test_jet3_cross_and_dot_identities(rng):
 
 
 def test_jet3_rigid_motion(rng):
-    a = Jet3.stack(*(random_jet(rng, 3) for _ in range(3)))
+    a = stack(*(random_jet(rng, 3) for _ in range(3)))
     R = random_rotation(rng)
     rotated = a.rotated(R)
-    assert rotated.dot(rotated).max_coeff_diff(a.dot(a)) <= 1e-12 * max(1.0, a.dot(a).max_abs())
+    assert rotated.dot(rotated).max_coeff_diff(a.dot(a)) <= 1e-12 * max(1.0, np.abs(a.dot(a).c).max())
     shifted = a.translated([1.0, -2.0, 3.0])
     assert np.allclose(shifted.coeff_vector(0, 0) - a.coeff_vector(0, 0), [1.0, -2.0, 3.0])
     assert shifted.coeff_vector(1, 1) == pytest.approx(a.coeff_vector(1, 1))
@@ -377,7 +369,7 @@ def test_jet3_shares_the_jet2_operations_exactly(rng):
     # component, to the last bit; the random tables are dense, so every
     # component uses all the powers of h that the stack shares
     n = 6
-    F, G = (Jet3.stack(*(random_jet(rng, n) for _ in range(3))) for _ in range(2))
+    F, G = (stack(*(random_jet(rng, n) for _ in range(3))) for _ in range(2))
     s, g, h = random_jet(rng, n), inner_jet(rng, n), inner_jet(rng, n)
     ops = [
         (lambda J: J + G, lambda p, i: p + G.components()[i]),
@@ -422,7 +414,7 @@ def test_series_in_one_variable_match_jets(rng):
     X = rng.uniform(-1.0, 1.0, (n + 1, 3))
     Y = rng.uniform(-1.0, 1.0, (n + 1, 3))
     jet_a, jet_b = vpoly(a, n), vpoly(b, n)
-    jx, jy = (Jet3.stack(*(vpoly(Z[:, i], n) for i in range(3))) for Z in (X, Y))
+    jx, jy = (stack(*(vpoly(Z[:, i], n) for i in range(3))) for Z in (X, Y))
 
     def rows(j3):
         return np.array([c.c[0] for c in j3.components()]).T

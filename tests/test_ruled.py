@@ -19,7 +19,7 @@ from crosscap import (
     verify_isometry,
 )
 from crosscap.deformation import SphericalCurve, build_crosscap, circle_family
-from crosscap.jets import Jet2, Jet3, vpoly
+from crosscap.jets import Jet2, Jet3
 from crosscap.ruled import (
     FrameCoefficients,
     RuledSurface,
@@ -35,12 +35,14 @@ from crosscap.ruled import (
 )
 from crosscap.specio import build_surface, parse_spec, write_obj
 
+from helpers import stack, vpoly
+
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040]
 
 
 def unit_circle_jet(order: int = 8) -> Jet3:
-    return Jet3.stack(
+    return stack(
         vpoly(COS_ROWS[: order + 1], order),
         vpoly(SIN_ROWS[: order + 1], order),
         Jet2.zero(order),
@@ -212,7 +214,7 @@ def test_redeploy_jet_ruling_validation():
     rsn = normalize(standard_ruled())
     fc = frame_coefficients(rsn)
     with pytest.raises(ValueError):
-        redeploy(fc, Jet3.stack(Jet2.constant(1.0, 6), vpoly([0.0, 1.0], 6), Jet2.zero(6)))
+        redeploy(fc, stack(Jet2.from_terms({(0, 0): 1.0}, 6), vpoly([0.0, 1.0], 6), Jet2.zero(6)))
     out = redeploy(fc, unit_circle_jet(8))
     assert is_normalized(out)
 
@@ -368,7 +370,7 @@ def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
     w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
     shat = _integrate_v(w2.recip() * math.sqrt(m)).truncated(order)
     C, _, _ = fam.curve.series_at(fam.arc_parameter(v0), order)
-    chat = Jet3.stack(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
+    chat = stack(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
     xi = chat * w2.sqrt()
     xi_d = xi.deriv_v()
     B = xi.truncated(order - 1).cross(xi_d) + xi_d * fam.a11
@@ -378,7 +380,7 @@ def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
 def _frame_series_by_jets(backing, v0: float, order: int) -> tuple[Jet3, Jet3]:
     # gamma' = a xi + b xi' + c (xi x xi') as bivariate jet algebra
     xi, xid, nu = (
-        Jet3.stack(*(vpoly(X[:, i], order) for i in range(3)))
+        stack(*(vpoly(X[:, i], order) for i in range(3)))
         for X in backing.curve.series_at(v0, order)
     )
     a, b, c = (

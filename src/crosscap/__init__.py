@@ -44,7 +44,6 @@ from .invariants import (
     ComboQuadruple,
     FocalConic,
     IntrinsicTriple,
-    a02_from_height_hessian,
     classify_sign,
     focal_conic,
     intrinsic_from_map,

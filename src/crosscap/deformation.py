@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-9
+# verify_isometry's bounds on the first-form jet coefficients and on the grid
+ISOMETRY_JET_TOL = 1e-9
+ISOMETRY_GRID_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -222,8 +225,6 @@ def extrinsic_invariants(kappa0: float, a02: float, a11: float) -> tuple[float, 
 class IsometryReport:
     jet_max_dev: float
     grid_max_dev: float
-    jet_tol: float
-    grid_tol: float
     passed: bool
 
 
@@ -234,13 +235,7 @@ def _first_form_of(jet: Jet3) -> tuple[float, float, float]:
     return float(fu @ fu), float(fu @ fv), float(fv @ fv)
 
 
-def verify_isometry(
-    f: SurfaceMap,
-    g: SurfaceMap,
-    grid: tuple[int, int] = (10, 10),
-    jet_tol: float = 1e-9,
-    grid_tol: float = 1e-6,
-) -> IsometryReport:
+def verify_isometry(f: SurfaceMap, g: SurfaceMap, grid: tuple[int, int] = (10, 10)) -> IsometryReport:
     """Compare first fundamental forms coefficient-wise and on a grid."""
     jet_dev = first_form(f).max_coeff_diff(first_form(g))
     (u0, u1), (v0, v1) = f.domain_hint
@@ -257,7 +252,5 @@ def verify_isometry(
     return IsometryReport(
         jet_max_dev=float(jet_dev),
         grid_max_dev=float(grid_dev),
-        jet_tol=jet_tol,
-        grid_tol=grid_tol,
-        passed=jet_dev <= jet_tol and grid_dev <= grid_tol,
+        passed=jet_dev <= ISOMETRY_JET_TOL and grid_dev <= ISOMETRY_GRID_TOL,
     )

@@ -1,23 +1,23 @@
 """Isometry invariants of a cross cap germ.
 
-Two independent routes recover the canonical quadratic coefficients.  The
-map route evaluates bracket and cross product expressions in the partial
-derivatives of f at the origin, valid in any admissible coordinates once
-the bracket det(f_u, f_uv, f_vv) is made positive by the domain flip.  The
-metric route uses only the first fundamental form: every derivative
-entering those expressions is a combination of E, F, G derivatives at the
-origin, so the squared bracket, the triple products and finally the
-quadratic coefficients come out of three small determinants.
+Two independent routes recover the canonical quadratic coefficients with
+one formula set in the derivatives f_u, f_uu, f_uv, f_vv at the origin,
+valid in any admissible coordinates once the bracket det(f_u, f_uv, f_vv)
+is positive.  The map route reads them off the germ and makes the bracket
+positive by the domain flip.  The metric route realizes them from the first
+fundamental form alone: since f_v = 0 at the origin, the 2-jet of E, F, G
+is the Gram matrix of f_u, f_uv, f_vv, whose Cholesky factor gives the
+three vectors up to a rotation, and f_uu follows from its inner products
+with them.
 
-The squared bracket is computed both from the Gram-style determinant in
-(E, F, G) derivatives and from the Hessian of h = EG - F^2; the two must
-agree, which guards the input against metrics that are not pull-backs of
-admissible cross caps.  The derived identity
+The squared bracket is computed both from that Gram determinant and from
+the Hessian of h = EG - F^2; the two must agree, which guards the input
+against metrics that are not pull-backs of admissible cross caps.  The
+metric triple also carries the identity
 
-    a02 = sqrt(E(0,0)) * (h_vv(0,0) / 2)^(3/2) / bracket^2
+    a02_from_height_hessian = sqrt(E(0,0)) * (h_vv(0,0) / 2)^(3/2) / bracket^2;
 
-is exposed separately; note the factor (h_vv/2)^(3/2): the cross product
-norm satisfies |f_u x f_vv|^2 = h_vv/2 at the origin.
+note the factor (h_vv/2)^(3/2): |f_u x f_vv|^2 = h_vv/2 at the origin.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrosscapError, MetricError
-from .jets import Jet2
 from .normalform import NormalForm
 from .surface import DEFAULT_TOL, FundamentalForms, SurfaceMap, origin_derivatives, require_crosscap
 
@@ -41,6 +40,7 @@ class IntrinsicTriple:
     a11: float
     delta_sq: float
     delta_sq_hessian: float | None = None
+    a02_from_height_hessian: float | None = None
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,16 @@ def intrinsic_from_map(f: SurfaceMap, tol: float = DEFAULT_TOL) -> IntrinsicTrip
         # admissible flip (u,v) -> (-u,-v)
         fu = -fu
         delta = -delta
+    return _triple("map", fu, fuu, fuv, fvv, delta)
+
+
+def _triple(route: str, fu, fuu, fuv, fvv, delta, **extra) -> IntrinsicTriple:
+    """The triple from the derivative vectors at a cross cap with bracket
+    delta = det(f_u, f_uv, f_vv) > 0; extra fields are checked alike."""
     # numpy scalars, whose powers overflow to inf where Python floats raise
-    nu_fu = np.linalg.norm(fu)
-    nc = np.linalg.norm(np.cross(fu, fvv))
     with np.errstate(all="ignore"):
+        nu_fu = np.linalg.norm(fu)
+        nc = np.linalg.norm(np.cross(fu, fvv))
         d2 = delta * delta
         a02 = nu_fu * nc**3 / d2
         br_uu_vv = _det3([fu, fuu, fvv])
@@ -84,15 +90,15 @@ def intrinsic_from_map(f: SurfaceMap, tol: float = DEFAULT_TOL) -> IntrinsicTrip
         a20 = nc / (4.0 * nu_fu**3 * d2) * (br_uu_vv**2 + 4.0 * delta * br_uv_uu)
         gram = (fu @ fu) * (fvv @ fuv) - (fu @ fuv) * (fvv @ fu)
         a11 = (2.0 * delta * gram - nc**2 * br_uu_vv) / (2.0 * nu_fu * d2)
-    fields = {"delta_sq": d2, "a02": a02, "a20": a20, "a11": a11}
+    fields = {"delta_sq": d2, "a02": a02, "a20": a20, "a11": a11, **extra}
     for name, value in fields.items():
         # a02 > 0 at a cross cap, so a02 = 0 underflowed
         if not np.isfinite(value) or (name == "a02" and value <= 0.0):
-            raise CrosscapError(f"map route gives {name} = {value}, out of floating point range")
+            raise CrosscapError(f"{route} route gives {name} = {value}, out of floating point range")
     return IntrinsicTriple(**{name: float(value) for name, value in fields.items()})
 
 
-def intrinsic_from_metric(forms: FundamentalForms, tol: float = ROUTE_TOL) -> IntrinsicTriple:
+def intrinsic_from_metric(forms: FundamentalForms) -> IntrinsicTriple:
     """Quadratic canonical coefficients from the first form alone."""
     E, F, G = forms.E, forms.F, forms.G
     low = min(E.order, F.order, G.order)
@@ -102,77 +108,39 @@ def intrinsic_from_metric(forms: FundamentalForms, tol: float = ROUTE_TOL) -> In
     if E0 <= 0:
         raise MetricError("E(0,0) must be positive")
     Eu, Euv, Evv = E.partial(1, 0), E.partial(1, 1), E.partial(0, 2)
-    Fu, Fv = F.partial(1, 0), F.partial(0, 1)
-    Fuu, Fuv = F.partial(2, 0), F.partial(1, 1)
+    Fu, Fv, Fuu, Fuv = F.partial(1, 0), F.partial(0, 1), F.partial(2, 0), F.partial(1, 1)
     Guu, Guv, Gvv = G.partial(2, 0), G.partial(1, 1), G.partial(0, 2)
-
-    gram = np.array(
-        [
-            [E0, Fu, Fv],
-            [Fu, Guu / 2.0, Guv / 2.0],
-            [Fv, Guv / 2.0, Gvv / 2.0],
-        ]
-    )
-    d2 = float(np.linalg.det(gram))
-
+    # Gram matrix of f_u, f_uv, f_vv, since f_v = 0 at the origin
+    d2 = float(np.linalg.det([[E0, Fu, Fv], [Fu, Guu / 2.0, Guv / 2.0], [Fv, Guv / 2.0, Gvv / 2.0]]))
     h = E * G - F * F
-    h_vv = h.partial(0, 2)
-    h_uu = h.partial(2, 0)
-    h_uv = h.partial(1, 1)
+    h_uu, h_uv, h_vv = h.partial(2, 0), h.partial(1, 1), h.partial(0, 2)
     d2_hess = (h_uu * h_vv - h_uv * h_uv) / (4.0 * E0)
-    if h_vv < -tol:
+    if h_vv < 0:
         raise MetricError("h_vv(0,0) < 0: metric is not positive semidefinite here")
-    if d2 <= tol:
+    if d2 <= ROUTE_TOL:
         raise MetricError("metric bracket determinant vanishes: not a cross cap metric")
     if abs(d2 - d2_hess) > max(1.0, abs(d2)) * 1e-9:
-        raise MetricError(
-            f"bracket determinant {d2:.12e} and Hessian route {d2_hess:.12e} disagree"
-        )
-
-    delta = math.sqrt(d2)
-    # triple products reconstructed through Gram determinants, divided by the bracket
-    m1 = (
-        _det3(
-            [
-                [E0, Eu / 2.0, Fv],
-                [Fu, Fuu - Euv / 2.0, Guv / 2.0],
-                [Fv, Fuv - Evv / 2.0, Gvv / 2.0],
-            ]
-        )
-        / delta
-    )
-    m2 = (
-        _det3(
-            [
-                [E0, Fu, Eu / 2.0],
-                [Fu, Guu / 2.0, Fuu - Euv / 2.0],
-                [Fv, Guv / 2.0, Fuv - Evv / 2.0],
-            ]
-        )
-        / delta
-    )
+        raise MetricError(f"bracket determinant {d2:.12e} and Hessian route {d2_hess:.12e} disagree")
     nc_sq = E0 * Gvv / 2.0 - Fv * Fv  # |f_u x f_vv|^2 = E*G_vv/2 - F_v^2
     if nc_sq <= 0:
         raise MetricError("metric gives |f_u x f_vv|^2 <= 0 at the origin")
-    nc = math.sqrt(nc_sq)
-    sqrtE = math.sqrt(E0)
 
-    a02 = sqrtE * nc**3 / d2
-    a20 = nc / (4.0 * sqrtE**3 * d2) * (m1 * m1 + 4.0 * delta * m2)
-    gram2 = E0 * Guv / 2.0 - Fu * Fv
-    a11 = (2.0 * delta * gram2 - nc_sq * m1) / (2.0 * sqrtE * d2)
-    return IntrinsicTriple(a02=a02, a20=a20, a11=a11, delta_sq=d2, delta_sq_hessian=d2_hess)
-
-
-def a02_from_height_hessian(forms: FundamentalForms) -> float:
-    """a02 via sqrt(E) * (h_vv/2)^(3/2) / bracket^2 with h = EG - F^2."""
-    E, F, G = forms.E, forms.F, forms.G
-    h = E * G - F * F
-    h_vv = h.partial(0, 2)
-    if h_vv < 0:
-        raise MetricError("h_vv(0,0) < 0")
-    triple = intrinsic_from_metric(forms)
-    return math.sqrt(E.partial(0, 0)) * (h_vv / 2.0) ** 1.5 / triple.delta_sq
+    # E0, nc_sq and d2 are the leading minors of the Gram matrix in the order
+    # (f_u, f_vv, f_uv), so its Cholesky factor is positive on the diagonal;
+    # its rows are f_u, f_vv, f_uv up to a rotation, with the last axis
+    # mirrored so that the bracket is positive
+    sqrtE, nc, delta = math.sqrt(E0), math.sqrt(nc_sq), math.sqrt(d2)
+    fu = (sqrtE, 0.0, 0.0)
+    fvv = (Fv / sqrtE, nc / sqrtE, 0.0)
+    fuv = (Fu / sqrtE, (E0 * Guv / 2.0 - Fu * Fv) / (sqrtE * nc), -delta / nc)
+    # f_uu by forward substitution from f_u.f_uu, f_vv.f_uu and f_uv.f_uu
+    x = Eu / 2.0 / sqrtE
+    y = (Fuv - Evv / 2.0 - fvv[0] * x) / fvv[1]
+    fuu = (x, y, (Fuu - Euv / 2.0 - fuv[0] * x - fuv[1] * y) / fuv[2])
+    with np.errstate(over="ignore"):  # past the float range: inf, which _triple refuses
+        a02_hess = sqrtE * np.float64(h_vv / 2.0) ** 1.5 / d2
+    vectors = map(np.array, (fu, fuu, fuv, fvv))
+    return _triple("metric", *vectors, delta, delta_sq_hessian=d2_hess, a02_from_height_hessian=a02_hess)
 
 
 def route_discrepancy(t1: IntrinsicTriple, t2: IntrinsicTriple) -> float:

@@ -221,9 +221,9 @@ def classify(nf: NormalForm, tol: float = DEFAULT_TOL) -> dict[str, bool]:
     }
 
 
-def frame(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapFrame:
+def frame(f: SurfaceMap) -> CrossCapFrame:
     """Distinguished directions and planes at the cross cap point."""
-    require_crosscap(f, tol)
+    require_crosscap(f)
     fu, _, _, _, fvv = origin_derivatives(f.jet)
     e1, e2, e3 = _rotation_for(fu, fvv)
     return CrossCapFrame(

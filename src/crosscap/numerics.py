@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,10 +107,13 @@ class TaylorPath:
     around t0; refusal opens the ChartError raised below STEP_FLOOR."""
 
     def __init__(self, block: Callable[..., np.ndarray], y0: np.ndarray, refusal: str):
-        self._block, self._refusal = block, refusal
-        root = block(0.0, y0)
-        # per direction: |t| where each piece starts, its Taylor block, and its step
-        self._nodes = {sign: ([0.0], [root], [_step(root)]) for sign in (1, -1)}
+        self._block, self._y0, self._refusal = block, y0, refusal
+
+    @cached_property
+    def _nodes(self) -> dict:
+        """Per direction: |t| where each piece starts, its Taylor block, and its step."""
+        root = self._block(0.0, self._y0)
+        return {sign: ([0.0], [root], [_step(root)]) for sign in (1, -1)}
 
     def state(self, t: float) -> np.ndarray:
         """y(t), from the piece holding t."""
@@ -149,7 +152,9 @@ class FrenetPath(TaylorPath):
 
     def series(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Taylor coefficients of (c, e, n) around s0, kappa recentred there."""
-        return tuple(np.hsplit(self._block(s0, self.state(s0), order), 3))
+        # at s0 = 0 the state is y0, and no node needs growing
+        y = self._y0 if s0 == 0.0 else self.state(s0)
+        return tuple(np.hsplit(self._block(s0, y, order), 3))
 
     def state(self, s: float) -> np.ndarray:
         """Frame state (c, e, n) at arc length s."""

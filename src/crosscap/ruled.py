@@ -241,11 +241,11 @@ def from_deformation(fam: RulingBacking, order: int = 8) -> RuledSurface:
 # ----------------------------------------------------------------------
 # normalization
 
-def is_normalized(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> bool:
-    """|xi|^2 = |xi'|^2 = 1 to within tol in every coefficient."""
+def is_normalized(rs: RuledSurface) -> bool:
+    """|xi|^2 = |xi'|^2 = 1 to within NORMALIZED_TOL in every coefficient."""
     xi = rs.xi.c[:, 0].T
     devs = (_dot(x, x, len(x) - 1) - np.eye(1, len(x))[0] for x in (xi, series_derivative(xi)))
-    return all(np.max(np.abs(dev)) <= tol for dev in devs)
+    return all(np.max(np.abs(dev)) <= NORMALIZED_TOL for dev in devs)
 
 
 def _reverted(sigma: np.ndarray) -> np.ndarray:
@@ -260,7 +260,7 @@ def _reverted(sigma: np.ndarray) -> np.ndarray:
     return w
 
 
-def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
+def normalize(rs: RuledSurface) -> RuledSurface:
     """Equivalent surface with |xi| = 1 and |xi'| = 1 as series identities.
 
     Rescales u pointwise by |xi(v)| and reparametrizes v by the arc
@@ -268,7 +268,7 @@ def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
     after scaling; the latter failing means the ruling direction is
     stationary and no spherical arc-length chart exists.
     """
-    if is_normalized(rs, tol):
+    if is_normalized(rs):
         return rs
     xi = rs.xi.c[:, 0].T
     n = len(xi) - 1
@@ -278,7 +278,7 @@ def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
     xi1 = series_product(xi, series_power(n2, -0.5, n), n)
     d = series_derivative(xi1)
     speed2 = _dot(d, d, n - 1)
-    if speed2[0] <= tol * tol:
+    if speed2[0] <= NORMALIZED_TOL * NORMALIZED_TOL:
         raise SingularPointError("ruling direction is stationary at v = 0")
     w = _reverted(series_integral(series_power(speed2, 0.5, n - 1), 0.0))
     m = min(rs.gamma.order, n)
@@ -289,9 +289,9 @@ def normalize(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> RuledSurface:
 # ----------------------------------------------------------------------
 # frame data and redeployment
 
-def frame_coefficients(rs: RuledSurface, tol: float = NORMALIZED_TOL) -> FrameCoefficients:
+def frame_coefficients(rs: RuledSurface) -> FrameCoefficients:
     """Project gamma' onto the orthonormal frame (xi, xi', xi x xi')."""
-    if not is_normalized(rs, tol):
+    if not is_normalized(rs):
         raise ValueError("frame coefficients need a normalized ruled surface")
     frame = _frame(rs.xi.c[:, 0].T)
     gp = series_derivative(rs.gamma.c[:, 0].T)
@@ -311,7 +311,6 @@ def redeploy(
     fc: FrameCoefficients,
     new_xi: SphericalFrame | Jet3,
     order: int | None = None,
-    tol: float = NORMALIZED_TOL,
 ) -> RuledSurface:
     """Ruled surface with the same frame coefficients along a new unit-speed
     spherical ruling; isometric to any other surface sharing (a, b, c)."""
@@ -319,7 +318,7 @@ def redeploy(
     if not isinstance(new_xi, Jet3):
         return _backed(_FrameBacking(new_xi, fc), n)
     probe = RuledSurface(gamma=Jet3.zero(new_xi.order), xi=new_xi)
-    if not is_normalized(probe, tol):
+    if not is_normalized(probe):
         raise ValueError("redeployment ruling must be a unit-speed spherical curve")
     gamma = series_integral(reconstruct_directrix(fc, probe)[:n], 0.0)
     return RuledSurface(gamma=_vjet3(gamma, n), xi=new_xi.truncated(n))

@@ -243,8 +243,7 @@ def invariant_report(
     test = surface.require_crosscap(f, tol=tol)
     nf = normalform.reduce_to_normal_form(f, order=order, tol=tol)
     t_map = invariants.intrinsic_from_map(f, tol=tol)
-    forms = surface.first_form(f)
-    t_metric = invariants.intrinsic_from_metric(forms)
+    t_metric = invariants.intrinsic_from_metric(surface.first_form(f))
     conic = invariants.focal_conic(t_map, tol=tol)
     combos = invariants.isometry_combos(nf)
     flags = normalform.classify(nf, tol=max(tol, 1e-7))
@@ -261,7 +260,7 @@ def invariant_report(
             "map_route": _triple_dict(t_map),
             "metric_route": _triple_dict(t_metric),
             "max_discrepancy": invariants.route_discrepancy(t_map, t_metric),
-            "a02_from_height_hessian": invariants.a02_from_height_hessian(forms),
+            "a02_from_height_hessian": t_metric.a02_from_height_hessian,
         },
         "focal_conic": asdict(conic),
         "combos": asdict(combos),

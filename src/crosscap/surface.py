@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -67,6 +68,12 @@ class SurfaceMap:
         if self.ruling is not None:
             return self.ruling.local_jets(us, v0, order)
         return [self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order)) for u0 in us]
+
+    @cached_property
+    def _first_form(self) -> FundamentalForms:
+        fu = self.jet.deriv_u()
+        fv = self.jet.deriv_v()
+        return FundamentalForms(E=fu.dot(fu), F=fu.dot(fv), G=fv.dot(fv))
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,8 @@ def standard_crosscap(order: int = 6) -> SurfaceMap:
 # fundamental forms and curvatures
 
 def first_form(f: SurfaceMap) -> FundamentalForms:
-    fu = f.jet.deriv_u()
-    fv = f.jet.deriv_v()
-    return FundamentalForms(E=fu.dot(fu), F=fu.dot(fv), G=fv.dot(fv))
+    """E, F, G jets of f, computed once per map."""
+    return f._first_form
 
 
 def origin_derivatives(jet: Jet3):
@@ -221,7 +227,7 @@ def require_crosscap(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapTest:
     return test
 
 
-def limiting_normal(f: SurfaceMap, theta: float, tol: float = DEFAULT_TOL) -> LimitingNormal:
+def limiting_normal(f: SurfaceMap, theta: float) -> LimitingNormal:
     """Unit limit of the normal direction along the ray of angle theta."""
     fu = f.jet.deriv_u()
     fv = f.jet.deriv_v()
@@ -231,11 +237,11 @@ def limiting_normal(f: SurfaceMap, theta: float, tol: float = DEFAULT_TOL) -> Li
     for m in range(profiles.shape[0]):
         vec = profiles[m]
         norm = np.linalg.norm(vec)
-        if norm > tol * scale:
+        if norm > DEFAULT_TOL * scale:
             nu = vec / norm
             fu0, _, _, _, fvv0 = origin_derivatives(f.jet)
             det = float(np.linalg.det(np.column_stack([fu0, fvv0, nu])))
-            if det < -tol:
+            if det < -DEFAULT_TOL:
                 nu, det = -nu, -det
             return LimitingNormal(vector=nu, orientation=det, leading_order=m)
     raise SingularPointError(

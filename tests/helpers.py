@@ -42,15 +42,17 @@ def random_canonical(rng: np.random.Generator, order: int = 4):
     return canonical_crosscap(a, b, order=6), a, b
 
 
-def admissible_diffeo(rng: np.random.Generator, order: int = 6) -> tuple[Jet2, Jet2]:
+def admissible_diffeo(
+    rng: np.random.Generator, order: int = 6, scale: tuple[float, float] = (0.6, 1.4)
+) -> tuple[Jet2, Jet2]:
     """Origin-preserving domain change that keeps the degenerate direction.
 
-    P_v(0) = 0 and both diagonal derivatives positive, so the bracket
-    keeps its sign and the null direction of the pull-back metric stays
-    along v.
+    P_v(0) = 0 and both diagonal derivatives positive, drawn from scale, so
+    the bracket keeps its sign and the null direction of the pull-back
+    metric stays along v.
     """
-    p = {(1, 0): float(rng.uniform(0.6, 1.4))}
-    q = {(0, 1): float(rng.uniform(0.6, 1.4)), (1, 0): float(rng.uniform(-0.5, 0.5))}
+    p = {(1, 0): float(rng.uniform(*scale))}
+    q = {(0, 1): float(rng.uniform(*scale)), (1, 0): float(rng.uniform(-0.5, 0.5))}
     for d in range(2, 4):
         for j in range(d + 1):
             p[(j, d - j)] = float(rng.uniform(-0.3, 0.3))
@@ -58,9 +60,14 @@ def admissible_diffeo(rng: np.random.Generator, order: int = 6) -> tuple[Jet2, J
     return Jet2.from_terms(p, order), Jet2.from_terms(q, order)
 
 
-def scramble(f: SurfaceMap, rng: np.random.Generator) -> SurfaceMap:
-    """Rigid motion plus admissible reparametrization of a germ."""
-    P, Q = admissible_diffeo(rng, f.jet.order)
+def scramble(
+    f: SurfaceMap, rng: np.random.Generator, scale: tuple[float, float] = (0.6, 1.4), flip: bool = False
+) -> SurfaceMap:
+    """Rigid motion plus admissible reparametrization of a germ; flip
+    composes with (u, v) -> (-u, -v) too, which negates the bracket."""
+    P, Q = admissible_diffeo(rng, f.jet.order, scale)
+    if flip:
+        P, Q = -P, -Q
     R = random_rotation(rng)
     T = rng.uniform(-1.0, 1.0, size=3)
     return SurfaceMap(jet=f.jet.compose(P, Q).rotated(R).translated(T))

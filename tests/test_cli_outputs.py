@@ -1,0 +1,57 @@
+"""tools/cli_outputs.py --compare: numbers may move, anything else may not."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def trees(tmp_path, a: dict, b: dict) -> tuple[str, str]:
+    for name, files in (("a", a), ("b", b)):
+        root = tmp_path / name
+        root.mkdir()
+        for rel, text in files.items():
+            (root / rel).write_text(text, encoding="utf-8")
+    return str(tmp_path / "a"), str(tmp_path / "b")
+
+
+REPORT = '{"a02": 2.0, "a20": -0.5, "residual": 1e-15}\n'
+
+
+def test_identical_trees_print_nothing(tool, tmp_path, capsys):
+    files = {"x.analyze.json": REPORT, "status.txt": "x.analyze 0 ''\n"}
+    assert tool.compare(*trees(tmp_path, files, files)) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_changed_number_prints_one_line(tool, tmp_path, capsys):
+    moved = REPORT.replace("-0.5", "-0.50000000000000011")
+    assert tool.compare(*trees(tmp_path, {"x.json": REPORT}, {"x.json": moved})) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert out[0].startswith("x.json: 1 numbers changed, worst relative change 2.2e-16")
+
+
+@pytest.mark.parametrize(
+    "a, b, line",
+    [
+        ({"x.json": REPORT}, {"x.json": REPORT.replace("a20", "a21")}, "x.json: text differs"),
+        ({"x.json": REPORT}, {"x.json": REPORT, "y.json": REPORT}, "y.json: only in "),
+        ({"x.json": REPORT, "y.json": REPORT}, {"x.json": REPORT}, "y.json: only in "),
+    ],
+    ids=["changed word", "only in second", "only in first"],
+)
+def test_other_differences_exit_one(tool, tmp_path, capsys, a, b, line):
+    assert tool.compare(*trees(tmp_path, a, b)) == 1
+    assert capsys.readouterr().out.startswith(line)

@@ -223,6 +223,19 @@ def test_frenet_series_matches_path():
     assert np.linalg.norm(powers @ E2 - curve.frame(0.4 + h)[1]) <= 1e-9
 
 
+def test_series_at_origin_grows_no_node():
+    for curve in (circle_family(0.7), deformation_family(1.5, 0.25, (0.5, -0.4, 0.2)).curve):
+        first = curve.series_at(0.0, 8)
+        # the root block of the path is grown on the first state query only
+        assert "_nodes" not in vars(curve.path)
+        curve.frame(1.2)
+        path = curve.path
+        assert len(path._nodes[1][0]) > 1
+        grown = np.hsplit(path._block(0.0, path.state(0.0), 8), 3)
+        for a, b in zip(first, grown):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("k1", [1.0, 10.0, 100.0])
 def test_frame_matches_mpmath_oracle(k1):
     import mpmath

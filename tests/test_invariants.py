@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from crosscap import (
+    CrosscapError,
     MetricError,
-    a02_from_height_hessian,
     classify_sign,
     curvatures_at,
     first_form,
@@ -58,9 +58,13 @@ def test_routes_agree_on_quadratics(rng):
 
 
 def test_routes_agree_after_scramble(rng):
-    for _ in range(6):
+    # the metric route builds its own orientation, so flipped germs and wide
+    # diagonal scales of the domain change come in too
+    cases = [((0.6, 1.4), False)] * 6
+    cases += [((0.25, 4.0), flip) for flip in (False, True) for _ in range(4)]
+    for scale, flip in cases:
         f, a, b = random_canonical(rng, order=4)
-        g = scramble(f, rng)
+        g = scramble(f, rng, scale=scale, flip=flip)
         tm = intrinsic_from_map(g)
         tg = intrinsic_from_metric(first_form(g))
         assert route_discrepancy(tm, tg) <= 1e-8
@@ -86,9 +90,9 @@ def test_height_hessian_identity(rng):
     surfaces.append(f)
     surfaces.append(scramble(f, rng))
     for g in surfaces:
-        forms = first_form(g)
-        a02 = intrinsic_from_metric(forms).a02
-        assert a02_from_height_hessian(forms) == pytest.approx(a02, abs=1e-9 * max(1.0, a02))
+        triple = intrinsic_from_metric(first_form(g))
+        a02 = triple.a02
+        assert triple.a02_from_height_hessian == pytest.approx(a02, abs=1e-9 * max(1.0, a02))
 
 
 @pytest.mark.xfail(strict=True, reason="h_vv^1.5/(2*bracket^2) overshoots by sqrt(2)")
@@ -108,9 +112,9 @@ def test_height_hessian_halving_ratio(rng):
         forms = first_form(g)
         E, F, G = forms.E, forms.F, forms.G
         h_vv = (E * G - F * F).partial(0, 2)
-        d2 = intrinsic_from_metric(forms).delta_sq
-        literal = math.sqrt(E.partial(0, 0)) * h_vv**1.5 / (2.0 * d2)
-        assert literal / a02_from_height_hessian(forms) == pytest.approx(
+        triple = intrinsic_from_metric(forms)
+        literal = math.sqrt(E.partial(0, 0)) * h_vv**1.5 / (2.0 * triple.delta_sq)
+        assert literal / triple.a02_from_height_hessian == pytest.approx(
             math.sqrt(2.0), abs=1e-12
         )
 
@@ -167,6 +171,46 @@ def test_metric_route_rejections():
     # an order-2 germ has order-1 forms, whose second partials read 0
     with pytest.raises(MetricError, match="order >= 2"):
         intrinsic_from_metric(first_form(quadratic_crosscap(0.5, 0.3, 1.0, order=2)))
+    # Gram matrices of (f_u, f_uv, f_vv) with a positive determinant that are
+    # not positive definite: refused before any factorization
+    grams = [
+        ([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], {}),
+        ([[1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.5]], {}),
+        # G(0,0) = 1 and E_vv = 2 make h_vv positive
+        ([[1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.5]], {"G": 1.0, "E": 1.0}),
+        ([[2.0, 1.0, 0.0], [1.0, 0.25, 0.0], [0.0, 0.0, -3.0]], {}),
+    ]
+    for gram, extra in grams:
+        gram = np.array(gram)
+        assert np.linalg.det(gram) > 0.0 and np.linalg.eigvalsh(gram).min() < 0.0
+        forms = FundamentalForms(
+            E=Jet2.from_terms({(0, 0): gram[0, 0], (0, 2): extra.get("E", 0.0)}, 4),
+            F=Jet2.from_terms({(1, 0): gram[0, 1], (0, 1): gram[0, 2]}, 4),
+            G=Jet2.from_terms(
+                {(0, 0): extra.get("G", 0.0), (2, 0): gram[1, 1], (1, 1): 2.0 * gram[1, 2], (0, 2): gram[2, 2]},
+                4,
+            ),
+        )
+        with pytest.raises(MetricError):
+            intrinsic_from_metric(forms)
+
+
+def test_metric_route_on_arbitrary_forms(rng):
+    # forms of a cross cap's shape (F and G vanish at the origin, and so do
+    # G's first partials) with coefficients across twelve decades: the route
+    # returns a finite triple or refuses with a CrosscapError, and no numpy
+    # error or warning escapes the realization
+    keys = [(j, k) for j in range(3) for k in range(3 - j)]
+    for _ in range(300):
+        coeffs = [{jk: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for jk in keys} for _ in range(3)]
+        for i, jk in ((0, (0, 0)), (2, (2, 0)), (2, (0, 2))):  # the Gram matrix's diagonal
+            coeffs[i][jk] = abs(coeffs[i][jk])
+        del coeffs[1][(0, 0)], coeffs[2][(0, 0)], coeffs[2][(1, 0)], coeffs[2][(0, 1)]
+        try:
+            t = intrinsic_from_metric(FundamentalForms(*(Jet2.from_terms(c, 3) for c in coeffs)))
+        except CrosscapError:
+            continue
+        assert all(map(math.isfinite, astuple(t)))
 
 
 def test_combo_quadruple():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ def test_standard_first_form_closed():
     assert forms.E.max_coeff_diff(Jet2.from_terms({(0, 0): 1.0, (0, 2): 1.0}, 5)) == 0.0
     assert forms.F.max_coeff_diff(Jet2.from_terms({(1, 1): 1.0}, 5)) == 0.0
     assert forms.G.max_coeff_diff(Jet2.from_terms({(2, 0): 1.0, (0, 2): 4.0}, 5)) == 0.0
+
+
+def test_first_form_is_computed_once_per_map():
+    f = quadratic_crosscap(0.5, -0.3, 1.2)
+    assert first_form(f) is first_form(f)
+    g = replace(f, domain_hint=((-2.0, 2.0), (-1.0, 1.0)))
+    assert first_form(g) is not first_form(f)
+    assert first_form(g).max_coeff_diff(first_form(f)) == 0.0
 
 
 def test_detect_standard():

@@ -36,6 +36,15 @@ from pathlib import Path
 GERM = [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [2, 0, 0, 0.25, -0.5],
         [0, 3, 0.1, 0, 0.3], [1, 2, 0, -0.2, 0.15], [2, 2, 0.05, 0, -0.1], [0, 6, 0, 0, 0.01]]
 
+# an order-8 germ with f_u off every axis, coefficients that are not short
+# binary fractions and a negative bracket, so that the domain flip runs and
+# round-off in either intrinsic route shows in the last digits
+OFF_AXIS = [[1, 0, 0.6, -0.55, 0.45], [1, 1, 0.35, 0.55, -0.3], [0, 2, 0.25, -0.3, -0.45],
+            [2, 0, -0.35, 0.1, 0.7], [0, 3, 0.3, 0.1, -0.2], [2, 1, 0.1, -0.3, 0.15],
+            [1, 2, -0.15, 0.2, 0.1], [3, 0, 0.05, 0.1, -0.1], [2, 2, 0.1, 0.05, -0.3],
+            [0, 4, -0.1, 0.3, 0.05], [1, 3, 0.07, -0.02, 0.11], [3, 2, -0.03, 0.09, 0.01],
+            [0, 5, 0.02, -0.06, 0.04], [4, 4, 0.01, 0.03, -0.02], [0, 8, -0.01, 0.02, 0.03]]
+
 SPECS = {
     "quadratic": {"quadratic_crosscap": {"a20": -1, "a11": 0, "a02": 1}},
     "circle": {"circle_deformation": {"kappa": 0.7, "a02": 2, "a11": -0.3},
@@ -48,6 +57,7 @@ SPECS = {
     # through normalize and frame_coefficients to a cuspidal edge
     "tangent": {"ruled": {"gamma_poly": [[0, 0, 0], [1, 0, 0], [0, 0.5, 0], [0, 0, 1 / 6]],
                           "xi_poly": [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]}},
+    "off_axis": {"polynomial": OFF_AXIS, "order": 8},
 }
 FAMILY = ("circle", "poly_kappa")
 

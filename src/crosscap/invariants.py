@@ -107,6 +107,10 @@ def intrinsic_from_metric(forms: FundamentalForms) -> IntrinsicTriple:
     E0 = E.partial(0, 0)
     if E0 <= 0:
         raise MetricError("E(0,0) must be positive")
+    # f_v = 0 makes these vanish; like E(0,0) they scale as lambda^2 under homothety
+    regular = (F.partial(0, 0), G.partial(0, 0), G.partial(1, 0), G.partial(0, 1))
+    if max(map(abs, regular)) > ROUTE_TOL * E0:
+        raise MetricError("F, G, G_u or G_v is nonzero at the origin: not a cross cap metric")
     Eu, Euv, Evv = E.partial(1, 0), E.partial(1, 1), E.partial(0, 2)
     Fu, Fv, Fuu, Fuv = F.partial(1, 0), F.partial(0, 1), F.partial(2, 0), F.partial(1, 1)
     Guu, Guv, Gvv = G.partial(2, 0), G.partial(1, 1), G.partial(0, 2)

@@ -18,9 +18,12 @@ diffeomorphism bringing an admissible germ to this shape, order by order:
    d the second component's mixed monomials determine the degree-(d-1)
    coefficients of Q diagonally (the divisor is (f_uv . e2) * P_u(0), a
    multiple of the bracket), after which the first component determines
-   the degree-d coefficients of P with divisor |f_u|.  A fresh composition
-   after each degree keeps the bookkeeping honest; any residual that fails
-   to cancel raises with the offending degree.
+   the degree-d coefficients of P with divisor |f_u|.  Degree d reads one
+   composition, only as deep as d; for d >= 3 Q's update dQ reaches the
+   first component at degree d only as l dQ, with l the degree-1 part of
+   g_x,v(P, Q), since dQ^2 starts at degree 2d-2.  Degree 2 composes twice.
+   Degree d-1's residual is checked on degree d's composition, degree n's
+   on the final one; one that fails to cancel raises with its degree.
 
 The recomposition rotation @ (f(P,Q) - translation) is compared against
 the canonical shape and the largest stray coefficient is stored on the
@@ -115,10 +118,10 @@ def _rotation_for(fu: np.ndarray, fvv: np.ndarray) -> np.ndarray:
     return np.vstack([e1, e2, e3])
 
 
-def _residual_scale(P: Jet2, Q: Jet2) -> float:
-    # composing with (P, Q) multiplies degree-d coefficients, and their
-    # round-off, by about P_u(0)^j Q_v(0)^k; RESIDUAL_TOL holds at s = 1
-    return max(1.0, abs(P.coeff(1, 0)), abs(Q.coeff(0, 1)))
+def _residual_scale(p: np.ndarray, q: np.ndarray) -> float:
+    # composing with (P, Q), tables p and q, multiplies degree-d coefficients,
+    # and their round-off, by about P_u(0)^j Q_v(0)^k; RESIDUAL_TOL holds at s = 1
+    return max(1.0, abs(p[1, 0]), abs(q[0, 1]))
 
 
 def reduce_to_normal_form(
@@ -150,28 +153,39 @@ def reduce_to_normal_form(
     alpha = float(np.linalg.norm(fu))
     gamma2 = float(g.c[1, 1, 1])  # the uv-coefficient of g_y, nonzero iff the bracket is
 
-    P = Jet2.from_terms({(1, 0): 1.0 / alpha}, n)
-    Q = Jet2.zero(n)
+    p = np.zeros((n + 1, n + 1))  # the tables of P and Q
+    p[1, 0] = 1.0 / alpha
+    q = np.zeros_like(p)
     qdiv = gamma2 / alpha  # gamma2 * P_u(0), the diagonal divisor for Q
 
     uv = Jet2.from_terms({(1, 1): 1.0}, n).c  # the canonical second component, b_i aside
 
-    for d in range(2, n + 1):
+    # pass d composes once, as deep as d, checks degree d-1 and solves degree
+    # d; pass n + 1 is the final full-order composition, which gives the tables
+    for d in range(2, n + 2):
+        comp = g.truncated(min(d, n)).compose(Jet2(n, p), Jet2(n, q)).c
+        m = np.arange(1, d)  # u^m v^(d-1-m), the mixed monomials of degree d-1
+        if d > 2 and np.abs(comp[1, m, d - 1 - m] - uv[m, d - 1 - m]).max() > RESIDUAL_TOL * scale ** (d - 1):
+            raise NormalFormError(f"second-component residual survived at degree {d - 1}", degree=d - 1)
+        if d > n:
+            break
         j = np.arange(d + 1)  # u^j v^(d-j) runs over the degree-d monomials
-        m = j[1:]
         # second component: mixed monomials of degree d determine Q at d-1
-        q_new = Q.c.copy()
-        q_new[m - 1, d - m] -= (g.compose(P, Q).c[1] - uv)[m, d - m] / qdiv
-        Q = Jet2(n, q_new)
-        comp = g.compose(P, Q)
-        if np.abs(comp.c[1] - uv)[m, d - m].max() > RESIDUAL_TOL * _residual_scale(P, Q) ** d:
-            raise NormalFormError(f"second-component residual survived at degree {d}", degree=d)
+        dq = (comp[1, j[1:], d - j[1:]] - uv[j[1:], d - j[1:]]) / qdiv
+        q[j[:-1], d - 1 - j[:-1]] -= dq
         # first component: degree-d monomials determine P at d
-        p_new = P.c.copy()
-        p_new[j, d - j] -= comp.c[0, j, d - j] / alpha
-        P = Jet2(n, p_new)
+        if d == 2:  # Q's linear part came from zero, and its square lands at degree 2
+            first = g.truncated(2).compose(Jet2(n, p), Jet2(n, q)).c[0, j, d - j]
+            scale = _residual_scale(p, q)  # fixed from here on
+        else:
+            # Q's update -dq reaches degree d only through the degree-1 part
+            # l of g_x,v(P, Q); its square starts at degree 2d-2 > d
+            lu = g.c[0, 1, 1] * p[1, 0] + 2.0 * g.c[0, 0, 2] * q[1, 0]
+            lv = 2.0 * g.c[0, 0, 2] * q[0, 1]
+            first = comp[0, j, d - j] - lu * np.r_[0.0, dq] - lv * np.r_[dq, 0.0]
+        p[j, d - j] -= first / alpha
 
-    final = g.compose(P, Q).c
+    final = comp
     fact = np.array([math.factorial(i) for i in idx], dtype=float)
     b = final[1, 0] * fact
     b[:3] = 0.0
@@ -184,7 +198,6 @@ def reduce_to_normal_form(
     canon[2] = np.where(degree >= 2, final[2], 0.0)
     dev = np.abs(final - canon).max(axis=0)
     residual = float(dev.max())
-    scale = _residual_scale(P, Q)
     if not (dev / scale ** np.minimum(degree, n)).max() <= RESIDUAL_TOL:
         raise NormalFormError(
             f"canonical shape residual {residual:.3e} exceeds {RESIDUAL_TOL} x {scale:.3g}^degree",
@@ -193,6 +206,7 @@ def reduce_to_normal_form(
     if a[0, 2] <= 0:
         raise NormalFormError("pure quadratic v-coefficient failed to come out positive", degree=2)
 
+    P, Q = Jet2(n, p), Jet2(n, q)
     if flipped:
         P, Q = -P, -Q
     return NormalForm(

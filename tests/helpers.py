@@ -73,6 +73,33 @@ def scramble(
     return SurfaceMap(jet=f.jet.compose(P, Q).rotated(R).translated(T))
 
 
+def reference_domain_change(g: Jet3) -> tuple[Jet2, Jet2]:
+    """Domain change (P, Q) that brings g to the canonical shape, by the
+    reduction's former degree loop: two full-order compositions per degree,
+    one to read Q at d - 1 and one, after Q's update, to read P at d.
+
+    g is a germ as ``reduce_to_normal_form`` works on it: translated to the
+    origin, flipped if its bracket is negative, and rotated so that f_u
+    points along +x and f_vv lies in the xz-plane.
+    """
+    n = g.order
+    alpha = float(np.linalg.norm(g.coeff_vector(1, 0)))
+    P = Jet2.from_terms({(1, 0): 1.0 / alpha}, n)
+    Q = Jet2.zero(n)
+    qdiv = g.c[1, 1, 1] / alpha
+    uv = Jet2.from_terms({(1, 1): 1.0}, n).c
+    for d in range(2, n + 1):
+        j = np.arange(d + 1)
+        m = j[1:]
+        q_new = Q.c.copy()
+        q_new[m - 1, d - m] -= (g.compose(P, Q).c[1] - uv)[m, d - m] / qdiv
+        Q = Jet2(n, q_new)
+        p_new = P.c.copy()
+        p_new[j, d - j] -= g.compose(P, Q).c[0, j, d - j] / alpha
+        P = Jet2(n, p_new)
+    return P, Q
+
+
 def table_dev(nf: NormalForm, a: dict, b: dict) -> float:
     """Largest deviation between reduced tables and their targets."""
     seen = {(j, k): val for j, k, val in nf.a_table()}

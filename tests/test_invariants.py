@@ -10,8 +10,11 @@ import pytest
 from crosscap import (
     CrosscapError,
     MetricError,
+    build_crosscap,
     classify_sign,
     curvatures_at,
+    deformation_family,
+    degenerate_first_form,
     first_form,
     focal_conic,
     intrinsic_from_map,
@@ -165,9 +168,11 @@ def test_metric_route_rejections():
     one = Jet2.from_terms({(0, 0): 1.0}, 4)
     with pytest.raises(MetricError):
         intrinsic_from_metric(FundamentalForms(E=zero, F=zero, G=zero))
-    # flat plane metric: bracket determinant vanishes
-    with pytest.raises(MetricError):
-        intrinsic_from_metric(FundamentalForms(E=one, F=zero, G=one))
+    # metrics of regular points: G(0,0) = |f_v|^2 > 0 (the flat plane, and
+    # one whose bracket and Hessian routes would agree on a02 = 1)
+    for G in (one, Jet2.from_terms({(0, 0): 1.0, (2, 0): 1.0, (0, 2): 1.0}, 4)):
+        with pytest.raises(MetricError, match="nonzero at the origin"):
+            intrinsic_from_metric(FundamentalForms(E=one, F=zero, G=G))
     # an order-2 germ has order-1 forms, whose second partials read 0
     with pytest.raises(MetricError, match="order >= 2"):
         intrinsic_from_metric(first_form(quadratic_crosscap(0.5, 0.3, 1.0, order=2)))
@@ -176,7 +181,7 @@ def test_metric_route_rejections():
     grams = [
         ([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], {}),
         ([[1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.5]], {}),
-        # G(0,0) = 1 and E_vv = 2 make h_vv positive
+        # G(0,0) = 1 and E_vv = 2 make h_vv positive, and the metric regular
         ([[1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.5]], {"G": 1.0, "E": 1.0}),
         ([[2.0, 1.0, 0.0], [1.0, 0.25, 0.0], [0.0, 0.0, -3.0]], {}),
     ]
@@ -193,6 +198,22 @@ def test_metric_route_rejections():
         )
         with pytest.raises(MetricError):
             intrinsic_from_metric(forms)
+
+
+def test_crosscap_metrics_are_degenerate_at_the_origin(rng):
+    # f_v = 0 makes F, G, G_u and G_v vanish at the origin, exactly for germs
+    # built without round-off in f_v; the metric route accepts them all
+    forms = [degenerate_first_form(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)) for _ in range(4)]
+    for i in range(40):
+        f, _, _ = random_canonical(rng, order=4)
+        forms.append(first_form(scramble(f, rng, scale=(0.25, 4.0), flip=i % 2 == 1)))
+        kappa = rng.uniform(-2.0, 2.0, size=1 + i % 3)
+        fam = deformation_family(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0), tuple(kappa))
+        forms.append(first_form(build_crosscap(fam, order=4)))
+    for form in forms:
+        F, G = form.F, form.G
+        assert (F.partial(0, 0), G.partial(0, 0), G.partial(1, 0), G.partial(0, 1)) == (0.0, 0.0, 0.0, 0.0)
+        assert intrinsic_from_metric(form).a02 > 0.0
 
 
 def test_metric_route_on_arbitrary_forms(rng):

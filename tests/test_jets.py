@@ -221,6 +221,20 @@ def test_compose_evaluates_correctly(rng):
                 assert abs(comp(u, v) - f(g(u, v), h(u, v))) <= 1e-8
 
 
+def test_truncated_outer_jet_composes_to_truncated_composition(rng):
+    # the normal form composes g.truncated(d) for the degree-d step: that
+    # must give the degree <= d part of the full composition
+    n = 12
+    F = stack(*(random_jet(rng, n) for _ in range(3)))
+    g, h = inner_jet(rng, n), inner_jet(rng, n)
+    full = F.compose(g, h)
+    bound = Jet3(n, np.abs(F.c)).compose(abs_jet(g), abs_jet(h)).c.max()
+    for d in range(1, n + 1):
+        part = F.truncated(d).compose(g, h)
+        assert part.order == d
+        assert part.max_coeff_diff(full.truncated(d)) <= 1e-14 * bound
+
+
 def test_jet3_compose_shares_powers_of_h(rng, monkeypatch):
     n = 12
     F = stack(*(random_jet(rng, n) for _ in range(3)))

@@ -1,6 +1,7 @@
 """Reduction to the canonical coordinate form and its uniqueness."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,15 +13,17 @@ from crosscap import (
     canonical_crosscap,
     classify,
     frame,
+    jets,
     quadratic_crosscap,
     reduce_to_normal_form,
     standard_crosscap,
     surface_from_polynomial,
 )
-from crosscap.jets import Jet2
+from crosscap.cli import main
+from crosscap.jets import Jet2, Jet3
 from crosscap.surface import SurfaceMap
 
-from helpers import random_canonical, random_rotation, scramble, table_dev
+from helpers import random_canonical, random_rotation, reference_domain_change, scramble, table_dev
 
 
 def test_reduce_is_identity_on_canonical(rng):
@@ -163,6 +166,39 @@ def test_frame_standard_and_translated():
     assert np.allclose(frame(shifted).point, [1.0, 2.0, 3.0])
 
 
+# an unscrambled order-8 germ with modest coefficients (a02 = 7.09, |f_u| =
+# 0.88) whose domain change grows to about 1e11 at degree 11
+STEEP_GERM = {
+    (1, 0): [0.3, -0.7, 0.45], (1, 1): [0.2, 0.55, -0.35], (0, 2): [0.15, -0.4, -0.6],
+    (2, 0): [-0.35, 0.1, 0.7], (0, 3): [0.3, 0.1, -0.2], (2, 1): [0.1, -0.3, 0.15],
+    (1, 2): [-0.15, 0.2, 0.1], (3, 0): [0.05, 0.1, -0.1], (2, 2): [0.1, 0.05, -0.3],
+    (0, 4): [-0.1, 0.3, 0.05], (1, 3): [0.07, -0.02, 0.11], (3, 2): [-0.03, 0.09, 0.01],
+    (0, 5): [0.02, -0.06, 0.04], (4, 4): [0.01, 0.03, -0.02], (0, 8): [-0.01, 0.02, 0.03],
+}
+
+
+def test_steep_germ_refuses_at_degree_11(tmp_path, capsys):
+    # its degree-11 coefficients sum terms of about 7e10, one ulp of which
+    # exceeds RESIDUAL_TOL * s^11, so it refuses at degree 11 and not below.
+    # At order 12 degree 11 is checked on degree 12's composition; at order
+    # 11 the last bits of the final composition decide whether that check or
+    # the canonical-shape check fires first, so only the degree is pinned
+    nf = reduce_to_normal_form(surface_from_polynomial(STEEP_GERM, order=8))
+    assert nf.order == 8 and nf.flipped
+    for order in (11, 12):
+        with pytest.raises(NormalFormError) as err:
+            reduce_to_normal_form(surface_from_polynomial(STEEP_GERM, order=order))
+        assert err.value.degree == 11
+    rows = [[j, k, *xyz] for (j, k), xyz in STEEP_GERM.items()]
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"polynomial": rows, "order": 8}), encoding="utf-8")
+    assert main(["analyze", str(path), "--order", "8"]) == 0
+    for order in ("11", "12"):
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--order", order]) == 2
+    assert capsys.readouterr().err == "analysis failed: second-component residual survived at degree 11\n"
+
+
 def test_reduce_errors():
     with pytest.raises(NotACrossCapError):
         reduce_to_normal_form(
@@ -179,3 +215,56 @@ def test_reduction_motions_are_rigid(rng):
     nf = reduce_to_normal_form(g, order=3)
     assert np.allclose(nf.rotation @ nf.rotation.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(nf.rotation) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 6, 8, 10, 12])
+def test_reduction_matches_two_composition_reference(rng, n):
+    # one composition per degree against the former loop's two.  The domain
+    # change is compared relative to its largest coefficient; the tables, in
+    # monomial units, relative to the largest coefficient of |g|(|P|, |Q|),
+    # the size of the terms that each of their coefficients sums
+    fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
+    idx = np.arange(n + 1)
+    quadratic_up = (idx[:, None] + idx[None, :]) >= 2
+    for flip in (False, True):
+        _, a, b = random_canonical(rng, order=n)
+        f = scramble(canonical_crosscap(a, b, order=n), rng, flip=flip)
+        nf = reduce_to_normal_form(f)
+        assert nf.flipped == flip
+        work = f.jet.translated(-nf.translation)
+        if flip:
+            work = work.compose(-Jet2.variable("u", n), -Jet2.variable("v", n))
+        g = work.rotated(nf.rotation)
+        P, Q = reference_domain_change(g)
+        final = g.compose(P, Q).c
+        terms = Jet3(n, np.abs(g.c)).compose(Jet2(n, np.abs(P.c)), Jet2(n, np.abs(Q.c))).c.max()
+        sign = -1.0 if flip else 1.0
+        pairs = [
+            (nf.domain_u.c, sign * P.c, np.abs(P.c).max()),
+            (nf.domain_v.c, sign * Q.c, np.abs(Q.c).max()),
+            (nf.a / np.outer(fact, fact), np.where(quadratic_up, final[2], 0.0), terms),
+            (nf.b[3:] / fact[3:], final[1, 0, 3:], terms),
+        ]
+        for got, want, scale in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_reduction_composes_once_per_degree(monkeypatch):
+    # degree 2 composes twice, every later degree once, plus one final
+    # full-order composition for the tables: n + 1 in all
+    calls = []
+    compose = jets._compose
+
+    def counting(c, g, h, n):
+        calls.append(n)
+        return compose(c, g, h, n)
+
+    monkeypatch.setattr(jets, "_compose", counting)
+    for n in range(2, 13):
+        _, a, b = random_canonical(np.random.default_rng(n), order=n)
+        f = scramble(canonical_crosscap(a, b, order=n), np.random.default_rng(n))
+        calls.clear()
+        reduce_to_normal_form(f)
+        assert len(calls) == n + 1
+        # each composition is only as deep as the degree it reads
+        assert calls == [2, 2] + list(range(3, n + 1)) + [n]

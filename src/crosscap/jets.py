@@ -20,10 +20,11 @@ Each series operation is one array operation on tables:
 - the product pads the rows of both tables to width 2n+1 and convolves
   the flattened rows once: u^j v^k becomes t^(j(2n+1)+k), and no product
   of two rows reaches the next row (Kronecker substitution);
-- composition p(g, h) forms the powers of h once, the rows
-  r_j = sum_k c[j,k] h^k with one tensordot, and sums r_j g^j by Horner's
-  rule in g, so about 2n products where the monomial sum took n^2/2.
-  The tables of a Jet3 share the powers of h.  A power p^q (square root,
+- composition p(g, h) is linear in p: on tables flat over the triangle,
+  a product with g or h is one gathered (2-D Toeplitz) matrix, so the
+  powers of h (shared by a Jet3's tables), the rows r_j = sum_k c[j,k] h^k
+  and each step of Horner's rule in g are matrix products, about 2n in
+  all, with no series product.  A power p^q (square root,
   reciprocal) is c00^q (1 + w)^q with w = p/c00 - 1, the binomial series
   composed with w;
 - recentring at (u0, v0) is U^T c V with the binomial (Pascal) matrices
@@ -203,6 +204,22 @@ def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _table_lags(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triangle j + k <= n as index arrays j, k, and at row (a, b), column
+    (j, k) the position of (a - j, b - k) in it, else its length (a zero)."""
+    j, k = np.nonzero(_mask(n))
+    pos = np.cumsum(_mask(n)).reshape(n + 1, n + 1) - 1  # row-major, as j, k
+    dj, dk = j[:, None] - j, k[:, None] - k
+    return _frozen(j), _frozen(k), _frozen(np.where((dj >= 0) & (dk >= 0), pos[dj, dk], len(j)))
+
+
+def _table_product_matrix(b: np.ndarray, n: int) -> np.ndarray:
+    """M with M @ x = x(u, v) b(u, v) at order n, x flat as in ``_table_lags``."""
+    j, k, lags = _table_lags(n)
+    return np.append(b[j, k], 0.0)[lags]
+
+
 def _compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """Tables of p(g, h) at order n for each table p stacked in c[..., j, k];
     g and h are tables of order >= n that vanish at the origin."""
@@ -210,24 +227,25 @@ def _compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
         raise JetDomainError("composition requires inner jets with zero constant term")
     c = c[..., : n + 1, : n + 1]
     tables = c.reshape(-1, n + 1, n + 1)
-    # powers of h up to the highest one any table uses, shared by all
+    j, k, _ = _table_lags(n)
+    # flat powers of h up to the highest one any table uses, shared by all
     kmax = np.flatnonzero(tables.any(axis=(0, 1))).max(initial=0)
-    hp = np.zeros((kmax + 1, n + 1, n + 1))
-    hp[0, 0, 0] = 1.0
-    if kmax:
-        hp[1] = np.where(_mask(n), h[: n + 1, : n + 1], 0.0)
-    for k in range(2, kmax + 1):
-        hp[k] = _product(hp[k - 1], hp[1], n)
-    out = np.empty_like(tables)
+    hp = np.zeros((kmax + 1, len(j)))
+    hp[0, 0] = 1.0
+    times_h = _table_product_matrix(h, n) if kmax else None
+    for p in range(1, kmax + 1):
+        hp[p] = times_h @ hp[p - 1]
+    times_g = _table_product_matrix(g, n) if tables[:, 1:].any() else None
+    out = np.zeros_like(tables)
     for i, t in enumerate(tables):
         # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
-        rows = np.where(_mask(n), np.tensordot(t[:, : kmax + 1], hp, axes=1), 0.0)
+        rows = t[:, : kmax + 1] @ hp
         jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
         acc = rows[jtop]
-        for j in range(jtop - 1, -1, -1):
-            acc = _product(acc, g, n) + rows[j]
-        out[i] = acc
-    return out.reshape(c.shape)
+        for r in range(jtop - 1, -1, -1):
+            acc = times_g @ acc + rows[r]
+        out[i, j, k] = acc
+    return _checked(out.reshape(c.shape), c, g, h)
 
 
 class _Jet:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from crosscap import Jet2, Jet3, SurfaceMap, canonical_crosscap
+from crosscap import Jet2, Jet3, JetDomainError, SurfaceMap, canonical_crosscap
+from crosscap.jets import _mask, _product
 from crosscap.normalform import NormalForm
 
 
@@ -73,10 +74,39 @@ def scramble(
     return SurfaceMap(jet=f.jet.compose(P, Q).rotated(R).translated(T))
 
 
+def reference_compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Tables of p(g, h) at order n for each table p stacked in c[..., j, k],
+    by the library's former kernel: powers of h and Horner's rule in g by
+    convolution products of tables.  g and h vanish at the origin."""
+    if g[0, 0] != 0.0 or h[0, 0] != 0.0:
+        raise JetDomainError("composition requires inner jets with zero constant term")
+    c = c[..., : n + 1, : n + 1]
+    tables = c.reshape(-1, n + 1, n + 1)
+    # powers of h up to the highest one any table uses, shared by all
+    kmax = np.flatnonzero(tables.any(axis=(0, 1))).max(initial=0)
+    hp = np.zeros((kmax + 1, n + 1, n + 1))
+    hp[0, 0, 0] = 1.0
+    if kmax:
+        hp[1] = np.where(_mask(n), h[: n + 1, : n + 1], 0.0)
+    for k in range(2, kmax + 1):
+        hp[k] = _product(hp[k - 1], hp[1], n)
+    out = np.empty_like(tables)
+    for i, t in enumerate(tables):
+        # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
+        rows = np.where(_mask(n), np.tensordot(t[:, : kmax + 1], hp, axes=1), 0.0)
+        jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
+        acc = rows[jtop]
+        for j in range(jtop - 1, -1, -1):
+            acc = _product(acc, g, n) + rows[j]
+        out[i] = acc
+    return out.reshape(c.shape)
+
+
 def reference_domain_change(g: Jet3) -> tuple[Jet2, Jet2]:
     """Domain change (P, Q) that brings g to the canonical shape, by the
     reduction's former degree loop: two full-order compositions per degree,
-    one to read Q at d - 1 and one, after Q's update, to read P at d.
+    one to read Q at d - 1 and one, after Q's update, to read P at d, each
+    by ``reference_compose``.
 
     g is a germ as ``reduce_to_normal_form`` works on it: translated to the
     origin, flipped if its bracket is negative, and rotated so that f_u
@@ -92,10 +122,10 @@ def reference_domain_change(g: Jet3) -> tuple[Jet2, Jet2]:
         j = np.arange(d + 1)
         m = j[1:]
         q_new = Q.c.copy()
-        q_new[m - 1, d - m] -= (g.compose(P, Q).c[1] - uv)[m, d - m] / qdiv
+        q_new[m - 1, d - m] -= (reference_compose(g.c, P.c, Q.c, n)[1] - uv)[m, d - m] / qdiv
         Q = Jet2(n, q_new)
         p_new = P.c.copy()
-        p_new[j, d - j] -= g.compose(P, Q).c[0, j, d - j] / alpha
+        p_new[j, d - j] -= reference_compose(g.c, P.c, Q.c, n)[0, j, d - j] / alpha
         P = Jet2(n, p_new)
     return P, Q
 

@@ -17,7 +17,7 @@ from crosscap.jets import (
     series_shift,
 )
 
-from helpers import random_rotation, stack, vpoly
+from helpers import random_rotation, reference_compose, stack, vpoly
 
 
 def as_dict(p: Jet2) -> dict[tuple[int, int], float]:
@@ -240,21 +240,63 @@ def test_jet3_compose_shares_powers_of_h(rng, monkeypatch):
     F = stack(*(random_jet(rng, n) for _ in range(3)))
     g, h = inner_jet(rng, n), inner_jet(rng, n)
     expect = [naive_compose(comp, g, h) for comp in F.components()]
-    products = []
-    product = jets._product
+    builds = []
+    build = jets._table_product_matrix
 
-    def counting(a, b, n):
-        products.append(n)
-        return product(a, b, n)
+    def counting(b, n):
+        builds.append(n)
+        return build(b, n)
 
-    monkeypatch.setattr(jets, "_product", counting)
+    monkeypatch.setattr(jets, "_table_product_matrix", counting)
     comp = F.compose(g, h)
+    # one product matrix for g and one for h, shared by the three tables
+    assert len(builds) == 2
+    u = Jet2.variable("u", n)
+    # a stack of one, a series in v (powers of h only), one in u (Horner
+    # in g only) and a constant
+    single, v_only, u_only, constant = F.components()[0], vpoly([1.0] * (n + 1), n), u * u + u, F * 0.0 + 2.0
+    for outer, count in [(single, 2), (v_only, 1), (u_only, 1), (constant, 0)]:
+        builds.clear()
+        outer.compose(g, h)
+        assert len(builds) == count
     monkeypatch.undo()
-    # n - 1 for the powers of h, n per component for Horner in g
-    assert len(products) <= 4 * n
     for got, want, outer in zip(comp.components(), expect, F.components()):
         bound = naive_compose(abs_jet(outer), abs_jet(g), abs_jet(h))
         assert max_dev(got, want) <= 1e-14 * max(bound.values())
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_compose_matches_the_convolution_reference(rng, n):
+    # the gathered linear map against the former kernel of convolution
+    # products, for dense outer tables, tables of one row (v alone), of one
+    # column (u alone) and constants, stacked and single, and inner pairs
+    # with h = 0 (the path of powers such as sqrt) and with g = 0
+    dense = rng.uniform(-1.0, 1.0, size=(3, n + 1, n + 1))
+    row, column, constant = np.zeros((3, 3, n + 1, n + 1))
+    row[:, 0], column[:, :, 0], constant[:, 0, 0] = dense[:, 0], dense[:, :, 0], dense[:, 0, 0]
+    g, h, zero = inner_jet(rng, n), inner_jet(rng, n), Jet2.zero(n)
+    for outer in (dense, row, column, constant):
+        F = Jet3(n, outer)
+        for inner in ((g, h), (g, zero), (zero, h)):
+            cs = [x.c for x in inner]
+            for p in (F, *F.components()):
+                want = reference_compose(p.c, *cs, n)
+                bound = reference_compose(np.abs(p.c), *(np.abs(x) for x in cs), n).max()
+                assert np.abs(p.compose(*inner).c - want).max() <= 1e-14 * bound
+
+
+def test_compose_reports_overflow_of_kept_coefficients_only():
+    u, v = Jet2.variable("u", 2), Jet2.variable("v", 2)
+    vv = Jet2.from_terms({(0, 2): 1.0}, 2)
+    cube = Jet3.from_terms({(3, 0): [1.0, -2.0, 0.5]}, 6)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            vv.compose(u, v * 1e200)
+        with pytest.raises(FloatingPointError):
+            cube.compose(Jet2.variable("u", 6) * 1e120, Jet2.variable("v", 6))
+        # (1e200 u^2)^2 lies above order 2: nothing kept overflows
+        comp = vv.compose(u, Jet2.from_terms({(2, 0): 1e200}, 2))
+    assert np.array_equal(comp.c, np.zeros((3, 3)))
 
 
 @given(st.sampled_from([0, 1, 4]).flatmap(jet_strategy))

@@ -23,7 +23,14 @@ from crosscap.cli import main
 from crosscap.jets import Jet2, Jet3
 from crosscap.surface import SurfaceMap
 
-from helpers import random_canonical, random_rotation, reference_domain_change, scramble, table_dev
+from helpers import (
+    random_canonical,
+    random_rotation,
+    reference_compose,
+    reference_domain_change,
+    scramble,
+    table_dev,
+)
 
 
 def test_reduce_is_identity_on_canonical(rng):
@@ -219,10 +226,12 @@ def test_reduction_motions_are_rigid(rng):
 
 @pytest.mark.parametrize("n", [3, 6, 8, 10, 12])
 def test_reduction_matches_two_composition_reference(rng, n):
-    # one composition per degree against the former loop's two.  The domain
-    # change is compared relative to its largest coefficient; the tables, in
-    # monomial units, relative to the largest coefficient of |g|(|P|, |Q|),
-    # the size of the terms that each of their coefficients sums
+    # one composition per degree against the former loop's two, which, like
+    # every composition on this side, runs the former convolution kernel, so
+    # the two share no composition code.  The domain change is compared
+    # relative to its largest coefficient; the tables, in monomial units,
+    # relative to the largest coefficient of |g|(|P|, |Q|), the size of the
+    # terms that each of their coefficients sums
     fact = np.array([math.factorial(i) for i in range(n + 1)], dtype=float)
     idx = np.arange(n + 1)
     quadratic_up = (idx[:, None] + idx[None, :]) >= 2
@@ -233,11 +242,12 @@ def test_reduction_matches_two_composition_reference(rng, n):
         assert nf.flipped == flip
         work = f.jet.translated(-nf.translation)
         if flip:
-            work = work.compose(-Jet2.variable("u", n), -Jet2.variable("v", n))
+            minus_u, minus_v = -Jet2.variable("u", n), -Jet2.variable("v", n)
+            work = Jet3(n, reference_compose(work.c, minus_u.c, minus_v.c, n))
         g = work.rotated(nf.rotation)
         P, Q = reference_domain_change(g)
-        final = g.compose(P, Q).c
-        terms = Jet3(n, np.abs(g.c)).compose(Jet2(n, np.abs(P.c)), Jet2(n, np.abs(Q.c))).c.max()
+        final = reference_compose(g.c, P.c, Q.c, n)
+        terms = reference_compose(np.abs(g.c), np.abs(P.c), np.abs(Q.c), n).max()
         sign = -1.0 if flip else 1.0
         pairs = [
             (nf.domain_u.c, sign * P.c, np.abs(P.c).max()),
@@ -251,20 +261,24 @@ def test_reduction_matches_two_composition_reference(rng, n):
 
 def test_reduction_composes_once_per_degree(monkeypatch):
     # degree 2 composes twice, every later degree once, plus one final
-    # full-order composition for the tables: n + 1 in all
-    calls = []
-    compose = jets._compose
+    # full-order composition for the tables: n + 1 in all.  Composition is
+    # a linear map on flat tables, so no convolution product of tables runs
+    calls, products = [], []
+    compose, product = jets._compose, jets._product
 
     def counting(c, g, h, n):
         calls.append(n)
         return compose(c, g, h, n)
 
     monkeypatch.setattr(jets, "_compose", counting)
+    monkeypatch.setattr(jets, "_product", lambda a, b, n: products.append(n) or product(a, b, n))
     for n in range(2, 13):
         _, a, b = random_canonical(np.random.default_rng(n), order=n)
         f = scramble(canonical_crosscap(a, b, order=n), np.random.default_rng(n))
         calls.clear()
+        products.clear()
         reduce_to_normal_form(f)
         assert len(calls) == n + 1
+        assert products == []
         # each composition is only as deep as the degree it reads
         assert calls == [2, 2] + list(range(3, n + 1)) + [n]

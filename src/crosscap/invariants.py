@@ -43,6 +43,10 @@ class IntrinsicTriple:
     a02_from_height_hessian: float | None = None
 
 
+# the focal conic's kind for each sign class of classify_sign
+CONIC_OF_SIGN = {"elliptic": "hyperbola", "hyperbolic": "ellipse", "degenerate": "parabola-degenerate"}
+
+
 @dataclass(frozen=True)
 class FocalConic:
     yy: float
@@ -166,18 +170,12 @@ def focal_conic(triple: IntrinsicTriple, tol: float = DEFAULT_TOL) -> FocalConic
     a02, a20, a11 = triple.a02, triple.a20, triple.a11
     if a02 <= 0:
         raise ValueError("focal conic needs a02 > 0")
-    if a20 > tol:
-        kind = "hyperbola"
-    elif a20 < -tol:
-        kind = "ellipse"
-    else:
-        kind = "parabola-degenerate"
     return FocalConic(
         yy=1.0,
         yz=2.0 * a11,
         zz=-(a20 * a02 - a11 * a11),
         z=a02,
-        kind=kind,
+        kind=CONIC_OF_SIGN[classify_sign(triple, tol)],
     )
 
 

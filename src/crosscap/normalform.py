@@ -6,24 +6,24 @@ positive, is
     (u, v) -> (u,  u v + sum_{i>=3} b_i v^i / i!,
                sum_{2 <= j+k <= N} a_jk u^j v^k / (j! k!)).
 
-reduce() finds the rigid motion and the orientation-preserving domain
-diffeomorphism bringing an admissible germ to this shape, order by order:
+reduce() finds the rigid motion and the domain diffeomorphism bringing an
+admissible germ to this shape, order by order:
 
 1. translate the image so f(0,0) = 0;
-2. if the bracket det(f_u, f_uv, f_vv) is negative, precompose the domain
-   flip (u,v) -> (-u,-v), which switches its sign;
-3. rotate so f_u points along +x and f_vv lies in the xz-plane with
-   positive z-part;
-4. solve for the domain diffeomorphism (P, Q) degree by degree.  At degree
-   d the second component's mixed monomials determine the degree-(d-1)
-   coefficients of Q diagonally (the divisor is (f_uv . e2) * P_u(0), a
-   multiple of the bracket), after which the first component determines
-   the degree-d coefficients of P with divisor |f_u|.  Degree d reads one
-   composition, only as deep as d; for d >= 3 Q's update dQ reaches the
+2. if the bracket det(f_u, f_uv, f_vv) is negative, compose with the domain
+   flip (u,v) -> (-u,-v), which switches its sign, through P's sign;
+3. rotate so f_u, times that sign, points along +x and f_vv lies in the
+   xz-plane with positive z-part;
+4. solve for the domain diffeomorphism (P, Q) degree by degree, from its
+   linear part in closed form.  Pass d composes once, as deep as d, checks
+   degree d-1 (from d = 3), solves Q at degree d-1 from the second
+   component's mixed monomials of degree d (the divisor is (f_uv . e2) *
+   P_u(0), a multiple of the bracket), then P at degree d from the first
+   component with divisor g_x,u(0) = 1/P_u(0).  Q's update dQ reaches the
    first component at degree d only as l dQ, with l the degree-1 part of
-   g_x,v(P, Q), since dQ^2 starts at degree 2d-2.  Degree 2 composes twice.
-   Degree d-1's residual is checked on degree d's composition, degree n's
-   on the final one; one that fails to cancel raises with its degree.
+   g_x,v(P, Q).  A final full-order composition gives the tables and
+   degree n's check: an order-n reduction composes n times.  A residual
+   that fails to cancel raises with its degree.
 
 The recomposition rotation @ (f(P,Q) - translation) is compared against
 the canonical shape and the largest stray coefficient is stored on the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalFormError
-from .jets import Jet2, Jet3
+from .jets import Jet2
 from .surface import (
     DEFAULT_TOL,
     SurfaceMap,
@@ -118,12 +118,6 @@ def _rotation_for(fu: np.ndarray, fvv: np.ndarray) -> np.ndarray:
     return np.vstack([e1, e2, e3])
 
 
-def _residual_scale(p: np.ndarray, q: np.ndarray) -> float:
-    # composing with (P, Q), tables p and q, multiplies degree-d coefficients,
-    # and their round-off, by about P_u(0)^j Q_v(0)^k; RESIDUAL_TOL holds at s = 1
-    return max(1.0, abs(p[1, 0]), abs(q[0, 1]))
-
-
 def reduce_to_normal_form(
     f: SurfaceMap, order: int | None = None, tol: float = DEFAULT_TOL
 ) -> NormalForm:
@@ -139,24 +133,24 @@ def reduce_to_normal_form(
 
     # translation and truncation leave f_u, f_uv, f_vv and so the bracket alone
     fu, _, _, _, fvv = origin_derivatives(work)
-    idx = np.arange(n + 1)
-    degree = idx[:, None] + idx[None, :]
-    flipped = delta < 0
-    if flipped:
-        # (u, v) -> (-u, -v) changes the sign of the odd degrees
-        work = Jet3(n, work.c * np.where(degree % 2 == 0, 1.0, -1.0))
-        fu, fvv = -fu, fvv
-
-    rotation = _rotation_for(fu, fvv)
+    sign = -1.0 if delta < 0 else 1.0  # the domain flip negates f_u, and P's sign carries it
+    rotation = _rotation_for(sign * fu, fvv)
     g = work.rotated(rotation)
 
-    alpha = float(np.linalg.norm(fu))
+    alpha = sign * float(np.linalg.norm(fu))  # g_x,u(0), the divisor for P
     gamma2 = float(g.c[1, 1, 1])  # the uv-coefficient of g_y, nonzero iff the bracket is
 
     p = np.zeros((n + 1, n + 1))  # the tables of P and Q
     p[1, 0] = 1.0 / alpha
     q = np.zeros_like(p)
     qdiv = gamma2 / alpha  # gamma2 * P_u(0), the diagonal divisor for Q
+    # Q's linear part in closed form: the uv- and u^2-coefficients of g_y(P, Q)
+    # are gamma2 P_u Q_v and g_y,uu(0)/2 P_u^2 + gamma2 P_u Q_u
+    q[0, 1] = 1.0 / qdiv
+    q[1, 0] = -(g.c[1, 2, 0] * p[1, 0] * p[1, 0]) / qdiv
+    # composing with (P, Q) multiplies degree-d coefficients, and their
+    # round-off, by about P_u(0)^j Q_v(0)^k; RESIDUAL_TOL holds at scale 1
+    scale = max(1.0, abs(p[1, 0]), abs(q[0, 1]))
 
     uv = Jet2.from_terms({(1, 1): 1.0}, n).c  # the canonical second component, b_i aside
 
@@ -173,19 +167,20 @@ def reduce_to_normal_form(
         # second component: mixed monomials of degree d determine Q at d-1
         dq = (comp[1, j[1:], d - j[1:]] - uv[j[1:], d - j[1:]]) / qdiv
         q[j[:-1], d - 1 - j[:-1]] -= dq
-        # first component: degree-d monomials determine P at d
-        if d == 2:  # Q's linear part came from zero, and its square lands at degree 2
-            first = g.truncated(2).compose(Jet2(n, p), Jet2(n, q)).c[0, j, d - j]
-            scale = _residual_scale(p, q)  # fixed from here on
-        else:
-            # Q's update -dq reaches degree d only through the degree-1 part
-            # l of g_x,v(P, Q); its square starts at degree 2d-2 > d
-            lu = g.c[0, 1, 1] * p[1, 0] + 2.0 * g.c[0, 0, 2] * q[1, 0]
-            lv = 2.0 * g.c[0, 0, 2] * q[0, 1]
-            first = comp[0, j, d - j] - lu * np.r_[0.0, dq] - lv * np.r_[dq, 0.0]
+        # first component: degree-d monomials determine P at d.  Q's update
+        # -dq reaches degree d only through the degree-1 part l of g_x,v(P, Q):
+        # its square starts at degree 2d-2 > d for d >= 3, and at d = 2 dq is
+        # the round-off of Q's closed-form linear part, so its square is below it
+        lu = g.c[0, 1, 1] * p[1, 0] + 2.0 * g.c[0, 0, 2] * q[1, 0]
+        lv = 2.0 * g.c[0, 0, 2] * q[0, 1]
+        first = comp[0, j, d - j]
+        first[1:] -= lu * dq
+        first[:-1] -= lv * dq
         p[j, d - j] -= first / alpha
 
     final = comp
+    idx = np.arange(n + 1)
+    degree = idx[:, None] + idx[None, :]
     fact = np.array([math.factorial(i) for i in idx], dtype=float)
     b = final[1, 0] * fact
     b[:3] = 0.0
@@ -206,18 +201,15 @@ def reduce_to_normal_form(
     if a[0, 2] <= 0:
         raise NormalFormError("pure quadratic v-coefficient failed to come out positive", degree=2)
 
-    P, Q = Jet2(n, p), Jet2(n, q)
-    if flipped:
-        P, Q = -P, -Q
     return NormalForm(
         order=n,
         a=a,
         b=b,
         rotation=rotation,
         translation=translation,
-        domain_u=P,
-        domain_v=Q,
-        flipped=flipped,
+        domain_u=Jet2(n, p),
+        domain_v=Jet2(n, q),
+        flipped=sign < 0,
         residual=residual,
     )
 

@@ -10,7 +10,8 @@ A surface spec is a JSON object naming exactly one construction:
 
 with optional "order" (jet order in 2..12, default 6) and "domain"
 ([[u0, u1], [v0, v1]], default [[-1, 1], [-1, 1]]).  Polynomial terms
-above "order" are kept for evaluation, up to degree 64.
+above "order" are kept for evaluation, up to degree 64; series in v
+("kappa_poly", "gamma_poly", "xi_poly") stop at v^64 as well.
 
 ``parse_spec`` hands the three named-number constructions on with their
 numbers as floats, and both family kinds as one payload
@@ -64,7 +65,7 @@ FIELDS = {
 }
 DEFAULT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
 ORDERS = range(2, 13)
-# polynomial specs keep every term, so their jets grow to the top degree
+# the top degree of polynomial terms and of series in v (kappa_poly, ruled rows)
 MAX_DEGREE = 64
 # a mesh is one array of (n+1)^2 points
 MAX_RESOLUTION = 1024
@@ -162,9 +163,9 @@ def parse_spec(doc: Any) -> SurfaceSpec:
             _require(math.isfinite(1.0 + a11 * a11), f"{kind}.a11", "too large: 1 + a11^2 overflows")
             kp = [values.pop("kappa")] if "kappa" in values else payload.get("kappa_poly")
             _require(
-                isinstance(kp, list) and kp,
+                isinstance(kp, list) and 0 < len(kp) <= MAX_DEGREE + 1,
                 f"{kind}.kappa_poly",
-                "expected a nonempty list of numbers",
+                f"expected a list of 1 to {MAX_DEGREE + 1} numbers",
             )
             values["kappa_poly"] = tuple(_number(c, f"{kind}.kappa_poly[{i}]") for i, c in enumerate(kp))
         payload = values
@@ -172,7 +173,11 @@ def parse_spec(doc: Any) -> SurfaceSpec:
         _require(isinstance(payload, dict), kind, "expected an object")
         for f in ("gamma_poly", "xi_poly"):
             rows = payload.get(f)
-            _require(isinstance(rows, list) and rows, f"{kind}.{f}", "expected a nonempty list")
+            _require(
+                isinstance(rows, list) and 0 < len(rows) <= MAX_DEGREE + 1,
+                f"{kind}.{f}",
+                f"expected a list of 1 to {MAX_DEGREE + 1} rows",
+            )
             for i, row in enumerate(rows):
                 _require(
                     isinstance(row, (list, tuple)) and len(row) == 3,

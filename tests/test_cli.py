@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crosscap.cli import main
-from crosscap.specio import MAX_RESOLUTION, build_surface, dumps_report, parse_spec, write_obj
+from crosscap.specio import MAX_DEGREE, MAX_RESOLUTION, build_surface, dumps_report, parse_spec, write_obj
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
@@ -370,10 +370,15 @@ def test_asymptotics_json_and_text(tmp_path, capsys):
         ("asymptotics", quadratic_spec(), ["--radii="]),
         ("asymptotics", quadratic_spec(), ["--radii=-0.5,0"]),
         ("mesh", quadratic_spec(), ["--resolution", "0"]),
+        # one entry more than a series in v up to MAX_DEGREE has
+        ("analyze", {"ruled": {**STD_RULED["ruled"], "gamma_poly": [[0, 0, 1]] * (MAX_DEGREE + 2)}}, []),
+        ("mesh", {"spherical_deformation": {"kappa_poly": [0.5] * (MAX_DEGREE + 2), "a02": 2, "a11": 0}},
+         ["--resolution", "4"]),
     ],
     ids=[
         "deform-kind", "classify-kind", "kappas-empty", "theta-empty", "radii-empty",
         "theta-blank", "radii-blank", "radii-nonpositive", "resolution-0",
+        "gamma-rows-above-max-degree", "kappa-poly-above-max-degree",
     ],
 )
 def test_unusable_spec_or_flag_is_one_spec_error_line(tmp_path, capsys, command, doc, flags):
@@ -382,6 +387,14 @@ def test_unusable_spec_or_flag_is_one_spec_error_line(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("spec error:")
+
+
+def test_series_in_v_up_to_max_degree_parse():
+    rows = [[0.0, 0.0, 1.0]] * (MAX_DEGREE + 1)
+    spec = parse_spec({"ruled": {"gamma_poly": rows, "xi_poly": rows}})
+    assert len(spec.payload["gamma_poly"]) == len(spec.payload["xi_poly"]) == MAX_DEGREE + 1
+    spec = parse_spec({"spherical_deformation": {"kappa_poly": [0.5] * (MAX_DEGREE + 1), "a02": 2, "a11": 0}})
+    assert len(spec.payload["kappa_poly"]) == MAX_DEGREE + 1
 
 
 def test_order_flag_sets_build_and_reduction_order(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""tools/cli_outputs.py --compare: numbers may move, anything else may not."""
+"""tools/cli_outputs.py: its runs give the same tree twice, and --compare
+lets numbers move but nothing else."""
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,26 @@ def trees(tmp_path, a: dict, b: dict) -> tuple[str, str]:
         for rel, text in files.items():
             (root / rel).write_text(text, encoding="utf-8")
     return str(tmp_path / "a"), str(tmp_path / "b")
+
+
+def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
+    # main puts ROOT/src on sys.path and changes the working directory
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(tmp_path)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert tool.main([str(TOOL.parent.parent), str(out)]) == 0
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and files[0]
+    for rel in files[0]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+    # the tangent developable has a cuspidal edge, not a cross cap, at its origin
+    for line in (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines():
+        run, rc, err = line.split(" ", 2)
+        if run.startswith(("tangent.analyze", "tangent.asymptotics")):
+            assert rc == "2" and "not a cross cap" in err, line
+        else:
+            assert rc == "0" and err == "''", line
 
 
 REPORT = '{"a02": 2.0, "a20": -0.5, "residual": 1e-15}\n'

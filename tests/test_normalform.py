@@ -260,9 +260,9 @@ def test_reduction_matches_two_composition_reference(rng, n):
 
 
 def test_reduction_composes_once_per_degree(monkeypatch):
-    # degree 2 composes twice, every later degree once, plus one final
-    # full-order composition for the tables: n + 1 in all.  Composition is
-    # a linear map on flat tables, so no convolution product of tables runs
+    # every degree composes once, plus one final full-order composition for
+    # the tables: n in all.  Composition is a linear map on flat tables, so
+    # no convolution product of tables runs
     calls, products = [], []
     compose, product = jets._compose, jets._product
 
@@ -278,7 +278,27 @@ def test_reduction_composes_once_per_degree(monkeypatch):
         calls.clear()
         products.clear()
         reduce_to_normal_form(f)
-        assert len(calls) == n + 1
+        assert len(calls) == n
         assert products == []
         # each composition is only as deep as the degree it reads
-        assert calls == [2, 2] + list(range(3, n + 1)) + [n]
+        assert calls == list(range(2, n + 1)) + [n]
+
+
+def test_flipped_presentation_mirrors_exactly(rng):
+    # f and f(-u, -v) have brackets of opposite sign; the flip is carried by
+    # the signs of P and Q alone, so every floating-point operation of one
+    # reduction is the exact negation of the other's
+    for i in range(20):
+        n = 3 + i % 10
+        _, a, b = random_canonical(rng, order=n)
+        f = scramble(canonical_crosscap(a, b, order=n), rng, flip=i >= 10)
+        idx = np.arange(n + 1)
+        odd = (idx[:, None] + idx[None, :]) % 2 == 1
+        mirror = SurfaceMap(jet=Jet3(f.jet.order, np.where(odd, -f.jet.c, f.jet.c)))
+        nf, nf_mirror = reduce_to_normal_form(f), reduce_to_normal_form(mirror)
+        assert nf.flipped != nf_mirror.flipped
+        assert np.array_equal(nf.a, nf_mirror.a) and np.array_equal(nf.b, nf_mirror.b)
+        assert np.array_equal(nf.rotation, nf_mirror.rotation)
+        assert nf.residual == nf_mirror.residual
+        assert np.array_equal(nf.domain_u.c, -nf_mirror.domain_u.c)
+        assert np.array_equal(nf.domain_v.c, -nf_mirror.domain_v.c)

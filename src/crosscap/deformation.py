@@ -90,7 +90,8 @@ class SphericalCurve:
 
     def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, e, n) at arc length s; raises ChartError for |s| >= pi/2."""
-        return tuple(np.hsplit(self.path.state(s), 3))
+        y = self.path.state(s)
+        return y[0:3], y[3:6], y[6:9]
 
     def series_at(self, s0: float, order: int):
         """Local Taylor coefficients of (c, e, n) around s0."""
@@ -134,10 +135,12 @@ class DeformationFamily:
         """Coefficients in vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows)."""
         m, n = self.m, order
         w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
+        # one Miller recurrence: q = w2^(-1/2), so w2^(-1) = q q and w2^(1/2) = q w2
+        q = series_power(w2, -0.5, n)
         # shat = arc length of chat, the integral of sqrt(m) / w2 from v0
-        shat = series_integral(series_power(w2, -1.0, n - 1) * math.sqrt(m), 0.0)
+        shat = series_integral(series_product(q, q, n - 1) * math.sqrt(m), 0.0)
         C, _, _ = self.curve.series_at(self.arc_parameter(v0), n)
-        xi = series_product(series_compose(C, shat, n), series_power(w2, 0.5, n), n)
+        xi = series_product(series_compose(C, shat, n), series_product(q, w2, n), n)
         xi_d = series_derivative(xi)
         B = series_cross(xi[:n], xi_d, n - 1) + xi_d * self.a11
         return xi, series_product(B, [v0, 1.0], n - 1) * (self.a02 / m)

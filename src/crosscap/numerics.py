@@ -17,8 +17,12 @@ for the frame system on the unit sphere with geodesic curvature kappa(s),
 
     c' = e,    e' = kappa n - c,    n' = -kappa e,
 
-kappa recentred at each node.  A backed ruled surface holds a second
-path, in v, for its directrix and ruling (ruled.RuledSurface).
+kappa recentred at each node.  The recursion is a scalar recurrence on
+Python floats, one 3-tuple per coefficient, like jets.series_power: a
+step is a few dozen products, which numpy calls would cost more to
+dispatch than to compute.  A backed ruled surface holds a second path,
+in v, for its directrix and ruling (ruled.RuledSurface), and every node
+of it, like every off-origin local jet, needs one frame series.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import series_shift
+from .jets import _checked, series_shift
 
 SIMPSON_TOL = 1e-12
 TAYLOR_ORDER = 20
@@ -92,14 +96,36 @@ def frenet_series(
     e0: np.ndarray,
     order: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Taylor coefficients of (c, e, n) from c' = e, e' = kappa n - c, n' = -kappa e."""
-    kap = kappa_poly[: order + 1]
-    Y = np.zeros((order + 1, 9))  # row k: k-th coefficients of c, e, n
-    Y[0, :3], Y[0, 3:6], Y[0, 6:] = c0, e0, np.cross(c0, e0)
+    """Taylor coefficients of (c, e, n) from c' = e, e' = kappa n - c, n' = -kappa e.
+
+    With n_0 = c_0 x e_0, step k of the recurrence is
+
+        (k + 1) (c, e, n)_(k+1) = (e_k, sum_i kappa_i n_(k-i) - c_k, -sum_i kappa_i e_(k-i)).
+
+    Each step is a few dozen scalar products, too few for numpy to pay
+    for its per-call overhead, so it runs on Python floats with each
+    coefficient a 3-tuple, and the arrays are built once at the end.
+    Python floats overflow silently; a coefficient that left the float
+    range from finite data is reported as numpy overflow (jets._checked).
+    """
+    kappa = np.asarray(kappa_poly, dtype=float)[: order + 1]
+    c0, e0 = np.asarray(c0, dtype=float), np.asarray(e0, dtype=float)
+    kap = kappa.tolist()
+    (cx, cy, cz), (ex, ey, ez) = c0.tolist(), e0.tolist()
+    C, E, N = [(cx, cy, cz)], [(ex, ey, ez)], [(cy * ez - cz * ey, cz * ex - cx * ez, cx * ey - cy * ex)]
     for k in range(order):
-        ken = sum(kap[i] * Y[k - i, 3:] for i in range(min(k + 1, len(kap))))
-        Y[k + 1] = np.concatenate([Y[k, 3:6], ken[3:] - Y[k, :3], -ken[:3]]) / (k + 1)
-    return Y[:, :3], Y[:, 3:6], Y[:, 6:]
+        # sum_i kappa_i n_(k-i) and sum_i kappa_i e_(k-i)
+        knx = kny = knz = kex = key = kez = 0.0
+        for a, (nx, ny, nz), (fx, fy, fz) in zip(kap, reversed(N), reversed(E)):
+            knx, kny, knz = knx + a * nx, kny + a * ny, knz + a * nz
+            kex, key, kez = kex + a * fx, key + a * fy, kez + a * fz
+        (cx, cy, cz), (ex, ey, ez), j = C[k], E[k], k + 1
+        C.append((ex / j, ey / j, ez / j))
+        E.append(((knx - cx) / j, (kny - cy) / j, (knz - cz) / j))
+        N.append((-kex / j, -key / j, -kez / j))
+    Y = np.array([x for rows in (C, E, N) for row in rows for x in row]).reshape(3, order + 1, 3)
+    Y = _checked(Y, kappa, c0, e0)
+    return Y[0], Y[1], Y[2]
 
 
 class TaylorPath:
@@ -149,12 +175,13 @@ class FrenetPath(TaylorPath):
     def __init__(self, kappa_poly: Sequence[float], point0: np.ndarray, tangent0: np.ndarray):
         y0 = np.concatenate([point0, tangent0])
         super().__init__(partial(_frame_block, kappa_poly), y0, "curvature too large near arc length")
+        self._kappa = kappa_poly
 
     def series(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Taylor coefficients of (c, e, n) around s0, kappa recentred there."""
         # at s0 = 0 the state is y0, and no node needs growing
         y = self._y0 if s0 == 0.0 else self.state(s0)
-        return tuple(np.hsplit(self._block(s0, y, order), 3))
+        return frenet_series(series_shift(self._kappa, s0), y[0:3], y[3:6], order)
 
     def state(self, s: float) -> np.ndarray:
         """Frame state (c, e, n) at arc length s."""

@@ -407,8 +407,8 @@ def write_obj(f: SurfaceMap, path: str, resolution: int):
     us = [u0 + (u1 - u0) * i / n for i in range(n + 1)]
     vs = [v0 + (v1 - v0) * j / n for j in range(n + 1)]
     lines = [
-        f"v {format_float(float(x))} {format_float(float(y))} {format_float(float(z))}"
-        for x, y, z in f.evaluate_grid(us, vs).reshape(-1, 3)
+        f"v {format_float(x)} {format_float(y)} {format_float(z)}"
+        for x, y, z in f.evaluate_grid(us, vs).reshape(-1, 3).tolist()
     ]
     for i in range(n):
         for j in range(n):

@@ -2,10 +2,15 @@
 modules."""
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from crosscap import Jet2, Jet3, JetDomainError, SurfaceMap, canonical_crosscap
-from crosscap.jets import _mask, _product
+from crosscap.deformation import DeformationFamily
+from crosscap.jets import _mask, _product, series_compose, series_cross, series_derivative
+from crosscap.jets import series_integral, series_power, series_product
 from crosscap.normalform import NormalForm
 
 
@@ -128,6 +133,37 @@ def reference_domain_change(g: Jet3) -> tuple[Jet2, Jet2]:
         p_new[j, d - j] -= reference_compose(g.c, P.c, Q.c, n)[0, j, d - j] / alpha
         P = Jet2(n, p_new)
     return P, Q
+
+
+def reference_frenet_series(
+    kappa_poly: Sequence[float],
+    c0: np.ndarray,
+    e0: np.ndarray,
+    order: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Taylor coefficients of (c, e, n) from c' = e, e' = kappa n - c,
+    n' = -kappa e, by the library's former kernel: numpy slices of one
+    coefficient table, a generator sum and a concatenation per step."""
+    kap = kappa_poly[: order + 1]
+    Y = np.zeros((order + 1, 9))  # row k: k-th coefficients of c, e, n
+    Y[0, :3], Y[0, 3:6], Y[0, 6:] = c0, e0, np.cross(c0, e0)
+    for k in range(order):
+        ken = sum(kap[i] * Y[k - i, 3:] for i in range(min(k + 1, len(kap))))
+        Y[k + 1] = np.concatenate([Y[k, 3:6], ken[3:] - Y[k, :3], -ken[:3]]) / (k + 1)
+    return Y[:, :3], Y[:, 3:6], Y[:, 6:]
+
+
+def reference_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``DeformationFamily.ruling_series`` by its former formula, with two
+    Miller recurrences on the same quadratic w2: w2^(-1) and w2^(1/2)."""
+    m, n = fam.m, order
+    w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
+    shat = series_integral(series_power(w2, -1.0, n - 1) * math.sqrt(m), 0.0)
+    C, _, _ = fam.curve.series_at(fam.arc_parameter(v0), n)
+    xi = series_product(series_compose(C, shat, n), series_power(w2, 0.5, n), n)
+    xi_d = series_derivative(xi)
+    B = series_cross(xi[:n], xi_d, n - 1) + xi_d * fam.a11
+    return xi, series_product(B, [v0, 1.0], n - 1) * (fam.a02 / m)
 
 
 def table_dev(nf: NormalForm, a: dict, b: dict) -> float:

@@ -164,6 +164,18 @@ def test_overflowing_coefficients_exit_two(tmp_path, capsys):
         assert err.startswith("analysis failed") and quantity in err
 
 
+def test_overflowing_frame_recurrence_exits_two(tmp_path, capsys):
+    # the frame's Taylor recurrence runs on Python floats, which overflow
+    # silently; the overflow must still be what the command reports
+    doc = {"spherical_deformation": {"kappa_poly": [0, 1e100], "a02": 2, "a11": 0}}
+    out = tmp_path / "m.obj"
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("analysis failed") and "overflow" in err
+    assert not out.exists()
+
+
 def test_immersion_exits_two(tmp_path, capsys):
     doc = {"polynomial": [[1, 0, 1.0, 0.0, 0.0], [0, 1, 0.0, 1.0, 0.0]]}
     assert main(["analyze", write_spec(tmp_path, doc)]) == 2

@@ -24,9 +24,11 @@ from crosscap import (
     verify_isometry,
 )
 from crosscap.deformation import circle_family
+from crosscap.jets import series_shift
 from crosscap.numerics import frenet_series
 from crosscap.ruled import from_deformation
 from crosscap.specio import build_surface, parse_spec, write_obj
+from helpers import reference_frenet_series, reference_ruling_series
 
 
 S_GRID = np.linspace(-1.2, 1.2, 13)
@@ -262,6 +264,55 @@ def test_frame_refuses_series_that_is_not_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ChartError, match="curvature too large"):
             SphericalCurve(kappa_poly=(0.0, 1e100)).path.state(0.5)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 7])
+def test_frenet_series_matches_reference_kernel(degree):
+    rng = np.random.default_rng(degree)
+    for _ in range(10):
+        kappa = series_shift(rng.uniform(-2.0, 2.0, degree + 1), rng.uniform(-1.0, 1.0))
+        c0 = rng.normal(size=3)
+        c0 /= np.linalg.norm(c0)
+        e0 = np.cross(c0, rng.normal(size=3))
+        e0 /= np.linalg.norm(e0)
+        for order in (0, 1, 20):
+            got = frenet_series(kappa, c0, e0, order)
+            for a, b in zip(got, reference_frenet_series(kappa, c0, e0, order)):
+                assert a.shape == b.shape == (order + 1, 3)
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+# (a02, a11, kappa) for members with constant, quadratic and steeper quadratic curvature
+NODE_MEMBERS = [(2.0, -0.3, 0.7), (1.5, 0.25, (0.5, -0.4, 0.2)), (1.1, 0.8, (-1.9, 0.6, -0.7))]
+
+
+def test_ruling_series_matches_two_power_formula():
+    # one Miller recurrence for w2^(-1/2) in place of two on the same w2
+    for a02, a11, kappa in NODE_MEMBERS:
+        fam = deformation_family(a02, a11, kappa)
+        for v0 in (-1.0, -0.55, 0.0, 0.3, 0.8, 1.0):
+            for got, want in zip(fam.ruling_series(v0, 20), reference_ruling_series(fam, v0, 20)):
+                assert got.shape == want.shape
+                # about order^2 units in the last place of the largest coefficient
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_node_layout_is_pinned():
+    # per path, directrix in v then frame in arc length: the node count and
+    # the start of the last node per direction (+, -), after one grid over
+    # 25 columns of [-1, 1]
+    want = [
+        (((6, 6), (0.9287469425251336, 0.9251573347539328)), ((1, 1), (0.0, 0.0))),
+        (((6, 6), (0.9866655704635543, 0.9620310085815228)), ((2, 2), (0.4319145099070547, 0.4319145099070547))),
+        (((7, 7), (0.9023006768098835, 0.829156382592817)), ((3, 4), (0.5769680231669494, 0.7605341565013406))),
+    ]
+    for (a02, a11, kappa), (directrix, frame) in zip(NODE_MEMBERS, want):
+        fam = deformation_family(a02, a11, kappa)
+        surface = from_deformation(fam)
+        surface.grid([0.0], np.linspace(-1.0, 1.0, 25))
+        for nodes, (counts, lasts) in ((surface._path._nodes, directrix), (fam.curve.path._nodes, frame)):
+            assert tuple(len(nodes[sign][0]) for sign in (1, -1)) == counts
+            assert [nodes[sign][0][-1] for sign in (1, -1)] == pytest.approx(lasts, abs=1e-14)
 
 
 @pytest.mark.parametrize("k1", [1.0, 10.0, 100.0])

@@ -5,7 +5,7 @@ sphere with |s| < pi/2, set m = 1 + a11^2 and
 
     chat(v) = c(arctan(v sqrt(m)))          reparametrized curve
     xi(v)   = sqrt(1 + m v^2) * chat(v)     scaled ruling
-    B(v)    = a11 xi'(v) + xi(v) x xi'(v)
+    B(v)    = a11 xi'(v) + xi(v) x xi'(v) = a11 xi'(v) + sqrt(m) nhat(v)
     gamma(v)= (a02/m) * integral_0^v t B(t) dt
 
 and finally f(u,v) = gamma(v) + u xi(v).  Every member of this family,
@@ -21,9 +21,16 @@ form.
 
 A DeformationFamily is the backing of its member's ruled surface
 (ruled.from_deformation): the Taylor coefficients of xi and gamma' in
-vhat = v - v0, around any v0, are coefficient arrays computed by exact
-series arithmetic in one variable (jets.series_product and its kin) on
-the spherical frame's Taylor coefficients (numerics.FrenetPath).  Pointwise
+vhat = v - v0, around any v0, are coefficient arrays.  The frame
+(chat, ehat, nhat) is solved in vhat directly: with w2 = 1 + m v^2 and
+shat(v) = arctan(v sqrt(m)), so that w2 shat' = sqrt(m), it satisfies
+w2 y' = sqrt(m) (ehat, K nhat - chat, -K ehat), K = kappa(shat), by the
+frame recurrence of numerics.frenet_series, started from the curve's
+FrenetPath at shat(v0).  No cross product is formed: c x e = n gives
+
+    xi x xi' = sqrt(w2) chat x (sqrt(w2) shat' ehat) = sqrt(m) nhat,
+
+so B = a11 xi' + sqrt(m) nhat, one series product away.  Pointwise
 values of gamma and xi are node evaluations of a Taylor path in v grown
 from those arrays, so the member is exact anywhere in the chart and
 pointwise curvature checks never fall back to finite differences.
@@ -38,8 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import Jet2, Jet3, series_compose, series_cross, series_derivative, series_integral
-from .jets import series_power, series_product
+from .jets import Jet2, Jet3, series_derivative, series_power, series_product
 from .numerics import FrenetPath
 from .ruled import from_deformation
 from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
@@ -132,17 +138,20 @@ class DeformationFamily:
         return math.atan(math.sqrt(self.m) * v)
 
     def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients in vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows)."""
-        m, n = self.m, order
-        w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
-        # one Miller recurrence: q = w2^(-1/2), so w2^(-1) = q q and w2^(1/2) = q w2
-        q = series_power(w2, -0.5, n)
-        # shat = arc length of chat, the integral of sqrt(m) / w2 from v0
-        shat = series_integral(series_product(q, q, n - 1) * math.sqrt(m), 0.0)
-        C, _, _ = self.curve.series_at(self.arc_parameter(v0), n)
-        xi = series_product(series_compose(C, shat, n), series_product(q, w2, n), n)
-        xi_d = series_derivative(xi)
-        B = series_cross(xi[:n], xi_d, n - 1) + xi_d * self.a11
+        """Coefficients in vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows).
+
+        The frame (chat, ehat, nhat) is solved in vhat directly: w2 = 1 + m v^2
+        is W0 + W1 vhat + W2 vhat^2 with W0 = 1 + m v0^2, W1 = 2 m v0, W2 = m,
+        and w2 y' = sqrt(m) F is the frame recurrence of
+        numerics.frenet_series.  Then xi = sqrt(w2) chat, and since
+        xi x xi' = sqrt(m) nhat, gamma' = (a02/m) v (a11 xi' + sqrt(m) nhat).
+        """
+        m, n, v0 = self.m, order, float(v0)
+        w2 = (1.0 + m * v0 * v0, 2.0 * m * v0, m)
+        sm = math.sqrt(m)
+        C, _, N = self.curve.path.series(self.arc_parameter(v0), n, w2, sm)
+        xi = series_product(C, series_power(w2, 0.5, n), n)
+        B = series_derivative(xi) * self.a11 + N[:n] * sm
         return xi, series_product(B, [v0, 1.0], n - 1) * (self.a02 / m)
 
 
@@ -233,8 +242,7 @@ class IsometryReport:
 
 def _first_form_of(jet: Jet3) -> tuple[float, float, float]:
     """(E, F, G) at the centre of a local jet."""
-    fu = jet.coeff_vector(1, 0)
-    fv = jet.coeff_vector(0, 1)
+    fu, fv = jet.c[:, 1, 0], jet.c[:, 0, 1]
     return float(fu @ fu), float(fu @ fv), float(fv @ fv)
 
 

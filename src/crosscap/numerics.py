@@ -22,7 +22,11 @@ Python floats, one 3-tuple per coefficient, like jets.series_power: a
 step is a few dozen products, which numpy calls would cost more to
 dispatch than to compute.  A backed ruled surface holds a second path,
 in v, for its directrix and ruling (ruled.RuledSurface), and every node
-of it, like every off-origin local jet, needs one frame series.
+of it, like every off-origin local jet, needs one frame series.  That
+series is taken in v, not in s: the same recursion solves w(t) y' = rate F
+for a parameter t with w(t) s'(t) = rate, w of degree <= 2.  For a
+deformation family member, w = 1 + m v^2 and rate = sqrt(m)
+(deformation.DeformationFamily.ruling_series).
 """
 from __future__ import annotations
 
@@ -95,37 +99,69 @@ def frenet_series(
     c0: np.ndarray,
     e0: np.ndarray,
     order: int,
+    w: Sequence[float] = (1.0,),
+    rate: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Taylor coefficients of (c, e, n) from c' = e, e' = kappa n - c, n' = -kappa e.
+    """Taylor coefficients in t of the frame (c, e, n) of a spherical curve
+    whose arc length s(t), s(0) = 0, runs at w(t) s' = rate, w of degree <= 2.
 
-    With n_0 = c_0 x e_0, step k of the recurrence is
+    kappa_poly is the geodesic curvature in s, and K(t) = kappa(s(t)) the one
+    in t.  With y = (c, e, n) and F = (e, K n - c, -K e), the system is
+    w y' = rate F, and coefficient k of it, with n_0 = c_0 x e_0, is
 
-        (k + 1) (c, e, n)_(k+1) = (e_k, sum_i kappa_i n_(k-i) - c_k, -sum_i kappa_i e_(k-i)).
+        w_0 (k + 1) y_(k+1) = rate F_k - w_1 k y_k - w_2 (k - 1) y_(k-1),
+        F_k = (e_k, sum_i K_i n_(k-i) - c_k, -sum_i K_i e_(k-i)).
 
-    Each step is a few dozen scalar products, too few for numpy to pay
-    for its per-call overhead, so it runs on Python floats with each
-    coefficient a 3-tuple, and the arrays are built once at the end.
-    Python floats overflow silently; a coefficient that left the float
-    range from finite data is reported as numpy overflow (jets._checked).
+    With the defaults w = 1 and rate = 1, t is s, K is kappa and the w terms
+    are exact zeros.  Otherwise a curvature that is not constant is composed
+    with s(t) first, to the order terms the recurrence reads.  Each step is a few
+    dozen scalar products, too few for numpy to pay for its per-call
+    overhead, so it runs on Python floats with each coefficient a 3-tuple,
+    and the arrays are built once at the end.  Python floats overflow
+    silently; a coefficient that left the float range from finite data is
+    reported as numpy overflow (jets._checked).
     """
     kappa = np.asarray(kappa_poly, dtype=float)[: order + 1]
     c0, e0 = np.asarray(c0, dtype=float), np.asarray(e0, dtype=float)
-    kap = kappa.tolist()
+    kap = kappa[:order].tolist()  # step k reads K_0 .. K_k, k < order
+    w0, w1, w2 = (*map(float, w), 0.0, 0.0)[:3]
+    if len(kap) > 1 and (rate, w0, w1, w2) != (1.0, 1.0, 0.0, 0.0):
+        kap = _composed(kap, (w0, w1, w2), rate, order)
     (cx, cy, cz), (ex, ey, ez) = c0.tolist(), e0.tolist()
     C, E, N = [(cx, cy, cz)], [(ex, ey, ez)], [(cy * ez - cz * ey, cz * ex - cx * ez, cx * ey - cy * ex)]
     for k in range(order):
-        # sum_i kappa_i n_(k-i) and sum_i kappa_i e_(k-i)
+        # sum_i K_i n_(k-i) and sum_i K_i e_(k-i)
         knx = kny = knz = kex = key = kez = 0.0
         for a, (nx, ny, nz), (fx, fy, fz) in zip(kap, reversed(N), reversed(E)):
             knx, kny, knz = knx + a * nx, kny + a * ny, knz + a * nz
             kex, key, kez = kex + a * fx, key + a * fy, kez + a * fz
-        (cx, cy, cz), (ex, ey, ez), j = C[k], E[k], k + 1
-        C.append((ex / j, ey / j, ez / j))
-        E.append(((knx - cx) / j, (kny - cy) / j, (knz - cz) / j))
-        N.append((-kex / j, -key / j, -kez / j))
+        (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = C[k], E[k], N[k]
+        # y_(k-1), weighted 0 at k = 0, where it is y_0 and stands for zero
+        (qcx, qcy, qcz), (qex, qey, qez), (qnx, qny, qnz) = C[k - 1], E[k - 1], N[k - 1]
+        a, b, j = w1 * k, w2 * max(k - 1, 0), w0 * (k + 1)
+        C.append(((rate * ex - a * cx - b * qcx) / j, (rate * ey - a * cy - b * qcy) / j,
+                  (rate * ez - a * cz - b * qcz) / j))
+        E.append(((rate * (knx - cx) - a * ex - b * qex) / j, (rate * (kny - cy) - a * ey - b * qey) / j,
+                  (rate * (knz - cz) - a * ez - b * qez) / j))
+        N.append(((-rate * kex - a * nx - b * qnx) / j, (-rate * key - a * ny - b * qny) / j,
+                  (-rate * kez - a * nz - b * qnz) / j))
     Y = np.array([x for rows in (C, E, N) for row in rows for x in row]).reshape(3, order + 1, 3)
     Y = _checked(Y, kappa, c0, e0)
     return Y[0], Y[1], Y[2]
+
+
+def _composed(kappa: list, w: tuple, rate: float, n: int) -> list:
+    """The first n coefficients of kappa(s(t)), from the powers of s by the
+    chain w (s^j)' = j rate s^(j-1), one recurrence per power."""
+    w0, w1, w2 = w
+    out, power = [kappa[0]] + [0.0] * (n - 1), [1.0] + [0.0] * (n - 1)
+    for j, a in enumerate(kappa[1:], 1):
+        prev, power = power, [0.0] * n
+        # s^j starts at t^j
+        for k in range(j - 1, n - 1):
+            power[k + 1] = (j * rate * prev[k] - w1 * k * power[k] - w2 * (k - 1) * power[k - 1]) / (w0 * (k + 1))
+            out[k + 1] += a * power[k + 1]
+    return out
 
 
 class TaylorPath:
@@ -177,11 +213,14 @@ class FrenetPath(TaylorPath):
         super().__init__(partial(_frame_block, kappa_poly), y0, "curvature too large near arc length")
         self._kappa = kappa_poly
 
-    def series(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Taylor coefficients of (c, e, n) around s0, kappa recentred there."""
+    def series(
+        self, s0: float, order: int, w: Sequence[float] = (1.0,), rate: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Taylor coefficients of (c, e, n) around s0, kappa recentred there,
+        in t where s = s0 + s(t) and w s' = rate (frenet_series)."""
         # at s0 = 0 the state is y0, and no node needs growing
         y = self._y0 if s0 == 0.0 else self.state(s0)
-        return frenet_series(series_shift(self._kappa, s0), y[0:3], y[3:6], order)
+        return frenet_series(series_shift(self._kappa, s0), y[0:3], y[3:6], order, w, rate)
 
     def state(self, s: float) -> np.ndarray:
         """Frame state (c, e, n) at arc length s."""
@@ -196,7 +235,8 @@ def _step(block: np.ndarray) -> float:
     tail = np.max(np.abs(block[-2:]), axis=1)
     if not np.isfinite(tail).all():
         return 0.0
+    # Python floats, so that node starts never become numpy scalars
     return min(
-        [(TAYLOR_TOL / t) ** (1.0 / j) for j, t in zip((p - 1, p), tail) if t > 0.0],
+        [(TAYLOR_TOL / t) ** (1.0 / j) for j, t in zip((p - 1, p), tail.tolist()) if t > 0.0],
         default=_HALF_PI,
     )

@@ -154,8 +154,11 @@ def reference_frenet_series(
 
 
 def reference_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """``DeformationFamily.ruling_series`` by its former formula, with two
-    Miller recurrences on the same quadratic w2: w2^(-1) and w2^(1/2)."""
+    """``DeformationFamily.ruling_series`` by the composition route: the
+    frame in arc length composed with shat(v), whose derivative comes from a
+    Miller recurrence for w2^(-1), times w2^(1/2) from a second one, and
+    B = a11 xi' + xi x xi' by a series cross product.  The library solves
+    the frame in vhat instead and uses xi x xi' = sqrt(m) nhat."""
     m, n = fam.m, order
     w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
     shat = series_integral(series_power(w2, -1.0, n - 1) * math.sqrt(m), 0.0)

@@ -284,17 +284,47 @@ def test_frenet_series_matches_reference_kernel(degree):
 
 # (a02, a11, kappa) for members with constant, quadratic and steeper quadratic curvature
 NODE_MEMBERS = [(2.0, -0.3, 0.7), (1.5, 0.25, (0.5, -0.4, 0.2)), (1.1, 0.8, (-1.9, 0.6, -0.7))]
+# and with curvature of degree 1, 3, 7 and 29, whose K(vhat) is a longer
+# series; the 30 coefficients decay like a truncated analytic curvature's,
+# since with O(1) ones the reference itself errs by more than 1e-13
+RULING_MEMBERS = NODE_MEMBERS + [
+    (1.3, -0.6, (0.4, -0.9)),
+    (0.8, 0.45, (-0.2, 0.7, 0.3, -0.5)),
+    (2.4, -0.9, (0.3, -0.6, 0.5, 0.8, -0.4, 0.2, -0.7, 0.35)),
+    (1.7, 0.15, tuple(np.random.default_rng(29).uniform(-1.0, 1.0, 30) * 0.7 ** np.arange(30))),
+]
 
 
 def test_ruling_series_matches_two_power_formula():
-    # one Miller recurrence for w2^(-1/2) in place of two on the same w2
-    for a02, a11, kappa in NODE_MEMBERS:
+    # the frame solved in vhat, with xi x xi' = sqrt(m) nhat, against the
+    # frame in arc length composed with shat(v) and a series cross product
+    for a02, a11, kappa in RULING_MEMBERS:
         fam = deformation_family(a02, a11, kappa)
         for v0 in (-1.0, -0.55, 0.0, 0.3, 0.8, 1.0):
-            for got, want in zip(fam.ruling_series(v0, 20), reference_ruling_series(fam, v0, 20)):
-                assert got.shape == want.shape
-                # about order^2 units in the last place of the largest coefficient
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            for order in (1, 2, 5, 12, 20):
+                for got, want in zip(fam.ruling_series(v0, order), reference_ruling_series(fam, v0, order)):
+                    assert got.shape == want.shape
+                    # about order^2 units in the last place of the largest coefficient
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_overflowing_ruling_frame_is_reported():
+    # at v0 = 0 no frame node is grown, so the overflow arises in the
+    # frame recurrence in vhat, from finite curvature and initial frame
+    fam = deformation_family(2.0, 0.0, (0.0, 1e100))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            fam.ruling_series(0.0, 20)
+
+
+def test_frenet_series_defaults_match_reference_kernel_exactly():
+    # with w = 1 and rate = 1 the added terms of the recurrence are exact zeros
+    rng = np.random.default_rng(5)
+    for degree in (0, 2, 7):
+        kappa = series_shift(rng.uniform(-2.0, 2.0, degree + 1), rng.uniform(-1.0, 1.0))
+        c0, e0 = np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.0, 0.0])
+        for got, want in zip(frenet_series(kappa, c0, e0, 20), reference_frenet_series(kappa, c0, e0, 20)):
+            assert np.array_equal(got, want)
 
 
 def test_node_layout_is_pinned():
@@ -313,6 +343,16 @@ def test_node_layout_is_pinned():
         for nodes, (counts, lasts) in ((surface._path._nodes, directrix), (fam.curve.path._nodes, frame)):
             assert tuple(len(nodes[sign][0]) for sign in (1, -1)) == counts
             assert [nodes[sign][0][-1] for sign in (1, -1)] == pytest.approx(lasts, abs=1e-14)
+
+
+def test_node_positions_are_python_floats():
+    for a02, a11, kappa in NODE_MEMBERS:
+        fam = deformation_family(a02, a11, kappa)
+        surface = from_deformation(fam)
+        surface.grid([0.0], np.linspace(-1.0, 1.0, 25))
+        for nodes in (surface._path._nodes, fam.curve.path._nodes):
+            for starts, _, steps in nodes.values():
+                assert all(type(x) is float for x in starts + steps)
 
 
 @pytest.mark.parametrize("k1", [1.0, 10.0, 100.0])

@@ -58,8 +58,12 @@ SPECS = {
     "tangent": {"ruled": {"gamma_poly": [[0, 0, 0], [1, 0, 0], [0, 0.5, 0], [0, 0, 1 / 6]],
                           "xi_poly": [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]}},
     "off_axis": {"polynomial": OFF_AXIS, "order": 8},
+    # a quartic curvature: its curvature series in v takes powers of the
+    # arc length above the square that a quadratic needs
+    "quartic_kappa": {"spherical_deformation": {"kappa_poly": [-0.3, 0.5, 0.2, -0.15, 0.1], "a02": 0.9, "a11": 0.6},
+                      "order": 7, "domain": [[-0.6, 0.9], [-0.8, 1.0]]},
 }
-FAMILY = ("circle", "poly_kappa")
+FAMILY = ("circle", "poly_kappa", "quartic_kappa")
 
 
 def runs(name: str, doc: dict) -> dict[str, list[str]]:

@@ -17,11 +17,11 @@ derivative values; the (j,k) partial derivative at the origin is
 
 Each series operation is one array operation on tables:
 
-- the product pads the rows of both tables to width 2n+1 and convolves
-  the flattened rows once: u^j v^k becomes t^(j(2n+1)+k), and no product
-  of two rows reaches the next row (Kronecker substitution);
-- composition p(g, h) is linear in p: on tables flat over the triangle,
-  a product with g or h is one gathered (2-D Toeplitz) matrix, so the
+- the product flattens both tables over the triangle j + k <= n and
+  gives each kept monomial t the sum of a_x b_y over the pairs of
+  monomials x y = t, one reduction over a pair list cached per order;
+- composition p(g, h) is linear in p: on flat tables, a product with g
+  or h is one gathered (2-D Toeplitz) matrix from the same index, so the
   powers of h (shared by a Jet3's tables), the rows r_j = sum_k c[j,k] h^k
   and each step of Horner's rule in g are matrix products, about 2n in
   all, with no series product.  A power p^q (square root,
@@ -38,11 +38,11 @@ frozen.
 A series in one variable t needs no table: the ``series_*`` functions
 take and return its coefficient array (a vector series has one 3-vector
 row per power of t) and truncate to the first n + 1 coefficients.  The
-product is one lower triangular (Toeplitz) matrix product, which also
-serves Jet2 products of two series in v alone; powers such as square
-roots and reciprocals follow a coefficient recurrence, composition is
-one matrix of powers of the inner series, a shift is one product with V,
-and the derivative and integral scale the rows by their powers.
+product is one lower triangular (Toeplitz) matrix product; powers such
+as square roots and reciprocals follow a coefficient recurrence,
+composition is one matrix of powers of the inner series, a shift is one
+product with V, and the derivative and integral scale the rows by their
+powers.
 """
 from __future__ import annotations
 
@@ -89,9 +89,9 @@ def _binomials(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _checked(out: np.ndarray, *operands: np.ndarray) -> np.ndarray:
     """out, after reporting overflow if it is not finite but the operands are."""
     if not np.isfinite(out).all() and all(np.isfinite(x).all() for x in operands):
-        # np.convolve, matrix products and Python floats do not report
-        # overflow through np.errstate; a kept coefficient that overflowed
-        # from finite operands is reported here
+        # matrix products and Python floats do not report overflow through
+        # np.errstate; a kept coefficient that overflowed from finite
+        # operands is reported here
         np.multiply(np.finfo(float).max, 2.0)
     return out
 
@@ -185,38 +185,33 @@ def series_integral(dx: np.ndarray, x0) -> np.ndarray:
     return x
 
 
-def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Product of coefficient tables at order n; a and b may stack tables
-    along leading axes, which broadcast."""
-    a, b = a[..., : n + 1, : n + 1], b[..., : n + 1, : n + 1]
-    if a.ndim > 2 or b.ndim > 2:
-        return np.stack([_product(x, y, n) for x, y in zip(*np.broadcast_arrays(a, b))])
-    if np.count_nonzero(a[1:]) or np.count_nonzero(b[1:]):
-        width = 2 * n + 1
-        pa, pb = np.zeros((2, n + 1, width))
-        pa[:, : n + 1], pb[:, : n + 1] = a, b
-        full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
-        # only coefficients inside the triangle are kept, and checked
-        return _checked(np.where(_mask(n), full.reshape(n + 1, width)[:, : n + 1], 0.0), a, b)
-    # both series in v alone: one product of the first rows
-    table = np.zeros((n + 1, n + 1))
-    table[0] = series_product(a[0], b[0], n)
-    return table
-
-
 @lru_cache(maxsize=None)
-def _table_lags(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triangle j + k <= n as index arrays j, k, and at row (a, b), column
-    (j, k) the position of (a - j, b - k) in it, else its length (a zero)."""
+def _table_lags(n: int) -> tuple[np.ndarray, ...]:
+    """The triangle j + k <= n as index arrays j, k; at row t, column x the
+    position of the monomial t / x in it, else its length (a zero); and the
+    pairs (x, t / x), grouped by t in order, with the first pair of each t."""
     j, k = np.nonzero(_mask(n))
     pos = np.cumsum(_mask(n)).reshape(n + 1, n + 1) - 1  # row-major, as j, k
     dj, dk = j[:, None] - j, k[:, None] - k
-    return _frozen(j), _frozen(k), _frozen(np.where((dj >= 0) & (dk >= 0), pos[dj, dk], len(j)))
+    lags = np.where((dj >= 0) & (dk >= 0), pos[dj, dk], len(j))
+    t, x = np.nonzero(lags < len(j))
+    return tuple(map(_frozen, (j, k, lags, x, lags[t, x], np.flatnonzero(np.diff(t, prepend=-1)))))
+
+
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Product of coefficient tables at order n; a and b may stack tables
+    along leading axes, which broadcast."""
+    j, k, _, x, y, starts = _table_lags(n)
+    a, b = a[..., j, k], b[..., j, k]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (n + 1, n + 1))
+    # each kept monomial t sums a_x b_y over its pairs
+    out[..., j, k] = np.add.reduceat(a[..., x] * b[..., y], starts, axis=-1)
+    return _checked(out, a, b)
 
 
 def _table_product_matrix(b: np.ndarray, n: int) -> np.ndarray:
     """M with M @ x = x(u, v) b(u, v) at order n, x flat as in ``_table_lags``."""
-    j, k, lags = _table_lags(n)
+    j, k, lags = _table_lags(n)[:3]
     return np.append(b[j, k], 0.0)[lags]
 
 
@@ -227,7 +222,7 @@ def _compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
         raise JetDomainError("composition requires inner jets with zero constant term")
     c = c[..., : n + 1, : n + 1]
     tables = c.reshape(-1, n + 1, n + 1)
-    j, k, _ = _table_lags(n)
+    j, k = _table_lags(n)[:2]
     # flat powers of h up to the highest one any table uses, shared by all
     kmax = np.flatnonzero(tables.any(axis=(0, 1))).max(initial=0)
     hp = np.zeros((kmax + 1, len(j)))
@@ -459,8 +454,9 @@ class Jet3(_Jet):
 
     def cross(self, other: "Jet3") -> "Jet3":
         n = min(self.order, other.order)
-        a, b = self.c, other.c
-        return Jet3(n, _product(a[[1, 2, 0]], b[[2, 0, 1]], n) - _product(a[[2, 0, 1]], b[[1, 2, 0]], n))
+        # a_y b_z - a_z b_y and its cyclic permutations, from one product
+        p = _product(self.c[[1, 2, 0, 2, 0, 1]], other.c[[2, 0, 1, 1, 2, 0]], n)
+        return Jet3(n, p[:3] - p[3:])
 
     def __call__(self, u: float, v: float) -> np.ndarray:
         up = u ** np.arange(self.order + 1)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .errors import NormalFormError
 from .jets import Jet2
 from .surface import (
@@ -157,7 +158,8 @@ def reduce_to_normal_form(
     # pass d composes once, as deep as d, checks degree d-1 and solves degree
     # d; pass n + 1 is the final full-order composition, which gives the tables
     for d in range(2, n + 2):
-        comp = g.truncated(min(d, n)).compose(Jet2(n, p), Jet2(n, q)).c
+        e = min(d, n)
+        comp = jets._compose(np.where(jets._mask(e), g.c[:, : e + 1, : e + 1], 0.0), p, q, e)
         m = np.arange(1, d)  # u^m v^(d-1-m), the mixed monomials of degree d-1
         if d > 2 and np.abs(comp[1, m, d - 1 - m] - uv[m, d - 1 - m]).max() > RESIDUAL_TOL * scale ** (d - 1):
             raise NormalFormError(f"second-component residual survived at degree {d - 1}", degree=d - 1)

@@ -9,7 +9,7 @@ import numpy as np
 
 from crosscap import Jet2, Jet3, JetDomainError, SurfaceMap, canonical_crosscap
 from crosscap.deformation import DeformationFamily
-from crosscap.jets import _mask, _product, series_compose, series_cross, series_derivative
+from crosscap.jets import _checked, _mask, series_compose, series_cross, series_derivative
 from crosscap.jets import series_integral, series_power, series_product
 from crosscap.normalform import NormalForm
 
@@ -79,10 +79,32 @@ def scramble(
     return SurfaceMap(jet=f.jet.compose(P, Q).rotated(R).translated(T))
 
 
+def reference_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Product of coefficient tables at order n, by the library's former
+    kernel: the rows of both tables padded to width 2n+1 and convolved
+    once, so u^j v^k becomes t^(j(2n+1)+k) and no product of two rows
+    reaches the next row (Kronecker substitution).  a and b may stack
+    tables along leading axes, which broadcast."""
+    a, b = a[..., : n + 1, : n + 1], b[..., : n + 1, : n + 1]
+    if a.ndim > 2 or b.ndim > 2:
+        return np.stack([reference_product(x, y, n) for x, y in zip(*np.broadcast_arrays(a, b))])
+    if np.count_nonzero(a[1:]) or np.count_nonzero(b[1:]):
+        width = 2 * n + 1
+        pa, pb = np.zeros((2, n + 1, width))
+        pa[:, : n + 1], pb[:, : n + 1] = a, b
+        full = np.convolve(pa.ravel(), pb.ravel())[: (n + 1) * width]
+        # only coefficients inside the triangle are kept, and checked
+        return _checked(np.where(_mask(n), full.reshape(n + 1, width)[:, : n + 1], 0.0), a, b)
+    # both series in v alone: one product of the first rows
+    table = np.zeros((n + 1, n + 1))
+    table[0] = series_product(a[0], b[0], n)
+    return table
+
+
 def reference_compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """Tables of p(g, h) at order n for each table p stacked in c[..., j, k],
     by the library's former kernel: powers of h and Horner's rule in g by
-    convolution products of tables.  g and h vanish at the origin."""
+    ``reference_product``.  g and h vanish at the origin."""
     if g[0, 0] != 0.0 or h[0, 0] != 0.0:
         raise JetDomainError("composition requires inner jets with zero constant term")
     c = c[..., : n + 1, : n + 1]
@@ -94,7 +116,7 @@ def reference_compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np
     if kmax:
         hp[1] = np.where(_mask(n), h[: n + 1, : n + 1], 0.0)
     for k in range(2, kmax + 1):
-        hp[k] = _product(hp[k - 1], hp[1], n)
+        hp[k] = reference_product(hp[k - 1], hp[1], n)
     out = np.empty_like(tables)
     for i, t in enumerate(tables):
         # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
@@ -102,7 +124,7 @@ def reference_compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np
         jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
         acc = rows[jtop]
         for j in range(jtop - 1, -1, -1):
-            acc = _product(acc, g, n) + rows[j]
+            acc = reference_product(acc, g, n) + rows[j]
         out[i] = acc
     return out.reshape(c.shape)
 
@@ -167,6 +189,64 @@ def reference_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tu
     xi_d = series_derivative(xi)
     B = series_cross(xi[:n], xi_d, n - 1) + xi_d * fam.a11
     return xi, series_product(B, [v0, 1.0], n - 1) * (fam.a02 / m)
+
+
+def mpmath_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``reference_ruling_series`` in 60-digit arithmetic, from the same
+    float data: the curvature, the frame state at s0 = arc_parameter(v0),
+    a02, a11 and v0.  Series are lists of coefficients, scalar or 3-vector,
+    and each product sums straight from its definition."""
+    import mpmath
+
+    n, s0 = order, fam.arc_parameter(v0)
+    with mpmath.workdps(60):
+        mpf = mpmath.mpf
+
+        def product(a, b, top):
+            """The first top + 1 coefficients of a(t) b(t); a may be a vector series."""
+            out = []
+            for k in range(top + 1):
+                pairs = [(a[i], b[k - i]) for i in range(k + 1) if i < len(a) and k - i < len(b)]
+                out.append([mpmath.fsum(x[c] * y for x, y in pairs) for c in range(3)] if isinstance(a[0], list)
+                           else mpmath.fsum(x * y for x, y in pairs))
+            return out
+
+        def cross(x, y):
+            return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+        # the frame's Taylor coefficients in arc length around s0, with kappa(s0 + s)
+        kappa = [mpf(x) for x in fam.curve.kappa_poly]
+        K = [mpmath.fsum(math.comb(i, j) * kappa[i] * mpf(s0) ** (i - j) for i in range(j, len(kappa)))
+             for j in range(len(kappa))]
+        c, e, _ = ([mpf(x) for x in y] for y in fam.curve.frame(s0))
+        C, E, N = [c], [e], [cross(c, e)]
+        for k in range(n):
+            kn, ke = product(N, K, k)[k], product(E, K, k)[k]
+            C.append([x / (k + 1) for x in E[k]])
+            E.append([(x - y) / (k + 1) for x, y in zip(kn, C[k])])
+            N.append([-x / (k + 1) for x in ke])
+        # shat' = sqrt(m) / w2, and C(shat(t)) from the powers of shat
+        m, v = 1 + mpf(fam.a11) ** 2, mpf(v0)
+        w2 = [1 + m * v * v, 2 * m * v, m]
+        recip = [1 / w2[0]]
+        for k in range(1, n):
+            recip.append(-(w2[1] * recip[k - 1] + (w2[2] * recip[k - 2] if k > 1 else 0)) / w2[0])
+        shat = [mpf(0)] + [mpmath.sqrt(m) * recip[k - 1] / k for k in range(1, n + 1)]
+        composed, power = [[mpf(0)] * 3 for _ in range(n + 1)], [mpf(1)]
+        for Ck in C:
+            composed = [[x + y * p for x, y in zip(row, Ck)] for row, p in zip(composed, power + [0] * n)]
+            power = product(power, shat, n)
+        root = [mpmath.sqrt(w2[0]), w2[1] / (2 * mpmath.sqrt(w2[0]))]  # sqrt(w2) by Miller's recurrence
+        for k in range(2, n + 1):
+            root.append(mpmath.fsum(((mpf(1.5) * j - k) * w2[j] * root[k - j]) for j in (1, 2)) / (k * w2[0]))
+        xi = product(composed, root, n)
+        xi_d = [[(k + 1) * x for x in xi[k + 1]] for k in range(n)]
+        B = []
+        for k in range(n):
+            terms = [cross(xi[i], xi_d[k - i]) for i in range(k + 1)]
+            B.append([mpmath.fsum(t[c] for t in terms) + mpf(fam.a11) * xi_d[k][c] for c in range(3)])
+        gamma_d = [[(v * x + (B[k - 1][c] if k else 0)) * mpf(fam.a02) / m for c, x in enumerate(B[k])] for k in range(n)]
+        return np.array(xi, dtype=float), np.array(gamma_d, dtype=float)
 
 
 def table_dev(nf: NormalForm, a: dict, b: dict) -> float:

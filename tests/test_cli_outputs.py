@@ -77,3 +77,17 @@ def test_changed_number_prints_one_line(tool, tmp_path, capsys):
 def test_other_differences_exit_one(tool, tmp_path, capsys, a, b, line):
     assert tool.compare(*trees(tmp_path, a, b)) == 1
     assert capsys.readouterr().out.startswith(line)
+
+
+def test_json_line_names_the_changed_fields(tool, tmp_path, capsys):
+    # a JSON document names the key paths of its changed values, list
+    # indices left out; a text file keeps the line of counts alone
+    report = '{"members": [{"a02": 2.0, "residual": 1e-15}], "metric_deviation": [[0, 1e-16], [1e-16, 0]]}\n'
+    text = "a02 = 2.0\nresidual 1e-15\n"
+    a = {"x.json": report, "x.txt": text}
+    b = {"x.json": report.replace("1e-16]", "3e-16]").replace("1e-15", "2e-15"), "x.txt": text.replace("1e-15", "2e-15")}
+    assert tool.compare(*trees(tmp_path, a, b)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x.json: 2 numbers changed, 2 below 1e-12 changed by at most 1e-15; fields: members.residual, metric_deviation",
+        "x.txt: 1 numbers changed, 1 below 1e-12 changed by at most 1e-15",
+    ]

@@ -28,7 +28,7 @@ from crosscap.jets import series_shift
 from crosscap.numerics import frenet_series
 from crosscap.ruled import from_deformation
 from crosscap.specio import build_surface, parse_spec, write_obj
-from helpers import reference_frenet_series, reference_ruling_series
+from helpers import mpmath_ruling_series, reference_frenet_series, reference_ruling_series
 
 
 S_GRID = np.linspace(-1.2, 1.2, 13)
@@ -306,6 +306,19 @@ def test_ruling_series_matches_two_power_formula():
                     assert got.shape == want.shape
                     # about order^2 units in the last place of the largest coefficient
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_steep_ruling_series_matches_mpmath_oracle():
+    # 30 curvature coefficients of size O(1), where the composition route in
+    # floats errs by about 1e-12 of the largest coefficient at v0 = 1 and
+    # order 20: the same route in 60 digits is the oracle
+    kappa = tuple(np.random.default_rng(29).uniform(-1.0, 1.0, 30))
+    fam = deformation_family(1.7, 0.15, kappa)
+    for v0 in (-1.0, -0.55, 0.0, 0.3, 0.8, 1.0):
+        for order in (5, 12, 20):
+            for got, want in zip(fam.ruling_series(v0, order), mpmath_ruling_series(fam, v0, order)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_overflowing_ruling_frame_is_reported():

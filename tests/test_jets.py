@@ -17,7 +17,7 @@ from crosscap.jets import (
     series_shift,
 )
 
-from helpers import random_rotation, reference_compose, stack, vpoly
+from helpers import random_rotation, reference_compose, reference_product, stack, vpoly
 
 
 def as_dict(p: Jet2) -> dict[tuple[int, int], float]:
@@ -111,7 +111,7 @@ def random_vpoly(rng, order: int) -> Jet2:
 
 
 def test_mul_matches_convolution_oracle(rng):
-    # series in v alone take their own route through the product
+    # dense tables, and series in v alone, whose products stay in the first row
     v_only = [(random_vpoly, random_vpoly), (random_vpoly, random_jet), (random_jet, random_vpoly)]
     pairs = [(random_jet, random_jet, orders) for orders in ORDER_PAIRS] + [
         (first, second, (n, n)) for n in (0, 1, 12, 20) for first, second in v_only
@@ -126,6 +126,26 @@ def test_mul_matches_convolution_oracle(rng):
             assert prod.order == n
             scale = max(1.0, max((abs(val) for val in expect.values()), default=0.0))
             assert max_dev(prod, expect) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 11, 12, 20])
+def test_product_matches_the_convolution_reference(rng, n):
+    # the pair-list kernel against the former Kronecker kernel, on the
+    # operand shapes the library multiplies: (3,) x () for Jet3 * Jet2,
+    # (3,) x (3,) for dot and cross, and () x () for Jet2 * Jet2; dense
+    # tables, series in v alone, and a first operand of a higher order
+    def table(shape, order=n, v_only=False):
+        c = np.where(jets._mask(order), rng.uniform(-1.0, 1.0, size=shape + (order + 1, order + 1)), 0.0)
+        if v_only:
+            c[..., 1:, :] = 0.0
+        return c
+
+    for sa, sb in [((3,), ()), ((3,), (3,)), ((), ())]:
+        for a, b in [(table(sa), table(sb)), (table(sa, v_only=True), table(sb, v_only=True)),
+                     (table(sa, v_only=True), table(sb)), (table(sa, n + 3), table(sb))]:
+            want = reference_product(a, b, n)
+            bound = reference_product(np.abs(a), np.abs(b), n).max()
+            assert np.abs(jets._product(a, b, n) - want).max() <= 1e-14 * bound
 
 
 def test_mul_reports_overflow_of_kept_coefficients_only():
@@ -146,6 +166,15 @@ def test_mul_reports_overflow_of_kept_coefficients_only():
         with pytest.raises(FloatingPointError):
             vbig * vbig
         prod = vpoly([0.0, 0.0, 1e200], 2) * vpoly([0.0, 1e200], 2)
+    assert np.abs(prod.c).max() == 0.0
+    # the same with a stacked operand: a Jet3 times a Jet2, and a dot product
+    vec = Jet3.from_terms({(0, 0): [0.0, 1e200, 1.0], (1, 0): [1.0, 1.0, 1.0]}, 2)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            vec * big
+        with pytest.raises(FloatingPointError):
+            vec.dot(vec)
+        prod = Jet3.from_terms({(2, 0): [1e200, 0.0, 1e200], (1, 1): [0.0, 1e200, 1e200]}, 2) * low
     assert np.abs(prod.c).max() == 0.0
 
 

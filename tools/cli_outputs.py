@@ -19,8 +19,12 @@ run's exit code and stderr.
 ``--compare`` prints, for each file that differs between two trees, how
 many numbers changed and the worst relative change |a - b| / max(|a|, |b|);
 numbers below TINY on both sides are round-off residuals, and their
-largest absolute change is printed instead.  It exits 1 if anything other
-than numbers differs: a word, a layout, a file present in one tree only.
+largest absolute change is printed instead.  For a JSON document (a
+``--out`` report, the stdout of a ``--json`` run) it also names the key
+paths of the changed values, list indices left out, so that
+``metric_deviation`` stands for any of its entries.  It exits 1 if
+anything other than numbers differs: a word, a layout, a file present in
+one tree only.
 """
 from __future__ import annotations
 
@@ -117,6 +121,30 @@ def _describe(changed: list[tuple[str, str]]) -> str:
     return ", ".join(parts)
 
 
+def _leaves(doc, path: str = ""):
+    """(key path, value) for every value in a JSON document, in order."""
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            yield from _leaves(val, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for val in doc:
+            yield from _leaves(val, path)
+    else:
+        yield path, doc
+
+
+def _fields(ta: str, tb: str) -> str:
+    """"; fields: PATH, ..." for the values that differ between two JSON
+    documents of the same layout, or "" if either is not JSON."""
+    try:
+        pairs = zip(_leaves(json.loads(ta)), _leaves(json.loads(tb)))
+    except ValueError:
+        return ""
+    # only numbers differ, so a NaN (which equals nothing) stands on both sides
+    paths = [p for (p, x), (_, y) in pairs if x != y and x == x and p]
+    return "; fields: " + ", ".join(dict.fromkeys(paths)) if paths else ""
+
+
 def compare(tree_a: str, tree_b: str) -> int:
     """Report numeric changes file by file; 1 if any other text differs."""
     a_dir, b_dir = Path(tree_a), Path(tree_b)
@@ -138,7 +166,7 @@ def compare(tree_a: str, tree_b: str) -> int:
             text_differs = True
             continue
         changed = [(x, y) for x, y in zip(NUMBER.findall(ta), NUMBER.findall(tb)) if x != y]
-        print(f"{name}: {_describe(changed)}")
+        print(f"{name}: {_describe(changed)}{_fields(ta, tb)}")
     return 1 if text_differs else 0
 
 

@@ -32,8 +32,10 @@ FrenetPath at shat(v0).  No cross product is formed: c x e = n gives
 
 so B = a11 xi' + sqrt(m) nhat, one series product away.  Pointwise
 values of gamma and xi are node evaluations of a Taylor path in v grown
-from those arrays, so the member is exact anywhere in the chart and
-pointwise curvature checks never fall back to finite differences.
+from those arrays, so the member is exact anywhere in the chart.
+Pointwise curvature and first-form checks read the arrays at the point
+alone and never fall back to finite differences; they grow no node of
+the path.
 """
 from __future__ import annotations
 
@@ -256,7 +258,7 @@ def verify_isometry(f: SurfaceMap, g: SurfaceMap, grid: tuple[int, int] = (10, 1
     # one local ruling per surface and column, shared by the column's points
     for j in range(nv):
         vv = v0 + (v1 - v0) * (j + 0.5) / nv
-        for jf, jg in zip(f.local_jets(us, vv, order=1), g.local_jets(us, vv, order=1)):
+        for jf, jg in zip(f.derivative_jets(us, vv, order=1), g.derivative_jets(us, vv, order=1)):
             Ef, Ff, Gf = _first_form_of(jf)
             Eg, Fg, Gg = _first_form_of(jg)
             grid_dev = max(grid_dev, abs(Ef - Eg), abs(Ff - Fg), abs(Gf - Gg))

@@ -39,10 +39,12 @@ surfaces are their polynomial jets, exact where those are the surface
 
 gamma and xi depend on v alone, so evaluation goes one v column at a
 time: ``grid`` takes one path value per column and broadcasts it over
-u, and ``local_jets`` writes the jet at every u0 of a column from one
-expansion of (gamma, xi) around v0.  Node positions depend only on the
-backing, so a column's values do not depend on which other columns are
-evaluated.
+u, and ``derivative_jets`` writes the jet at every u0 of a column, less
+the directrix point gamma(v0), from one expansion of (gamma, xi) around
+v0.  That expansion needs only the backing's series at v0; gamma(v0) is
+the one coefficient that needs the path, and ``local_jets`` adds it
+(``directrix_point``).  Node positions depend only on the backing, so a
+column's values do not depend on which other columns are evaluated.
 """
 from __future__ import annotations
 
@@ -148,20 +150,43 @@ class RuledSurface:
 
     def local_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
         """Taylor jets of gamma(v) + u xi(v) recentered at each (u0, v0),
-        u0 in us: row 0 of each table is gamma + u0 xi around v0 and row 1
-        is xi, from one expansion of the column, exact for backed surfaces."""
+        u0 in us: derivative_jets' tables plus gamma(v0), exact for backed
+        surfaces."""
+        tables = self._tables(us, v0, order)
+        tables[:, :, 0, 0] += self.directrix_point(v0, order)
+        return [Jet3(order, table) for table in tables]
+
+    def derivative_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
+        """The jets of local_jets less gamma(v0), so u0 xi(v0) is their
+        constant term: every derivative at (u0, v0), and no directrix path."""
+        return [Jet3(order, table) for table in self._tables(us, v0, order)]
+
+    def directrix_point(self, v0: float, order: int) -> np.ndarray:
+        """gamma(v0), as the column of local_jets at v0 to this order reads it."""
+        if v0 == 0.0 and order <= self.order:
+            return self.gamma.c[:, 0, 0]
+        if self.backing is not None:
+            return self._path.state(v0)[:3]
+        return series_shift(self.gamma.c[:, 0].T, v0, 0)[0]
+
+    def _tables(self, us: Sequence[float], v0: float, order: int) -> np.ndarray:
+        """Tables of gamma(v) - gamma(v0) + u xi(v) around each (u0, v0):
+        row 0 is u0 xi plus gamma's terms past the constant, row 1 is xi,
+        all from one expansion of the column around v0."""
         if v0 == 0.0 and order <= self.order:
             gamma, xi = self.gamma.c[:, 0].T, self.xi.c[:, 0].T
         elif self.backing is not None:
             xi, gp = self.backing.ruling_series(v0, order)
-            gamma = series_integral(gp, self._path.state(v0)[:3])
+            gamma = series_integral(gp, 0.0)
         else:
             gamma, xi = (series_shift(j.c[:, 0].T, v0, order) for j in (self.gamma, self.xi))
         n = order + 1
+        rows = np.multiply.outer(us, xi[:n])
+        rows[:, 1:] += gamma[1:n]
         tables = np.zeros((len(us), 3, n, n))
-        tables[:, :, 0] = (gamma[:n] + np.multiply.outer(us, xi[:n])).transpose(0, 2, 1)
+        tables[:, :, 0] = rows.transpose(0, 2, 1)
         tables[:, :, 1:2, :order] = xi[:order].T[:, None]
-        return [Jet3(order, table) for table in tables]
+        return tables
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)

@@ -33,6 +33,8 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
+import numpy as np
+
 from . import asymptotics, deformation, invariants, normalform, ruled, surface
 from .errors import SpecFormatError
 from .surface import SurfaceMap
@@ -406,17 +408,18 @@ def write_obj(f: SurfaceMap, path: str, resolution: int):
     n = resolution
     us = [u0 + (u1 - u0) * i / n for i in range(n + 1)]
     vs = [v0 + (v1 - v0) * j / n for j in range(n + 1)]
-    lines = [
-        f"v {format_float(x)} {format_float(y)} {format_float(z)}"
-        for x, y, z in f.evaluate_grid(us, vs).reshape(-1, 3).tolist()
-    ]
-    for i in range(n):
-        for j in range(n):
-            a = i * (n + 1) + j + 1
-            b = (i + 1) * (n + 1) + j + 1
-            c = (i + 1) * (n + 1) + j + 2
-            d = i * (n + 1) + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+    # + 0.0 writes -0.0 as 0, as format_float does
+    points = f.evaluate_grid(us, vs).reshape(-1, 3) + 0.0
+    if np.isfinite(points).all():
+        vertices = "v %.17g %.17g %.17g\n" * len(points) % tuple(points.ravel().tolist())
+    else:
+        vertices = "".join(
+            f"v {format_float(x)} {format_float(y)} {format_float(z)}\n" for x, y, z in points.tolist()
+        )
+    # cell (i, j) has corners a, b = a + n + 1 one row on, and their successors in j
+    i, j = np.divmod(np.arange(n * n), n)
+    a = i * (n + 1) + j + 1
+    b = a + n + 1
+    faces = np.column_stack([a, b, b + 1, a, b + 1, a + 1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(vertices + "f %d %d %d\n" * (2 * n * n) % tuple(faces.ravel().tolist()))

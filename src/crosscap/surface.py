@@ -11,7 +11,11 @@ involved on the library side.
 Positions come in grids (``evaluate_grid``) and local jets in columns of
 fixed v (``local_jets``): a ruled surface computes its directrix and
 ruling once per v and shares them along u.  A single point or jet is a
-one-point grid or column.
+one-point grid or column.  Off the origin, only positions need a backed
+ruled surface's directrix path: ``evaluate_grid``, ``local_jet(s)`` and
+meshes grow it, while ``derivative_jets``, which leaves out the directrix
+point gamma(v0), serves the curvatures, the second form and
+deformation.verify_isometry without it.
 
 Conventions.  The unit normal at a regular point is f_u x f_v normalized.
 The limiting normal along the ray of angle theta is obtained by polar
@@ -68,6 +72,15 @@ class SurfaceMap:
         if self.ruling is not None:
             return self.ruling.local_jets(us, v0, order)
         return [self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order)) for u0 in us]
+
+    def derivative_jets(self, us: Sequence[float], v0: float, order: int = 2) -> list[Jet3]:
+        """local_jets up to their constant term, for readers of derivatives:
+        a ruled surface leaves out its directrix point gamma(v0), the one
+        coefficient that needs the directrix path, and a polynomial map
+        gives its local_jets."""
+        if self.ruling is not None:
+            return self.ruling.derivative_jets(us, v0, order)
+        return self.local_jets(us, v0, order)
 
     @cached_property
     def _first_form(self) -> FundamentalForms:
@@ -179,7 +192,7 @@ def origin_derivatives(jet: Jet3):
 
 def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:
     """(L, M, N) with respect to the unit normal f_u x f_v / |f_u x f_v|."""
-    fu, fv, fuu, fuv, fvv = origin_derivatives(f.local_jet(u, v))
+    fu, fv, fuu, fuv, fvv = origin_derivatives(f.derivative_jets([u], v)[0])
     n = np.cross(fu, fv)
     norm = np.linalg.norm(n)
     if norm < 1e-14:
@@ -190,7 +203,7 @@ def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, flo
 
 def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
     """(K, H) at a regular point; H follows the f_u x f_v normal."""
-    fu, fv, fuu, fuv, fvv = origin_derivatives(f.local_jet(u, v))
+    fu, fv, fuu, fuv, fvv = origin_derivatives(f.derivative_jets([u], v)[0])
     E, F, G = fu @ fu, fu @ fv, fv @ fv
     n = np.cross(fu, fv)
     W2 = E * G - F * F

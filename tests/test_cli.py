@@ -13,7 +13,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crosscap.cli import main
-from crosscap.specio import MAX_DEGREE, MAX_RESOLUTION, build_surface, dumps_report, parse_spec, write_obj
+from crosscap.deformation import degenerate_first_form, degenerate_quadratic, verify_isometry
+from crosscap.specio import (
+    MAX_DEGREE,
+    MAX_RESOLUTION,
+    build_surface,
+    dumps_report,
+    format_float,
+    parse_spec,
+    write_obj,
+)
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
@@ -302,6 +311,36 @@ def test_mesh_resolution_validation(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_obj_text_matches_the_per_float_writer(tmp_path):
+    # write_obj formats in one pass; the reference writes each float and
+    # face alone, with format_float, which prints -0.0 as 0 and inf, nan as null
+    class Grid:
+        domain_hint = ((-1.0, 1.0), (-1.0, 1.0))
+
+        def __init__(self, points):
+            self.points = points
+
+        def evaluate_grid(self, us, vs):
+            return self.points.reshape(len(us), len(vs), 3)
+
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-300, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
+    for n in (1, 3, 7):
+        values = rng.standard_normal(3 * (n + 1) ** 2) * 10.0 ** rng.integers(-20, 20, 3 * (n + 1) ** 2)
+        values[: len(special)] = special[: len(values)]
+        for bad in (None, math.inf, -math.inf, math.nan):
+            points = values.copy()
+            if bad is not None:
+                points[-1] = bad
+            expected = [f"v {' '.join(map(format_float, p))}" for p in points.reshape(-1, 3).tolist()]
+            for i in range(n):
+                for j in range(n):
+                    a, b = i * (n + 1) + j + 1, (i + 1) * (n + 1) + j + 1
+                    expected += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
+            write_obj(Grid(points), str(tmp_path / "g.obj"), n)
+            assert (tmp_path / "g.obj").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_mesh_family_member_obj_is_valid(tmp_path, capsys):
     doc = {"circle_deformation": {"kappa": 3.0, "a02": 2.0, "a11": 0.0}}
     path = write_spec(tmp_path, doc)
@@ -338,6 +377,30 @@ def test_mesh_refuses_unreachable_quadrature_quickly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "does not converge near v = 0.000000:" in err
     assert "-0.000000" not in err
+
+
+def test_isometry_check_of_a_member_past_the_directrix_path(tmp_path, capsys):
+    # the first form reads no position, so verify_isometry of a member
+    # whose directrix path refuses at v = 0 still reports, and mesh refuses
+    a02, a11 = 1e80, 0.5
+    doc = {"circle_deformation": {"kappa": 1, "a02": a02, "a11": a11}}
+    f = build_surface(parse_spec(doc)).surface
+    report = verify_isometry(f, degenerate_quadratic(a02, a11))
+    closed = degenerate_first_form(a02, a11)
+    us = vs = [-1.0 + 2.0 * (i + 0.5) / 10 for i in range(10)]
+    ours, ref = [], []
+    for v in vs:
+        for u, jet in zip(us, f.derivative_jets(us, v, 1)):
+            fu, fv = jet.c[:, 1, 0], jet.c[:, 0, 1]
+            ours.append((fu @ fu, fu @ fv, fv @ fv))
+            ref.append((closed.E(u, v), closed.F(u, v), closed.G(u, v)))
+    ours, ref = np.array(ours), np.array(ref)
+    # each of E, F, G to 1e-13 of its largest value on the grid
+    assert np.all(np.max(np.abs(ours - ref), axis=0) <= 1e-13 * np.max(np.abs(ref), axis=0))
+    assert report.grid_max_dev <= 1e-13 * np.max(np.abs(ref))
+    rc = main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "4"])
+    assert rc == 2
+    assert "does not converge near v = 0.000000:" in capsys.readouterr().err
 
 
 def test_mesh_of_large_member_scales_with_a02(tmp_path):

@@ -16,6 +16,7 @@ from crosscap import (
     jets,
     reduce_to_normal_form,
     ruled,
+    second_form_at,
     verify_isometry,
 )
 from crosscap.deformation import SphericalCurve, build_crosscap, circle_family
@@ -320,13 +321,29 @@ def test_evaluate_grid_matches_pointwise():
 
 def test_local_jets_match_local_jet():
     us = [-0.7, 0.0, 0.45]
-    for f in _column_surfaces():
-        for v0, order in ((0.0, 2), (-0.55, 1), (0.8, 3)):
-            for column, u0 in zip(f.local_jets(us, v0, order), us):
+    circle = build_crosscap(deformation_family(0.9, 0.35, 1.2))
+    cases = ((0.0, 2), (0.0, 9), (-0.55, 1), (0.8, 3), (0.37, 2), (-0.37, 1), (0.9, 3), (-0.9, 2))
+    for f in _column_surfaces() + [circle]:
+        for v0, order in cases:
+            columns = f.local_jets(us, v0, order)
+            for column, derivatives, u0 in zip(columns, f.derivative_jets(us, v0, order), us):
                 single = f.local_jet(u0, v0, order)
-                assert column.order == single.order
+                assert column.order == single.order == derivatives.order
                 for a, b in zip(column.components(), single.components()):
                     assert np.array_equal(a.c, b.c)
+                # the derivative tables plus the directrix point are the local jet
+                table = derivatives.c.copy()
+                if f.ruling is not None:
+                    table[:, 0, 0] += f.ruling.directrix_point(v0, order)
+                assert np.array_equal(table, column.c)
+    # derivative readers grow no directrix node on a backed surface
+    for kappa in (1.2, (0.7, -0.5, 0.3)):
+        f = build_crosscap(deformation_family(0.9, 0.35, kappa))
+        g = build_crosscap(deformation_family(0.9, 0.35, 0.0))
+        curvatures_at(f, 0.3, -0.6)
+        second_form_at(f, -0.2, 0.9)
+        assert verify_isometry(f, g).passed
+        assert "_path" not in f.ruling.__dict__ and "_path" not in g.ruling.__dict__
 
 
 def test_quadrature_runs_once_per_column(monkeypatch, tmp_path):

@@ -20,7 +20,7 @@ a spec or flag value that cannot be used (a malformed spec, a spec of a
 kind the command does not take, an empty or non-finite comma list, a
 radius that is not positive, a resolution out of range) exits 1 with one
 ``spec error:`` line on stderr.  The environment variable CROSSCAP_TOL
-overrides the default tolerance 1e-9.
+overrides the default tolerance 1e-9 and must be positive and finite.
 """
 from __future__ import annotations
 
@@ -214,8 +214,8 @@ def main(argv=None) -> int:
         except ValueError:
             sys.stderr.write(f"CROSSCAP_TOL is not a number: {raw_tol!r}\n")
             return 1
-        if tol <= 0.0:
-            sys.stderr.write("CROSSCAP_TOL must be positive\n")
+        if not 0.0 < tol < math.inf:
+            sys.stderr.write("CROSSCAP_TOL must be positive and finite\n")
             return 1
 
     try:

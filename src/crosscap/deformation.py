@@ -253,6 +253,8 @@ def verify_isometry(f: SurfaceMap, g: SurfaceMap, grid: tuple[int, int] = (10, 1
     jet_dev = first_form(f).max_coeff_diff(first_form(g))
     (u0, u1), (v0, v1) = f.domain_hint
     nu, nv = grid
+    if min(nu, nv) < 1:
+        raise ValueError(f"isometry grid needs at least one point a side, got {grid}")
     us = [u0 + (u1 - u0) * (i + 0.5) / nu for i in range(nu)]
     grid_dev = 0.0
     # one local ruling per surface and column, shared by the column's points

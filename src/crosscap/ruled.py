@@ -41,10 +41,10 @@ gamma and xi depend on v alone, so evaluation goes one v column at a
 time: ``grid`` takes one path value per column and broadcasts it over
 u, and ``derivative_jets`` writes the jet at every u0 of a column, less
 the directrix point gamma(v0), from one expansion of (gamma, xi) around
-v0.  That expansion needs only the backing's series at v0; gamma(v0) is
-the one coefficient that needs the path, and ``local_jets`` adds it
-(``directrix_point``).  Node positions depend only on the backing, so a
-column's values do not depend on which other columns are evaluated.
+v0.  That expansion needs only the backing's series at v0, not the path;
+gamma(v0) comes from ``grid`` alone.  Node positions depend only on the
+backing, so a column's values do not depend on which other columns are
+evaluated.
 """
 from __future__ import annotations
 
@@ -148,31 +148,10 @@ class RuledSurface:
         refusal = "directrix series does not converge near v ="
         return TaylorPath(block, self.gamma.coeff_vector(0, 0), refusal)
 
-    def local_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
-        """Taylor jets of gamma(v) + u xi(v) recentered at each (u0, v0),
-        u0 in us: derivative_jets' tables plus gamma(v0), exact for backed
-        surfaces."""
-        tables = self._tables(us, v0, order)
-        tables[:, :, 0, 0] += self.directrix_point(v0, order)
-        return [Jet3(order, table) for table in tables]
-
     def derivative_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
-        """The jets of local_jets less gamma(v0), so u0 xi(v0) is their
-        constant term: every derivative at (u0, v0), and no directrix path."""
-        return [Jet3(order, table) for table in self._tables(us, v0, order)]
-
-    def directrix_point(self, v0: float, order: int) -> np.ndarray:
-        """gamma(v0), as the column of local_jets at v0 to this order reads it."""
-        if v0 == 0.0 and order <= self.order:
-            return self.gamma.c[:, 0, 0]
-        if self.backing is not None:
-            return self._path.state(v0)[:3]
-        return series_shift(self.gamma.c[:, 0].T, v0, 0)[0]
-
-    def _tables(self, us: Sequence[float], v0: float, order: int) -> np.ndarray:
-        """Tables of gamma(v) - gamma(v0) + u xi(v) around each (u0, v0):
-        row 0 is u0 xi plus gamma's terms past the constant, row 1 is xi,
-        all from one expansion of the column around v0."""
+        """Jets of gamma(v) - gamma(v0) + u xi(v) around each (u0, v0), u0 in
+        us, exact for backed surfaces and read without the directrix path:
+        row 0 of each table is u0 xi plus gamma's terms past the constant."""
         if v0 == 0.0 and order <= self.order:
             gamma, xi = self.gamma.c[:, 0].T, self.xi.c[:, 0].T
         elif self.backing is not None:
@@ -186,7 +165,7 @@ class RuledSurface:
         tables = np.zeros((len(us), 3, n, n))
         tables[:, :, 0] = rows.transpose(0, 2, 1)
         tables[:, :, 1:2, :order] = xi[:order].T[:, None]
-        return tables
+        return [Jet3(order, table) for table in tables]
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)

@@ -145,7 +145,7 @@ def parse_spec(doc: Any) -> SurfaceSpec:
             )
             j, k = entry[0], entry[1]
             _require(
-                isinstance(j, int) and isinstance(k, int) and j >= 0 and k >= 0,
+                all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in (j, k)),
                 f"{kind}[{i}]",
                 "monomial powers must be nonnegative integers",
             )

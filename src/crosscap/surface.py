@@ -8,14 +8,14 @@ when the ruling is backed).  All pointwise quantities (fundamental forms,
 curvatures) are read off local jets, so no finite differencing is
 involved on the library side.
 
-Positions come in grids (``evaluate_grid``) and local jets in columns of
-fixed v (``local_jets``): a ruled surface computes its directrix and
-ruling once per v and shares them along u.  A single point or jet is a
-one-point grid or column.  Off the origin, only positions need a backed
-ruled surface's directrix path: ``evaluate_grid``, ``local_jet(s)`` and
-meshes grow it, while ``derivative_jets``, which leaves out the directrix
-point gamma(v0), serves the curvatures, the second form and
-deformation.verify_isometry without it.
+Off the origin a map answers two questions.  Points come in grids
+(``evaluate_grid``; a single point is a one-point grid), derivatives in
+columns of fixed v (``derivative_jets``): a ruled surface computes its
+directrix and ruling once per v and shares them along u.  A derivative
+jet leaves out the directrix point gamma(v0), the one coefficient that
+needs a backed surface's directrix path, so the curvatures, the second
+form and deformation.verify_isometry grow no path.  ``local_jet`` is the
+two answers together: the derivatives with f(u0, v0) as constant term.
 
 Conventions.  The unit normal at a regular point is f_u x f_v normalized.
 The limiting normal along the ray of angle theta is obtained by polar
@@ -64,23 +64,20 @@ class SurfaceMap:
         return np.array([[self.jet(u, v) for v in vs] for u in us], dtype=float).reshape(len(us), len(vs), 3)
 
     def local_jet(self, u0: float, v0: float, order: int = 2) -> Jet3:
-        """Taylor jet of the map recentered at (u0, v0)."""
-        return self.local_jets([u0], v0, order)[0]
-
-    def local_jets(self, us: Sequence[float], v0: float, order: int = 2) -> list[Jet3]:
-        """Taylor jets of the map recentered at (u0, v0) for each u0 in us."""
-        if self.ruling is not None:
-            return self.ruling.local_jets(us, v0, order)
-        return [self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order)) for u0 in us]
+        """Taylor jet of the map recentered at (u0, v0): the derivatives of
+        derivative_jets and the point f(u0, v0)."""
+        jet = self.derivative_jets([u0], v0, order)[0]
+        c = jet.c.copy()
+        c[:, 0, 0] = self(u0, v0)
+        return Jet3(jet.order, c)
 
     def derivative_jets(self, us: Sequence[float], v0: float, order: int = 2) -> list[Jet3]:
-        """local_jets up to their constant term, for readers of derivatives:
-        a ruled surface leaves out its directrix point gamma(v0), the one
-        coefficient that needs the directrix path, and a polynomial map
-        gives its local_jets."""
+        """Taylor jets of the map recentered at (u0, v0) for each u0 in us,
+        up to their constant term: a ruled surface leaves out its directrix
+        point gamma(v0), the one coefficient that needs the directrix path."""
         if self.ruling is not None:
             return self.ruling.derivative_jets(us, v0, order)
-        return self.local_jets(us, v0, order)
+        return [self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order)) for u0 in us]
 
     @cached_property
     def _first_form(self) -> FundamentalForms:

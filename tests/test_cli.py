@@ -449,11 +449,13 @@ def test_asymptotics_json_and_text(tmp_path, capsys):
         ("analyze", {"ruled": {**STD_RULED["ruled"], "gamma_poly": [[0, 0, 1]] * (MAX_DEGREE + 2)}}, []),
         ("mesh", {"spherical_deformation": {"kappa_poly": [0.5] * (MAX_DEGREE + 2), "a02": 2, "a11": 0}},
          ["--resolution", "4"]),
+        # JSON true is a Python int, but not a monomial power
+        ("analyze", {"polynomial": [[True, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1]]}, []),
     ],
     ids=[
         "deform-kind", "classify-kind", "kappas-empty", "theta-empty", "radii-empty",
         "theta-blank", "radii-blank", "radii-nonpositive", "resolution-0",
-        "gamma-rows-above-max-degree", "kappa-poly-above-max-degree",
+        "gamma-rows-above-max-degree", "kappa-poly-above-max-degree", "boolean-power",
     ],
 )
 def test_unusable_spec_or_flag_is_one_spec_error_line(tmp_path, capsys, command, doc, flags):
@@ -491,9 +493,10 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CROSSCAP_TOL", "abc")
     assert main(["analyze", path]) == 1
     assert "not a number" in capsys.readouterr().err
-    monkeypatch.setenv("CROSSCAP_TOL", "-1")
-    assert main(["analyze", path]) == 1
-    assert "positive" in capsys.readouterr().err
+    for raw in ("-1", "nan", "inf", "-inf"):
+        monkeypatch.setenv("CROSSCAP_TOL", raw)
+        assert main(["analyze", path]) == 1
+        assert "positive" in capsys.readouterr().err
 
 
 def test_no_arguments_usage_error(capsys):

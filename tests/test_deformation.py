@@ -196,6 +196,16 @@ def test_different_quadratic_data_not_isometric():
     assert not verify_isometry(f, g).passed
 
 
+def test_isometry_grid_needs_a_point_on_each_side():
+    f = build_crosscap(deformation_family(2.0, 0.0, 1.0))
+    g = build_crosscap(deformation_family(2.0, 0.0, 0.0))
+    for grid in ((0, 0), (-3, 2), (4, 0), (0, 5)):
+        with pytest.raises(ValueError, match="at least one point"):
+            verify_isometry(f, g, grid=grid)
+    report = verify_isometry(f, g, grid=(1, 1))
+    assert report.passed and report.grid_max_dev <= 1e-12
+
+
 def test_spherical_curve_validation():
     with pytest.raises(ValueError):
         SphericalCurve(point0=(2.0, 0.0, 0.0))

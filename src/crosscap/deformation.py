@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import Jet2, Jet3, series_derivative, series_power, series_product
+from .jets import Jet2, series_derivative, series_power, series_product
 from .numerics import FrenetPath
 from .ruled import from_deformation
 from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
@@ -95,11 +95,6 @@ class SphericalCurve:
     @cached_property
     def path(self) -> FrenetPath:
         return FrenetPath(self.kappa_poly, self.point0, self.tangent0)
-
-    def frame(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, e, n) at arc length s; raises ChartError for |s| >= pi/2."""
-        y = self.path.state(s)
-        return y[0:3], y[3:6], y[6:9]
 
     def series_at(self, s0: float, order: int):
         """Local Taylor coefficients of (c, e, n) around s0."""
@@ -242,12 +237,6 @@ class IsometryReport:
     passed: bool
 
 
-def _first_form_of(jet: Jet3) -> tuple[float, float, float]:
-    """(E, F, G) at the centre of a local jet."""
-    fu, fv = jet.c[:, 1, 0], jet.c[:, 0, 1]
-    return float(fu @ fu), float(fu @ fv), float(fv @ fv)
-
-
 def verify_isometry(f: SurfaceMap, g: SurfaceMap, grid: tuple[int, int] = (10, 10)) -> IsometryReport:
     """Compare first fundamental forms coefficient-wise and on a grid."""
     jet_dev = first_form(f).max_coeff_diff(first_form(g))
@@ -256,16 +245,14 @@ def verify_isometry(f: SurfaceMap, g: SurfaceMap, grid: tuple[int, int] = (10, 1
     if min(nu, nv) < 1:
         raise ValueError(f"isometry grid needs at least one point a side, got {grid}")
     us = [u0 + (u1 - u0) * (i + 0.5) / nu for i in range(nu)]
-    grid_dev = 0.0
-    # one local ruling per surface and column, shared by the column's points
-    for j in range(nv):
-        vv = v0 + (v1 - v0) * (j + 0.5) / nv
-        for jf, jg in zip(f.derivative_jets(us, vv, order=1), g.derivative_jets(us, vv, order=1)):
-            Ef, Ff, Gf = _first_form_of(jf)
-            Eg, Fg, Gg = _first_form_of(jg)
-            grid_dev = max(grid_dev, abs(Ef - Eg), abs(Ff - Fg), abs(Gf - Gg))
+    vs = [v0 + (v1 - v0) * (j + 0.5) / nv for j in range(nv)]
+    # one table per surface and point, from one local ruling per column
+    t = np.array([[s.derivative_jets(us, v, order=1) for v in vs] for s in (f, g)])
+    fu, fv = t[..., 1, 0], t[..., 0, 1]
+    forms = np.stack([(fu * fu).sum(-1), (fu * fv).sum(-1), (fv * fv).sum(-1)])
+    grid_dev = float(np.max(np.abs(forms[:, 0] - forms[:, 1])))
     return IsometryReport(
         jet_max_dev=float(jet_dev),
-        grid_max_dev=float(grid_dev),
+        grid_max_dev=grid_dev,
         passed=jet_dev <= ISOMETRY_JET_TOL and grid_dev <= ISOMETRY_GRID_TOL,
     )

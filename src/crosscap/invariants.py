@@ -71,7 +71,7 @@ def _det3(rows) -> float:
 def intrinsic_from_map(f: SurfaceMap, tol: float = DEFAULT_TOL) -> IntrinsicTriple:
     """Quadratic canonical coefficients from derivatives of the map."""
     require_crosscap(f, tol)
-    fu, _, fuu, fuv, fvv = origin_derivatives(f.jet)
+    fu, _, fuu, fuv, fvv = origin_derivatives(f.jet.c)
     delta = _det3([fu, fuv, fvv])
     if delta < 0:
         # admissible flip (u,v) -> (-u,-v)

@@ -28,7 +28,8 @@ Each series operation is one array operation on tables:
   reciprocal) is c00^q (1 + w)^q with w = p/c00 - 1, the binomial series
   composed with w;
 - recentring at (u0, v0) is U^T c V with the binomial (Pascal) matrices
-  U[a,j] = C(a,j) u0^(a-j) and V[b,k] = C(b,k) v0^(b-k).
+  U[a,j] = C(a,j) u0^(a-j) and V[b,k] = C(b,k) v0^(b-k), one U per centre
+  when ``table_shift`` recentres at a whole array of u0.
 
 Binary operations truncate at the smaller of the two operand orders, so
 precision bookkeeping stays explicit at the call site.  Jets are immutable:
@@ -62,6 +63,7 @@ __all__ = [
     "series_power",
     "series_compose",
     "series_shift",
+    "table_shift",
     "series_derivative",
     "series_integral",
 ]
@@ -183,6 +185,18 @@ def series_integral(dx: np.ndarray, x0) -> np.ndarray:
     x[0] = x0
     x[1:] = (dx.T / np.arange(1, len(dx) + 1)).T
     return x
+
+
+def table_shift(c: np.ndarray, u0, v0: float, order: int) -> np.ndarray:
+    """Tables at order ``order`` of p(u0 + s, v0 + t) for each table p stacked
+    in c[..., j, k], truncated after the shift; the axes of an array of
+    centres u0 lead the result."""
+    # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
+    binom, expo = _binomials(c.shape[-1] - 1)
+    u0 = np.asarray(u0, dtype=float)
+    U = binom * u0.reshape(u0.shape + (1,) * c.ndim) ** expo
+    out = (U.mT @ c @ (binom * v0**expo))[..., : order + 1, : order + 1]
+    return np.where(_mask(order), out, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -358,9 +372,7 @@ class _Jet:
 
     def shifted_origin(self, u0: float, v0: float):
         """Exact Taylor recentering: q(s,t) = p(u0+s, v0+t)."""
-        # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
-        binom, expo = _binomials(self.order)
-        return type(self)(self.order, (binom * u0**expo).T @ self.c @ (binom * v0**expo))
+        return type(self)(self.order, table_shift(self.c, u0, v0, self.order))
 
     def polar_profile(self, theta: float) -> np.ndarray:
         """Coefficients of r^m along u = r cos(theta), v = r sin(theta), in

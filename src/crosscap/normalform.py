@@ -133,7 +133,7 @@ def reduce_to_normal_form(
     work = jet.translated(-translation)
 
     # translation and truncation leave f_u, f_uv, f_vv and so the bracket alone
-    fu, _, _, _, fvv = origin_derivatives(work)
+    fu, _, _, _, fvv = origin_derivatives(work.c)
     sign = -1.0 if delta < 0 else 1.0  # the domain flip negates f_u, and P's sign carries it
     rotation = _rotation_for(sign * fu, fvv)
     g = work.rotated(rotation)
@@ -232,7 +232,7 @@ def classify(nf: NormalForm, tol: float = DEFAULT_TOL) -> dict[str, bool]:
 def frame(f: SurfaceMap) -> CrossCapFrame:
     """Distinguished directions and planes at the cross cap point."""
     require_crosscap(f)
-    fu, _, _, _, fvv = origin_derivatives(f.jet)
+    fu, _, _, _, fvv = origin_derivatives(f.jet.c)
     e1, e2, e3 = _rotation_for(fu, fvv)
     return CrossCapFrame(
         point=f.jet.coeff_vector(0, 0),

@@ -39,12 +39,12 @@ surfaces are their polynomial jets, exact where those are the surface
 
 gamma and xi depend on v alone, so evaluation goes one v column at a
 time: ``grid`` takes one path value per column and broadcasts it over
-u, and ``derivative_jets`` writes the jet at every u0 of a column, less
-the directrix point gamma(v0), from one expansion of (gamma, xi) around
-v0.  That expansion needs only the backing's series at v0, not the path;
-gamma(v0) comes from ``grid`` alone.  Node positions depend only on the
-backing, so a column's values do not depend on which other columns are
-evaluated.
+u, and ``derivative_jets`` writes the stacked tables of every u0 of a
+column, less the directrix point gamma(v0), from one expansion of
+(gamma, xi) around v0.  That expansion needs only the backing's series
+at v0, not the path; gamma(v0) comes from ``grid`` alone.  Node
+positions depend only on the backing, so a column's values do not
+depend on which other columns are evaluated.
 """
 from __future__ import annotations
 
@@ -148,8 +148,8 @@ class RuledSurface:
         refusal = "directrix series does not converge near v ="
         return TaylorPath(block, self.gamma.coeff_vector(0, 0), refusal)
 
-    def derivative_jets(self, us: Sequence[float], v0: float, order: int) -> list[Jet3]:
-        """Jets of gamma(v) - gamma(v0) + u xi(v) around each (u0, v0), u0 in
+    def derivative_jets(self, us: Sequence[float], v0: float, order: int) -> np.ndarray:
+        """Jet tables of gamma(v) - gamma(v0) + u xi(v) at each (u0, v0), u0 in
         us, exact for backed surfaces and read without the directrix path:
         row 0 of each table is u0 xi plus gamma's terms past the constant."""
         if v0 == 0.0 and order <= self.order:
@@ -165,7 +165,7 @@ class RuledSurface:
         tables = np.zeros((len(us), 3, n, n))
         tables[:, :, 0] = rows.transpose(0, 2, 1)
         tables[:, :, 1:2, :order] = xi[:order].T[:, None]
-        return [Jet3(order, table) for table in tables]
+        return tables
 
     def as_surface_map(self) -> SurfaceMap:
         u = Jet2.variable("u", self.order)

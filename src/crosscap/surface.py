@@ -10,9 +10,9 @@ involved on the library side.
 
 Off the origin a map answers two questions.  Points come in grids
 (``evaluate_grid``; a single point is a one-point grid), derivatives in
-columns of fixed v (``derivative_jets``): a ruled surface computes its
-directrix and ruling once per v and shares them along u.  A derivative
-jet leaves out the directrix point gamma(v0), the one coefficient that
+columns of fixed v (``derivative_jets``) as stacked tables c[u0, i, j, k]:
+a ruled surface computes its directrix and ruling once per v.  A table
+leaves out the directrix point gamma(v0), the one coefficient that
 needs a backed surface's directrix path, so the curvatures, the second
 form and deformation.verify_isometry grow no path.  ``local_jet`` is the
 two answers together: the derivatives with f(u0, v0) as constant term.
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import JetDomainError, NotACrossCapError, SingularPointError
-from .jets import Jet2, Jet3
+from .jets import Jet2, Jet3, table_shift
 
 if TYPE_CHECKING:
     from .ruled import RuledSurface
@@ -66,18 +66,19 @@ class SurfaceMap:
     def local_jet(self, u0: float, v0: float, order: int = 2) -> Jet3:
         """Taylor jet of the map recentered at (u0, v0): the derivatives of
         derivative_jets and the point f(u0, v0)."""
-        jet = self.derivative_jets([u0], v0, order)[0]
-        c = jet.c.copy()
+        c = self.derivative_jets([u0], v0, order)[0]
         c[:, 0, 0] = self(u0, v0)
-        return Jet3(jet.order, c)
+        return Jet3(c.shape[-1] - 1, c)
 
-    def derivative_jets(self, us: Sequence[float], v0: float, order: int = 2) -> list[Jet3]:
-        """Taylor jets of the map recentered at (u0, v0) for each u0 in us,
-        up to their constant term: a ruled surface leaves out its directrix
-        point gamma(v0), the one coefficient that needs the directrix path."""
+    def derivative_jets(self, us: Sequence[float], v0: float, order: int = 2) -> np.ndarray:
+        """Jet tables at (u0, v0) for u0 in us, shape (len(us), 3, n + 1, n + 1),
+        n = order (at most a polynomial's own), up to the constant term: a
+        ruled surface leaves out gamma(v0), which needs the directrix path."""
+        if order < 0:
+            raise JetDomainError("jet order must be nonnegative")
         if self.ruling is not None:
             return self.ruling.derivative_jets(us, v0, order)
-        return [self.jet.shifted_origin(u0, v0).truncated(min(order, self.jet.order)) for u0 in us]
+        return table_shift(self.jet.c, us, v0, min(order, self.jet.order))
 
     @cached_property
     def _first_form(self) -> FundamentalForms:
@@ -176,38 +177,38 @@ def first_form(f: SurfaceMap) -> FundamentalForms:
     return f._first_form
 
 
-def origin_derivatives(jet: Jet3):
-    """f_u, f_v, f_uu, f_uv, f_vv at the jet's origin, as vectors."""
-    return (
-        jet.partial_vector(1, 0),
-        jet.partial_vector(0, 1),
-        jet.partial_vector(2, 0),
-        jet.partial_vector(1, 1),
-        jet.partial_vector(0, 2),
-    )
+def origin_derivatives(c: np.ndarray):
+    """f_u, f_v, f_uu, f_uv, f_vv at the origin of a map's coefficient table
+    c[i, j, k], as vectors, zero past the table's order."""
+    d, m = np.zeros((3, 3, 3)), min(c.shape[-1], 3)
+    d[:, :m, :m] = c[:, :m, :m]
+    return d[:, 1, 0], d[:, 0, 1], 2.0 * d[:, 2, 0], d[:, 1, 1], 2.0 * d[:, 0, 2]
+
+
+def _forms_at(f: SurfaceMap, u: float, v: float):
+    """(E, F, G, E G - F^2, L, M, N) at a regular point, from its order-2
+    table; L, M, N follow the unit normal f_u x f_v / |f_u x f_v|."""
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"point ({u}, {v}) is not finite")
+    fu, fv, fuu, fuv, fvv = origin_derivatives(f.derivative_jets([u], v)[0])
+    E, F, G = fu @ fu, fu @ fv, fv @ fv
+    W2 = E * G - F * F
+    # written so that a nan fails it
+    if not math.sqrt(max(W2, 0.0)) >= 1e-14:
+        raise SingularPointError(f"surface is singular at ({u}, {v})")
+    n = np.cross(fu, fv)
+    nu = n / np.linalg.norm(n)
+    return E, F, G, W2, fuu @ nu, fuv @ nu, fvv @ nu
 
 
 def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:
     """(L, M, N) with respect to the unit normal f_u x f_v / |f_u x f_v|."""
-    fu, fv, fuu, fuv, fvv = origin_derivatives(f.derivative_jets([u], v)[0])
-    n = np.cross(fu, fv)
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        raise SingularPointError(f"surface is singular at ({u}, {v})")
-    nu = n / norm
-    return float(fuu @ nu), float(fuv @ nu), float(fvv @ nu)
+    return tuple(float(x) for x in _forms_at(f, u, v)[4:])
 
 
 def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
     """(K, H) at a regular point; H follows the f_u x f_v normal."""
-    fu, fv, fuu, fuv, fvv = origin_derivatives(f.derivative_jets([u], v)[0])
-    E, F, G = fu @ fu, fu @ fv, fv @ fv
-    n = np.cross(fu, fv)
-    W2 = E * G - F * F
-    if math.sqrt(max(W2, 0.0)) < 1e-14:
-        raise SingularPointError(f"surface is singular at ({u}, {v})")
-    nu = n / np.linalg.norm(n)
-    L, M, N = fuu @ nu, fuv @ nu, fvv @ nu
+    E, F, G, W2, L, M, N = _forms_at(f, u, v)
     K = (L * N - M * M) / W2
     H = (E * N - 2.0 * F * M + G * L) / (2.0 * W2)
     return float(K), float(H)
@@ -218,7 +219,7 @@ def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
 
 def detect_crosscap(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapTest:
     """Criterion: f_v(0,0) = 0 while f_u, f_uv, f_vv are independent."""
-    fu, fv, _, fuv, fvv = origin_derivatives(f.jet)
+    fu, fv, _, fuv, fvv = origin_derivatives(f.jet.c)
     delta = float(np.linalg.det(np.column_stack([fu, fuv, fvv])))
     fv_norm = float(np.linalg.norm(fv))
     ok = fv_norm <= tol and abs(delta) > tol
@@ -249,7 +250,7 @@ def limiting_normal(f: SurfaceMap, theta: float) -> LimitingNormal:
         norm = np.linalg.norm(vec)
         if norm > DEFAULT_TOL * scale:
             nu = vec / norm
-            fu0, _, _, _, fvv0 = origin_derivatives(f.jet)
+            fu0, _, _, _, fvv0 = origin_derivatives(f.jet.c)
             det = float(np.linalg.det(np.column_stack([fu0, fvv0, nu])))
             if det < -DEFAULT_TOL:
                 nu, det = -nu, -det

@@ -218,7 +218,8 @@ def mpmath_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple
         kappa = [mpf(x) for x in fam.curve.kappa_poly]
         K = [mpmath.fsum(math.comb(i, j) * kappa[i] * mpf(s0) ** (i - j) for i in range(j, len(kappa)))
              for j in range(len(kappa))]
-        c, e, _ = ([mpf(x) for x in y] for y in fam.curve.frame(s0))
+        y = fam.curve.path.state(s0)
+        c, e = [mpf(x) for x in y[0:3]], [mpf(x) for x in y[3:6]]
         C, E, N = [c], [e], [cross(c, e)]
         for k in range(n):
             kn, ke = product(N, K, k)[k], product(E, K, k)[k]
@@ -257,6 +258,14 @@ def table_dev(nf: NormalForm, a: dict, b: dict) -> float:
     bs = dict(nf.b_table())
     idx = set(bs) | {i for i in b if i <= nf.order}
     return max(dev, max((abs(bs.get(i, 0.0) - b.get(i, 0.0)) for i in idx), default=0.0))
+
+
+def reference_derivative_jets(f: SurfaceMap, us: Sequence[float], v0: float, order: int) -> np.ndarray:
+    """A polynomial map's derivative tables one point at a time: its jet
+    recentred at each (u0, v0), then truncated to the lower of the orders."""
+    n = min(order, f.jet.order)
+    tables = [f.jet.shifted_origin(u0, v0).truncated(n).c for u0 in us]
+    return np.array(tables).reshape(len(us), 3, n + 1, n + 1)
 
 
 def jet_first_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:

@@ -390,8 +390,8 @@ def test_isometry_check_of_a_member_past_the_directrix_path(tmp_path, capsys):
     us = vs = [-1.0 + 2.0 * (i + 0.5) / 10 for i in range(10)]
     ours, ref = [], []
     for v in vs:
-        for u, jet in zip(us, f.derivative_jets(us, v, 1)):
-            fu, fv = jet.c[:, 1, 0], jet.c[:, 0, 1]
+        for u, table in zip(us, f.derivative_jets(us, v, 1)):
+            fu, fv = table[:, 1, 0], table[:, 0, 1]
             ours.append((fu @ fu, fu @ fv, fv @ fv))
             ref.append((closed.E(u, v), closed.F(u, v), closed.G(u, v)))
     ours, ref = np.array(ours), np.array(ref)

@@ -38,7 +38,7 @@ def test_circle_point_matches_integrated_frame():
     for kappa in (0.0, 1.0, 3.0):
         curve = circle_family(kappa)
         for s in S_GRID:
-            assert np.linalg.norm(curve.frame(s)[0] - circle_point(kappa, s)) <= 1e-9
+            assert np.linalg.norm(curve.path.state(s)[0:3] - circle_point(kappa, s)) <= 1e-9
 
 
 def test_circle_point_stays_on_sphere():
@@ -50,7 +50,8 @@ def test_circle_point_stays_on_sphere():
 def test_frame_conservation_drift():
     for curve in (circle_family(1.0), SphericalCurve(kappa_poly=(0.0, 1.0))):
         for s in np.linspace(-1.0, 1.0, 9):
-            c, e, n = curve.frame(s)
+            y = curve.path.state(s)
+            c, e, n = y[0:3], y[3:6], y[6:9]
             assert abs(np.linalg.norm(c) - 1.0) <= 1e-9
             assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
             assert abs(c @ e) <= 1e-9
@@ -59,11 +60,11 @@ def test_frame_conservation_drift():
 
 def test_chart_boundary_raises():
     with pytest.raises(ChartError):
-        circle_family(1.0).frame(1.6)
+        circle_family(1.0).path.state(1.6)
     # a refusal at the root names it as 0 in either direction, never as -0
     for s in (-0.1, 0.1):
         with pytest.raises(ChartError, match=r"near arc length 0\.000000:"):
-            circle_family(1e6).frame(s)
+            circle_family(1e6).path.state(s)
 
 
 def test_flat_member_jet_is_quadratic():
@@ -225,14 +226,14 @@ def test_frenet_series_matches_path():
     s = 0.3
     powers = s ** np.arange(11)
     c_series = powers @ C
-    assert np.linalg.norm(c_series - curve.frame(s)[0]) <= 1e-9
+    assert np.linalg.norm(c_series - curve.path.state(s)[0:3]) <= 1e-9
 
     # recentered series around s0 reproduces nearby frames
     C2, E2, N2 = curve.series_at(0.4, 10)
     h = 0.05
     powers = h ** np.arange(11)
-    assert np.linalg.norm(powers @ C2 - curve.frame(0.4 + h)[0]) <= 1e-9
-    assert np.linalg.norm(powers @ E2 - curve.frame(0.4 + h)[1]) <= 1e-9
+    assert np.linalg.norm(powers @ C2 - curve.path.state(0.4 + h)[0:3]) <= 1e-9
+    assert np.linalg.norm(powers @ E2 - curve.path.state(0.4 + h)[3:6]) <= 1e-9
 
 
 def test_series_at_origin_grows_no_node():
@@ -240,7 +241,7 @@ def test_series_at_origin_grows_no_node():
         first = curve.series_at(0.0, 8)
         # the root block of the path is grown on the first state query only
         assert "_nodes" not in vars(curve.path)
-        curve.frame(1.2)
+        curve.path.state(1.2)
         path = curve.path
         assert len(path._nodes[1][0]) > 1
         grown = np.hsplit(path._block(0.0, path.state(0.0), 8), 3)

@@ -328,12 +328,12 @@ def test_local_jets_match_local_jet():
             for u0 in us:
                 jet = f.local_jet(u0, v0, order)
                 derivatives = f.derivative_jets([u0], v0, order)[0]
-                assert jet.order == derivatives.order
+                assert jet.order == derivatives.shape[-1] - 1
                 # the local jet is the point f(u0, v0) and derivative_jets' derivatives
                 assert np.array_equal(jet.c[:, 0, 0], f(u0, v0))
                 table = jet.c.copy()
-                table[:, 0, 0] = derivatives.c[:, 0, 0]
-                assert np.array_equal(table, derivatives.c)
+                table[:, 0, 0] = derivatives[:, 0, 0]
+                assert np.array_equal(table, derivatives)
     # derivative readers grow no directrix node on a backed surface
     for kappa in (1.2, (0.7, -0.5, 0.3)):
         f = build_crosscap(deformation_family(0.9, 0.35, kappa))

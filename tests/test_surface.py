@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crosscap import (
+    JetDomainError,
     NotACrossCapError,
     SingularPointError,
     curvatures_at,
@@ -20,10 +21,12 @@ from crosscap import (
     standard_crosscap,
     surface_from_polynomial,
 )
-from crosscap.deformation import build_crosscap, deformation_family
-from crosscap.jets import Jet2
+from crosscap.deformation import build_crosscap, deformation_family, degenerate_quadratic
+from crosscap.jets import Jet2, Jet3
+from crosscap.ruled import from_polynomials
+from crosscap.surface import SurfaceMap
 
-from helpers import fd_first_form_at, jet_first_form_at, scramble
+from helpers import fd_first_form_at, jet_first_form_at, reference_derivative_jets, scramble
 
 
 def immersion():
@@ -118,6 +121,50 @@ def test_curvatures_raise_at_singular_point():
         curvatures_at(standard_crosscap(), 0.0, 0.0)
     with pytest.raises(SingularPointError):
         second_form_at(standard_crosscap(), 0.0, 0.0)
+
+
+def test_curvatures_refuse_a_point_that_is_not_finite():
+    for f in (degenerate_quadratic(1.3, -0.4), build_crosscap(deformation_family(1.3, -0.4, 1.2))):
+        for u, v in ((math.nan, 0.1), (0.2, math.nan), (math.inf, 0.1), (0.2, -math.inf)):
+            with pytest.raises(ValueError, match="not finite"):
+                curvatures_at(f, u, v)
+            with pytest.raises(ValueError, match="not finite"):
+                second_form_at(f, u, v)
+    # a nan in the table fails the singular test instead of passing it
+    f = surface_from_polynomial({(1, 0): [1, 0, 0], (0, 1): [0, 1, math.nan]}, order=2)
+    with pytest.raises(SingularPointError):
+        curvatures_at(f, 0.1, 0.2)
+    with pytest.raises(SingularPointError):
+        second_form_at(f, 0.1, 0.2)
+
+
+def test_negative_derivative_order_is_a_jet_domain_error():
+    ruled = from_polynomials([[0, 0, 0], [0.1, 0.2, 0.3]], [[1, 0, 0], [0, 1, 0.2]]).as_surface_map()
+    for f in (standard_crosscap(), build_crosscap(deformation_family(1.3, -0.4, 1.2)), ruled):
+        with pytest.raises(JetDomainError, match="nonnegative"):
+            f.local_jet(0.2, 0.1, -1)
+        with pytest.raises(JetDomainError, match="nonnegative"):
+            f.derivative_jets([0.2, -0.3], 0.1, -1)
+
+
+def test_polynomial_derivative_columns_match_pointwise_shifts(rng):
+    us = [-0.8, -0.25, 0.0, 0.4, 0.95]
+    maps = (
+        surface_from_polynomial({(1, 0): [1, 0, 0], (0, 1): [0.5, 1, 0]}, order=1),
+        standard_crosscap(),
+        SurfaceMap(jet=Jet3(12, rng.normal(size=(3, 13, 13)))),
+    )
+    for f in maps:
+        # orders 0 to 12, past the order of the first two maps
+        for order in range(13):
+            for v0 in (0.0, -0.6, 0.35):
+                tables = f.derivative_jets(us, v0, order)
+                assert np.array_equal(tables, reference_derivative_jets(f, us, v0, order))
+        empty = f.derivative_jets([], 0.3, 4)
+        assert empty.shape == (0, 3, min(4, f.order) + 1, min(4, f.order) + 1)
+        assert np.array_equal(empty, reference_derivative_jets(f, [], 0.3, 4))
+    # an order-1 map has no second derivatives, so no curvature
+    assert curvatures_at(maps[0], 0.3, -0.2) == (0.0, 0.0)
 
 
 def test_limiting_normal_standard():

@@ -188,15 +188,15 @@ def series_integral(dx: np.ndarray, x0) -> np.ndarray:
 
 
 def table_shift(c: np.ndarray, u0, v0: float, order: int) -> np.ndarray:
-    """Tables at order ``order`` of p(u0 + s, v0 + t) for each table p stacked
-    in c[..., j, k], truncated after the shift; the axes of an array of
-    centres u0 lead the result."""
+    """Tables at order ``order`` of p(u0 + s, v0 + t) for each jet table p
+    stacked in c[..., j, k], masked only if truncated (a shift keeps total
+    degree); the axes of an array of centres u0 lead the result."""
     # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
     binom, expo = _binomials(c.shape[-1] - 1)
     u0 = np.asarray(u0, dtype=float)
     U = binom * u0.reshape(u0.shape + (1,) * c.ndim) ** expo
-    out = (U.mT @ c @ (binom * v0**expo))[..., : order + 1, : order + 1]
-    return np.where(_mask(order), out, 0.0)
+    out = (np.swapaxes(U, -1, -2) @ c @ (binom * v0**expo))[..., : order + 1, : order + 1]
+    return out if order >= c.shape[-1] - 1 else np.where(_mask(order), out, 0.0)
 
 
 @lru_cache(maxsize=None)

@@ -190,15 +190,15 @@ def _forms_at(f: SurfaceMap, u: float, v: float):
     table; L, M, N follow the unit normal f_u x f_v / |f_u x f_v|."""
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"point ({u}, {v}) is not finite")
-    fu, fv, fuu, fuv, fvv = origin_derivatives(f.derivative_jets([u], v)[0])
-    E, F, G = fu @ fu, fu @ fv, fv @ fv
-    W2 = E * G - F * F
-    # written so that a nan fails it
-    if not math.sqrt(max(W2, 0.0)) >= 1e-14:
-        raise SingularPointError(f"surface is singular at ({u}, {v})")
+    fu, fv, fuu, fuv, fvv = d = origin_derivatives(f.derivative_jets([u], v)[0])
     n = np.cross(fu, fv)
-    nu = n / np.linalg.norm(n)
-    return E, F, G, W2, fuu @ nu, fuv @ nu, fvv @ nu
+    if not (np.isfinite(d).all() and np.isfinite(n).all()):  # an overflow is not singular
+        raise ValueError(f"derivatives at ({u}, {v}) are not finite")
+    norm = np.linalg.norm(n)  # not sqrt(E G - F^2), which cancels where f_u || f_v
+    if norm < 1e-14:
+        raise SingularPointError(f"surface is singular at ({u}, {v})")
+    E, F, G, nu = fu @ fu, fu @ fv, fv @ fv, n / norm
+    return E, F, G, E * G - F * F, fuu @ nu, fuv @ nu, fvv @ nu
 
 
 def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:

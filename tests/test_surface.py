@@ -117,10 +117,17 @@ def test_second_form_standard():
 
 
 def test_curvatures_raise_at_singular_point():
-    with pytest.raises(SingularPointError):
-        curvatures_at(standard_crosscap(), 0.0, 0.0)
-    with pytest.raises(SingularPointError):
-        second_form_at(standard_crosscap(), 0.0, 0.0)
+    cases = [(standard_crosscap(), 0.0, 0.0)]
+    # f_u = (1, b, 0) and f_v = (a, a b, 0) at v = 0: E G - F^2 rounds to 3e-18
+    # or more, whose root passes 1e-14, while f_u x f_v is exactly zero
+    for a, b in ((0.1, 0.3), (0.7, 0.3), (1 / 3, 0.9)):
+        f = surface_from_polynomial({(1, 0): [1, b, 0], (0, 1): [a, a * b, 0], (0, 2): [0, 0, 1]}, order=2)
+        cases.append((f, 0.2, 0.0))
+    for f, u, v in cases:
+        with pytest.raises(SingularPointError):
+            curvatures_at(f, u, v)
+        with pytest.raises(SingularPointError):
+            second_form_at(f, u, v)
 
 
 def test_curvatures_refuse_a_point_that_is_not_finite():
@@ -130,12 +137,15 @@ def test_curvatures_refuse_a_point_that_is_not_finite():
                 curvatures_at(f, u, v)
             with pytest.raises(ValueError, match="not finite"):
                 second_form_at(f, u, v)
-    # a nan in the table fails the singular test instead of passing it
+    # a nan in the table, or an overflow at a regular point, is no singular point
     f = surface_from_polynomial({(1, 0): [1, 0, 0], (0, 1): [0, 1, math.nan]}, order=2)
-    with pytest.raises(SingularPointError):
-        curvatures_at(f, 0.1, 0.2)
-    with pytest.raises(SingularPointError):
-        second_form_at(f, 0.1, 0.2)
+    g = degenerate_quadratic(1.3, -0.4)
+    for h, u, v in ((f, 0.1, 0.2), (g, 1e200, 0.1)):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="derivatives at .* are not finite"):
+                curvatures_at(h, u, v)
+            with pytest.raises(ValueError, match="derivatives at .* are not finite"):
+                second_form_at(h, u, v)
 
 
 def test_negative_derivative_order_is_a_jet_domain_error():

@@ -91,8 +91,6 @@ def _fit_order(radii: Sequence[float], errors: Sequence[float]) -> tuple[float, 
     errs = np.asarray(errors)
     if np.all(errs < TRIVIAL_ERR):
         return math.inf, True
-    if len(radii) < 2:
-        return 0.0, False
     mask = errs > 0.0
     if mask.sum() < 2:
         return 0.0, False
@@ -117,13 +115,6 @@ class ConvergenceReport:
     passed: bool
 
 
-def _sample_sign(f: SurfaceMap) -> float:
-    # expansions are stated for the positively oriented presentation; a
-    # negative triple determinant means the flipped parameters apply
-    test = detect_crosscap(f)
-    return 1.0 if test.delta >= 0.0 else -1.0
-
-
 def _extrapolate(radii: np.ndarray, values: np.ndarray) -> float:
     """Intercept of a linear-in-r fit, matching the O(r) remainder."""
     if len(radii) == 1:
@@ -132,28 +123,23 @@ def _extrapolate(radii: np.ndarray, values: np.ndarray) -> float:
     return float(coeffs[1])
 
 
-_RaySamples = tuple[float, tuple[float, ...], PolarLeading, tuple[tuple[float, float], ...]]
-
-
-def _sample_ray(
-    f: SurfaceMap,
-    theta: float,
-    radii: Sequence[float] | None,
-    triple: IntrinsicTriple | None,
-) -> _RaySamples:
+def _samples(
+    f: SurfaceMap, theta: float, radii: Sequence[float] | None, triple: IntrinsicTriple | None
+) -> tuple[float, tuple[float, ...], PolarLeading, tuple[tuple[float, float], ...]]:
     """(theta, clamped radii, leading terms, exact (K, H) at each radius)."""
     rs = _clamped_radii(radii)
     if triple is None:
         triple = intrinsic_from_map(f)
     lead = leading(triple, theta)
-    sign = _sample_sign(f)
+    # expansions are stated for the positively oriented presentation; a
+    # negative triple determinant means the flipped parameters apply
+    sign = 1.0 if detect_crosscap(f).delta >= 0.0 else -1.0
     co, si = math.cos(theta), math.sin(theta)
     kh = tuple(curvatures_at(f, sign * r * co, sign * r * si) for r in rs)
     return float(theta), rs, lead, kh
 
 
-def _convergence_report(ray: _RaySamples) -> ConvergenceReport:
-    theta, rs, lead, kh = ray
+def _convergence_report(theta, rs, lead, kh) -> ConvergenceReport:
     r2k = [r * r * K for r, (K, _) in zip(rs, kh)]
     r2h = [r * r * H for r, (_, H) in zip(rs, kh)]
     rarr = np.asarray(rs)
@@ -186,7 +172,7 @@ def verify_convergence(
     triple: IntrinsicTriple | None = None,
 ) -> ConvergenceReport:
     """Sample r^2 K and r^2 H along the ray and compare with leading()."""
-    return _convergence_report(_sample_ray(f, theta, radii, triple))
+    return _convergence_report(*_samples(f, theta, radii, triple))
 
 
 @dataclass(frozen=True)
@@ -201,32 +187,25 @@ class GapReport:
     passed: bool
 
 
-def _gap_report(ray: _RaySamples) -> GapReport:
-    theta, rs, lead, kh = ray
+def _gap_report(theta, rs, lead, kh) -> GapReport:
     gaps = tuple(r**4 * (H * H - K) for r, (K, H) in zip(rs, kh))
     ks = tuple(K for K, _ in kh)
     if abs(math.cos(theta)) < 1e-12:
-        return GapReport(
-            theta=theta,
-            radii=rs,
-            r4gap=gaps,
-            limit=None,
-            order=math.nan,
-            negative_k_mode=True,
-            k_values=ks,
-            passed=all(k < 0.0 for k in ks),
-        )
-    errs = np.abs(np.asarray(gaps) - lead.gap_lead)
-    order, trivial = _fit_order(rs, errs)
+        limit, order = None, math.nan
+        passed = all(k < 0.0 for k in ks)
+    else:
+        limit = lead.gap_lead
+        order, trivial = _fit_order(rs, np.abs(np.asarray(gaps) - limit))
+        passed = (trivial or order >= SLOPE_PASS) and limit > 0.0
     return GapReport(
         theta=theta,
         radii=rs,
         r4gap=gaps,
-        limit=lead.gap_lead,
+        limit=limit,
         order=order,
-        negative_k_mode=False,
+        negative_k_mode=limit is None,
         k_values=ks,
-        passed=(trivial or order >= SLOPE_PASS) and lead.gap_lead > 0.0,
+        passed=passed,
     )
 
 
@@ -242,7 +221,7 @@ def umbilic_gap(
     a positive limit; on them the report instead records that K < 0 at
     every sampled radius.
     """
-    return _gap_report(_sample_ray(f, theta, radii, triple))
+    return _gap_report(*_samples(f, theta, radii, triple))
 
 
 def ray_reports(
@@ -252,5 +231,5 @@ def ray_reports(
     triple: IntrinsicTriple | None = None,
 ) -> tuple[ConvergenceReport, GapReport]:
     """verify_convergence and umbilic_gap of one ray from one set of samples."""
-    ray = _sample_ray(f, theta, radii, triple)
-    return _convergence_report(ray), _gap_report(ray)
+    ray = _samples(f, theta, radii, triple)
+    return _convergence_report(*ray), _gap_report(*ray)

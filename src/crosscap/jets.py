@@ -479,9 +479,6 @@ class Jet3(_Jet):
     def coeff_vector(self, j: int, k: int) -> np.ndarray:
         return np.array(self._entry(j, k))
 
-    def partial_vector(self, j: int, k: int) -> np.ndarray:
-        return self.coeff_vector(j, k) * math.factorial(j) * math.factorial(k)
-
     def rotated(self, rotation: np.ndarray) -> "Jet3":
         R = np.asarray(rotation, dtype=float)[:, :, None, None]
         c = self.c

@@ -205,30 +205,26 @@ def load_spec(path: str) -> SurfaceSpec:
 
 
 def build_surface(spec: SurfaceSpec) -> BuiltSurface:
+    p = spec.payload
     if spec.kind == "polynomial":
         terms = {}
-        for j, k, x, y, z in spec.payload:
+        for j, k, x, y, z in p:
             vec = terms.setdefault((int(j), int(k)), [0.0, 0.0, 0.0])
             vec[0] += x
             vec[1] += y
             vec[2] += z
         # every term is kept for evaluation; analysis truncates to its order
         order = max(spec.order, *(j + k for j, k in terms))
-        f = surface.surface_from_polynomial(terms, order=order, domain=spec.domain)
-        return BuiltSurface(surface=f)
-    if spec.kind == "quadratic_crosscap":
-        p = spec.payload
+        f = surface.surface_from_polynomial(terms, order=order)
+    elif spec.kind == "quadratic_crosscap":
         f = surface.quadratic_crosscap(p["a20"], p["a11"], p["a02"], order=spec.order)
-        return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
-    if spec.kind in FAMILY_KINDS:
-        p = spec.payload
+    elif spec.kind in FAMILY_KINDS:
         fam = deformation.deformation_family(p["a02"], p["a11"], p["kappa_poly"])
         f = deformation.build_crosscap(fam, order=spec.order)
-        return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
-    rs = ruled.from_polynomials(
-        spec.payload["gamma_poly"], spec.payload["xi_poly"], order=max(spec.order, 6)
-    )
-    return BuiltSurface(surface=replace(rs.as_surface_map(), domain_hint=spec.domain))
+    else:
+        rs = ruled.from_polynomials(p["gamma_poly"], p["xi_poly"], order=max(spec.order, 6))
+        f = rs.as_surface_map()
+    return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
 
 
 # ----------------------------------------------------------------------
@@ -277,19 +273,8 @@ def invariant_report(
         },
     }
     if with_asymptotics:
-        entries = []
-        for theta in REPORT_THETAS:
-            lead = asymptotics.leading(t_map, theta)
-            entries.append(
-                {
-                    "theta": lead.theta,
-                    "a_theta": lead.a_theta,
-                    "h_lead": lead.h_lead,
-                    "k_lead": lead.k_lead,
-                    "gap_lead": lead.gap_lead,
-                }
-            )
-        report["asymptotics"] = entries
+        leads = [asymptotics.leading(t_map, theta) for theta in REPORT_THETAS]
+        report["asymptotics"] = [{**asdict(lead), "gap_lead": lead.gap_lead} for lead in leads]
     return report
 
 

@@ -72,8 +72,8 @@ def test_criterion_1_family_isometry(acceptance):
         for v in np.linspace(-0.9, 0.9, 10):
             jet = f.local_jet(0.0, float(v), order=2)
             xi = jet.coeff_vector(1, 0)
-            gp = jet.partial_vector(0, 1)
-            xip = jet.partial_vector(1, 1)
+            gp = jet.coeff_vector(0, 1)
+            xip = jet.coeff_vector(1, 1)
             for u in np.linspace(-0.9, 0.9, 10):
                 fv = gp + u * xip
                 dev_grid = max(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from crosscap import (
     umbilic_gap,
     verify_convergence,
 )
+from crosscap import asymptotics
 from crosscap.asymptotics import _clamped_radii
 from crosscap.invariants import IntrinsicTriple
 
@@ -137,3 +139,42 @@ def test_mirrored_surface_uses_flipped_parameters():
     rep = verify_convergence(mirrored, 0.0)
     assert rep.passed
     assert all(val == pytest.approx(1.0, abs=1e-12) for val in rep.r2h)
+
+
+def assert_same_report(a, b):
+    assert type(a) is type(b)
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        # GapReport.order is nan on the rays theta = +-pi/2
+        if isinstance(x, float) and math.isnan(x):
+            assert math.isnan(y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("radii", [None, (1e-2,), (1e-2, 1e-2, 1e-9, 1e-8)])
+def test_ray_reports_match_the_two_reports_from_one_sampling(radii, monkeypatch):
+    calls = []
+    sampled = asymptotics.curvatures_at
+
+    def counted(f, u, v):
+        calls.append((u, v))
+        return sampled(f, u, v)
+
+    monkeypatch.setattr(asymptotics, "curvatures_at", counted)
+    # (u, uv, -v^2) has a negative bracket, so its rays are sampled flipped
+    mirrored = surface_from_polynomial({(1, 0): [1, 0, 0], (1, 1): [0, 1, 0], (0, 2): [0, 0, -1.0]})
+    member = build_crosscap(deformation_family(2.0, 0.0, 1.0))
+    half = math.pi / 2.0
+    rays = [(standard_crosscap(), t) for t in (0.0, math.pi / 4.0, half, -half)]
+    rays += [(mirrored, 0.7), (mirrored, half), (member, 0.7), (member, -half)]
+    n = len(_clamped_radii(radii))
+    for f, theta in rays:
+        for triple in (None, intrinsic_from_map(f)):
+            conv = verify_convergence(f, theta, radii, triple)
+            gap = umbilic_gap(f, theta, radii, triple)
+            calls.clear()
+            both = asymptotics.ray_reports(f, theta, radii, triple)
+            assert len(calls) == n, (theta, calls)
+            assert_same_report(both[0], conv)
+            assert_same_report(both[1], gap)

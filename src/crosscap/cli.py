@@ -18,7 +18,8 @@ precondition failure (the spec parsed but the surface fails a
 requirement, e.g. no cross cap at the origin).  After argument parsing,
 a spec or flag value that cannot be used (a malformed spec, a spec of a
 kind the command does not take, an empty or non-finite comma list, a
-radius that is not positive, a resolution out of range) exits 1 with one
+radius that is not positive, fewer than two distinct radii once clamped
+to asymptotics.MIN_RADIUS, a resolution out of range) exits 1 with one
 ``spec error:`` line on stderr.  The environment variable CROSSCAP_TOL
 overrides the default tolerance 1e-9 and must be positive and finite.
 """
@@ -158,6 +159,8 @@ def cmd_asymptotics(spec: specio.SurfaceSpec, args, tol: float):
     radii = None if args.radii is None else _floats(args.radii, "--radii")
     if radii is not None and min(radii) <= 0.0:
         raise SpecFormatError("--radii: values must be positive")
+    if radii is not None and len({max(r, asymptotics.MIN_RADIUS) for r in radii}) < 2:
+        raise SpecFormatError(f"--radii: need two distinct radii of at least {asymptotics.MIN_RADIUS:g}")
     triple = invariants.intrinsic_from_map(f, tol=tol)
     entries = []
     for theta in thetas:

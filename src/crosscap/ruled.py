@@ -38,7 +38,7 @@ surfaces are their polynomial jets, exact where those are the surface
 (``from_polynomials``) and truncations elsewhere (``normalize``).
 
 gamma and xi depend on v alone, so evaluation goes one v column at a
-time: ``grid`` takes one path value per column and broadcasts it over
+time: ``grid`` takes one value per column and broadcasts it over
 u, and ``derivative_jets`` writes the stacked tables of every u0 of a
 column, less the directrix point gamma(v0), from one expansion of
 (gamma, xi) around v0.  That expansion needs only the backing's series
@@ -135,10 +135,11 @@ class RuledSurface:
         gamma(v) and xi(v) are computed once per column and broadcast over u.
         """
         if self.backing is None:
-            gx = [(self.gamma(0.0, v), self.xi(0.0, v)) for v in vs]
+            n = max(self.gamma.order, self.xi.order)
+            rows = np.stack([j.truncated(n).c[:, 0].T for j in (self.gamma, self.xi)], axis=-1)
+            gx = np.polynomial.polynomial.polyval(np.asarray(vs, dtype=float), rows).T
         else:
-            gx = [self._path.state(v) for v in vs]
-        gx = np.array(gx, dtype=float).reshape(len(vs), 2, 3)
+            gx = np.array([self._path.state(v) for v in vs], dtype=float).reshape(len(vs), 2, 3)
         return gx[:, 0] + np.asarray(us, dtype=float)[:, None, None] * gx[:, 1]
 
     @cached_property

@@ -384,8 +384,8 @@ def write_obj(f: SurfaceMap, path: str, resolution: int):
 
     The grid covers ``f.domain_hint``.  Vertices are emitted row-major in
     u, (n+1)^2 of them, then 2 n^2 triangular faces with 1-based indices.
-    The vertices come from one evaluate_grid call, so a ruled surface is
-    evaluated once per v column.
+    They come from one evaluate_grid call: Horner's rule over the grid for
+    a polynomial map, one (gamma, xi) value per v column for a ruled one.
     """
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be an integer in 1..{MAX_RESOLUTION}")

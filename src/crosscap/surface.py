@@ -5,8 +5,8 @@ origin.  A polynomial map is its jet.  A ruled surface
 gamma(v) + u xi(v) also carries its ruled.RuledSurface, which gives
 positions and Taylor data recentered at any parameter point (exactly,
 when the ruling is backed).  All pointwise quantities (fundamental forms,
-curvatures) are read off local jets, so no finite differencing is
-involved on the library side.
+curvatures) are read off the Taylor tables of ``derivative_jets``, so no
+finite differencing is involved on the library side.
 
 Off the origin a map answers two questions.  Points come in grids
 (``evaluate_grid``; a single point is a one-point grid), derivatives in
@@ -58,10 +58,11 @@ class SurfaceMap:
         return self.evaluate_grid([u], [v])[0, 0]
 
     def evaluate_grid(self, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
-        """Points f(u, v) for u in us and v in vs, shape (len(us), len(vs), 3)."""
+        """Points f(u, v) for u in us and v in vs, shape (len(us), len(vs), 3);
+        a polynomial map's by Horner's rule, each the bits of ``self.jet(u, v)``."""
         if self.ruling is not None:
             return self.ruling.grid(us, vs)
-        return np.array([[self.jet(u, v) for v in vs] for u in us], dtype=float).reshape(len(us), len(vs), 3)
+        return np.moveaxis(np.polynomial.polynomial.polygrid2d(us, vs, np.moveaxis(self.jet.c, 0, -1)), 0, -1)
 
     def local_jet(self, u0: float, v0: float, order: int = 2) -> Jet3:
         """Taylor jet of the map recentered at (u0, v0): the derivatives of

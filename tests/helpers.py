@@ -282,3 +282,25 @@ def fd_first_form_at(
     fu = (f(u + step, v) - f(u - step, v)) / (2.0 * step)
     fv = (f(u, v + step) - f(u, v - step)) / (2.0 * step)
     return float(fu @ fu), float(fu @ fv), float(fv @ fv)
+
+
+def reference_point(c: np.ndarray, u: float, v: float) -> np.ndarray:
+    """Values at (u, v) of the tables stacked in c[..., j, k] by the former
+    per-table kernel of ``Jet3.__call__``: power vectors, one product per table."""
+    order = c.shape[-1] - 1
+    up = u ** np.arange(order + 1)
+    vp = v ** np.arange(order + 1)
+    # one product per table: a batched product moves last digits
+    return np.array([up @ t @ vp for t in c.reshape(-1, order + 1, order + 1)]).reshape(c.shape[:-2])
+
+
+def horner_bound(c: np.ndarray, u: float, v: float) -> np.ndarray:
+    """4 (n + 1) eps sum |c_jk| |u|^j |v|^k for each table stacked in c, n its
+    order: the largest difference allowed between Horner's rule and
+    ``reference_point``.  Horner's rule in u and then in v errs by at most
+    2 gamma_2n ~ 2n eps times the sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 5.1); the reference by about
+    (n + 3) eps (two powers and two sums of n + 1 products); a ruled
+    point's u xi(v) + gamma(v) adds 2 eps on each side, covered from n = 3."""
+    n = c.shape[-1] - 1
+    return 4 * (n + 1) * np.finfo(float).eps * reference_point(np.abs(c), abs(u), abs(v))

@@ -299,6 +299,29 @@ def test_mesh_keeps_terms_above_order(tmp_path, capsys):
     assert verts[-1] == "v 2 2 2"  # (u, v) = (1, 1), the u^9 v^9 term included
 
 
+def test_mesh_of_a_large_domain_is_its_finite_points(tmp_path):
+    # the jet has order 6, but no coordinate of (u, uv, v^2) leaves the float
+    # range on |u|, |v| <= 1e60, and Horner's rule forms no power of u or v
+    doc = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1]],
+           "domain": [[-1e60, 1e60], [-1e60, 1e60]]}
+    target = tmp_path / "out.obj"
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(target), "--resolution", "4"]) == 0
+    lines = target.read_text(encoding="utf-8").splitlines()
+    verts = np.array([l.split()[1:] for l in lines if l.startswith("v ")], dtype=float)
+    ticks = [-1e60 + 2e60 * i / 4 for i in range(5)]  # write_obj's grid
+    u, v = np.meshgrid(ticks, ticks, indexing="ij")
+    expected = np.stack([u, u * v, v * v], axis=-1).reshape(-1, 3)
+    assert np.all(np.abs(verts - expected) <= 2 * np.finfo(float).eps * np.abs(expected))
+
+
+def test_mesh_whose_points_overflow_is_refused(tmp_path, capsys):
+    doc = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [2, 0, 0, 0, 1]],
+           "domain": [[-1e200, 1e200], [-1, 1]]}
+    rc = main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("analysis failed:")
+
+
 def test_mesh_resolution_validation(tmp_path, capsys):
     path = write_spec(tmp_path, quadratic_spec())
     for res in (0, MAX_RESOLUTION + 1):
@@ -431,6 +454,21 @@ def test_asymptotics_json_and_text(tmp_path, capsys):
 
     assert main(["asymptotics", path, "--theta", ","]) == 1
     assert "--theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", ["0.01", "0.01,0.01", "1e-7,1e-8"])
+def test_asymptotics_refuses_fewer_than_two_usable_radii(tmp_path, capsys, radii):
+    # a decay order is fitted over two radii at least; radii below
+    # MIN_RADIUS = 1e-6 are sampled at it, so 1e-7 and 1e-8 are one radius
+    assert main(["asymptotics", write_spec(tmp_path, quadratic_spec()), f"--radii={radii}", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spec error: --radii: need two distinct radii of at least 1e-06\n"
+
+
+def test_asymptotics_takes_two_radii_once_clamped(tmp_path, capsys):
+    assert main(["asymptotics", write_spec(tmp_path, quadratic_spec()), "--radii=0.01,1e-9", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["radii"] == [0.01, 1e-6]
 
 
 @pytest.mark.parametrize(

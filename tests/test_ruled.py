@@ -36,7 +36,7 @@ from crosscap.ruled import (
 )
 from crosscap.specio import build_surface, parse_spec, write_obj
 
-from helpers import stack, vpoly
+from helpers import horner_bound, reference_point, stack, vpoly
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040]
@@ -298,16 +298,23 @@ def _column_surfaces():
 
 
 def _reference_point(f, u: float, v: float) -> np.ndarray:
-    """f(u, v) point by point, each on a freshly built surface whose
-    directrix and frame paths have grown no node yet."""
+    """f(u, v) point by point.  A polynomial or unbacked ruled point is
+    f(u, v) once it lies within horner_bound of the per-table kernel
+    reference_point; a backed point is evaluated on a freshly built surface
+    whose directrix and frame paths have grown no node yet."""
     rs = f.ruling
     if rs is None:
-        return f.jet(u, v)
-    if rs.backing is None:
-        return rs.gamma(0.0, v) + u * rs.xi(0.0, v)
-    fam = rs.backing
-    fresh = replace(rs, backing=replace(fam, curve=replace(fam.curve)))
-    return fresh.grid([u], [v])[0, 0]
+        ref, bound = reference_point(f.jet.c, u, v), horner_bound(f.jet.c, u, v)
+    elif rs.backing is None:
+        ref = reference_point(rs.gamma.c, 0.0, v) + u * reference_point(rs.xi.c, 0.0, v)
+        bound = horner_bound(rs.gamma.c, 0.0, v) + abs(u) * horner_bound(rs.xi.c, 0.0, v)
+    else:
+        fam = rs.backing
+        fresh = replace(rs, backing=replace(fam, curve=replace(fam.curve)))
+        return fresh.grid([u], [v])[0, 0]
+    point = f(u, v)
+    assert np.all(np.abs(point - ref) <= bound), (u, v, point - ref, bound)
+    return point
 
 
 def test_evaluate_grid_matches_pointwise():

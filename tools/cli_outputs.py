@@ -81,9 +81,9 @@ def runs(name: str, doc: dict) -> dict[str, list[str]]:
         "analyze.above.json": ["analyze", spec, "--json", "--order", str(min(order + 3, 12))],
         "asymptotics": ["asymptotics", spec],
         "asymptotics.json": ["asymptotics", spec, "--json", "--theta=-0.5,1.2", "--radii", "0.1,0.01,0.001"],
-        # both axis rays, where the gap report records K < 0, and a one-radius fit
+        # both axis rays, where the gap report records K < 0, on the fewest radii a fit takes
         "asymptotics.axis.json": ["asymptotics", spec, "--json",
-                                  "--theta=1.5707963267948966,-1.5707963267948966,0", "--radii", "0.01"],
+                                  "--theta=1.5707963267948966,-1.5707963267948966,0", "--radii", "0.01,0.001"],
         "mesh": ["mesh", spec, "--out", f"{name}.mesh.obj", "--resolution", "24"],
     }
     if order == 12:  # no order above the largest

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrosscapError, MetricError
+from .jets import Jet2, _product
 from .normalform import NormalForm
 from .surface import DEFAULT_TOL, FundamentalForms, SurfaceMap, origin_derivatives, require_crosscap
 
@@ -102,6 +103,15 @@ def _triple(route: str, fu, fuu, fuv, fvv, delta, **extra) -> IntrinsicTriple:
     return IntrinsicTriple(**{name: float(value) for name, value in fields.items()})
 
 
+def _height_hessian(E: Jet2, F: Jet2, G: Jet2) -> tuple[float, float, float]:
+    """h_uu, h_uv and h_vv at the origin for h = E G - F^2, from one product
+    of the order-2 tables of E, F and G, which gives h's degree-2
+    coefficients with the bits of the product at the full order."""
+    p = _product(np.stack([E.c[:3, :3], F.c[:3, :3]]), np.stack([G.c[:3, :3], F.c[:3, :3]]), 2)
+    h = (p[0] - p[1]).tolist()
+    return 2.0 * h[2][0], h[1][1], 2.0 * h[0][2]
+
+
 def intrinsic_from_metric(forms: FundamentalForms) -> IntrinsicTriple:
     """Quadratic canonical coefficients from the first form alone."""
     E, F, G = forms.E, forms.F, forms.G
@@ -120,8 +130,7 @@ def intrinsic_from_metric(forms: FundamentalForms) -> IntrinsicTriple:
     Guu, Guv, Gvv = G.partial(2, 0), G.partial(1, 1), G.partial(0, 2)
     # Gram matrix of f_u, f_uv, f_vv, since f_v = 0 at the origin
     d2 = float(np.linalg.det([[E0, Fu, Fv], [Fu, Guu / 2.0, Guv / 2.0], [Fv, Guv / 2.0, Gvv / 2.0]]))
-    h = E * G - F * F
-    h_uu, h_uv, h_vv = h.partial(2, 0), h.partial(1, 1), h.partial(0, 2)
+    h_uu, h_uv, h_vv = _height_hessian(E, F, G)
     d2_hess = (h_uu * h_vv - h_uv * h_uv) / (4.0 * E0)
     if h_vv < 0:
         raise MetricError("h_vv(0,0) < 0: metric is not positive semidefinite here")

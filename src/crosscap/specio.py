@@ -18,19 +18,30 @@ numbers as floats, and both family kinds as one payload
 {"a02", "a11", "kappa_poly"}: a circle_deformation spec is read as a
 spherical_deformation spec with "kappa_poly": [kappa].  Every malformed
 field raises SpecFormatError, which the command line reports as one
-"spec error:" line with exit code 1.
+"spec error:" line with exit code 1; so does a file that is not UTF-8
+(naming the byte offset), nests too deep for the JSON decoder, or holds an
+integer past Python's digit limit.  Polynomial entries are checked all at
+once, by exact types (a JSON true is a bool, not a power or a number) and
+one pass per column; only when that check fails are they checked entry by
+entry, so that the error names the first bad field.
 
 Reports are plain dicts serialized deterministically: keys sorted,
 floats printed at 17 significant digits, so identical inputs yield
 byte-identical output and reports survive a parse/serialize round trip
-unchanged.
+unchanged.  The writer dispatches on the exact types float, int, bool,
+None, str, dict, list and tuple and writes a list of leaves in one join;
+a subclass such as np.float64 is written as its base type, and any other
+value raises TypeError.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -99,6 +110,25 @@ def _number(obj: Any, field: str) -> float:
     return float(obj)
 
 
+def _plain_terms(entries: list) -> bool:
+    """Whether every entry is a [j, k, x, y, z] list with powers of exactly
+    type int, j, k >= 0 and j + k <= MAX_DEGREE, and finite coefficients of
+    exactly type int or float: the checks of parse_spec on all entries at
+    once, each a pass over columns, types tested first."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {5}:
+        return False
+    j, k, x, y, z = zip(*entries)
+    powers, coeffs = j + k, x + y + z
+    return (
+        set(map(type, powers)) == {int}
+        and min(powers) >= 0
+        and max(map(operator.add, j, k)) <= MAX_DEGREE
+        and set(map(type, coeffs)) <= {int, float}
+        # abs(c) <= max as _number compares, exact for an int past the float range
+        and all(map(operator.le, map(abs, coeffs), repeat(sys.float_info.max)))
+    )
+
+
 def parse_spec(doc: Any) -> SurfaceSpec:
     """Validate a decoded JSON document into a SurfaceSpec."""
     _require(isinstance(doc, dict), "<root>", "spec must be a JSON object")
@@ -137,21 +167,24 @@ def parse_spec(doc: Any) -> SurfaceSpec:
 
     if kind == "polynomial":
         _require(isinstance(payload, list) and payload, kind, "expected a nonempty list of entries")
-        for i, entry in enumerate(payload):
-            _require(
-                isinstance(entry, (list, tuple)) and len(entry) == 5,
-                f"{kind}[{i}]",
-                "expected [j, k, x, y, z]",
-            )
-            j, k = entry[0], entry[1]
-            _require(
-                all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in (j, k)),
-                f"{kind}[{i}]",
-                "monomial powers must be nonnegative integers",
-            )
-            _require(j + k <= MAX_DEGREE, f"{kind}[{i}]", f"monomial degree above {MAX_DEGREE}")
-            for c, name in zip(entry[2:], "xyz"):
-                _number(c, f"{kind}[{i}].{name}")
+        # entry by entry only when the check of all entries fails, to name
+        # the first bad field
+        if not _plain_terms(payload):
+            for i, entry in enumerate(payload):
+                _require(
+                    isinstance(entry, (list, tuple)) and len(entry) == 5,
+                    f"{kind}[{i}]",
+                    "expected [j, k, x, y, z]",
+                )
+                j, k = entry[0], entry[1]
+                _require(
+                    all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in (j, k)),
+                    f"{kind}[{i}]",
+                    "monomial powers must be nonnegative integers",
+                )
+                _require(j + k <= MAX_DEGREE, f"{kind}[{i}]", f"monomial degree above {MAX_DEGREE}")
+                for c, name in zip(entry[2:], "xyz"):
+                    _number(c, f"{kind}[{i}].{name}")
     elif kind in FIELDS:
         _require(isinstance(payload, dict), kind, "expected an object")
         values = {}
@@ -193,14 +226,25 @@ def parse_spec(doc: Any) -> SurfaceSpec:
 
 
 def load_spec(path: str) -> SurfaceSpec:
-    """Read and validate a spec file; malformed JSON reports its position."""
+    """Read and validate a spec file; malformed JSON reports its position,
+    a byte that is not UTF-8 its offset."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise SpecFormatError(f"cannot read spec: {exc}") from exc
+    try:
+        # universal newlines, as a text-mode read gives them, so that a JSON
+        # error names the line and column an editor shows
+        doc = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"cannot read spec: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise SpecFormatError(f"cannot read spec: {exc}") from exc
+    except RecursionError:
+        raise SpecFormatError("cannot read spec: arrays or objects nested too deep") from None
     return parse_spec(doc)
 
 
@@ -251,7 +295,7 @@ def invariant_report(
     combos = invariants.isometry_combos(nf)
     flags = normalform.classify(nf, tol=max(tol, 1e-7))
     report = {
-        "crosscap": asdict(test),
+        "crosscap": dict(vars(test)),
         "normal_form": {
             "order": nf.order,
             "flipped": nf.flipped,
@@ -265,8 +309,8 @@ def invariant_report(
             "max_discrepancy": invariants.route_discrepancy(t_map, t_metric),
             "a02_from_height_hessian": t_metric.a02_from_height_hessian,
         },
-        "focal_conic": asdict(conic),
-        "combos": asdict(combos),
+        "focal_conic": dict(vars(conic)),
+        "combos": dict(vars(combos)),
         "classification": {
             "sign_class": invariants.classify_sign(t_map, tol=tol),
             **flags,
@@ -274,7 +318,7 @@ def invariant_report(
     }
     if with_asymptotics:
         leads = [asymptotics.leading(t_map, theta) for theta in REPORT_THETAS]
-        report["asymptotics"] = [{**asdict(lead), "gap_lead": lead.gap_lead} for lead in leads]
+        report["asymptotics"] = [{**vars(lead), "gap_lead": lead.gap_lead} for lead in leads]
     return report
 
 
@@ -324,6 +368,10 @@ def report_text(report: dict) -> str:
 def format_float(x: float) -> str:
     if isinstance(x, bool) or not isinstance(x, float):
         return str(x)
+    return _float_text(x)
+
+
+def _float_text(x: float) -> str:
     if not math.isfinite(x):
         return "null"
     if x == 0.0:
@@ -331,49 +379,75 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# the text of a leaf of each exact type; a subclass (np.float64) is
+# written by the isinstance tests of _subclass_text
+_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    str: encode_basestring_ascii,
+}
+
+
 def dumps_report(obj: Any) -> str:
     """Serialize with sorted keys and floats at 17 significant digits."""
     out: list[str] = []
-    _emit(obj, out, 0)
-    return "".join(out) + "\n"
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], depth: int):
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+def _subclass_text(obj: Any):
+    """The text function of a leaf of a subclass type, None for a dict,
+    list or tuple; TypeError for anything else."""
+    if isinstance(obj, int):  # bool has no subclasses
+        return str
+    if isinstance(obj, float):
+        return format_float
+    if isinstance(obj, str):
+        return encode_basestring_ascii
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit(obj: Any, out: list[str], nl: str):
+    """Append the text of obj, whose line starts after nl (a newline and
+    its indent); a list of leaves is one join."""
+    kind = type(obj)
+    text = _TEXT.get(kind)
+    if text is None and kind is not dict and kind is not list and kind is not tuple:
+        text = _subclass_text(obj)
+    if text is not None:
+        out.append(text(obj))
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit(obj[key], out, depth + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(inner)
-            _emit(item, out, depth + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+        head = "{" + inner
+        for key in sorted(obj):
+            val = obj[key]
+            text = _TEXT.get(type(val))
+            if text is None:
+                out.append(f"{head}{encode_basestring_ascii(str(key))}: ")
+                _emit(val, out, inner)
+            else:
+                out.append(f"{head}{encode_basestring_ascii(str(key))}: {text(val)}")
+            head = sep
+        out.append(nl + "}")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        try:
+            out.append(f"[{inner}{sep.join([_TEXT[type(item)](item) for item in obj])}{nl}]")
+        except KeyError:  # an item that is not a leaf of one of the exact types
+            head = "[" + inner
+            for item in obj:
+                out.append(head)
+                _emit(item, out, inner)
+                head = sep
+            out.append(nl + "]")
 
 
 # ----------------------------------------------------------------------

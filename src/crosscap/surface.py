@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import JetDomainError, NotACrossCapError, SingularPointError
-from .jets import Jet2, Jet3, table_shift
+from .jets import Jet2, Jet3, _product, table_shift
 
 if TYPE_CHECKING:
     from .ruled import RuledSurface
@@ -83,9 +83,12 @@ class SurfaceMap:
 
     @cached_property
     def _first_form(self) -> FundamentalForms:
-        fu = self.jet.deriv_u()
-        fv = self.jet.deriv_v()
-        return FundamentalForms(E=fu.dot(fu), F=fu.dot(fv), G=fv.dot(fv))
+        fu, fv, n = self.jet.deriv_u().c, self.jet.deriv_v().c, self.order - 1
+        # f_u.f_u, f_u.f_v and f_v.f_v from one product of stacked tables,
+        # summed x + y + z as Jet3.dot sums them
+        p = _product(np.stack([fu, fu, fv]), np.stack([fu, fv, fv]), n)
+        E, F, G = (Jet2(n, c) for c in p[:, 0] + p[:, 1] + p[:, 2])
+        return FundamentalForms(E=E, F=F, G=G)
 
 
 @dataclass(frozen=True)

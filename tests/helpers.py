@@ -2,16 +2,21 @@
 modules."""
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
-from typing import Sequence
+import sys
+from pathlib import Path
+from typing import Any, Sequence
 
 import numpy as np
 
-from crosscap import Jet2, Jet3, JetDomainError, SurfaceMap, canonical_crosscap
+from crosscap import Jet2, Jet3, JetDomainError, SpecFormatError, SurfaceMap, canonical_crosscap
 from crosscap.deformation import DeformationFamily
 from crosscap.jets import _checked, _mask, series_compose, series_cross, series_derivative
 from crosscap.jets import series_integral, series_power, series_product
 from crosscap.normalform import NormalForm
+from crosscap.specio import DEFAULT_DOMAIN, FAMILY_KINDS, FIELDS, MAX_DEGREE, ORDERS, SPEC_KINDS, SurfaceSpec
 
 
 def vpoly(coeffs, order: int) -> Jet2:
@@ -23,6 +28,18 @@ def stack(x: Jet2, y: Jet2, z: Jet2) -> Jet3:
     """The Jet3 with components x, y, z, at the smallest of their orders."""
     n = min(x.order, y.order, z.order)
     return Jet3(n, np.stack([comp.truncated(n).c for comp in (x, y, z)]))
+
+
+CLI_OUTPUTS = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+
+
+def load_cli_outputs():
+    """The module of tools/cli_outputs.py, whose SPECS and FAMILY the
+    byte-identity check runs."""
+    spec = importlib.util.spec_from_file_location("cli_outputs", CLI_OUTPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -268,6 +285,20 @@ def reference_derivative_jets(f: SurfaceMap, us: Sequence[float], v0: float, ord
     return np.array(tables).reshape(len(us), 3, n + 1, n + 1)
 
 
+def reference_first_form(f: SurfaceMap) -> tuple[Jet2, Jet2, Jet2]:
+    """E, F, G of a map by the former ``SurfaceMap._first_form``: three
+    ``Jet3.dot`` calls on f_u and f_v."""
+    fu, fv = f.jet.deriv_u(), f.jet.deriv_v()
+    return fu.dot(fu), fu.dot(fv), fv.dot(fv)
+
+
+def reference_height_hessian(E: Jet2, F: Jet2, G: Jet2) -> tuple[float, float, float]:
+    """h_uu, h_uv and h_vv at the origin by the former metric route: the jet
+    h = E G - F^2 at the full order of the first form."""
+    h = E * G - F * F
+    return h.partial(2, 0), h.partial(1, 1), h.partial(0, 2)
+
+
 def jet_first_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:
     jet = f.local_jet(u, v, order=1)
     fu = jet.coeff_vector(1, 0)
@@ -304,3 +335,168 @@ def horner_bound(c: np.ndarray, u: float, v: float) -> np.ndarray:
     point's u xi(v) + gamma(v) adds 2 eps on each side, covered from n = 3."""
     n = c.shape[-1] - 1
     return 4 * (n + 1) * np.finfo(float).eps * reference_point(np.abs(c), abs(u), abs(v))
+
+
+# ----------------------------------------------------------------------
+# the former spec reader and report writer
+
+def _reference_require(cond: bool, field: str, detail: str):
+    if not cond:
+        raise SpecFormatError(f"field '{field}': {detail}")
+
+
+def _reference_number(obj: Any, field: str) -> float:
+    _reference_require(isinstance(obj, (int, float)) and not isinstance(obj, bool), field, "expected a number")
+    # json accepts NaN and Infinity; NaN fails every comparison
+    _reference_require(abs(obj) <= sys.float_info.max, field, "expected a finite number")
+    return float(obj)
+
+
+def reference_parse_spec(doc: Any) -> SurfaceSpec:
+    """``specio.parse_spec`` as it was before its check of all polynomial
+    entries at once: entry by entry, with isinstance tests."""
+    _reference_require(isinstance(doc, dict), "<root>", "spec must be a JSON object")
+    present = [k for k in SPEC_KINDS if k in doc]
+    _reference_require(
+        len(present) == 1,
+        "<root>",
+        f"exactly one of {', '.join(SPEC_KINDS)} required, found {len(present)}",
+    )
+    kind = present[0]
+    payload = doc[kind]
+    order = doc.get("order", 6)
+    bounds = f"{ORDERS[0]}..{ORDERS[-1]}"
+    _reference_require(isinstance(order, int) and order in ORDERS, "order", f"expected an integer in {bounds}")
+
+    domain = DEFAULT_DOMAIN
+    if "domain" in doc:
+        raw = doc["domain"]
+        _reference_require(
+            isinstance(raw, (list, tuple)) and len(raw) == 2,
+            "domain",
+            "expected [[u0, u1], [v0, v1]]",
+        )
+        spans = []
+        for axis, pair in zip("uv", raw):
+            _reference_require(
+                isinstance(pair, (list, tuple)) and len(pair) == 2,
+                f"domain.{axis}",
+                "expected [lo, hi]",
+            )
+            lo = _reference_number(pair[0], f"domain.{axis}[0]")
+            hi = _reference_number(pair[1], f"domain.{axis}[1]")
+            _reference_require(lo < hi, f"domain.{axis}", "needs lo < hi")
+            spans.append((lo, hi))
+        domain = (spans[0], spans[1])
+
+    if kind == "polynomial":
+        _reference_require(isinstance(payload, list) and payload, kind, "expected a nonempty list of entries")
+        for i, entry in enumerate(payload):
+            _reference_require(
+                isinstance(entry, (list, tuple)) and len(entry) == 5,
+                f"{kind}[{i}]",
+                "expected [j, k, x, y, z]",
+            )
+            j, k = entry[0], entry[1]
+            _reference_require(
+                all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in (j, k)),
+                f"{kind}[{i}]",
+                "monomial powers must be nonnegative integers",
+            )
+            _reference_require(j + k <= MAX_DEGREE, f"{kind}[{i}]", f"monomial degree above {MAX_DEGREE}")
+            for c, name in zip(entry[2:], "xyz"):
+                _reference_number(c, f"{kind}[{i}].{name}")
+    elif kind in FIELDS:
+        _reference_require(isinstance(payload, dict), kind, "expected an object")
+        values = {}
+        for f in FIELDS[kind]:
+            _reference_require(f in payload, f"{kind}.{f}", "missing")
+            values[f] = _reference_number(payload[f], f"{kind}.{f}")
+        _reference_require(values["a02"] > 0.0, f"{kind}.a02", "must be positive")
+        if kind in FAMILY_KINDS:
+            # the family's ruling speed is sqrt(1 + a11^2)
+            a11 = values["a11"]
+            _reference_require(math.isfinite(1.0 + a11 * a11), f"{kind}.a11", "too large: 1 + a11^2 overflows")
+            kp = [values.pop("kappa")] if "kappa" in values else payload.get("kappa_poly")
+            _reference_require(
+                isinstance(kp, list) and 0 < len(kp) <= MAX_DEGREE + 1,
+                f"{kind}.kappa_poly",
+                f"expected a list of 1 to {MAX_DEGREE + 1} numbers",
+            )
+            values["kappa_poly"] = tuple(_reference_number(c, f"{kind}.kappa_poly[{i}]") for i, c in enumerate(kp))
+        payload = values
+    else:
+        _reference_require(isinstance(payload, dict), kind, "expected an object")
+        for f in ("gamma_poly", "xi_poly"):
+            rows = payload.get(f)
+            _reference_require(
+                isinstance(rows, list) and 0 < len(rows) <= MAX_DEGREE + 1,
+                f"{kind}.{f}",
+                f"expected a list of 1 to {MAX_DEGREE + 1} rows",
+            )
+            for i, row in enumerate(rows):
+                _reference_require(
+                    isinstance(row, (list, tuple)) and len(row) == 3,
+                    f"{kind}.{f}[{i}]",
+                    "expected an [x, y, z] triple",
+                )
+                for c, name in zip(row, "xyz"):
+                    _reference_number(c, f"{kind}.{f}[{i}].{name}")
+
+    return SurfaceSpec(kind=kind, payload=payload, order=order, domain=domain)
+
+
+def _reference_format_float(x: float) -> str:
+    if isinstance(x, bool) or not isinstance(x, float):
+        return str(x)
+    if not math.isfinite(x):
+        return "null"
+    if x == 0.0:
+        return "0"
+    return format(x, ".17g")
+
+
+def reference_dumps(obj: Any) -> str:
+    """``specio.dumps_report`` as it was before its exact-type dispatch: an
+    isinstance ladder per value, one append per item."""
+    out: list[str] = []
+    _reference_emit(obj, out, 0)
+    return "".join(out) + "\n"
+
+
+def _reference_emit(obj: Any, out: list[str], depth: int):
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_reference_format_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj)
+        for i, key in enumerate(keys):
+            out.append(f"{inner}{json.dumps(str(key))}: ")
+            _reference_emit(obj[key], out, depth + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(obj):
+            out.append(inner)
+            _reference_emit(item, out, depth + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

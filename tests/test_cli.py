@@ -115,6 +115,24 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"quadratic_crosscap": {"a20": 1, "a11": 0, "a02": 2}, "note": "\xff"}', "byte 64 is not UTF-8"),
+        (b'{"polynomial": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deep"),
+        (b'{"quadratic_crosscap": {"a20": 1, "a11": 0, "a02": ' + b"9" * 4301 + b"}}", "4301 digits"),
+    ],
+    ids=["not-utf8", "nested-100000-deep", "integer-of-4301-digits"],
+)
+def test_unreadable_spec_is_one_spec_error_line(tmp_path, capsys, raw, message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("spec error: cannot read spec:") and message in err
+
+
 def test_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 1
     assert "spec error" in capsys.readouterr().err

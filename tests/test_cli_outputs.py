@@ -1,22 +1,22 @@
-"""tools/cli_outputs.py: its runs give the same tree twice, and --compare
-lets numbers move but nothing else."""
+"""tools/cli_outputs.py: its runs give the same tree twice, every report
+they write is the former writer's text, and --compare lets numbers move
+but nothing else."""
 from __future__ import annotations
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+from crosscap import specio
+from crosscap.specio import dumps_report
+
+from helpers import CLI_OUTPUTS as TOOL
+from helpers import load_cli_outputs, reference_dumps
 
 
 @pytest.fixture(scope="module")
 def tool():
-    spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_cli_outputs()
 
 
 def trees(tmp_path, a: dict, b: dict) -> tuple[str, str]:
@@ -39,13 +39,33 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
     assert files[0] == files[1] and files[0]
     for rel in files[0]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
-    # the tangent developable has a cuspidal edge, not a cross cap, at its origin
+    # the tangent developable has a cuspidal edge, not a cross cap, at its
+    # origin; bad_terms has a negative power in its fourth entry
     for line in (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines():
         run, rc, err = line.split(" ", 2)
         if run.startswith(("tangent.analyze", "tangent.asymptotics")):
             assert rc == "2" and "not a cross cap" in err, line
+        elif run.startswith("bad_terms."):
+            assert rc == "1" and err.startswith('"spec error: field \'polynomial[3]\''), line
         else:
             assert rc == "0" and err == "''", line
+
+
+def test_writer_matches_the_former_writer_on_every_report(tool, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(tmp_path)
+    reports = []
+
+    def recording(report):
+        reports.append(report)
+        return dumps_report(report)
+
+    monkeypatch.setattr(specio, "dumps_report", recording)
+    assert tool.main([str(TOOL.parent.parent), str(tmp_path / "out")]) == 0
+    status = (tmp_path / "out" / "status.txt").read_text(encoding="utf-8").splitlines()
+    assert len(reports) == sum(".json " in line and " 0 " in line for line in status) > 0
+    for report in reports:
+        assert dumps_report(report) == reference_dumps(report)
 
 
 REPORT = '{"a02": 2.0, "a20": -0.5, "residual": 1e-15}\n'

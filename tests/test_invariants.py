@@ -25,12 +25,14 @@ from crosscap import (
     route_discrepancy,
     standard_crosscap,
 )
-from crosscap.invariants import IntrinsicTriple
+from crosscap import invariants
+from crosscap.invariants import IntrinsicTriple, _height_hessian
 from crosscap.jets import Jet2
 from crosscap.normalform import NormalForm
-from crosscap.surface import FundamentalForms
+from crosscap.specio import build_surface, parse_spec
+from crosscap.surface import FundamentalForms, canonical_crosscap
 
-from helpers import random_canonical, scramble
+from helpers import load_cli_outputs, random_canonical, reference_first_form, reference_height_hessian, scramble
 
 
 def quadratic_cases(rng, n):
@@ -263,3 +265,42 @@ def test_triple_is_scramble_invariant(rng):
         assert abs(t.a02 - base.a02) <= 1e-8
         assert abs(t.a20 - base.a20) <= 1e-8
         assert abs(t.a11 - base.a11) <= 1e-8
+
+
+def _first_form_maps() -> dict:
+    """Scrambled cross cap germs of orders 1 to 12, and the family members
+    of tools/cli_outputs.py."""
+    rng = np.random.default_rng(24)
+    maps = {}
+    for n in range(1, 13):
+        _, a, b = random_canonical(rng, n)
+        maps[f"germ{n}"] = scramble(canonical_crosscap(a, b, order=n), rng, flip=n % 2 == 1)
+    tool = load_cli_outputs()
+    for name in tool.FAMILY:
+        maps[name] = build_surface(parse_spec(tool.SPECS[name])).surface
+    return maps
+
+
+FIRST_FORM_MAPS = _first_form_maps()
+
+
+def _metric_triple(forms: FundamentalForms):
+    try:
+        return intrinsic_from_metric(forms)
+    except CrosscapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(FIRST_FORM_MAPS))
+def test_first_form_and_metric_route_keep_their_former_bits(name, monkeypatch):
+    f = FIRST_FORM_MAPS[name]
+    forms = first_form(f)
+    for new, old in zip((forms.E, forms.F, forms.G), reference_first_form(f)):
+        assert new.order == old.order == f.order - 1
+        assert np.array_equal(new.c, old.c)
+    triple = _metric_triple(forms)
+    assert isinstance(triple, IntrinsicTriple) == (f.order >= 3), triple
+    if f.order >= 3:
+        assert _height_hessian(forms.E, forms.F, forms.G) == reference_height_hessian(forms.E, forms.F, forms.G)
+    monkeypatch.setattr(invariants, "_height_hessian", reference_height_hessian)
+    assert _metric_triple(forms) == triple

@@ -1,0 +1,108 @@
+"""The spec reader and the report writer against their former, per-entry
+and isinstance-ladder versions (``tests/helpers.py``)."""
+from __future__ import annotations
+
+import math
+import sys
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crosscap import SpecFormatError
+from crosscap.specio import dumps_report, parse_spec
+
+from helpers import reference_dumps, reference_parse_spec
+
+EDGE_VALUES = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    5e-324,
+    1.7976931348623157e308,
+    np.float64(0.1),
+    np.float64(-0.0),
+    np.float64(math.nan),
+    [True, False, None, 1, 0.5],
+    {},
+    [],
+    (),
+    (1.5, "x", (2, [])),
+    {3: 1.0, 1: [True]},
+    OrderedDict([("b", 1), ("a", np.float64(2.5))]),
+    'quote " backslash \\ tab \t newline \n é é   \x00 \U0001f600',
+    {"rows": [[0, 2, 1.25], [1, 1, np.float64(-0.5)], [2, 0, math.nan]], "empty": {"a": [], "b": {}}},
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=range(len(EDGE_VALUES)))
+def test_writer_matches_the_former_writer_on_edge_values(value):
+    assert dumps_report(value) == reference_dumps(value)
+    assert dumps_report({"k": value, "l": [value, value]}) == reference_dumps({"k": value, "l": [value, value]})
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, [1.0, {2}], {"a": [np.int64(1)]}, b"x"])
+def test_writer_refuses_what_the_former_writer_refused(value):
+    with pytest.raises(TypeError) as new:
+        dumps_report(value)
+    with pytest.raises(TypeError) as old:
+        reference_dumps(value)
+    assert str(new.value) == str(old.value)
+
+
+# powers and coefficients the all-entries check must refuse as the
+# per-entry checks do: a bool (a Python int), a string, an int past the
+# float range by a little or a lot, non-finite floats, a float power
+BAD_POWERS = [-1, 65, 2.0, True, "1", 10**400]
+BAD_COEFFS = [True, "1.5", 10**400, -(10**400), int(sys.float_info.max) + 1, math.nan, math.inf, -math.inf]
+POWER = st.one_of(st.integers(0, 40), st.sampled_from(BAD_POWERS))
+GOOD_COEFF = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3), st.sampled_from([1e308, -1e308]))
+COEFF = st.one_of(GOOD_COEFF, st.sampled_from(BAD_COEFFS))
+GOOD_ENTRY = st.tuples(st.integers(0, 32), st.integers(0, 32), GOOD_COEFF, GOOD_COEFF, GOOD_COEFF).map(list)
+ENTRY = st.one_of(
+    GOOD_ENTRY,
+    st.tuples(POWER, POWER, COEFF, COEFF, COEFF).map(list),
+    st.tuples(POWER, POWER, COEFF, COEFF, COEFF),
+    st.lists(COEFF, min_size=4, max_size=4),
+    st.lists(COEFF, min_size=6, max_size=6),
+    st.lists(st.lists(GOOD_COEFF, max_size=2), max_size=5),
+    COEFF,
+)
+
+
+@st.composite
+def polynomial_documents(draw):
+    """A polynomial spec of valid entries, of valid entries but for one
+    field, or of entries of every kind."""
+    mode = draw(st.sampled_from(["valid", "one bad field", "any"]))
+    if mode == "any":
+        entries = draw(st.lists(ENTRY, max_size=6))
+    else:
+        entries = draw(st.lists(GOOD_ENTRY, min_size=1, max_size=6))
+    if mode == "one bad field":
+        i, field = draw(st.integers(0, len(entries) - 1)), draw(st.integers(0, 4))
+        entries[i][field] = draw(st.sampled_from(BAD_POWERS if field < 2 else BAD_COEFFS))
+    doc = {"polynomial": entries}
+    if draw(st.booleans()):
+        doc["order"] = draw(st.integers(1, 13))
+    return doc
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except SpecFormatError as exc:
+        return f"spec error: {exc}"
+
+
+@settings(max_examples=200)
+@given(doc=polynomial_documents())
+@example(doc={"polynomial": [[1, 0, 1, 0, 0], [0, 2, 0, True, 1]]})
+@example(doc={"polynomial": [[1, 0, 1, 0, 0], [33, 32, 0.5, 0, 0]]})
+@example(doc={"polynomial": [[1, 0, 1, 0, 0], [0, 2, 0, 0, int(sys.float_info.max) + 1]]})
+@example(doc={"polynomial": [(1, 0, 1, 0, 0), [0, 2, 0, 0, 1.5]]})
+def test_reader_matches_the_former_reader(doc):
+    assert _outcome(parse_spec, doc) == _outcome(reference_parse_spec, doc)

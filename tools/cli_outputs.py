@@ -49,6 +49,11 @@ OFF_AXIS = [[1, 0, 0.6, -0.55, 0.45], [1, 1, 0.35, 0.55, -0.3], [0, 2, 0.25, -0.
             [0, 4, -0.1, 0.3, 0.05], [1, 3, 0.07, -0.02, 0.11], [3, 2, -0.03, 0.09, 0.01],
             [0, 5, 0.02, -0.06, 0.04], [4, 4, 0.01, 0.03, -0.02], [0, 8, -0.01, 0.02, 0.03]]
 
+# a cross cap whose u v, v^2 and u^2 terms are split across entries
+DUP_TERMS = [[1, 0, 1, 0, 0], [1, 1, 0, 0.5, 0], [0, 2, 0, 0, 1], [1, 1, 0.25, 0.5, 0], [2, 0, 0, 1, -0.5],
+             [0, 2, 0.125, 0, 0], [2, 0, 0.3, -0.75, 0.2], [1, 1, -0.25, 0, 0.1], [0, 3, 0, 0.2, 0.3],
+             [0, 7, 0.01, 0, -0.02]]
+
 SPECS = {
     "quadratic": {"quadratic_crosscap": {"a20": -1, "a11": 0, "a02": 1}},
     "circle": {"circle_deformation": {"kappa": 0.7, "a02": 2, "a11": -0.3},
@@ -66,6 +71,11 @@ SPECS = {
     # arc length above the square that a quadratic needs
     "quartic_kappa": {"spherical_deformation": {"kappa_poly": [-0.3, 0.5, 0.2, -0.15, 0.1], "a02": 0.9, "a11": 0.6},
                       "order": 7, "domain": [[-0.6, 0.9], [-0.8, 1.0]]},
+    # monomials repeated across entries, whose coefficients are summed,
+    # int and float coefficients mixed, and a term above the order
+    "dup_terms": {"polynomial": DUP_TERMS, "order": 5},
+    # one bad entry: the entry-by-entry checks name it (every run exits 1)
+    "bad_terms": {"polynomial": [*DUP_TERMS[:3], [2, -1, 0, 0, 1], *DUP_TERMS[3:]]},
 }
 FAMILY = ("circle", "poly_kappa", "quartic_kappa")
 

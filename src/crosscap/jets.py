@@ -24,7 +24,9 @@ Each series operation is one array operation on tables:
   or h is one gathered (2-D Toeplitz) matrix from the same index, so the
   powers of h (shared by a Jet3's tables), the rows r_j = sum_k c[j,k] h^k
   and each step of Horner's rule in g are matrix products, about 2n in
-  all, with no series product.  A power p^q (square root,
+  all, with no series product.  The normal form calls it once per
+  reduction: its passes grow the powers of its own (g, h) one degree at
+  a time, from the rows of the same matrices.  A power p^q (square root,
   reciprocal) is c00^q (1 + w)^q with w = p/c00 - 1, the binomial series
   composed with w;
 - recentring at (u0, v0) is U^T c V with the binomial (Pascal) matrices

@@ -15,15 +15,20 @@ admissible germ to this shape, order by order:
 3. rotate so f_u, times that sign, points along +x and f_vv lies in the
    xz-plane with positive z-part;
 4. solve for the domain diffeomorphism (P, Q) degree by degree, from its
-   linear part in closed form.  Pass d composes once, as deep as d, checks
-   degree d-1 (from d = 3), solves Q at degree d-1 from the second
-   component's mixed monomials of degree d (the divisor is (f_uv . e2) *
-   P_u(0), a multiple of the bracket), then P at degree d from the first
-   component with divisor g_x,u(0) = 1/P_u(0).  Q's update dQ reaches the
-   first component at degree d only as l dQ, with l the degree-1 part of
-   g_x,v(P, Q).  A final full-order composition gives the tables and
-   degree n's check: an order-n reduction composes n times.  A residual
-   that fails to cancel raises with its degree.
+   linear part in closed form.  g(P, Q) is linear in the powers P^a Q^b,
+   which a basis holds flat, one homogeneous degree more per pass: at
+   degree d, P^a Q^b (a >= 1) is P times P^(a-1) Q^b and Q^b is Q times
+   Q^(b-1), one matrix product for each of the two.  Pass d reads g(P, Q) off the
+   basis at degree d-1, to check it (from d = 3), and at degree d, to
+   solve Q at degree d-1 from the second component's mixed monomials (the
+   divisor is (f_uv . e2) * P_u(0), a multiple of the bracket), then P at
+   degree d from the first component with divisor g_x,u(0) = 1/P_u(0).
+   Q's update dQ reaches the first component at degree d only as l dQ,
+   with l the degree-1 part of g_x,v(P, Q), and the basis at degree d
+   only in P Q and Q^2, which take that slice again.  One full-order
+   composition, apart from the basis, gives the tables and degree n's
+   check: an order-n reduction composes once.  A residual that fails to
+   cancel raises with its degree.
 
 The recomposition rotation @ (f(P,Q) - translation) is compared against
 the canonical shape and the largest stray coefficient is stored on the
@@ -35,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +126,67 @@ def _rotation_for(fu: np.ndarray, fvv: np.ndarray) -> np.ndarray:
     return np.vstack([e1, e2, e3])
 
 
+class _Step(NamedTuple):
+    """Pass d of a reduction: the flat positions of degrees d-1 and d, each
+    by ascending power of u, and the products (rows, parents, by, gather)
+    that ``_grow`` runs before the solve and after it."""
+
+    read: np.ndarray
+    grow: tuple
+    refresh: tuple
+
+
+class _Plan(NamedTuple):
+    p: int  # the basis rows of P and Q
+    q: int
+    steps: tuple  # passes d = 2, ..., n
+
+
+@lru_cache(maxsize=None)
+def _basis_plan(n: int) -> _Plan:
+    """The bookkeeping of an order-n basis of rows P^a Q^b, 1 <= a + b <= n,
+    in ``jets._table_lags`` order: for each pass, the rows that gain a
+    slice, their parents, read below its degree as P and Q vanish at the
+    origin, and the rows of P's or Q's product matrix at its degree."""
+    j, k, lags = jets._table_lags(n)[:3]
+    pos = {(a, b): i for i, (a, b) in enumerate(zip(j.tolist(), k.tolist()))}
+    deg = j + k
+
+    def product(at, below, gather, by, pairs):
+        rows, parents = zip(*pairs)
+        rows, at, parents, below = map(jets._frozen, (*np.ix_(rows, at), *np.ix_(parents, below)))
+        return (rows, at), (parents, below), by, gather
+
+    steps = []
+    for d in range(2, n + 1):
+        at, below = np.flatnonzero(deg == d), np.flatnonzero((deg > 0) & (deg < d))
+        slices = (at, below, jets._frozen(lags[np.ix_(at, below)]))  # one gather for P and Q
+        grown = [(a, b) for a, b in pos if 2 <= a + b <= d]
+        grow = (
+            product(*slices, pos[1, 0], [(pos[a, b], pos[a - 1, b]) for a, b in grown if a > 0]),
+            product(*slices, pos[0, 1], [(pos[0, b], pos[0, b - 1]) for a, b in grown if a == 0]),
+        )
+        refresh = (product(*slices, pos[0, 1], [(pos[1, 1], pos[1, 0]), (pos[0, 2], pos[0, 1])]),)
+        read = np.concatenate([np.flatnonzero(deg == d - 1), at])
+        steps.append(_Step(jets._frozen(read), grow, refresh))
+    return _Plan(pos[1, 0], pos[0, 1], tuple(steps))
+
+
+def _grow(basis: np.ndarray, rows, parents, by: int, gather: np.ndarray) -> None:
+    """basis[rows] = row ``by`` times basis[parents]: one product with the
+    rows of by's product matrix at the degree that the slices hold."""
+    times = basis[by][gather]
+    below = basis[parents]
+    basis[rows] = jets._checked(below @ times.T, below, times)
+
+
+def _check_second(dev: np.ndarray, degree: int, scale: float) -> None:
+    """Refuse when the second component, less u v, keeps a coefficient of
+    degree ``degree`` off its pure v-power beyond round-off."""
+    if np.abs(dev).max() > RESIDUAL_TOL * scale**degree:
+        raise NormalFormError(f"second-component residual survived at degree {degree}", degree=degree)
+
+
 def reduce_to_normal_form(
     f: SurfaceMap, order: int | None = None, tol: float = DEFAULT_TOL
 ) -> NormalForm:
@@ -155,32 +223,48 @@ def reduce_to_normal_form(
 
     uv = Jet2.from_terms({(1, 1): 1.0}, n).c  # the canonical second component, b_i aside
 
-    # pass d composes once, as deep as d, checks degree d-1 and solves degree
-    # d; pass n + 1 is the final full-order composition, which gives the tables
-    for d in range(2, n + 2):
-        e = min(d, n)
-        comp = jets._compose(np.where(jets._mask(e), g.c[:, : e + 1, : e + 1], 0.0), p, q, e)
-        m = np.arange(1, d)  # u^m v^(d-1-m), the mixed monomials of degree d-1
-        if d > 2 and np.abs(comp[1, m, d - 1 - m] - uv[m, d - 1 - m]).max() > RESIDUAL_TOL * scale ** (d - 1):
-            raise NormalFormError(f"second-component residual survived at degree {d - 1}", degree=d - 1)
-        if d > n:
-            break
-        j = np.arange(d + 1)  # u^j v^(d-j) runs over the degree-d monomials
+    plan = _basis_plan(n)
+    j, k = jets._table_lags(n)[:2]
+    gflat = g.c[:, j, k]
+    uvflat = uv[j, k]
+    # basis[(a, b)] holds P^a Q^b flat, through the degrees passed so far
+    basis = np.zeros((len(j), len(j) + 1))
+    basis[plan.p] = np.append(p[j, k], 0.0)
+    basis[plan.q] = np.append(q[j, k], 0.0)
+
+    # pass d grows the basis by degree d, checks degree d-1 and solves degree d
+    for d, step in enumerate(plan.steps, start=2):
+        for product in step.grow:
+            _grow(basis, *product)
+        # g(P, Q) at degrees d-1 and d, by ascending power of u
+        cols = basis[:, step.read]
+        comp = jets._checked(gflat @ cols, gflat, cols)
+        second = comp[1] - uvflat[step.read]
+        if d > 2:
+            _check_second(second[1:d], d - 1, scale)
+        i = np.arange(d + 1)  # u^i v^(d-i) runs over the degree-d monomials
         # second component: mixed monomials of degree d determine Q at d-1
-        dq = (comp[1, j[1:], d - j[1:]] - uv[j[1:], d - j[1:]]) / qdiv
-        q[j[:-1], d - 1 - j[:-1]] -= dq
+        dq = second[d + 1 :] / qdiv
+        q[i[:-1], d - 1 - i[:-1]] -= dq
         # first component: degree-d monomials determine P at d.  Q's update
         # -dq reaches degree d only through the degree-1 part l of g_x,v(P, Q):
         # its square starts at degree 2d-2 > d for d >= 3, and at d = 2 dq is
         # the round-off of Q's closed-form linear part, so its square is below it
         lu = g.c[0, 1, 1] * p[1, 0] + 2.0 * g.c[0, 0, 2] * q[1, 0]
         lv = 2.0 * g.c[0, 0, 2] * q[0, 1]
-        first = comp[0, j, d - j]
+        first = comp[0, d:]
         first[1:] -= lu * dq
         first[:-1] -= lv * dq
-        p[j, d - j] -= first / alpha
+        p[i, d - i] -= first / alpha
+        basis[plan.p, step.read[d:]] = p[i, d - i]
+        basis[plan.q, step.read[:d]] = q[i[:-1], d - 1 - i[:-1]]
+        for product in step.refresh:
+            _grow(basis, *product)
 
-    final = comp
+    # the tables come from one composition, independent of the basis
+    final = jets._compose(g.c, p, q, n)
+    m = np.arange(1, n + 1)
+    _check_second(final[1, m, n - m] - uv[m, n - m], n, scale)
     idx = np.arange(n + 1)
     degree = idx[:, None] + idx[None, :]
     fact = np.array([math.factorial(i) for i in idx], dtype=float)

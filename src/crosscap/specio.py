@@ -48,6 +48,7 @@ import numpy as np
 
 from . import asymptotics, deformation, invariants, normalform, ruled, surface
 from .errors import SpecFormatError
+from .jets import Jet3
 from .surface import SurfaceMap
 
 __all__ = [
@@ -251,15 +252,15 @@ def load_spec(path: str) -> SurfaceSpec:
 def build_surface(spec: SurfaceSpec) -> BuiltSurface:
     p = spec.payload
     if spec.kind == "polynomial":
-        terms = {}
-        for j, k, x, y, z in p:
-            vec = terms.setdefault((int(j), int(k)), [0.0, 0.0, 0.0])
-            vec[0] += x
-            vec[1] += y
-            vec[2] += z
+        rows = np.array(p, dtype=float)
+        j, k = rows[:, 0].astype(int), rows[:, 1].astype(int)
         # every term is kept for evaluation; analysis truncates to its order
-        order = max(spec.order, *(j + k for j, k in terms))
-        f = surface.surface_from_polynomial(terms, order=order)
+        order = max(spec.order, int((j + k).max()))
+        # np.add.at adds entry by entry, so a repeated monomial sums from 0.0
+        # in entry order
+        c = np.zeros((3, order + 1, order + 1))
+        np.add.at(c, (slice(None), j, k), rows[:, 2:].T)
+        f = SurfaceMap(jet=Jet3(order, c))
     elif spec.kind == "quadratic_crosscap":
         f = surface.quadratic_crosscap(p["a20"], p["a11"], p["a02"], order=spec.order)
     elif spec.kind in FAMILY_KINDS:

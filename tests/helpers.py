@@ -12,6 +12,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from crosscap import Jet2, Jet3, JetDomainError, SpecFormatError, SurfaceMap, canonical_crosscap
+from crosscap import surface_from_polynomial
 from crosscap.deformation import DeformationFamily
 from crosscap.jets import _checked, _mask, series_compose, series_cross, series_derivative
 from crosscap.jets import series_integral, series_power, series_product
@@ -265,6 +266,19 @@ def mpmath_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple
             B.append([mpmath.fsum(t[c] for t in terms) + mpf(fam.a11) * xi_d[k][c] for c in range(3)])
         gamma_d = [[(v * x + (B[k - 1][c] if k else 0)) * mpf(fam.a02) / m for c, x in enumerate(B[k])] for k in range(n)]
         return np.array(xi, dtype=float), np.array(gamma_d, dtype=float)
+
+
+def reference_polynomial_jet(entries: Sequence[Sequence[Any]], order: int) -> Jet3:
+    """The jet that build_surface formerly made of a polynomial spec's
+    entries: each monomial's coefficients summed from 0.0 in a dict, in entry
+    order, then one assignment per monomial."""
+    terms: dict[tuple[int, int], list[float]] = {}
+    for j, k, x, y, z in entries:
+        vec = terms.setdefault((int(j), int(k)), [0.0, 0.0, 0.0])
+        vec[0] += x
+        vec[1] += y
+        vec[2] += z
+    return surface_from_polynomial(terms, order=max(order, *(j + k for j, k in terms))).jet
 
 
 def table_dev(nf: NormalForm, a: dict, b: dict) -> float:

@@ -1,5 +1,5 @@
-"""The spec reader and the report writer against their former, per-entry
-and isinstance-ladder versions (``tests/helpers.py``)."""
+"""The spec reader, the polynomial builder and the report writer against
+their former, per-entry and isinstance-ladder versions (``tests/helpers.py``)."""
 from __future__ import annotations
 
 import math
@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosscap import SpecFormatError
-from crosscap.specio import dumps_report, parse_spec
+from crosscap.specio import build_surface, dumps_report, parse_spec
 
-from helpers import reference_dumps, reference_parse_spec
+from helpers import load_cli_outputs, reference_dumps, reference_parse_spec, reference_polynomial_jet
 
 EDGE_VALUES = [
     math.nan,
@@ -106,3 +106,23 @@ def _outcome(parse, doc):
 @example(doc={"polynomial": [(1, 0, 1, 0, 0), [0, 2, 0, 0, 1.5]]})
 def test_reader_matches_the_former_reader(doc):
     assert _outcome(parse_spec, doc) == _outcome(reference_parse_spec, doc)
+
+
+# few monomials, so that entries repeat them, with int and float coefficients
+# mixed up to the float range, where sums overflow
+BUILD_COEFF = st.one_of(st.floats(-3.0, 3.0), st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False))
+BUILD_ENTRY = st.tuples(st.integers(0, 3), st.integers(0, 3), BUILD_COEFF, BUILD_COEFF, BUILD_COEFF).map(list)
+
+
+@settings(max_examples=200)
+@given(entries=st.lists(BUILD_ENTRY, min_size=1, max_size=12), order=st.integers(2, 12))
+@example(entries=load_cli_outputs().DUP_TERMS, order=5)
+@example(entries=[[1, 0, 1e308, 0, 0], [1, 0, 1e308, 0, 0], [1, 0, -1e308, 0, 0]], order=2)
+def test_polynomial_build_matches_the_former_build(entries, order):
+    # the same additions from 0.0 in the same order, so the same bits
+    spec = parse_spec({"polynomial": entries, "order": order})
+    with np.errstate(all="ignore"):  # a sum past the float range is inf on both sides
+        got = build_surface(spec).surface.jet
+        want = reference_polynomial_jet(spec.payload, spec.order)
+    assert got.order == want.order
+    assert np.array_equal(got.c, want.c, equal_nan=True)

@@ -49,6 +49,14 @@ OFF_AXIS = [[1, 0, 0.6, -0.55, 0.45], [1, 1, 0.35, 0.55, -0.3], [0, 2, 0.25, -0.
             [0, 4, -0.1, 0.3, 0.05], [1, 3, 0.07, -0.02, 0.11], [3, 2, -0.03, 0.09, 0.01],
             [0, 5, 0.02, -0.06, 0.04], [4, 4, 0.01, 0.03, -0.02], [0, 8, -0.01, 0.02, 0.03]]
 
+# an order-8 germ with modest coefficients whose domain change grows to
+# about 1e11 at degree 11, so that the normal form refuses at order 11
+STEEP = [[1, 0, 0.3, -0.7, 0.45], [1, 1, 0.2, 0.55, -0.35], [0, 2, 0.15, -0.4, -0.6],
+         [2, 0, -0.35, 0.1, 0.7], [0, 3, 0.3, 0.1, -0.2], [2, 1, 0.1, -0.3, 0.15],
+         [1, 2, -0.15, 0.2, 0.1], [3, 0, 0.05, 0.1, -0.1], [2, 2, 0.1, 0.05, -0.3],
+         [0, 4, -0.1, 0.3, 0.05], [1, 3, 0.07, -0.02, 0.11], [3, 2, -0.03, 0.09, 0.01],
+         [0, 5, 0.02, -0.06, 0.04], [4, 4, 0.01, 0.03, -0.02], [0, 8, -0.01, 0.02, 0.03]]
+
 # a cross cap whose u v, v^2 and u^2 terms are split across entries
 DUP_TERMS = [[1, 0, 1, 0, 0], [1, 1, 0, 0.5, 0], [0, 2, 0, 0, 1], [1, 1, 0.25, 0.5, 0], [2, 0, 0, 1, -0.5],
              [0, 2, 0.125, 0, 0], [2, 0, 0.3, -0.75, 0.2], [1, 1, -0.25, 0, 0.1], [0, 3, 0, 0.2, 0.3],
@@ -67,6 +75,8 @@ SPECS = {
     "tangent": {"ruled": {"gamma_poly": [[0, 0, 0], [1, 0, 0], [0, 0.5, 0], [0, 0, 1 / 6]],
                           "xi_poly": [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]}},
     "off_axis": {"polynomial": OFF_AXIS, "order": 8},
+    # analyze.above.json (order 11) exits 2: a residual survives at degree 11
+    "steep": {"polynomial": STEEP, "order": 8},
     # a quartic curvature: its curvature series in v takes powers of the
     # arc length above the square that a quadratic needs
     "quartic_kappa": {"spherical_deformation": {"kappa_poly": [-0.3, 0.5, 0.2, -0.15, 0.1], "a02": 0.9, "a11": 0.6},

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CrosscapError
 from .invariants import IntrinsicTriple, intrinsic_from_map
-from .surface import SurfaceMap, curvatures_at, detect_crosscap
+from .surface import SurfaceMap, curvatures_at
 
 __all__ = [
     "PolarLeading",
@@ -133,7 +133,7 @@ def _samples(
     lead = leading(triple, theta)
     # expansions are stated for the positively oriented presentation; a
     # negative triple determinant means the flipped parameters apply
-    sign = 1.0 if detect_crosscap(f).delta >= 0.0 else -1.0
+    sign = 1.0 if f._origin.bracket >= 0.0 else -1.0
     co, si = math.cos(theta), math.sin(theta)
     kh = tuple(curvatures_at(f, sign * r * co, sign * r * si) for r in rs)
     return float(theta), rs, lead, kh

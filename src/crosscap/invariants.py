@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrosscapError, MetricError
-from .jets import Jet2, _product
+from .jets import Jet2, _checked, _product
 from .normalform import NormalForm
-from .surface import DEFAULT_TOL, FundamentalForms, SurfaceMap, origin_derivatives, require_crosscap
+from .surface import DEFAULT_TOL, FundamentalForms, SurfaceMap, cross, det3, dot, norm, require_crosscap
 
 ROUTE_TOL = 1e-9
 
@@ -65,35 +65,26 @@ class ComboQuadruple:
     c4: float
 
 
-def _det3(rows) -> float:
-    return float(np.linalg.det(np.vstack(rows)))
-
-
 def intrinsic_from_map(f: SurfaceMap, tol: float = DEFAULT_TOL) -> IntrinsicTriple:
     """Quadratic canonical coefficients from derivatives of the map."""
     require_crosscap(f, tol)
-    fu, _, fuu, fuv, fvv = origin_derivatives(f.jet.c)
-    delta = _det3([fu, fuv, fvv])
-    if delta < 0:
-        # admissible flip (u,v) -> (-u,-v)
-        fu = -fu
-        delta = -delta
+    fu, _, fuu, fuv, fvv, delta, _ = f._origin
+    if delta < 0:  # admissible flip (u,v) -> (-u,-v)
+        fu, delta = tuple(-x for x in fu), -delta
     return _triple("map", fu, fuu, fuv, fvv, delta)
 
 
 def _triple(route: str, fu, fuu, fuv, fvv, delta, **extra) -> IntrinsicTriple:
     """The triple from the derivative vectors at a cross cap with bracket
     delta = det(f_u, f_uv, f_vv) > 0; extra fields are checked alike."""
-    # numpy scalars, whose powers overflow to inf where Python floats raise
+    # numpy scalars, whose powers and quotients overflow to inf where Python floats raise
+    nu_fu, nc, br_uu_vv = map(np.float64, (norm(fu), norm(cross(fu, fvv)), det3(fu, fuu, fvv)))
+    br_uv_uu = det3(fu, fuv, fuu)
+    gram = dot(fu, fu) * dot(fvv, fuv) - dot(fu, fuv) * dot(fvv, fu)
     with np.errstate(all="ignore"):
-        nu_fu = np.linalg.norm(fu)
-        nc = np.linalg.norm(np.cross(fu, fvv))
         d2 = delta * delta
         a02 = nu_fu * nc**3 / d2
-        br_uu_vv = _det3([fu, fuu, fvv])
-        br_uv_uu = _det3([fu, fuv, fuu])
         a20 = nc / (4.0 * nu_fu**3 * d2) * (br_uu_vv**2 + 4.0 * delta * br_uv_uu)
-        gram = (fu @ fu) * (fvv @ fuv) - (fu @ fuv) * (fvv @ fu)
         a11 = (2.0 * delta * gram - nc**2 * br_uu_vv) / (2.0 * nu_fu * d2)
     fields = {"delta_sq": d2, "a02": a02, "a20": a20, "a11": a11, **extra}
     for name, value in fields.items():
@@ -129,7 +120,8 @@ def intrinsic_from_metric(forms: FundamentalForms) -> IntrinsicTriple:
     Fu, Fv, Fuu, Fuv = F.partial(1, 0), F.partial(0, 1), F.partial(2, 0), F.partial(1, 1)
     Guu, Guv, Gvv = G.partial(2, 0), G.partial(1, 1), G.partial(0, 2)
     # Gram matrix of f_u, f_uv, f_vv, since f_v = 0 at the origin
-    d2 = float(np.linalg.det([[E0, Fu, Fv], [Fu, Guu / 2.0, Guv / 2.0], [Fv, Guv / 2.0, Gvv / 2.0]]))
+    gram = ((E0, Fu, Fv), (Fu, Guu / 2.0, Guv / 2.0), (Fv, Guv / 2.0, Gvv / 2.0))
+    d2 = _checked(det3(*gram), *gram)
     h_uu, h_uv, h_vv = _height_hessian(E, F, G)
     d2_hess = (h_uu * h_vv - h_uv * h_uv) / (4.0 * E0)
     if h_vv < 0:
@@ -156,8 +148,7 @@ def intrinsic_from_metric(forms: FundamentalForms) -> IntrinsicTriple:
     fuu = (x, y, (Fuu - Euv / 2.0 - fuv[0] * x - fuv[1] * y) / fuv[2])
     with np.errstate(over="ignore"):  # past the float range: inf, which _triple refuses
         a02_hess = sqrtE * np.float64(h_vv / 2.0) ** 1.5 / d2
-    vectors = map(np.array, (fu, fuu, fuv, fvv))
-    return _triple("metric", *vectors, delta, delta_sq_hessian=d2_hess, a02_from_height_hessian=a02_hess)
+    return _triple("metric", fu, fuu, fuv, fvv, delta, delta_sq_hessian=d2_hess, a02_from_height_hessian=a02_hess)
 
 
 def route_discrepancy(t1: IntrinsicTriple, t2: IntrinsicTriple) -> float:

@@ -48,13 +48,7 @@ import numpy as np
 from . import jets
 from .errors import NormalFormError
 from .jets import Jet2
-from .surface import (
-    DEFAULT_TOL,
-    SurfaceMap,
-    canonical_crosscap,
-    origin_derivatives,
-    require_crosscap,
-)
+from .surface import DEFAULT_TOL, SurfaceMap, Vec, canonical_crosscap, cross, dot, norm, require_crosscap
 
 __all__ = ["NormalForm", "CrossCapFrame", "reduce_to_normal_form", "classify", "frame"]
 
@@ -118,12 +112,15 @@ class CrossCapFrame:
         return (self.point, self.principal_normal, self.conormal)
 
 
-def _rotation_for(fu: np.ndarray, fvv: np.ndarray) -> np.ndarray:
-    e1 = fu / np.linalg.norm(fu)
-    w = fvv - (fvv @ e1) * e1
-    e3 = w / np.linalg.norm(w)
-    e2 = np.cross(e3, e1)
-    return np.vstack([e1, e2, e3])
+def _rotation_for(fu: Vec, fvv: Vec) -> np.ndarray:
+    """Rows e1 = f_u / |f_u|, e2 = e3 x e1 and e3, the unit part of f_vv normal to f_u."""
+    length = jets._checked(norm(fu), fu)
+    e1 = tuple(x / length for x in fu)
+    s = dot(fvv, e1)
+    w = tuple(x - s * e for x, e in zip(fvv, e1))
+    length = jets._checked(norm(w), w)
+    e3 = tuple(x / length for x in w)
+    return np.array([e1, cross(e3, e1), e3])
 
 
 class _Step(NamedTuple):
@@ -191,7 +188,7 @@ def reduce_to_normal_form(
     f: SurfaceMap, order: int | None = None, tol: float = DEFAULT_TOL
 ) -> NormalForm:
     """Canonical coefficient tables plus the motions realizing them."""
-    delta = require_crosscap(f, tol).delta
+    require_crosscap(f, tol)
     n = f.jet.order if order is None else min(order, f.jet.order)
     if n < 2:
         raise NormalFormError("reduction needs jets of order >= 2", degree=n)
@@ -200,13 +197,13 @@ def reduce_to_normal_form(
     translation = jet.coeff_vector(0, 0)
     work = jet.translated(-translation)
 
-    # translation and truncation leave f_u, f_uv, f_vv and so the bracket alone
-    fu, _, _, _, fvv = origin_derivatives(work.c)
-    sign = -1.0 if delta < 0 else 1.0  # the domain flip negates f_u, and P's sign carries it
-    rotation = _rotation_for(sign * fu, fvv)
+    # translation and truncation leave f_u, f_vv and the bracket alone
+    fu, fvv, bracket = f._origin.fu, f._origin.fvv, f._origin.bracket
+    sign = -1.0 if bracket < 0 else 1.0  # the domain flip negates f_u, and P's sign carries it
+    rotation = _rotation_for(tuple(sign * x for x in fu), fvv)
     g = work.rotated(rotation)
 
-    alpha = sign * float(np.linalg.norm(fu))  # g_x,u(0), the divisor for P
+    alpha = sign * norm(fu)  # g_x,u(0), the divisor for P
     gamma2 = float(g.c[1, 1, 1])  # the uv-coefficient of g_y, nonzero iff the bracket is
 
     p = np.zeros((n + 1, n + 1))  # the tables of P and Q
@@ -316,8 +313,7 @@ def classify(nf: NormalForm, tol: float = DEFAULT_TOL) -> dict[str, bool]:
 def frame(f: SurfaceMap) -> CrossCapFrame:
     """Distinguished directions and planes at the cross cap point."""
     require_crosscap(f)
-    fu, _, _, _, fvv = origin_derivatives(f.jet.c)
-    e1, e2, e3 = _rotation_for(fu, fvv)
+    e1, e2, e3 = _rotation_for(f._origin.fu, f._origin.fvv)
     return CrossCapFrame(
         point=f.jet.coeff_vector(0, 0),
         tangent=e1,

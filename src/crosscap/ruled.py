@@ -55,11 +55,10 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import JetDomainError, SingularPointError
-from .invariants import _det3
 from .jets import Jet2, Jet3, series_compose, series_cross, series_derivative, series_integral
 from .jets import series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
-from .surface import SurfaceMap
+from .surface import SurfaceMap, cross, det3, norm
 
 __all__ = [
     "RuledSurface",
@@ -343,7 +342,8 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     if rs.order < 3:
         raise JetDomainError(f"classification reads jets of order 3, got order {rs.order}")
     gamma, xi = rs.gamma.c[:, 0].T, rs.xi.c[:, 0].T
-    if np.linalg.norm(gamma[1]) <= tol and abs(_det3([2.0 * gamma[2], xi[0], xi[1]])) > tol:
+    # detect_crosscap's test on f_v = gamma'(0), f_u = xi(0), f_uv = xi'(0), f_vv = 2 gamma''(0)
+    if norm(gamma[1]) <= tol and abs(det3(xi[0], xi[1], 2.0 * gamma[2])) > tol:
         return "cross_cap"
     try:
         rsn = normalize(rs)
@@ -354,15 +354,15 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
         a0, a1 = fc.a[0], fc.a[1]
         x, _, nu = _frame(rsn.xi.c[:, 0].T)
         if (
-            abs(_det3([x[0], nu[0], nu[1]])) <= tol
+            abs(det3(x[0], nu[0], nu[1])) <= tol
             and abs(a0) > tol
-            and abs(_det3([x[0], nu[0], 2.0 * nu[2]])) > tol
+            and abs(det3(x[0], nu[0], 2.0 * nu[2])) > tol
         ):
             return "cuspidal_cross_cap"
         if abs(a0) <= tol and abs(a1) > tol:
             return "swallowtail"
         if abs(a0) > tol:
             return "cuspidal_edge"
-    if np.linalg.norm(np.cross(xi[0], gamma[1])) > tol:
+    if norm(cross(xi[0], gamma[1])) > tol:
         return "regular"
     return "unclassified"

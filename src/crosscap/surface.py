@@ -17,6 +17,9 @@ needs a backed surface's directrix path, so the curvatures, the second
 form and deformation.verify_isometry grow no path.  ``local_jet`` is the
 two answers together: the derivatives with f(u0, v0) as constant term.
 
+At the origin a map is read once, into ``SurfaceMap._origin``; formulas at
+the cross cap point read it through the float kernels dot, cross, norm, det3.
+
 Conventions.  The unit normal at a regular point is f_u x f_v normalized.
 The limiting normal along the ray of angle theta is obtained by polar
 substitution u = r cos(theta), v = r sin(theta) into the jet of f_u x f_v
@@ -29,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import JetDomainError, NotACrossCapError, SingularPointError
-from .jets import Jet2, Jet3, _product, table_shift
+from .jets import Jet2, Jet3, _checked, _product, table_shift
 
 if TYPE_CHECKING:
     from .ruled import RuledSurface
@@ -42,6 +45,40 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-9
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
+Vec = tuple[float, float, float]
+
+
+# ----------------------------------------------------------------------
+# 3-vectors at one point, on Python floats: a numpy call costs more than its arithmetic
+
+def dot(a: Vec, b: Vec) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a: Vec, b: Vec) -> Vec:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def norm(a: Vec) -> float:
+    return math.sqrt(dot(a, a))
+
+
+def det3(a: Vec, b: Vec, c: Vec) -> float:
+    """det(a, b, c) as a . (b x c).  Python floats overflow to inf silently,
+    where numpy reports: callers that must report check with jets._checked."""
+    return dot(a, cross(b, c))
+
+
+class Origin(NamedTuple):
+    """f_u, ..., f_vv at the origin, the bracket det(f_u, f_uv, f_vv) and |f_v|."""
+
+    fu: Vec
+    fv: Vec
+    fuu: Vec
+    fuv: Vec
+    fvv: Vec
+    bracket: float
+    fv_norm: float
 
 
 @dataclass(frozen=True)
@@ -80,6 +117,12 @@ class SurfaceMap:
         if self.ruling is not None:
             return self.ruling.derivative_jets(us, v0, order)
         return table_shift(self.jet.c, us, v0, min(order, self.jet.order))
+
+    @cached_property
+    def _origin(self) -> Origin:
+        fu, fv, fuu, fuv, fvv = (tuple(x.tolist()) for x in origin_derivatives(self.jet.c))
+        bracket, fv_norm = _checked((det3(fu, fuv, fvv), norm(fv)), fu, fv, fuv, fvv)
+        return Origin(fu, fv, fuu, fuv, fvv, bracket, fv_norm)
 
     @cached_property
     def _first_form(self) -> FundamentalForms:
@@ -198,10 +241,10 @@ def _forms_at(f: SurfaceMap, u: float, v: float):
     n = np.cross(fu, fv)
     if not (np.isfinite(d).all() and np.isfinite(n).all()):  # an overflow is not singular
         raise ValueError(f"derivatives at ({u}, {v}) are not finite")
-    norm = np.linalg.norm(n)  # not sqrt(E G - F^2), which cancels where f_u || f_v
-    if norm < 1e-14:
+    length = np.linalg.norm(n)  # not sqrt(E G - F^2), which cancels where f_u || f_v
+    if length < 1e-14:
         raise SingularPointError(f"surface is singular at ({u}, {v})")
-    E, F, G, nu = fu @ fu, fu @ fv, fv @ fv, n / norm
+    E, F, G, nu = fu @ fu, fu @ fv, fv @ fv, n / length
     return E, F, G, E * G - F * F, fuu @ nu, fuv @ nu, fvv @ nu
 
 
@@ -223,11 +266,8 @@ def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
 
 def detect_crosscap(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapTest:
     """Criterion: f_v(0,0) = 0 while f_u, f_uv, f_vv are independent."""
-    fu, fv, _, fuv, fvv = origin_derivatives(f.jet.c)
-    delta = float(np.linalg.det(np.column_stack([fu, fuv, fvv])))
-    fv_norm = float(np.linalg.norm(fv))
-    ok = fv_norm <= tol and abs(delta) > tol
-    return CrossCapTest(is_crosscap=ok, delta=delta, fv_norm=fv_norm, tol=tol)
+    o = f._origin
+    return CrossCapTest(o.fv_norm <= tol and abs(o.bracket) > tol, delta=o.bracket, fv_norm=o.fv_norm, tol=tol)
 
 
 def require_crosscap(f: SurfaceMap, tol: float = DEFAULT_TOL) -> CrossCapTest:
@@ -251,11 +291,10 @@ def limiting_normal(f: SurfaceMap, theta: float) -> LimitingNormal:
     scale = max(np.max(np.abs(profiles)), 1.0)
     for m in range(profiles.shape[0]):
         vec = profiles[m]
-        norm = np.linalg.norm(vec)
-        if norm > DEFAULT_TOL * scale:
-            nu = vec / norm
-            fu0, _, _, _, fvv0 = origin_derivatives(f.jet.c)
-            det = float(np.linalg.det(np.column_stack([fu0, fvv0, nu])))
+        length = norm(vec)
+        if length > DEFAULT_TOL * scale:
+            nu = vec / length
+            det = det3(f._origin.fu, f._origin.fvv, nu.tolist())
             if det < -DEFAULT_TOL:
                 nu, det = -nu, -det
             return LimitingNormal(vector=nu, orientation=det, leading_order=m)

@@ -306,6 +306,13 @@ def reference_first_form(f: SurfaceMap) -> tuple[Jet2, Jet2, Jet2]:
     return fu.dot(fu), fu.dot(fv), fv.dot(fv)
 
 
+def reference_kernels(a, b, c) -> tuple[float, np.ndarray, float, float]:
+    """a . b, a x b, |a| and det(a, b, c) by numpy: the references of the
+    float kernels dot, cross, norm and det3 in crosscap.surface."""
+    a, b, c = (np.array(x, dtype=float) for x in (a, b, c))
+    return float(a @ b), np.cross(a, b), float(np.linalg.norm(a)), float(np.linalg.det(np.column_stack([a, b, c])))
+
+
 def reference_height_hessian(E: Jet2, F: Jet2, G: Jet2) -> tuple[float, float, float]:
     """h_uu, h_uv and h_vv at the origin by the former metric route: the jet
     h = E G - F^2 at the full order of the first form."""

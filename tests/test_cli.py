@@ -23,6 +23,7 @@ from crosscap.specio import (
     parse_spec,
     write_obj,
 )
+from crosscap.surface import SurfaceMap
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
@@ -168,7 +169,13 @@ def test_spec_validation_failures(tmp_path, capsys):
         assert f"{kind}.a11" in capsys.readouterr().err
 
 
-def test_overflowing_coefficients_exit_two(tmp_path, capsys):
+def scaled_germ(s: float) -> dict:
+    """The cross cap (u, uv, v^2) plus u^2 and v^3 terms, times s."""
+    rows = [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [2, 0, 0, 0.25, -0.5], [0, 3, 0.1, 0, 0.3]]
+    return {"polynomial": [[j, k, *(s * x for x in vec)] for j, k, *vec in rows]}
+
+
+def test_overflowing_coefficients_exit_two(tmp_path, capsys, monkeypatch):
     doc = {"polynomial": [[1, 0, 1e307, 0, 0], [1, 1, 0, 1e307, 0], [0, 2, 0, 0, 1e307]]}
     assert main(["analyze", write_spec(tmp_path, doc), "--json"]) == 2
     err = capsys.readouterr().err
@@ -183,12 +190,51 @@ def test_overflowing_coefficients_exit_two(tmp_path, capsys):
         # a finite triple whose leading polar coefficients overflow: a^4 in k_lead
         ("analyze", quadratic_spec(a20=0.5, a11=0.3, a02=1e80), "k_lead"),
         ("asymptotics", quadratic_spec(a20=0.5, a11=0.3, a02=1e80), "k_lead"),
+        # the bracket 2e330, on Python floats, which overflow silently
+        ("analyze", scaled_germ(1e110), "overflow"),
+        ("asymptotics", scaled_germ(1e110), "overflow"),
     ]
     for command, doc, quantity in cases:
         assert main([command, write_spec(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("analysis failed") and quantity in err
+    # the bracket 2e-171 passes this tolerance, and its square underflows
+    # in the map route, which refuses rather than divide by zero
+    monkeypatch.setenv("CROSSCAP_TOL", "1e-320")
+    assert main(["asymptotics", write_spec(tmp_path, scaled_germ(1e-57))]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("analysis failed: map route gives a02 ")
+
+
+@pytest.fixture
+def origin_readings(monkeypatch):
+    """The maps whose origin derivatives are read, one entry per reading."""
+    prop = SurfaceMap.__dict__["_origin"]
+    read, func = [], prop.func
+
+    def counted(f):
+        read.append(f)
+        return func(f)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return read
+
+
+@pytest.mark.parametrize(
+    "args, doc, readings",
+    [
+        (["analyze"], quadratic_spec(a20=0.5, a11=0.3, a02=1.0), 1),
+        (["deform", "--kappas=-1,0.5,2"], FAMILY_SPEC, 3),
+        (["asymptotics", "--theta=0,0.5,1,1.5707963267948966"], quadratic_spec(a20=0.5, a11=0.3, a02=1.0), 1),
+    ],
+    ids=["analyze", "deform", "asymptotics"],
+)
+def test_origin_is_read_once_per_map(tmp_path, capsys, origin_readings, args, doc, readings):
+    assert main([args[0], write_spec(tmp_path, doc), *args[1:]]) == 0
+    assert len(origin_readings) == readings
+    assert len({id(f) for f in origin_readings}) == readings
 
 
 def test_overflowing_frame_recurrence_exits_two(tmp_path, capsys):

@@ -111,6 +111,32 @@ def test_json_line_names_the_changed_fields(tool, tmp_path, capsys):
     b = {"x.json": report.replace("1e-16]", "3e-16]").replace("1e-15", "2e-15"), "x.txt": text.replace("1e-15", "2e-15")}
     assert tool.compare(*trees(tmp_path, a, b)) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "x.json: 2 numbers changed, 2 below 1e-12 changed by at most 1e-15; fields: members.residual, metric_deviation",
-        "x.txt: 1 numbers changed, 1 below 1e-12 changed by at most 1e-15",
+        "x.json: 2 numbers changed, 2 round-off figures changed by at most 1e-15 (5e-16 of the largest number);"
+        " fields: members.residual, metric_deviation",
+        "x.txt: 1 numbers changed, 1 round-off figures changed by at most 1e-15 (5e-16 of the largest number)",
     ]
+
+
+@pytest.mark.parametrize(
+    "text, moved, line",
+    [
+        # a residual on a germ with large coefficients: counted apart, not
+        # as a relative change of 0.17
+        ('{"a": [2.2e12, 0.5], "residual": 2.79e-09}\n', ("2.79e-09", "2.33e-09"),
+         "x: 1 numbers changed, 1 round-off figures changed by at most 4.6e-10 (2.1e-22 of the largest number);"
+         " fields: residual"),
+        ("a02=7.5\nroute discrepancy  5.3e-15\n", ("5.3e-15", "1.1e-15"),
+         "x: 1 numbers changed, 1 round-off figures changed by at most 4.2e-15 (5.6e-16 of the largest number)"),
+        # the entries of a matrix share the heading above them
+        ("kappa a02\n0.7 2\npairwise metric deviation (jet coefficients):\n  0  3e-12\n  3e-12  0\n",
+         ("3e-12\n", "5e-12\n"),
+         "x: 1 numbers changed, 1 round-off figures changed by at most 2e-12 (1e-12 of the largest number)"),
+        # a number after a round-off figure has a label of its own
+        ('{"residual": 1e-09, "a20": 0.5}\n', ("0.5", "0.25"),
+         "x: 1 numbers changed, worst relative change 0.5 (0.5 -> 0.25); fields: a20"),
+    ],
+    ids=["json residual", "text discrepancy", "text matrix", "label ends"],
+)
+def test_roundoff_figures_are_counted_apart(tool, tmp_path, capsys, text, moved, line):
+    assert tool.compare(*trees(tmp_path, {"x": text}, {"x": text.replace(*moved)})) == 0
+    assert capsys.readouterr().out.splitlines() == [line]

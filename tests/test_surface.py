@@ -1,6 +1,7 @@
 """Surface germs: fundamental forms, curvatures, detection, limiting normals."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -24,9 +25,10 @@ from crosscap import (
 from crosscap.deformation import build_crosscap, deformation_family, degenerate_quadratic
 from crosscap.jets import Jet2, Jet3
 from crosscap.ruled import from_polynomials
-from crosscap.surface import SurfaceMap
+from crosscap.surface import SurfaceMap, canonical_crosscap, cross, det3, dot, norm
 
-from helpers import fd_first_form_at, jet_first_form_at, reference_derivative_jets, scramble
+from helpers import fd_first_form_at, jet_first_form_at, random_canonical, reference_derivative_jets
+from helpers import reference_kernels, scramble
 
 
 def immersion():
@@ -198,6 +200,27 @@ def test_limiting_normal_degenerate_direction():
     flat = surface_from_polynomial({(1, 0): [1, 0, 0], (0, 1): [2, 0, 0]}, order=3)
     with pytest.raises(SingularPointError):
         limiting_normal(flat, 0.3)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_float_kernels_match_numpy(order):
+    # each side is within a few eps of the exact value, so they differ by at
+    # most 8 eps |a| |b| for dot and for each component of cross, 4 eps |a|
+    # for norm and 16 eps |a| |b| |c| for det3 (Hadamard's bound)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(order)
+    for flip in (False, True):
+        a, b = random_canonical(rng, order)[1:]
+        o = scramble(canonical_crosscap(a, b, order=order), rng, flip=flip)._origin
+        for x, y, z in itertools.permutations((o.fu, o.fuu, o.fuv, o.fvv), 3):
+            ref_dot, ref_cross, ref_norm, ref_det = reference_kernels(x, y, z)
+            nx, ny, nz = ref_norm, np.linalg.norm(y), np.linalg.norm(z)
+            assert abs(dot(x, y) - ref_dot) <= 8 * eps * nx * ny
+            assert np.abs(np.subtract(cross(x, y), ref_cross)).max() <= 8 * eps * nx * ny
+            assert abs(norm(x) - ref_norm) <= 4 * eps * nx
+            assert abs(det3(x, y, z) - ref_det) <= 16 * eps * nx * ny * nz
+        assert o.bracket == det3(o.fu, o.fuv, o.fvv)
+        assert (o.bracket < 0) == flip
 
 
 def test_detect_invariant_under_scrambling(rng):

@@ -17,10 +17,15 @@ For each run, ``NAME.txt`` holds its stdout and ``NAME.json`` or
 run's exit code and stderr.
 
 ``--compare`` prints, for each file that differs between two trees, how
-many numbers changed and the worst relative change |a - b| / max(|a|, |b|);
-numbers below TINY on both sides are round-off residuals, and their
-largest absolute change is printed instead.  For a JSON document (a
-``--out`` report, the stdout of a ``--json`` run) it also names the key
+many numbers changed and the worst relative change |a - b| / max(|a|, |b|).
+Round-off figures are counted apart, with their largest absolute change
+and that change over the largest number in the file: numbers below TINY
+on both sides, and the figures that measure a difference of quantities
+equal in exact arithmetic (a normal form residual, a route discrepancy,
+a metric deviation), whatever their size.  A number's label is the last
+line with a letter in the text before it, so the entries of a list or
+matrix share the label of the key or heading above them.  For a JSON
+document (a ``--out`` report, the stdout of a ``--json`` run) it also names the key
 paths of the changed values, list indices left out, so that
 ``metric_deviation`` stands for any of its entries.  It exits 1 if
 anything other than numbers differs: a word, a layout, a file present in
@@ -122,25 +127,45 @@ def runs(name: str, doc: dict) -> dict[str, list[str]]:
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-# numbers below this size on both sides are round-off residuals (a normal
-# form residual, a metric deviation): their change is reported absolutely
+# numbers below this size on both sides are round-off: their change is
+# reported absolutely
 TINY = 1e-12
 
+# labels of round-off figures of any size: a residual grows with the
+# coefficients it is the round-off of, so its relative change is noise
+ROUNDOFF_LABEL = re.compile(r"residual|discrepancy|deviation")
+LETTER = re.compile(r"[A-Za-z]")
 
-def _describe(changed: list[tuple[str, str]]) -> str:
-    values = [(x, y, float(x), float(y)) for x, y in changed]
-    tiny = [abs(a - b) for _, _, a, b in values if max(abs(a), abs(b)) < TINY]
-    sized = [
-        (abs(a - b) / max(abs(a), abs(b)), x, y)
-        for x, y, a, b in values
-        if max(abs(a), abs(b)) >= TINY
+
+def _roundoff_labels(text: str) -> list[bool]:
+    """For each number in text, whether its label names a round-off figure."""
+    flags, roundoff = [], False
+    for piece in NUMBER.split(text)[:-1]:
+        lines = [line for line in piece.splitlines() if LETTER.search(line)]
+        if lines:
+            roundoff = bool(ROUNDOFF_LABEL.search(lines[-1]))
+        flags.append(roundoff)
+    return flags
+
+
+def _describe(ta: str, tb: str) -> str:
+    """How the numbers of two texts of one layout differ."""
+    numbers = [
+        (x, y, float(x), float(y), labelled)
+        for x, y, labelled in zip(NUMBER.findall(ta), NUMBER.findall(tb), _roundoff_labels(ta))
     ]
+    scale = max(max(abs(a), abs(b)) for _, _, a, b, _ in numbers)
+    changed = [(x, y, a, b, labelled or max(abs(a), abs(b)) < TINY) for x, y, a, b, labelled in numbers if x != y]
+    roundoff = [abs(a - b) for _, _, a, b, is_roundoff in changed if is_roundoff]
+    sized = [(abs(a - b) / max(abs(a), abs(b)), x, y) for x, y, a, b, is_roundoff in changed if not is_roundoff]
     parts = [f"{len(changed)} numbers changed"]
     if sized:
         worst, x, y = max(sized)
         parts.append(f"worst relative change {worst:.2g} ({x} -> {y})")
-    if tiny:
-        parts.append(f"{len(tiny)} below {TINY:g} changed by at most {max(tiny):.2g}")
+    if roundoff:
+        worst = max(roundoff)
+        share = worst / scale if worst else 0.0
+        parts.append(f"{len(roundoff)} round-off figures changed by at most {worst:.2g} ({share:.2g} of the largest number)")
     return ", ".join(parts)
 
 
@@ -188,8 +213,7 @@ def compare(tree_a: str, tree_b: str) -> int:
             print(f"{name}: text differs")
             text_differs = True
             continue
-        changed = [(x, y) for x, y in zip(NUMBER.findall(ta), NUMBER.findall(tb)) if x != y]
-        print(f"{name}: {_describe(changed)}{_fields(ta, tb)}")
+        print(f"{name}: {_describe(ta, tb)}{_fields(ta, tb)}")
     return 1 if text_differs else 0
 
 

@@ -13,11 +13,13 @@ which is positive off theta = +-pi/2; on those two rays K itself stays
 negative.  Either way a punctured neighbourhood of the singular point is
 free of umbilics.
 
-The verification helpers sample exact curvatures on a shrinking radius
-sweep and fit the remainder decay rate; the expansions carry an O(r)
-remainder, so a fitted order of at least 0.9 passes.  Radii must be
-positive and are clamped above 1e-6, below which double precision
-cancellation dominates.
+The verification helpers read exact curvatures at every radius of a
+shrinking sweep in one stacked pass (surface._curvatures) and fit the
+remainder decay rate as the slope of a closed-form least-squares line in
+log-log; the expansions carry an O(r) remainder, so a fitted order of at
+least 0.9 passes.  Radii must be positive and are clamped above 1e-6,
+below which double precision cancellation dominates; a sweep whose radii
+are only round-off apart fits no line (SpreadError).
 """
 from __future__ import annotations
 
@@ -25,11 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CrosscapError
 from .invariants import IntrinsicTriple, intrinsic_from_map
-from .surface import SurfaceMap, curvatures_at
+from .surface import SurfaceMap, _curvatures
 
 __all__ = [
     "PolarLeading",
@@ -46,6 +46,11 @@ DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
 MIN_RADIUS = 1e-6
 SLOPE_PASS = 0.9
 TRIVIAL_ERR = 1e-13
+ROUNDOFF_SPREAD = 2.0**-48  # 16 units in the last place of 1
+
+
+class SpreadError(ValueError):
+    """Radii only round-off apart, so that no decay line fits them."""
 
 
 @dataclass(frozen=True)
@@ -83,19 +88,32 @@ def _clamped_radii(radii: Sequence[float] | None) -> tuple[float, ...]:
         raise ValueError("need at least one radius")
     if min(vals) <= 0.0:
         raise ValueError("radii must be positive")
-    return tuple(sorted({max(float(r), MIN_RADIUS) for r in vals}, reverse=True))
+    rs = tuple(sorted({max(float(r), MIN_RADIUS) for r in vals}, reverse=True))
+    # a relative spread of the radii is the spread of their logs
+    if len(rs) > 1 and rs[0] - rs[-1] <= ROUNDOFF_SPREAD * rs[0]:
+        raise SpreadError(f"radii {rs[-1]!r} to {rs[0]!r} are only round-off apart")
+    return rs
 
 
-def _fit_order(radii: Sequence[float], errors: Sequence[float]) -> tuple[float, bool]:
-    """(fitted decay order, trivially small) of errors against radii."""
-    errs = np.asarray(errors)
-    if np.all(errs < TRIVIAL_ERR):
-        return math.inf, True
-    mask = errs > 0.0
-    if mask.sum() < 2:
-        return 0.0, False
-    slope = np.polyfit(np.log(np.asarray(radii)[mask]), np.log(errs[mask]), 1)[0]
-    return float(slope), False
+def _line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through the points
+    (xs[i], ys[i]), from sums about the means (math.fsum); SpreadError
+    where the xs are all equal."""
+    if max(xs) == min(xs):
+        raise SpreadError("points with one x fit no line")
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    slope = math.fsum(d * (y - my) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+    return slope, my - slope * mx
+
+
+def _fit_order(radii: Sequence[float], errors: Sequence[float]) -> float:
+    """Slope of log error against log radius: inf where every error is
+    trivially small, 0 where fewer than two are nonzero."""
+    if all(e < TRIVIAL_ERR for e in errors):
+        return math.inf
+    logs = [(math.log(r), math.log(e)) for r, e in zip(radii, errors) if e > 0.0]
+    return _line(*zip(*logs))[0] if len(logs) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -115,12 +133,9 @@ class ConvergenceReport:
     passed: bool
 
 
-def _extrapolate(radii: np.ndarray, values: np.ndarray) -> float:
+def _extrapolate(radii: Sequence[float], values: Sequence[float]) -> float:
     """Intercept of a linear-in-r fit, matching the O(r) remainder."""
-    if len(radii) == 1:
-        return float(values[0])
-    coeffs = np.polyfit(radii, values, 1)
-    return float(coeffs[1])
+    return values[0] if len(radii) == 1 else _line(radii, values)[1]
 
 
 def _samples(
@@ -135,33 +150,30 @@ def _samples(
     # negative triple determinant means the flipped parameters apply
     sign = 1.0 if f._origin.bracket >= 0.0 else -1.0
     co, si = math.cos(theta), math.sin(theta)
-    kh = tuple(curvatures_at(f, sign * r * co, sign * r * si) for r in rs)
-    return float(theta), rs, lead, kh
+    K, H = _curvatures(f, [sign * r * co for r in rs], [sign * r * si for r in rs])
+    return float(theta), rs, lead, tuple(zip(K.tolist(), H.tolist()))
 
 
 def _convergence_report(theta, rs, lead, kh) -> ConvergenceReport:
-    r2k = [r * r * K for r, (K, _) in zip(rs, kh)]
-    r2h = [r * r * H for r, (_, H) in zip(rs, kh)]
-    rarr = np.asarray(rs)
-    k_err = np.abs(np.asarray(r2k) - lead.k_lead)
-    h_err = np.abs(np.asarray(r2h) - lead.h_lead)
-    k_order, k_trivial = _fit_order(rs, k_err)
-    h_order, h_trivial = _fit_order(rs, h_err)
-    passed = (k_trivial or k_order >= SLOPE_PASS) and (h_trivial or h_order >= SLOPE_PASS)
+    r2k = tuple(r * r * K for r, (K, _) in zip(rs, kh))
+    r2h = tuple(r * r * H for r, (_, H) in zip(rs, kh))
+    k_err = [abs(x - lead.k_lead) for x in r2k]
+    h_err = [abs(x - lead.h_lead) for x in r2h]
+    k_order, h_order = _fit_order(rs, k_err), _fit_order(rs, h_err)
     return ConvergenceReport(
         theta=theta,
         radii=rs,
-        r2k=tuple(r2k),
-        r2h=tuple(r2h),
+        r2k=r2k,
+        r2h=r2h,
         k_limit=lead.k_lead,
         h_limit=lead.h_lead,
-        k_extrapolated=_extrapolate(rarr, np.asarray(r2k)),
-        h_extrapolated=_extrapolate(rarr, np.asarray(r2h)),
+        k_extrapolated=_extrapolate(rs, r2k),
+        h_extrapolated=_extrapolate(rs, r2h),
         k_order=k_order,
         h_order=h_order,
-        k_bound=float(np.max(k_err / rarr)),
-        h_bound=float(np.max(h_err / rarr)),
-        passed=passed,
+        k_bound=max(e / r for e, r in zip(k_err, rs)),
+        h_bound=max(e / r for e, r in zip(h_err, rs)),
+        passed=k_order >= SLOPE_PASS and h_order >= SLOPE_PASS,
     )
 
 
@@ -195,8 +207,8 @@ def _gap_report(theta, rs, lead, kh) -> GapReport:
         passed = all(k < 0.0 for k in ks)
     else:
         limit = lead.gap_lead
-        order, trivial = _fit_order(rs, np.abs(np.asarray(gaps) - limit))
-        passed = (trivial or order >= SLOPE_PASS) and limit > 0.0
+        order = _fit_order(rs, [abs(g - limit) for g in gaps])
+        passed = order >= SLOPE_PASS and limit > 0.0
     return GapReport(
         theta=theta,
         radii=rs,

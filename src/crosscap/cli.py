@@ -19,9 +19,10 @@ requirement, e.g. no cross cap at the origin).  After argument parsing,
 a spec or flag value that cannot be used (a malformed spec, a spec of a
 kind the command does not take, an empty or non-finite comma list, a
 radius that is not positive, fewer than two distinct radii once clamped
-to asymptotics.MIN_RADIUS, a resolution out of range) exits 1 with one
-``spec error:`` line on stderr.  The environment variable CROSSCAP_TOL
-overrides the default tolerance 1e-9 and must be positive and finite.
+to asymptotics.MIN_RADIUS, radii only round-off apart, a resolution out
+of range) exits 1 with one ``spec error:`` line on stderr.  The
+environment variable CROSSCAP_TOL overrides the default tolerance 1e-9
+and must be positive and finite.
 """
 from __future__ import annotations
 
@@ -162,27 +163,29 @@ def cmd_asymptotics(spec: specio.SurfaceSpec, args, tol: float):
     if radii is not None and len({max(r, asymptotics.MIN_RADIUS) for r in radii}) < 2:
         raise SpecFormatError(f"--radii: need two distinct radii of at least {asymptotics.MIN_RADIUS:g}")
     triple = invariants.intrinsic_from_map(f, tol=tol)
-    entries = []
-    for theta in thetas:
-        conv, gap = asymptotics.ray_reports(f, theta, radii, triple=triple)
-        entries.append(
-            {
-                "theta": theta,
-                "r2k": list(conv.r2k),
-                "r2h": list(conv.r2h),
-                "k_limit": conv.k_limit,
-                "h_limit": conv.h_limit,
-                "k_extrapolated": conv.k_extrapolated,
-                "h_extrapolated": conv.h_extrapolated,
-                "k_order": conv.k_order,
-                "h_order": conv.h_order,
-                "converged": conv.passed,
-                "gap_limit": gap.limit,
-                "gap_negative_k_mode": gap.negative_k_mode,
-                "gap_passed": gap.passed,
-            }
-        )
-    return {"radii": list(conv.radii), "rays": entries}, _asymptotics_text
+    try:
+        rays = [asymptotics.ray_reports(f, theta, radii, triple=triple) for theta in thetas]
+    except asymptotics.SpreadError:
+        raise SpecFormatError("--radii: radii only round-off apart fix no decay line") from None
+    entries = [
+        {
+            "theta": theta,
+            "r2k": list(conv.r2k),
+            "r2h": list(conv.r2h),
+            "k_limit": conv.k_limit,
+            "h_limit": conv.h_limit,
+            "k_extrapolated": conv.k_extrapolated,
+            "h_extrapolated": conv.h_extrapolated,
+            "k_order": conv.k_order,
+            "h_order": conv.h_order,
+            "converged": conv.passed,
+            "gap_limit": gap.limit,
+            "gap_negative_k_mode": gap.negative_k_mode,
+            "gap_passed": gap.passed,
+        }
+        for theta, (conv, gap) in zip(thetas, rays)
+    ]
+    return {"radii": list(rays[0][0].radii), "rays": entries}, _asymptotics_text
 
 
 def _asymptotics_text(report: dict) -> str:

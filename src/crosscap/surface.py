@@ -16,6 +16,9 @@ leaves out the directrix point gamma(v0), the one coefficient that
 needs a backed surface's directrix path, so the curvatures, the second
 form and deformation.verify_isometry grow no path.  ``local_jet`` is the
 two answers together: the derivatives with f(u0, v0) as constant term.
+``_forms`` reads both fundamental forms at paired points (us[i], vs[i]) in
+one stacked pass, one derivative_jets column per distinct v;
+``curvatures_at`` and ``second_form_at`` are its one-point case.
 
 At the origin a map is read once, into ``SurfaceMap._origin``; formulas at
 the cross cap point read it through the float kernels dot, cross, norm, det3.
@@ -226,39 +229,50 @@ def first_form(f: SurfaceMap) -> FundamentalForms:
 
 def origin_derivatives(c: np.ndarray):
     """f_u, f_v, f_uu, f_uv, f_vv at the origin of a map's coefficient table
-    c[i, j, k], as vectors, zero past the table's order."""
-    d, m = np.zeros((3, 3, 3)), min(c.shape[-1], 3)
-    d[:, :m, :m] = c[:, :m, :m]
-    return d[:, 1, 0], d[:, 0, 1], 2.0 * d[:, 2, 0], d[:, 1, 1], 2.0 * d[:, 0, 2]
+    c[..., i, j, k], or of a stack of them, as vectors, zero past its order."""
+    d, m = np.zeros(c.shape[:-2] + (3, 3)), min(c.shape[-1], 3)
+    d[..., :m, :m] = c[..., :m, :m]
+    return d[..., 1, 0], d[..., 0, 1], 2.0 * d[..., 2, 0], d[..., 1, 1], 2.0 * d[..., 0, 2]
 
 
-def _forms_at(f: SurfaceMap, u: float, v: float):
-    """(E, F, G, E G - F^2, L, M, N) at a regular point, from its order-2
-    table; L, M, N follow the unit normal f_u x f_v / |f_u x f_v|."""
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"point ({u}, {v}) is not finite")
-    fu, fv, fuu, fuv, fvv = d = origin_derivatives(f.derivative_jets([u], v)[0])
+def _forms(f: SurfaceMap, us: Sequence[float], vs: Sequence[float]):
+    """(E, F, G, E G - F^2, L, M, N) as arrays over the regular points (us[i], vs[i]),
+    one derivative_jets call per distinct v; L, M, N follow f_u x f_v / |f_u x f_v|.
+    Each point has the bits of one-point cross, @ and norm; the first bad point is refused."""
+    columns: dict[float, list[int]] = {}
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ValueError(f"point ({u}, {v}) is not finite")
+        columns.setdefault(v, []).append(i)
+    tables = np.concatenate([f.derivative_jets([us[i] for i in col], v) for v, col in columns.items()])
+    in_point_order = np.argsort([i for col in columns.values() for i in col])
+    fu, fv, fuu, fuv, fvv = d = origin_derivatives(tables[in_point_order])
     n = np.cross(fu, fv)
-    if not (np.isfinite(d).all() and np.isfinite(n).all()):  # an overflow is not singular
-        raise ValueError(f"derivatives at ({u}, {v}) are not finite")
-    length = np.linalg.norm(n)  # not sqrt(E G - F^2), which cancels where f_u || f_v
-    if length < 1e-14:
-        raise SingularPointError(f"surface is singular at ({u}, {v})")
-    E, F, G, nu = fu @ fu, fu @ fv, fv @ fv, n / length
-    return E, F, G, E * G - F * F, fuu @ nu, fuv @ nu, fvv @ nu
+    finite = np.isfinite(d).all(axis=(0, 2)) & np.isfinite(n).all(axis=1)
+    length = np.sqrt(np.vecdot(n, n))  # not sqrt(E G - F^2), which cancels where f_u || f_v
+    for u, v, ok, size in zip(us, vs, finite.tolist(), length.tolist()):
+        if not ok:  # an overflow is not singular
+            raise ValueError(f"derivatives at ({u}, {v}) are not finite")
+        if size < 1e-14:
+            raise SingularPointError(f"surface is singular at ({u}, {v})")
+    E, F, G, nu = np.vecdot(fu, fu), np.vecdot(fu, fv), np.vecdot(fv, fv), n / length[:, None]
+    return E, F, G, E * G - F * F, np.vecdot(fuu, nu), np.vecdot(fuv, nu), np.vecdot(fvv, nu)
 
 
 def second_form_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float, float]:
     """(L, M, N) with respect to the unit normal f_u x f_v / |f_u x f_v|."""
-    return tuple(float(x) for x in _forms_at(f, u, v)[4:])
+    return tuple(float(x[0]) for x in _forms(f, [u], [v])[4:])
+
+
+def _curvatures(f: SurfaceMap, us: Sequence[float], vs: Sequence[float]):
+    """(K, H) as arrays over the regular points (us[i], vs[i])."""
+    E, F, G, W2, L, M, N = _forms(f, us, vs)
+    return (L * N - M * M) / W2, (E * N - 2.0 * F * M + G * L) / (2.0 * W2)
 
 
 def curvatures_at(f: SurfaceMap, u: float, v: float) -> tuple[float, float]:
     """(K, H) at a regular point; H follows the f_u x f_v normal."""
-    E, F, G, W2, L, M, N = _forms_at(f, u, v)
-    K = (L * N - M * M) / W2
-    H = (E * N - 2.0 * F * M + G * L) / (2.0 * W2)
-    return float(K), float(H)
+    return tuple(float(x[0]) for x in _curvatures(f, [u], [v]))
 
 
 # ----------------------------------------------------------------------

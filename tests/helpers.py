@@ -12,7 +12,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from crosscap import Jet2, Jet3, JetDomainError, SpecFormatError, SurfaceMap, canonical_crosscap
-from crosscap import surface_from_polynomial
+from crosscap import SingularPointError, surface_from_polynomial
 from crosscap.deformation import DeformationFamily
 from crosscap.jets import _checked, _mask, series_compose, series_cross, series_derivative
 from crosscap.jets import series_integral, series_power, series_product
@@ -31,16 +31,22 @@ def stack(x: Jet2, y: Jet2, z: Jet2) -> Jet3:
     return Jet3(n, np.stack([comp.truncated(n).c for comp in (x, y, z)]))
 
 
-CLI_OUTPUTS = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+CLI_OUTPUTS = TOOLS / "cli_outputs.py"
+
+
+def load_tool(name: str):
+    """The module of tools/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_cli_outputs():
     """The module of tools/cli_outputs.py, whose SPECS and FAMILY the
     byte-identity check runs."""
-    spec = importlib.util.spec_from_file_location("cli_outputs", CLI_OUTPUTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("cli_outputs")
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -297,6 +303,26 @@ def reference_derivative_jets(f: SurfaceMap, us: Sequence[float], v0: float, ord
     n = min(order, f.jet.order)
     tables = [f.jet.shifted_origin(u0, v0).truncated(n).c for u0 in us]
     return np.array(tables).reshape(len(us), 3, n + 1, n + 1)
+
+
+def reference_forms_at(f: SurfaceMap, u: float, v: float):
+    """(E, F, G, E G - F^2, L, M, N) at one regular point by the former
+    ``surface._forms_at``: one derivative table, then numpy's one-point
+    cross, @ and norm."""
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"point ({u}, {v}) is not finite")
+    c, d = f.derivative_jets([u], v)[0], np.zeros((3, 3, 3))
+    m = min(c.shape[-1], 3)
+    d[:, :m, :m] = c[:, :m, :m]
+    fu, fv, fuu, fuv, fvv = d = d[:, 1, 0], d[:, 0, 1], 2.0 * d[:, 2, 0], d[:, 1, 1], 2.0 * d[:, 0, 2]
+    n = np.cross(fu, fv)
+    if not (np.isfinite(d).all() and np.isfinite(n).all()):
+        raise ValueError(f"derivatives at ({u}, {v}) are not finite")
+    length = np.linalg.norm(n)
+    if length < 1e-14:
+        raise SingularPointError(f"surface is singular at ({u}, {v})")
+    E, F, G, nu = fu @ fu, fu @ fv, fv @ fv, n / length
+    return E, F, G, E * G - F * F, fuu @ nu, fuv @ nu, fvv @ nu
 
 
 def reference_first_form(f: SurfaceMap) -> tuple[Jet2, Jet2, Jet2]:

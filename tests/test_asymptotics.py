@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from crosscap import (
     umbilic_gap,
     verify_convergence,
 )
-from crosscap import asymptotics
+from crosscap import asymptotics, surface
 from crosscap.asymptotics import _clamped_radii
 from crosscap.invariants import IntrinsicTriple
 
@@ -132,6 +133,102 @@ def test_radius_clamping():
         _clamped_radii(())
 
 
+EPS = 2.0**-52
+
+
+def exact_line(xs, ys):
+    """Least-squares (slope, intercept) in exact rational arithmetic on the
+    float inputs."""
+    X, Y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    slope = sum((x - mx) * (y - my) for x, y in zip(X, Y)) / sum((x - mx) ** 2 for x in X)
+    return slope, my - slope * mx
+
+
+def line_error_bound(xs, ys):
+    """First-order round-off bound, doubled, of the fit by sums about the
+    means.  With unit round-off u, each mean is off by c <= 2u |mean|, which
+    shifts every centred value by c and, since the exact centred values sum
+    to 0, moves the cross sum only by n c_x c_y; the differences, the
+    products and the correctly rounded sums add a relative u each."""
+    u = EPS / 2
+    X, Y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    n, (slope, intercept) = len(X), exact_line(xs, ys)
+    mx, my = float(sum(X) / n), float(sum(Y) / n)
+    dx, dy = [float(x - sum(X) / n) for x in X], [float(y - sum(Y) / n) for y in Y]
+    cx, cy = 2 * u * abs(mx), 2 * u * abs(my)
+    sxx, sxy = sum(d * d for d in dx), sum(p * q for p, q in zip(dx, dy))
+    d_sxy = n * cx * cy + 3 * u * sum((abs(p) + cx) * (abs(q) + cy) for p, q in zip(dx, dy)) + u * abs(sxy)
+    d_sxx = n * cx * cx + 3 * u * sum((abs(p) + cx) ** 2 for p in dx) + u * sxx
+    s = abs(float(slope))
+    d_slope = (d_sxy + s * d_sxx) / sxx + u * s
+    d_intercept = cy + d_slope * abs(mx) + s * cx + u * (s * abs(mx) + abs(float(intercept)))
+    return 2 * d_slope, 2 * d_intercept
+
+
+def test_line_matches_exact_least_squares():
+    rng = np.random.default_rng(27)
+    cases = []
+    for n in (2, 3, 4, 6, 8):
+        for _ in range(40):
+            radii = np.sort(10.0 ** rng.uniform(-6.0, 0.0, n))[::-1]
+            logs = np.log(radii)
+            # a decay line in log-log and an O(r) remainder, with noise
+            cases.append((logs, rng.uniform(-3, 3) + rng.uniform(0.5, 3) * logs + rng.normal(0, 1e-3, n)))
+            cases.append((radii, rng.uniform(-2, 2) + rng.uniform(-5, 5) * radii + rng.normal(0, 1e-9, n)))
+            # x far from 0 against its spread: centring has to cancel
+            xs = 1e3 + rng.uniform(-1e-6, 1e-6, n)
+            cases.append((xs, rng.normal(0, 1.0, n)))
+    for xs, ys in cases:
+        xs, ys = xs.tolist(), ys.tolist()
+        if max(xs) == min(xs):
+            continue
+        slope, intercept = asymptotics._line(xs, ys)
+        exact_slope, exact_intercept = exact_line(xs, ys)
+        d_slope, d_intercept = line_error_bound(xs, ys)
+        assert abs(Fraction(slope) - exact_slope) <= d_slope, (xs, ys)
+        assert abs(Fraction(intercept) - exact_intercept) <= d_intercept, (xs, ys)
+
+
+@pytest.mark.parametrize("xs", [[0.25, 0.25], [0.0, 0.0, 0.0], [-3.5, -3.5, -3.5]])
+def test_line_refuses_points_with_one_x(xs):
+    with pytest.raises(asymptotics.SpreadError, match="one x"):
+        asymptotics._line(xs, [1.0, 2.0, 3.0][: len(xs)])
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        (0.5, 0.5000000000000001),
+        (0.05, 0.05000000000000001, 0.05000000000000002),
+        # near r = 1 the logs themselves are round-off sized
+        (1.0, 1.0000000000000002),
+        (1e-9, 1e-8, 1.0000000000000002e-6),
+    ],
+)
+def test_radii_only_round_off_apart_are_refused(radii):
+    with pytest.raises(asymptotics.SpreadError, match="round-off"):
+        _clamped_radii(radii)
+    f = standard_crosscap()
+    for report in (verify_convergence, umbilic_gap, asymptotics.ray_reports):
+        with pytest.raises(asymptotics.SpreadError, match="round-off"):
+            report(f, 0.3, radii=radii)
+
+
+def test_radii_apart_by_more_than_round_off_are_kept():
+    radii = (0.5, 0.5 * (1.0 + 2.0**-40))
+    assert _clamped_radii(radii) == radii[::-1]
+    report = umbilic_gap(standard_crosscap(), 0.3, radii=radii)
+    assert math.isfinite(report.order)
+
+
+def test_fit_order_reads_a_pure_power_law():
+    radii = (0.5, 0.2, 0.1, 0.05)
+    assert asymptotics._fit_order(radii, [3.0 * r**1.5 for r in radii]) == pytest.approx(1.5, rel=1e-13)
+    assert asymptotics._fit_order(radii, [1e-14] * 4) == math.inf
+    assert asymptotics._fit_order(radii, [0.0, 0.0, 0.0, 1.0]) == 0.0
+
+
 def test_mirrored_surface_uses_flipped_parameters():
     mirrored = surface_from_polynomial(
         {(1, 0): [1, 0, 0], (1, 1): [0, 1, 0], (0, 2): [0, 0, -1.0]}, order=6
@@ -155,13 +252,13 @@ def assert_same_report(a, b):
 @pytest.mark.parametrize("radii", [None, (1e-2,), (1e-2, 1e-2, 1e-9, 1e-8)])
 def test_ray_reports_match_the_two_reports_from_one_sampling(radii, monkeypatch):
     calls = []
-    sampled = asymptotics.curvatures_at
+    sampled = surface._forms
 
-    def counted(f, u, v):
-        calls.append((u, v))
-        return sampled(f, u, v)
+    def counted(f, us, vs):
+        calls.extend(zip(us, vs))
+        return sampled(f, us, vs)
 
-    monkeypatch.setattr(asymptotics, "curvatures_at", counted)
+    monkeypatch.setattr(surface, "_forms", counted)
     # (u, uv, -v^2) has a negative bracket, so its rays are sampled flipped
     mirrored = surface_from_polynomial({(1, 0): [1, 0, 0], (1, 1): [0, 1, 0], (0, 2): [0, 0, -1.0]})
     member = build_crosscap(deformation_family(2.0, 0.0, 1.0))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,20 @@ def test_asymptotics_refuses_fewer_than_two_usable_radii(tmp_path, capsys, radii
 def test_asymptotics_takes_two_radii_once_clamped(tmp_path, capsys):
     assert main(["asymptotics", write_spec(tmp_path, quadratic_spec()), "--radii=0.01,1e-9", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["radii"] == [0.01, 1e-6]
+
+
+@pytest.mark.parametrize("radii", ["0.5,0.5000000000000001", "0.05,0.05000000000000001,0.05000000000000002"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_asymptotics_refuses_radii_only_round_off_apart(tmp_path, capsys, radii, json_flag):
+    # radii a unit in the last place apart sample the same curvatures, so
+    # a decay line through them is round-off: refused, with no warning
+    path = write_spec(tmp_path, quadratic_spec())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["asymptotics", path, "--theta=0.3", f"--radii={radii}", *json_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spec error: --radii: radii only round-off apart fix no decay line\n"
 
 
 @pytest.mark.parametrize(

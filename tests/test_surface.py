@@ -25,10 +25,11 @@ from crosscap import (
 from crosscap.deformation import build_crosscap, deformation_family, degenerate_quadratic
 from crosscap.jets import Jet2, Jet3
 from crosscap.ruled import from_polynomials
+from crosscap import surface
 from crosscap.surface import SurfaceMap, canonical_crosscap, cross, det3, dot, norm
 
 from helpers import fd_first_form_at, jet_first_form_at, random_canonical, reference_derivative_jets
-from helpers import reference_kernels, scramble
+from helpers import reference_forms_at, reference_kernels, scramble
 
 
 def immersion():
@@ -116,6 +117,42 @@ def test_second_form_standard():
         assert L == pytest.approx(0.0, abs=1e-12)
         assert M == pytest.approx(-math.copysign(1.0, t) / math.sqrt(1.0 + t * t), rel=1e-10)
         assert N == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stacked_forms_are_the_one_point_forms_bit_for_bit():
+    # germs of every order with both bracket signs, a circle and a
+    # polynomial-kappa member; points on the rays the asymptotics samples
+    rng = np.random.default_rng(2027)
+    maps = [build_crosscap(deformation_family(1.3, -0.4, 1.2))]
+    maps.append(build_crosscap(deformation_family(1.5, 0.25, (0.5, -0.4, 0.2)), order=8))
+    for order in range(2, 13):
+        a = {(j, d - j): float(rng.uniform(-1.0, 1.0)) for d in range(2, order + 1) for j in range(d + 1)}
+        a[(0, 2)] = float(rng.uniform(0.5, 2.5))
+        b = {i: float(rng.uniform(-1.0, 1.0)) for i in range(3, order + 1)}
+        base = canonical_crosscap(a, b, order=order)
+        maps += [scramble(base, rng), scramble(base, rng, flip=True)]
+    assert {f.order for f in maps} >= set(range(2, 13))
+    assert {math.copysign(1.0, f._origin.bracket) for f in maps} == {1.0, -1.0}
+    half = math.pi / 2.0
+    for f in maps:
+        points = []
+        for theta in (0.0, math.pi / 4.0, half, -half):
+            rs = rng.uniform(1e-3, 0.3, 4)
+            ray = list(zip((rs * math.cos(theta)).tolist(), (rs * math.sin(theta)).tolist()))
+            points += ray
+            # one call per ray, as the asymptotics samples it
+            forms = np.array(surface._forms(f, *zip(*ray)))
+            for i, (u, v) in enumerate(ray):
+                assert forms[:, i].tobytes() == np.array(reference_forms_at(f, u, v)).tobytes(), (f.order, u, v)
+        # all rays in one shuffled call: several points per column and single points
+        points = [points[i] for i in rng.permutation(len(points))]
+        forms = np.array(surface._forms(f, *zip(*points)))
+        for i, (u, v) in enumerate(points):
+            E, F, G, W2, L, M, N = reference = reference_forms_at(f, u, v)
+            assert forms[:, i].tobytes() == np.array(reference).tobytes(), (f.order, u, v)
+            assert second_form_at(f, u, v) == (float(L), float(M), float(N))
+            K, H = (L * N - M * M) / W2, (E * N - 2.0 * F * M + G * L) / (2.0 * W2)
+            assert curvatures_at(f, u, v) == (float(K), float(H))
 
 
 def test_curvatures_raise_at_singular_point():

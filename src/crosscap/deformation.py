@@ -33,9 +33,9 @@ FrenetPath at shat(v0).  No cross product is formed: c x e = n gives
 so B = a11 xi' + sqrt(m) nhat, one series product away.  Pointwise
 values of gamma and xi are node evaluations of a Taylor path in v grown
 from those arrays, so the member is exact anywhere in the chart.
-Pointwise curvature and first-form checks read the arrays at the point
-alone and never fall back to finite differences; they grow no node of
-the path.
+Curvature and first-form checks read the arrays of all their points
+from one call, one column per v, and never fall back to finite
+differences; they grow no node of the path.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChartError
-from .jets import Jet2, series_derivative, series_power, series_product
+from .jets import Jet2, series_power, series_product
 from .numerics import FrenetPath
 from .ruled import from_deformation
 from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
@@ -134,7 +134,7 @@ class DeformationFamily:
     def arc_parameter(self, v: float) -> float:
         return math.atan(math.sqrt(self.m) * v)
 
-    def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows).
 
         The frame (chat, ehat, nhat) is solved in vhat directly: w2 = 1 + m v^2
@@ -142,14 +142,18 @@ class DeformationFamily:
         and w2 y' = sqrt(m) F is the frame recurrence of
         numerics.frenet_series.  Then xi = sqrt(w2) chat, and since
         xi x xi' = sqrt(m) nhat, gamma' = (a02/m) v (a11 xi' + sqrt(m) nhat).
+        An array of v0 stacks one column each along a leading axis.
         """
-        m, n, v0 = self.m, order, float(v0)
-        w2 = (1.0 + m * v0 * v0, 2.0 * m * v0, m)
-        sm = math.sqrt(m)
-        C, _, N = self.curve.path.series(self.arc_parameter(v0), n, w2, sm)
+        m, n, sm, v = self.m, order, math.sqrt(self.m), np.asarray(v0, dtype=float)
+
+        def per_column(f):  # f at v0 on Python floats, or one row per column
+            return np.array([f(x) for x in v.tolist()]) if v.ndim else f(v.tolist())
+
+        w2 = per_column(lambda x: (1.0 + m * x * x, 2.0 * m * x, m))
+        C, _, N = self.curve.path.series(per_column(self.arc_parameter), n, w2, sm)
         xi = series_product(C, series_power(w2, 0.5, n), n)
-        B = series_derivative(xi) * self.a11 + N[:n] * sm
-        return xi, series_product(B, [v0, 1.0], n - 1) * (self.a02 / m)
+        B = xi[..., 1:, :] * np.arange(1, n + 1)[:, None] * self.a11 + N[..., :n, :] * sm
+        return xi, series_product(B, per_column(lambda x: (x, 1.0)), n - 1) * (self.a02 / m)
 
 
 def deformation_family(
@@ -246,8 +250,9 @@ def verify_isometry(f: SurfaceMap, g: SurfaceMap, grid: tuple[int, int] = (10, 1
         raise ValueError(f"isometry grid needs at least one point a side, got {grid}")
     us = [u0 + (u1 - u0) * (i + 0.5) / nu for i in range(nu)]
     vs = [v0 + (v1 - v0) * (j + 0.5) / nv for j in range(nv)]
-    # one table per surface and point, from one local ruling per column
-    t = np.array([[s.derivative_jets(us, v, order=1) for v in vs] for s in (f, g)])
+    # one table per surface and point, from one derivative_jets call per surface
+    us, vs = (x.ravel() for x in np.meshgrid(us, vs))
+    t = np.array([s.derivative_jets(us, vs, order=1) for s in (f, g)])
     fu, fv = t[..., 1, 0], t[..., 0, 1]
     forms = np.stack([(fu * fu).sum(-1), (fu * fv).sum(-1), (fv * fv).sum(-1)])
     grid_dev = float(np.max(np.abs(forms[:, 0] - forms[:, 1])))

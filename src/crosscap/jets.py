@@ -108,18 +108,25 @@ def _lags(n: int) -> np.ndarray:
 
 
 def _product_matrix(b: np.ndarray, n: int) -> np.ndarray:
-    """Lower triangular M with M @ a the first n + 1 coefficients of a(t) b(t)."""
-    padded = np.zeros(n + 2)
-    padded[: len(b)] = b
-    return padded[_lags(n)]
+    """Lower triangular M with M @ a the first n + 1 coefficients of a(t) b(t),
+    one M per row of a 2-D b."""
+    padded = np.zeros(b.shape[:-1] + (n + 2,))
+    padded[..., : b.shape[-1]] = b
+    # the same gather; take is the faster one on stacked rows, indexing on one
+    return padded.take(_lags(n), axis=1) if b.ndim > 1 else padded[_lags(n)]
 
 
 def series_product(a, b, n: int) -> np.ndarray:
     """First n + 1 coefficients of a(t) b(t) for series in one variable.
 
-    a may be a vector series (one row per power of t); b is scalar.
+    a may be a vector series (one row per power of t); b is scalar.  A 2-D b
+    holds one series per column, times the vector series a[i] of column i.
     """
-    a, b = np.asarray(a, dtype=float)[: n + 1], np.asarray(b, dtype=float)[: n + 1]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if b.ndim > 1:
+        a, b = a[:, : n + 1], b[:, : n + 1]
+        return _checked(_product_matrix(b, n)[:, :, : a.shape[1]] @ a, a, b)
+    a, b = a[: n + 1], b[: n + 1]
     return _checked(_product_matrix(b, n)[:, : len(a)] @ a, a, b)
 
 
@@ -133,8 +140,14 @@ def series_cross(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def series_power(a, p: float, n: int) -> np.ndarray:
     """First n + 1 coefficients of a(t)^p for a(0) > 0, by J. C. P. Miller's
     recurrence k a_0 s_k = sum_(j=1..k) ((p + 1) j - k) a_j s_(k-j), whose
-    sum stops at the last nonzero a_j (two terms for a quadratic)."""
-    a = np.asarray(a, dtype=float)[: n + 1].tolist()
+    sum stops at the last nonzero a_j (two terms for a quadratic).  A 2-D a
+    holds one series per row, each raised in turn, on Python floats."""
+    a = np.asarray(a, dtype=float)[..., : n + 1]
+    s = [_power(x, p, n) for x in a.tolist()] if a.ndim > 1 else _power(a.tolist(), p, n)
+    return _checked(np.array(s), a)
+
+
+def _power(a: list, p: float, n: int) -> list:
     while a and a[-1] == 0.0:
         a.pop()
     if not a or a[0] <= 0.0:
@@ -145,7 +158,7 @@ def series_power(a, p: float, n: int) -> np.ndarray:
         for j in range(1, min(k, len(a) - 1) + 1):
             acc += ((p + 1.0) * j - k) * a[j] * s[k - j]
         s.append(acc / (k * a[0]))
-    return _checked(np.array(s), np.array(a))
+    return s
 
 
 def series_compose(c, h, n: int) -> np.ndarray:
@@ -163,17 +176,19 @@ def series_compose(c, h, n: int) -> np.ndarray:
     return _checked(powers.T @ c, c, h)
 
 
-def series_shift(c, t0: float, n: int | None = None) -> np.ndarray:
+def series_shift(c, t0, n: int | None = None) -> np.ndarray:
     """The first n + 1 coefficients of c(t0 + t), zero past the series (all
-    when n is None); c may be a vector series."""
-    c = np.asarray(c, dtype=float)
+    when n is None); c may be a vector series.  The axes of an array of
+    centres t0 lead the result, one shifted series each."""
+    c, t0 = np.asarray(c, dtype=float), np.asarray(t0, dtype=float)
     binom, expo = _binomials(len(c) - 1)
-    out = (binom * t0**expo).T @ c
+    out = (binom * t0[..., None, None] ** expo).mT @ c
     if n is None:
         return out
+    out = np.moveaxis(out, t0.ndim, 0)  # one row per power first
     kept = np.zeros((n + 1,) + out.shape[1:])
     kept[: len(out)] = out[: n + 1]
-    return kept
+    return np.moveaxis(kept, 0, t0.ndim)
 
 
 def series_derivative(x: np.ndarray) -> np.ndarray:
@@ -189,15 +204,15 @@ def series_integral(dx: np.ndarray, x0) -> np.ndarray:
     return x
 
 
-def table_shift(c: np.ndarray, u0, v0: float, order: int) -> np.ndarray:
+def table_shift(c: np.ndarray, u0, v0, order: int) -> np.ndarray:
     """Tables at order ``order`` of p(u0 + s, v0 + t) for each jet table p
     stacked in c[..., j, k], masked only if truncated (a shift keeps total
-    degree); the axes of an array of centres u0 lead the result."""
+    degree); arrays of centres u0 and v0 broadcast together, and their axes
+    lead the result."""
     # (x0 + s)^a = sum_j C(a, j) x0^(a-j) s^j, one Pascal matrix per variable
     binom, expo = _binomials(c.shape[-1] - 1)
-    u0 = np.asarray(u0, dtype=float)
-    U = binom * u0.reshape(u0.shape + (1,) * c.ndim) ** expo
-    out = (np.swapaxes(U, -1, -2) @ c @ (binom * v0**expo))[..., : order + 1, : order + 1]
+    U, V = (binom * np.asarray(x, dtype=float)[(...,) + (None,) * c.ndim] ** expo for x in (u0, v0))
+    out = (np.swapaxes(U, -1, -2) @ c @ V)[..., : order + 1, : order + 1]
     return out if order >= c.shape[-1] - 1 else np.where(_mask(order), out, 0.0)
 
 

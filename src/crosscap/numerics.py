@@ -21,18 +21,19 @@ kappa recentred at each node.  The recursion is a scalar recurrence on
 Python floats, one 3-tuple per coefficient, like jets.series_power: a
 step is a few dozen products, which numpy calls would cost more to
 dispatch than to compute.  A backed ruled surface holds a second path,
-in v, for its directrix and ruling (ruled.RuledSurface), and every node
-of it, like every off-origin local jet, needs one frame series.  That
-series is taken in v, not in s: the same recursion solves w(t) y' = rate F
-for a parameter t with w(t) s'(t) = rate, w of degree <= 2.  For a
-deformation family member, w = 1 + m v^2 and rate = sqrt(m)
-(deformation.DeformationFamily.ruling_series).
+in v, for its directrix and ruling (ruled.RuledSurface); every node of it
+needs one frame series, and off-origin local jets one column per v, all
+columns from one call.  That series is taken in v, not in s: the same
+recursion solves w(t) y' = rate F for a parameter t with w(t) s'(t) =
+rate, w of degree <= 2.  For a deformation family member, w = 1 + m v^2
+and rate = sqrt(m) (deformation.DeformationFamily.ruling_series).
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from functools import cached_property, partial
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,17 +118,30 @@ def frenet_series(
     with s(t) first, to the order terms the recurrence reads.  Each step is a few
     dozen scalar products, too few for numpy to pay for its per-call
     overhead, so it runs on Python floats with each coefficient a 3-tuple,
-    and the arrays are built once at the end.  Python floats overflow
-    silently; a coefficient that left the float range from finite data is
-    reported as numpy overflow (jets._checked).
+    once per column where c0, e0 and kappa_poly stack columns along leading
+    axes (w: one per column or one for all), and the arrays are built once
+    at the end.  Python floats overflow silently; a coefficient that left
+    the float range from finite data is reported as numpy overflow
+    (jets._checked).
     """
-    kappa = np.asarray(kappa_poly, dtype=float)[: order + 1]
-    c0, e0 = np.asarray(c0, dtype=float), np.asarray(e0, dtype=float)
-    kap = kappa[:order].tolist()  # step k reads K_0 .. K_k, k < order
-    w0, w1, w2 = (*map(float, w), 0.0, 0.0)[:3]
+    kappa = np.asarray(kappa_poly, dtype=float)[..., : order + 1]
+    c0, e0, w = np.asarray(c0, dtype=float), np.asarray(e0, dtype=float), np.asarray(w, dtype=float)
+    lead, m = c0.shape[:-1], c0.size // 3
+    kap = kappa[..., :order].reshape(m, -1).tolist()  # step k reads K_0 .. K_k, k < order
+    ws = w.reshape(-1, w.shape[-1]).tolist() * (m if w.ndim == 1 else 1)  # one w per column
+    args = kap, ws, c0.reshape(m, 3).tolist(), e0.reshape(m, 3).tolist(), repeat(rate), repeat(order)
+    rows = chain.from_iterable(map(_frame_column, *args))
+    Y = np.fromiter(chain.from_iterable(rows), float, m * 9 * (order + 1))
+    Y = _checked(Y.reshape(lead + (3, order + 1, 3)), kappa, c0, e0)
+    return Y[..., 0, :, :], Y[..., 1, :, :], Y[..., 2, :, :]
+
+
+def _frame_column(kap: list, w: list, c0: list, e0: list, rate: float, order: int) -> list:
+    """frenet_series of one column: the coefficients of c, then e, then n, as 3-tuples."""
+    w0, w1, w2 = (*w, 0.0, 0.0)[:3]
     if len(kap) > 1 and (rate, w0, w1, w2) != (1.0, 1.0, 0.0, 0.0):
         kap = _composed(kap, (w0, w1, w2), rate, order)
-    (cx, cy, cz), (ex, ey, ez) = c0.tolist(), e0.tolist()
+    (cx, cy, cz), (ex, ey, ez) = c0, e0
     C, E, N = [(cx, cy, cz)], [(ex, ey, ez)], [(cy * ez - cz * ey, cz * ex - cx * ez, cx * ey - cy * ex)]
     for k in range(order):
         # sum_i K_i n_(k-i) and sum_i K_i e_(k-i)
@@ -138,16 +152,14 @@ def frenet_series(
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = C[k], E[k], N[k]
         # y_(k-1), weighted 0 at k = 0, where it is y_0 and stands for zero
         (qcx, qcy, qcz), (qex, qey, qez), (qnx, qny, qnz) = C[k - 1], E[k - 1], N[k - 1]
-        a, b, j = w1 * k, w2 * max(k - 1, 0), w0 * (k + 1)
+        a, b, j = w1 * k, w2 * (k - 1 if k else 0), w0 * (k + 1)
         C.append(((rate * ex - a * cx - b * qcx) / j, (rate * ey - a * cy - b * qcy) / j,
                   (rate * ez - a * cz - b * qcz) / j))
         E.append(((rate * (knx - cx) - a * ex - b * qex) / j, (rate * (kny - cy) - a * ey - b * qey) / j,
                   (rate * (knz - cz) - a * ez - b * qez) / j))
         N.append(((-rate * kex - a * nx - b * qnx) / j, (-rate * key - a * ny - b * qny) / j,
                   (-rate * kez - a * nz - b * qnz) / j))
-    Y = np.array([x for rows in (C, E, N) for row in rows for x in row]).reshape(3, order + 1, 3)
-    Y = _checked(Y, kappa, c0, e0)
-    return Y[0], Y[1], Y[2]
+    return C + E + N
 
 
 def _composed(kappa: list, w: tuple, rate: float, n: int) -> list:
@@ -197,7 +209,7 @@ class TaylorPath:
 
 
 def _frame_block(kappa: Sequence[float], s0: float, y: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
-    return np.hstack(frenet_series(series_shift(kappa, s0), y[0:3], y[3:6], order))
+    return np.concatenate(frenet_series(series_shift(kappa, s0), y[0:3], y[3:6], order), axis=1)
 
 
 class FrenetPath(TaylorPath):
@@ -214,13 +226,16 @@ class FrenetPath(TaylorPath):
         self._kappa = kappa_poly
 
     def series(
-        self, s0: float, order: int, w: Sequence[float] = (1.0,), rate: float = 1.0
+        self, s0, order: int, w: Sequence[float] = (1.0,), rate: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Taylor coefficients of (c, e, n) around s0, kappa recentred there,
-        in t where s = s0 + s(t) and w s' = rate (frenet_series)."""
+        in t where s = s0 + s(t) and w s' = rate (frenet_series).  A 1-D
+        array of s0 gives one column each, from one frenet_series call."""
+        s0 = np.asarray(s0, dtype=float)
         # at s0 = 0 the state is y0, and no node needs growing
-        y = self._y0 if s0 == 0.0 else self.state(s0)
-        return frenet_series(series_shift(self._kappa, s0), y[0:3], y[3:6], order, w, rate)
+        y = [self._y0 if s == 0.0 else self.state(s)[:6] for s in s0.reshape(-1).tolist()]
+        y = np.array(y) if s0.ndim else y[0]
+        return frenet_series(series_shift(self._kappa, s0), y[..., 0:3], y[..., 3:6], order, w, rate)
 
     def state(self, s: float) -> np.ndarray:
         """Frame state (c, e, n) at arc length s."""

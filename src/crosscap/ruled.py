@@ -37,14 +37,14 @@ there, so it expands exactly around any point of the chart; unbacked
 surfaces are their polynomial jets, exact where those are the surface
 (``from_polynomials``) and truncations elsewhere (``normalize``).
 
-gamma and xi depend on v alone, so evaluation goes one v column at a
-time: ``grid`` takes one value per column and broadcasts it over
-u, and ``derivative_jets`` writes the stacked tables of every u0 of a
-column, less the directrix point gamma(v0), from one expansion of
-(gamma, xi) around v0.  That expansion needs only the backing's series
-at v0, not the path; gamma(v0) comes from ``grid`` alone.  Node
-positions depend only on the backing, so a column's values do not
-depend on which other columns are evaluated.
+gamma and xi depend on v alone, so evaluation goes by v column: ``grid``
+takes one value per column and broadcasts it over u, and
+``derivative_jets`` writes the tables of paired points (u0, v0), less the
+directrix point gamma(v0), from one expansion of (gamma, xi) per distinct
+v0.  Those need only the backing's series, all from one ``ruling_series``
+call, not the path; gamma(v0) comes from ``grid`` alone.  Node positions
+depend only on the backing, so a column's values do not depend on which
+other columns are evaluated.
 """
 from __future__ import annotations
 
@@ -80,15 +80,15 @@ NORMALIZED_TOL = 1e-8
 class SphericalFrame(Protocol):
     """A unit-speed spherical curve, such as deformation.SphericalCurve."""
 
-    def series_at(self, s0: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    def series_at(self, s0, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 class RulingBacking(Protocol):
     """Exact data behind a ruled surface: the Taylor coefficients in
     vhat = v - v0 of xi (order + 1 rows) and gamma' (order rows), one
-    3-vector per power of vhat."""
+    3-vector per power of vhat; a 1-D array of v0 stacks one per column."""
 
-    def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]: ...
+    def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class _FrameBacking:
     curve: SphericalFrame
     coeffs: FrameCoefficients
 
-    def ruling_series(self, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]:
         frame = self.curve.series_at(v0, order)
         coeffs = [series_shift(p, v0) for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c)]
         return frame[0], _directrix_derivative(frame, coeffs, order - 1)
@@ -148,23 +148,34 @@ class RuledSurface:
         refusal = "directrix series does not converge near v ="
         return TaylorPath(block, self.gamma.coeff_vector(0, 0), refusal)
 
-    def derivative_jets(self, us: Sequence[float], v0: float, order: int) -> np.ndarray:
-        """Jet tables of gamma(v) - gamma(v0) + u xi(v) at each (u0, v0), u0 in
-        us, exact for backed surfaces and read without the directrix path:
-        row 0 of each table is u0 xi plus gamma's terms past the constant."""
-        if v0 == 0.0 and order <= self.order:
-            gamma, xi = self.gamma.c[:, 0].T, self.xi.c[:, 0].T
-        elif self.backing is not None:
-            xi, gp = self.backing.ruling_series(v0, order)
-            gamma = series_integral(gp, 0.0)
-        else:
-            gamma, xi = (series_shift(j.c[:, 0].T, v0, order) for j in (self.gamma, self.xi))
+    def derivative_jets(self, us: Sequence[float], vs: Sequence[float], order: int) -> np.ndarray:
+        """Jet tables of gamma(v) - gamma(v0) + u xi(v) at the points (u0, v0)
+        of us and vs, broadcast together, exact for backed surfaces and read
+        without the directrix path: row 0 of each table is u0 xi plus
+        gamma's terms past the constant."""
+        us, vs = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
+        index: dict[float, int] = {}  # the column of each distinct v0, in order of appearance
+        col = [index.setdefault(v, len(index)) for v in vs.ravel().tolist()]
+        v0s, col = np.array(list(index)), np.array(col, dtype=int).reshape(vs.shape)
         n = order + 1
-        rows = np.multiply.outer(us, xi[:n])
-        rows[:, 1:] += gamma[1:n]
-        tables = np.zeros((len(us), 3, n, n))
-        tables[:, :, 0] = rows.transpose(0, 2, 1)
-        tables[:, :, 1:2, :order] = xi[:order].T[:, None]
+        # gamma's rows 1 .. order and xi's rows 0 .. order, per distinct v0
+        gamma, xi = np.empty((len(v0s), order, 3)), np.empty((len(v0s), n, 3))
+        at_origin = (v0s == 0.0) & (order <= self.order)
+        if at_origin.any():
+            gamma[at_origin], xi[at_origin] = self.gamma.c[:, 0, 1:n].T, self.xi.c[:, 0, :n].T
+        off, v0s = ~at_origin, v0s[~at_origin]
+        if len(v0s) and self.backing is not None:
+            xi[off], gp = self.backing.ruling_series(v0s, order)
+            gamma[off] = gp / np.arange(1, n)[:, None]
+        elif len(v0s):
+            gamma[off] = series_shift(self.gamma.c[:, 0].T, v0s, order)[:, 1:]
+            xi[off] = series_shift(self.xi.c[:, 0].T, v0s, order)
+        gamma, xi = gamma[col], xi[col]
+        rows = us[..., None, None] * xi
+        rows[..., 1:, :] += gamma
+        tables = np.zeros(us.shape + (3, n, n))
+        tables[..., 0, :] = rows.mT
+        tables[..., 1:2, :order] = xi[..., :order, :].mT[..., None, :]
         return tables
 
     def as_surface_map(self) -> SurfaceMap:
@@ -175,12 +186,15 @@ class RuledSurface:
 def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:
     """Taylor coefficients of (gamma, xi) around v0, with gamma(v0) = y[:3]."""
     xi, gp = backing.ruling_series(v0, TAYLOR_ORDER)
-    return np.hstack([series_integral(gp, y[:3]), xi])
+    return np.concatenate([series_integral(gp, y[:3]), xi], axis=1)
 
 
 def _vjet3(rows: np.ndarray, order: int) -> Jet3:
-    """The jet in v of a vector series, one 3-vector per power of v."""
-    return Jet3.from_terms({(0, k): row for k, row in enumerate(rows)}, order)
+    """The jet in v of a vector series, one 3-vector per power of v, kept to
+    the powers up to order."""
+    c = np.zeros((3, order + 1, order + 1))
+    c[:, 0, : len(rows)] = rows[: order + 1].T
+    return Jet3(order, c)
 
 
 def _dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:

@@ -9,15 +9,15 @@ curvatures) are read off the Taylor tables of ``derivative_jets``, so no
 finite differencing is involved on the library side.
 
 Off the origin a map answers two questions.  Points come in grids
-(``evaluate_grid``; a single point is a one-point grid), derivatives in
-columns of fixed v (``derivative_jets``) as stacked tables c[u0, i, j, k]:
-a ruled surface computes its directrix and ruling once per v.  A table
-leaves out the directrix point gamma(v0), the one coefficient that
-needs a backed surface's directrix path, so the curvatures, the second
-form and deformation.verify_isometry grow no path.  ``local_jet`` is the
-two answers together: the derivatives with f(u0, v0) as constant term.
-``_forms`` reads both fundamental forms at paired points (us[i], vs[i]) in
-one stacked pass, one derivative_jets column per distinct v;
+(``evaluate_grid``; a single point is a one-point grid), derivatives at
+paired points (us[i], vs[i]) (``derivative_jets``) as stacked tables
+c[point, i, j, k], in one call: a ruled surface expands its directrix and
+ruling once per distinct v.  A table leaves out the directrix point
+gamma(v0), the one coefficient that needs a backed surface's directrix
+path, so the curvatures, the second form and deformation.verify_isometry
+grow no path.  ``local_jet`` is the two answers together: the derivatives
+with f(u0, v0) as constant term.  ``_forms`` reads both fundamental forms
+at paired points in one stacked pass, from one derivative_jets call;
 ``curvatures_at`` and ``second_form_at`` are its one-point case.
 
 At the origin a map is read once, into ``SurfaceMap._origin``; formulas at
@@ -111,15 +111,15 @@ class SurfaceMap:
         c[:, 0, 0] = self(u0, v0)
         return Jet3(c.shape[-1] - 1, c)
 
-    def derivative_jets(self, us: Sequence[float], v0: float, order: int = 2) -> np.ndarray:
-        """Jet tables at (u0, v0) for u0 in us, shape (len(us), 3, n + 1, n + 1),
-        n = order (at most a polynomial's own), up to the constant term: a
-        ruled surface leaves out gamma(v0), which needs the directrix path."""
+    def derivative_jets(self, us: Sequence[float], vs: Sequence[float], order: int = 2) -> np.ndarray:
+        """Jet tables at the points (us[i], vs[i]), us and vs broadcast, shape (points,
+        3, n + 1, n + 1), n = order (at most a polynomial's own), up to the constant
+        term: a ruled surface leaves out gamma(v0), which needs the directrix path."""
         if order < 0:
             raise JetDomainError("jet order must be nonnegative")
         if self.ruling is not None:
-            return self.ruling.derivative_jets(us, v0, order)
-        return table_shift(self.jet.c, us, v0, min(order, self.jet.order))
+            return self.ruling.derivative_jets(us, vs, order)
+        return table_shift(self.jet.c, us, vs, min(order, self.jet.order))
 
     @cached_property
     def _origin(self) -> Origin:
@@ -237,16 +237,12 @@ def origin_derivatives(c: np.ndarray):
 
 def _forms(f: SurfaceMap, us: Sequence[float], vs: Sequence[float]):
     """(E, F, G, E G - F^2, L, M, N) as arrays over the regular points (us[i], vs[i]),
-    one derivative_jets call per distinct v; L, M, N follow f_u x f_v / |f_u x f_v|.
+    from one derivative_jets call; L, M, N follow f_u x f_v / |f_u x f_v|.
     Each point has the bits of one-point cross, @ and norm; the first bad point is refused."""
-    columns: dict[float, list[int]] = {}
-    for i, (u, v) in enumerate(zip(us, vs)):
+    for u, v in zip(us, vs):
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError(f"point ({u}, {v}) is not finite")
-        columns.setdefault(v, []).append(i)
-    tables = np.concatenate([f.derivative_jets([us[i] for i in col], v) for v, col in columns.items()])
-    in_point_order = np.argsort([i for col in columns.values() for i in col])
-    fu, fv, fuu, fuv, fvv = d = origin_derivatives(tables[in_point_order])
+    fu, fv, fuu, fuv, fvv = d = origin_derivatives(f.derivative_jets(us, vs))
     n = np.cross(fu, fv)
     finite = np.isfinite(d).all(axis=(0, 2)) & np.isfinite(n).all(axis=1)
     length = np.sqrt(np.vecdot(n, n))  # not sqrt(E G - F^2), which cancels where f_u || f_v

@@ -249,6 +249,24 @@ def assert_same_report(a, b):
             assert x == y, field.name
 
 
+def test_ray_reports_read_each_ray_in_one_derivative_jets_call(monkeypatch):
+    calls = []
+    tables = surface.SurfaceMap.derivative_jets
+
+    def counted(self, us, vs, order=2):
+        calls.append(len(us))
+        return tables(self, us, vs, order)
+
+    monkeypatch.setattr(surface.SurfaceMap, "derivative_jets", counted)
+    n = len(_clamped_radii(None))
+    for f in (standard_crosscap(), build_crosscap(deformation_family(2.0, 0.3, (0.5, -0.4)))):
+        for theta in (0.7, -1.2, math.pi / 2.0):
+            calls.clear()
+            asymptotics.ray_reports(f, theta)
+            # every radius of the ray, each at its own v, in one call
+            assert calls == [n], (f, theta)
+
+
 @pytest.mark.parametrize("radii", [None, (1e-2,), (1e-2, 1e-2, 1e-9, 1e-8)])
 def test_ray_reports_match_the_two_reports_from_one_sampling(radii, monkeypatch):
     calls = []

@@ -23,7 +23,7 @@ from crosscap import (
     second_form_closed,
     verify_isometry,
 )
-from crosscap.deformation import circle_family
+from crosscap.deformation import DeformationFamily, circle_family
 from crosscap.jets import series_shift
 from crosscap.numerics import frenet_series
 from crosscap.ruled import from_deformation
@@ -218,6 +218,22 @@ def test_spherical_curve_validation():
         deformation_family(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         deformation_family(-2.0, 0.0, 1.0)
+
+
+def test_verify_isometry_reads_each_surface_in_one_ruling_series_call(monkeypatch):
+    f, g = (build_crosscap(deformation_family(1.3, -0.4, kappa)) for kappa in (1.2, (0.5, -0.4, 0.2)))
+    calls = []
+    series = DeformationFamily.ruling_series
+
+    def counted(self, v0, order):
+        calls.append(np.shape(v0))
+        return series(self, v0, order)
+
+    monkeypatch.setattr(DeformationFamily, "ruling_series", counted)
+    report = verify_isometry(f, g, grid=(10, 10))
+    # the ten columns of each surface in one call
+    assert calls == [(10,), (10,)]
+    assert report.passed
 
 
 def test_frenet_series_matches_path():

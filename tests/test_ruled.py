@@ -431,6 +431,24 @@ def test_ruling_series_arrays_match_jet_algebra():
                     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
+def test_ruling_series_of_an_array_stacks_the_columns():
+    # curvature of degree 0, 2 and 7, the last above orders 1, 2 and 6
+    members = [deformation_family(1.3, -0.4, 0.8), deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)),
+               deformation_family(2.4, -0.9, (0.3, -0.6, 0.5, 0.8, -0.4, 0.2, -0.7, 0.35))]
+    backings = list(members)
+    for fam in members:
+        backings.append(from_frame(fam.curve, a=[0.4, -0.2, 0.1], b=0.3, c=[0.0, 0.5], order=8).backing)
+        fc = frame_coefficients(normalize(from_deformation(fam, order=8)))
+        backings.append(redeploy(fc, circle_family(0.6), order=8).backing)
+    v0s = [-0.55, 0.0, 0.3, 0.9, 0.3]
+    for backing in backings:
+        for order in (1, 2, 6, 20):
+            columns = backing.ruling_series(np.array(v0s), order)
+            for got, want in zip(columns, zip(*(backing.ruling_series(v0, order) for v0 in v0s))):
+                assert got.shape == (len(v0s),) + want[0].shape
+                assert np.array_equal(got, np.stack(want)), (backing, order)
+
+
 def test_directrix_path_grows_without_jet_algebra(monkeypatch, tmp_path):
     # growing a backed member's Taylor path, a grid of local jets and the
     # ruled chain are series arithmetic in v alone: no bivariate product,

@@ -22,9 +22,9 @@ from crosscap import (
     standard_crosscap,
     surface_from_polynomial,
 )
-from crosscap.deformation import build_crosscap, deformation_family, degenerate_quadratic
+from crosscap.deformation import build_crosscap, circle_family, deformation_family, degenerate_quadratic
 from crosscap.jets import Jet2, Jet3
-from crosscap.ruled import from_polynomials
+from crosscap.ruled import frame_coefficients, from_deformation, from_polynomials, normalize, redeploy
 from crosscap import surface
 from crosscap.surface import SurfaceMap, canonical_crosscap, cross, det3, dot, norm
 
@@ -196,6 +196,27 @@ def test_negative_derivative_order_is_a_jet_domain_error():
             f.derivative_jets([0.2, -0.3], 0.1, -1)
 
 
+# paired points (us[i], vs[i]): repeated v values, v = 0 among others, a
+# scalar v for every u, and no points
+PAIRED_POINTS = [
+    ([-0.8, -0.25, 0.0, 0.4, 0.95, 0.1], [0.35, -0.6, 0.35, 0.0, -0.6, 0.0]),
+    ([-0.8, 0.4, 0.95], 0.0),
+    ([-0.25, 0.1], -0.6),
+    ([], []),
+]
+
+
+def assert_paired_tables_are_columns(f: SurfaceMap, order: int):
+    """One paired derivative_jets call against the one-point column call of
+    each point, table for table and bit for bit."""
+    for us, vs in PAIRED_POINTS:
+        tables = f.derivative_jets(us, vs, order)
+        points = list(zip(*np.broadcast_arrays(us, vs)))
+        assert tables.shape == (len(points),) + f.derivative_jets([], 0.3, order).shape[1:]
+        for table, (u, v) in zip(tables, points):
+            assert np.array_equal(table, f.derivative_jets([u], v, order)[0]), (order, u, v)
+
+
 def test_polynomial_derivative_columns_match_pointwise_shifts(rng):
     us = [-0.8, -0.25, 0.0, 0.4, 0.95]
     maps = (
@@ -209,11 +230,26 @@ def test_polynomial_derivative_columns_match_pointwise_shifts(rng):
             for v0 in (0.0, -0.6, 0.35):
                 tables = f.derivative_jets(us, v0, order)
                 assert np.array_equal(tables, reference_derivative_jets(f, us, v0, order))
+            assert_paired_tables_are_columns(f, order)
         empty = f.derivative_jets([], 0.3, 4)
         assert empty.shape == (0, 3, min(4, f.order) + 1, min(4, f.order) + 1)
         assert np.array_equal(empty, reference_derivative_jets(f, [], 0.3, 4))
     # an order-1 map has no second derivatives, so no curvature
     assert curvatures_at(maps[0], 0.3, -0.2) == (0.0, 0.0)
+    # ruled maps: unbacked, a circle member, a polynomial-curvature member
+    # and a redeployed surface
+    fam = deformation_family(1.5, 0.25, (0.5, -0.4, 0.2))
+    fc = frame_coefficients(normalize(from_deformation(fam, order=8)))
+    ruled_maps = (
+        from_polynomials([[0, 0, 0], [0.1, 0.2, 0.3], [0.0, -0.4, 0.5]], [[1, 0, 0], [0, 1, 0.2]]).as_surface_map(),
+        build_crosscap(deformation_family(1.3, -0.4, 1.2), order=8),
+        build_crosscap(fam, order=8),
+        redeploy(fc, circle_family(0.6), order=8).as_surface_map(),
+    )
+    for f in ruled_maps:
+        # order 9 is past the surfaces' own, where v = 0 takes no shortcut
+        for order in (0, 1, 2, 6, 9):
+            assert_paired_tables_are_columns(f, order)
 
 
 def test_limiting_normal_standard():

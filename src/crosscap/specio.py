@@ -20,10 +20,11 @@ spherical_deformation spec with "kappa_poly": [kappa].  Every malformed
 field raises SpecFormatError, which the command line reports as one
 "spec error:" line with exit code 1; so does a file that is not UTF-8
 (naming the byte offset), nests too deep for the JSON decoder, or holds an
-integer past Python's digit limit.  Polynomial entries are checked all at
-once, by exact types (a JSON true is a bool, not a power or a number) and
-one pass per column; only when that check fails are they checked entry by
-entry, so that the error names the first bad field.
+integer past Python's digit limit.  Polynomial entries and the rows of
+"gamma_poly" and "xi_poly" are checked by one reader, all rows at once, by
+exact types (a JSON true is a bool, not a power or a number) and one pass
+per column; only when that check fails are they checked row by row, so
+that the error names the first bad field.
 
 Reports are plain dicts serialized deterministically: keys sorted,
 floats printed at 17 significant digits, so identical inputs yield
@@ -47,7 +48,7 @@ from typing import Any
 import numpy as np
 
 from . import asymptotics, deformation, invariants, normalform, ruled, surface
-from .errors import SpecFormatError
+from .errors import CrosscapError, SpecFormatError
 from .jets import Jet3
 from .surface import SurfaceMap
 
@@ -111,23 +112,36 @@ def _number(obj: Any, field: str) -> float:
     return float(obj)
 
 
-def _plain_terms(entries: list) -> bool:
-    """Whether every entry is a [j, k, x, y, z] list with powers of exactly
-    type int, j, k >= 0 and j + k <= MAX_DEGREE, and finite coefficients of
-    exactly type int or float: the checks of parse_spec on all entries at
-    once, each a pass over columns, types tested first."""
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {5}:
-        return False
-    j, k, x, y, z = zip(*entries)
-    powers, coeffs = j + k, x + y + z
-    return (
-        set(map(type, powers)) == {int}
-        and min(powers) >= 0
-        and max(map(operator.add, j, k)) <= MAX_DEGREE
-        and set(map(type, coeffs)) <= {int, float}
-        # abs(c) <= max as _number compares, exact for an int past the float range
-        and all(map(operator.le, map(abs, coeffs), repeat(sys.float_info.max)))
-    )
+def _rows(rows: list, field: str, shape: str, width: int, powers: int = 0):
+    """Check a nonempty list of rows of width entries: the first ``powers``
+    of them monomial powers (j, k), the rest the coefficients x, y, z.
+
+    All rows are checked at once, by exact types and one pass per column,
+    types before values; only when that check fails are they checked row by
+    row, so that the error names the first bad field as ``shape`` or
+    ``field[i].x``."""
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
+        columns = tuple(zip(*rows))
+        exps, coeffs = sum(columns[:powers], ()), sum(columns[powers:], ())
+        if (
+            set(map(type, exps)) <= {int}
+            and (not powers or (min(exps) >= 0 and max(map(operator.add, *columns[:powers])) <= MAX_DEGREE))
+            and set(map(type, coeffs)) <= {int, float}
+            # abs(c) <= max as _number compares, exact for an int past the float range
+            and all(map(operator.le, map(abs, coeffs), repeat(sys.float_info.max)))
+        ):
+            return
+    for i, row in enumerate(rows):
+        _require(isinstance(row, (list, tuple)) and len(row) == width, f"{field}[{i}]", shape)
+        exps = row[:powers]
+        _require(
+            all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in exps),
+            f"{field}[{i}]",
+            "monomial powers must be nonnegative integers",
+        )
+        _require(sum(exps) <= MAX_DEGREE, f"{field}[{i}]", f"monomial degree above {MAX_DEGREE}")
+        for c, name in zip(row[powers:], "xyz"):
+            _number(c, f"{field}[{i}].{name}")
 
 
 def parse_spec(doc: Any) -> SurfaceSpec:
@@ -168,24 +182,7 @@ def parse_spec(doc: Any) -> SurfaceSpec:
 
     if kind == "polynomial":
         _require(isinstance(payload, list) and payload, kind, "expected a nonempty list of entries")
-        # entry by entry only when the check of all entries fails, to name
-        # the first bad field
-        if not _plain_terms(payload):
-            for i, entry in enumerate(payload):
-                _require(
-                    isinstance(entry, (list, tuple)) and len(entry) == 5,
-                    f"{kind}[{i}]",
-                    "expected [j, k, x, y, z]",
-                )
-                j, k = entry[0], entry[1]
-                _require(
-                    all(isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in (j, k)),
-                    f"{kind}[{i}]",
-                    "monomial powers must be nonnegative integers",
-                )
-                _require(j + k <= MAX_DEGREE, f"{kind}[{i}]", f"monomial degree above {MAX_DEGREE}")
-                for c, name in zip(entry[2:], "xyz"):
-                    _number(c, f"{kind}[{i}].{name}")
+        _rows(payload, kind, "expected [j, k, x, y, z]", 5, powers=2)
     elif kind in FIELDS:
         _require(isinstance(payload, dict), kind, "expected an object")
         values = {}
@@ -214,14 +211,7 @@ def parse_spec(doc: Any) -> SurfaceSpec:
                 f"{kind}.{f}",
                 f"expected a list of 1 to {MAX_DEGREE + 1} rows",
             )
-            for i, row in enumerate(rows):
-                _require(
-                    isinstance(row, (list, tuple)) and len(row) == 3,
-                    f"{kind}.{f}[{i}]",
-                    "expected an [x, y, z] triple",
-                )
-                for c, name in zip(row, "xyz"):
-                    _number(c, f"{kind}.{f}[{i}].{name}")
+            _rows(rows, f"{kind}.{f}", "expected an [x, y, z] triple", 3)
 
     return SurfaceSpec(kind=kind, payload=payload, order=order, domain=domain)
 
@@ -461,6 +451,8 @@ def write_obj(f: SurfaceMap, path: str, resolution: int):
     u, (n+1)^2 of them, then 2 n^2 triangular faces with 1-based indices.
     They come from one evaluate_grid call: Horner's rule over the grid for
     a polynomial map, one (gamma, xi) value per v column for a ruled one.
+    A vertex that is not finite raises CrosscapError, naming its (u, v),
+    before the file is opened.
     """
     if not 1 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be an integer in 1..{MAX_RESOLUTION}")
@@ -470,12 +462,11 @@ def write_obj(f: SurfaceMap, path: str, resolution: int):
     vs = [v0 + (v1 - v0) * j / n for j in range(n + 1)]
     # + 0.0 writes -0.0 as 0, as format_float does
     points = f.evaluate_grid(us, vs).reshape(-1, 3) + 0.0
-    if np.isfinite(points).all():
-        vertices = "v %.17g %.17g %.17g\n" * len(points) % tuple(points.ravel().tolist())
-    else:
-        vertices = "".join(
-            f"v {format_float(x)} {format_float(y)} {format_float(z)}\n" for x, y, z in points.tolist()
-        )
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n + 1)
+        raise CrosscapError(f"mesh vertex at (u, v) = ({format_float(us[i])}, {format_float(vs[j])}) is not finite")
+    vertices = "v %.17g %.17g %.17g\n" * len(points) % tuple(points.ravel().tolist())
     # cell (i, j) has corners a, b = a + n + 1 one row on, and their successors in j
     i, j = np.divmod(np.arange(n * n), n)
     a = i * (n + 1) + j + 1

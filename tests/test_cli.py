@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from crosscap.cli import main
 from crosscap.deformation import degenerate_first_form, degenerate_quadratic, verify_isometry
+from crosscap.errors import CrosscapError
 from crosscap.specio import (
     MAX_DEGREE,
     MAX_RESOLUTION,
@@ -401,7 +402,9 @@ def test_mesh_resolution_validation(tmp_path, capsys):
 
 def test_obj_text_matches_the_per_float_writer(tmp_path):
     # write_obj formats in one pass; the reference writes each float and
-    # face alone, with format_float, which prints -0.0 as 0 and inf, nan as null
+    # face alone, with format_float, which prints -0.0 as 0; a vertex that
+    # is not finite is refused, the first one named by its (u, v), and no
+    # file is written
     class Grid:
         domain_hint = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -416,17 +419,26 @@ def test_obj_text_matches_the_per_float_writer(tmp_path):
     for n in (1, 3, 7):
         values = rng.standard_normal(3 * (n + 1) ** 2) * 10.0 ** rng.integers(-20, 20, 3 * (n + 1) ** 2)
         values[: len(special)] = special[: len(values)]
-        for bad in (None, math.inf, -math.inf, math.nan):
+        expected = [f"v {' '.join(map(format_float, p))}" for p in values.reshape(-1, 3).tolist()]
+        for i in range(n):
+            for j in range(n):
+                a, b = i * (n + 1) + j + 1, (i + 1) * (n + 1) + j + 1
+                expected += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
+        write_obj(Grid(values), str(tmp_path / "g.obj"), n)
+        assert (tmp_path / "g.obj").read_bytes() == ("\n".join(expected) + "\n").encode()
+        target = tmp_path / "bad.obj"
+        for bad in (math.inf, -math.inf, math.nan):
             points = values.copy()
-            if bad is not None:
-                points[-1] = bad
-            expected = [f"v {' '.join(map(format_float, p))}" for p in points.reshape(-1, 3).tolist()]
-            for i in range(n):
-                for j in range(n):
-                    a, b = i * (n + 1) + j + 1, (i + 1) * (n + 1) + j + 1
-                    expected += [f"f {a} {b} {b + 1}", f"f {a} {b + 1} {a + 1}"]
-            write_obj(Grid(points), str(tmp_path / "g.obj"), n)
-            assert (tmp_path / "g.obj").read_bytes() == ("\n".join(expected) + "\n").encode()
+            points[-1] = bad
+            with pytest.raises(CrosscapError) as last:
+                write_obj(Grid(points), str(target), n)
+            assert str(last.value) == "mesh vertex at (u, v) = (1, 1) is not finite"
+            # vertex n + 1, at (u_1, v_0), comes first in row-major order
+            points[3 * (n + 1) + 1] = bad
+            with pytest.raises(CrosscapError) as first:
+                write_obj(Grid(points), str(target), n)
+            assert str(first.value) == f"mesh vertex at (u, v) = ({format_float(-1.0 + 2.0 / n)}, -1) is not finite"
+            assert not target.exists()
 
 
 def test_mesh_family_member_obj_is_valid(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
     # the tangent developable has a cuspidal edge, not a cross cap, at its
     # origin; the steep germ's normal form refuses at order 11; bad_terms
-    # has a negative power in its fourth entry
+    # has a negative power in its fourth entry, bad_rows a true in a row
     for line in (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines():
         run, rc, err = line.split(" ", 2)
         if run.startswith(("tangent.analyze", "tangent.asymptotics")):
@@ -50,6 +50,8 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
             assert rc == "2" and err == repr("analysis failed: second-component residual survived at degree 11\n"), line
         elif run.startswith("bad_terms."):
             assert rc == "1" and err.startswith('"spec error: field \'polynomial[3]\''), line
+        elif run.startswith("bad_rows."):
+            assert rc == "1" and err == repr("spec error: field 'ruled.xi_poly[1].y': expected a number\n"), line
         else:
             assert rc == "0" and err == "''", line
 

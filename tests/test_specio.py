@@ -108,6 +108,43 @@ def test_reader_matches_the_former_reader(doc):
     assert _outcome(parse_spec, doc) == _outcome(reference_parse_spec, doc)
 
 
+GOOD_ROW = st.lists(GOOD_COEFF, min_size=3, max_size=3)
+ROW = st.one_of(
+    GOOD_ROW,
+    st.tuples(GOOD_COEFF, GOOD_COEFF, GOOD_COEFF),
+    st.lists(GOOD_COEFF, min_size=2, max_size=2),
+    st.lists(GOOD_COEFF, min_size=4, max_size=4),
+)
+
+
+@st.composite
+def ruled_documents(draw):
+    """A ruled spec of valid rows, of valid rows but for one field of
+    gamma_poly or xi_poly, of rows of any shape (tuples, width 2 or 4), or
+    with 0 or 66 rows in one list."""
+    mode = draw(st.sampled_from(["valid", "one bad field", "any shape", "bad length"]))
+    rows = st.lists(ROW if mode == "any shape" else GOOD_ROW, min_size=1, max_size=8)
+    payload = {"gamma_poly": draw(rows), "xi_poly": draw(rows)}
+    f = draw(st.sampled_from(["gamma_poly", "xi_poly"]))
+    if mode == "one bad field":
+        i, field = draw(st.integers(0, len(payload[f]) - 1)), draw(st.integers(0, 2))
+        payload[f][i][field] = draw(st.sampled_from(BAD_COEFFS))
+    elif mode == "bad length":
+        payload[f] = [[0, 0, 1]] * draw(st.sampled_from([0, 66]))
+    doc = {"ruled": payload}
+    if draw(st.booleans()):
+        doc["order"] = draw(st.integers(1, 13))
+    return doc
+
+
+@settings(max_examples=200)
+@given(doc=ruled_documents())
+@example(doc={"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, True, 0]]}})
+@example(doc={"ruled": {"gamma_poly": [[0, 0, 0], (0, 0, 1)], "xi_poly": [[1, 0, 0], [0, 1, 0]]}})
+def test_ruled_reader_matches_the_former_reader(doc):
+    assert _outcome(parse_spec, doc) == _outcome(reference_parse_spec, doc)
+
+
 # few monomials, so that entries repeat them, with int and float coefficients
 # mixed up to the float range, where sums overflow
 BUILD_COEFF = st.one_of(st.floats(-3.0, 3.0), st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False))

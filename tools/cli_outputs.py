@@ -91,6 +91,8 @@ SPECS = {
     "dup_terms": {"polynomial": DUP_TERMS, "order": 5},
     # one bad entry: the entry-by-entry checks name it (every run exits 1)
     "bad_terms": {"polynomial": [*DUP_TERMS[:3], [2, -1, 0, 0, 1], *DUP_TERMS[3:]]},
+    # the ruled spec with a JSON true in a row: the row-by-row checks name it
+    "bad_rows": {"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, True, 0]]}},
 }
 FAMILY = ("circle", "poly_kappa", "quartic_kappa")
 

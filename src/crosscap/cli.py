@@ -123,7 +123,8 @@ def cmd_deform(spec: specio.SurfaceSpec, args, tol: float):
         b3 = next((val for i, val in rep["normal_form"]["b"] if i == 3), 0.0)
         members.append({"kappa": kap, "b3": b3, **rep})
         forms.append(surface.first_form(built.surface))
-    matrix = [[fa.max_coeff_diff(fb) for fb in forms] for fa in forms]
+    tables = np.array([[ff.E.c, ff.F.c, ff.G.c] for ff in forms])  # members share the spec order
+    matrix = np.abs(tables[:, None] - tables[None, :]).max(axis=(2, 3, 4)).tolist()
     return {"members": members, "metric_deviation": matrix}, _deform_text
 
 

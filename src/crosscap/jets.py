@@ -109,32 +109,32 @@ def _lags(n: int) -> np.ndarray:
 
 def _product_matrix(b: np.ndarray, n: int) -> np.ndarray:
     """Lower triangular M with M @ a the first n + 1 coefficients of a(t) b(t),
-    one M per row of a 2-D b."""
+    one M per series stacked on the leading axes of b."""
     padded = np.zeros(b.shape[:-1] + (n + 2,))
     padded[..., : b.shape[-1]] = b
     # the same gather; take is the faster one on stacked rows, indexing on one
-    return padded.take(_lags(n), axis=1) if b.ndim > 1 else padded[_lags(n)]
+    return padded.take(_lags(n), axis=-1) if b.ndim > 1 else padded[_lags(n)]
 
 
 def series_product(a, b, n: int) -> np.ndarray:
     """First n + 1 coefficients of a(t) b(t) for series in one variable.
 
-    a may be a vector series (one row per power of t); b is scalar.  A 2-D b
-    holds one series per column, times the vector series a[i] of column i.
+    a may be a vector series (one row per power of t); b is scalar, or scalar
+    series stacked on leading axes, each times the vector series of a there.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if b.ndim > 1:
-        a, b = a[:, : n + 1], b[:, : n + 1]
-        return _checked(_product_matrix(b, n)[:, :, : a.shape[1]] @ a, a, b)
+        a, b = a[..., : n + 1, :], b[..., : n + 1]
+        return _checked(_product_matrix(b, n)[..., : a.shape[-2]] @ a, a, b)
     a, b = a[: n + 1], b[: n + 1]
     return _checked(_product_matrix(b, n)[:, : len(a)] @ a, a, b)
 
 
 def series_cross(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n + 1 coefficients of a(t) x b(t) for vector series."""
-    p = [series_product(b, a[:, i], n) for i in range(3)]  # p[i][:, j] = a_i b_j
-    cols = [p[1][:, 2] - p[2][:, 1], p[2][:, 0] - p[0][:, 2], p[0][:, 1] - p[1][:, 0]]
-    return np.stack(cols, axis=1)
+    """First n + 1 coefficients of a(t) x b(t) for vector series: one stacked product."""
+    a, b = np.asarray(a, dtype=float)[: n + 1], np.asarray(b, dtype=float)[: n + 1]
+    p = _checked(_product_matrix(a.T, n)[:, :, : len(b)] @ b, a, b)  # p[i][:, j] = a_i b_j
+    return (p[[1, 2, 0], :, [2, 0, 1]] - p[[2, 0, 1], :, [1, 2, 0]]).T  # a_1 b_2 - a_2 b_1, ...
 
 
 def series_power(a, p: float, n: int) -> np.ndarray:

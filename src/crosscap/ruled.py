@@ -22,18 +22,19 @@ the cuspidal edge / swallowtail / cuspidal cross cap trichotomy, and the
 criteria being sufficient conditions only, anything failing every test
 is reported as unclassified rather than guessed.
 
-Series in v alone are coefficient arrays, one row per power of v, and
-all of the above is series arithmetic in one variable (jets.series_product
-and its kin); FrameCoefficients holds them, and the arc length chart of
-``normalize`` is a series reversion.  RuledSurface keeps gamma and xi as
-jets in v for SurfaceMap; the first rows of their tables, ``jet.c[:, 0].T``,
-are the vector series, one 3-vector per power of v.  A surface can be backed (see RulingBacking)
-by exact data: a spherical curve plus frame coefficients (``redeploy``,
-``from_frame``) or a deformation family member (``from_deformation``),
-which give the Taylor coefficients of xi and gamma' around any v0.  A
-backed surface follows gamma and xi along one Taylor path in v
-(numerics.TaylorPath) whose block at each node is the backing's arrays
-there, so it expands exactly around any point of the chart; unbacked
+Series in v alone are coefficient arrays, one row per power of v, and all of
+the above is series arithmetic in one variable (jets.series_product and its
+kin), each dot, cross and frame projection one stacked product;
+FrameCoefficients holds them, and the arc length chart of ``normalize`` is a
+series reversion solved a coefficient at a time.  RuledSurface keeps gamma and
+xi as jets in v for SurfaceMap; the first rows of their tables,
+``jet.c[:, 0].T``, are the vector series, one 3-vector per power of v.  A
+surface can be backed (see RulingBacking) by exact data: a spherical curve
+plus frame coefficients (``redeploy``, ``from_frame``) or a deformation family
+member (``from_deformation``), which give the Taylor coefficients of xi and
+gamma' around any v0.  A backed surface follows gamma and xi along one Taylor
+path in v (numerics.TaylorPath) whose block at each node is the backing's
+arrays there, so it expands exactly around any point of the chart; unbacked
 surfaces are their polynomial jets, exact where those are the surface
 (``from_polynomials``) and truncations elsewhere (``normalize``).
 
@@ -50,13 +51,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import zip_longest
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .errors import JetDomainError, SingularPointError
-from .jets import Jet2, Jet3, series_compose, series_cross, series_derivative, series_integral
-from .jets import series_power, series_product, series_shift
+from .jets import Jet3, _checked, _product_matrix, series_compose, series_cross
+from .jets import series_derivative, series_integral, series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
 from .surface import SurfaceMap, cross, det3, norm
 
@@ -108,9 +110,9 @@ class _FrameBacking:
     coeffs: FrameCoefficients
 
     def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]:
-        frame = self.curve.series_at(v0, order)
-        coeffs = [series_shift(p, v0) for p in (self.coeffs.a, self.coeffs.b, self.coeffs.c)]
-        return frame[0], _directrix_derivative(frame, coeffs, order - 1)
+        frame = np.stack(self.curve.series_at(v0, order))
+        abc = np.array(list(zip_longest(self.coeffs.a, self.coeffs.b, self.coeffs.c, fillvalue=0.0)))
+        return frame[0], _directrix_derivative(frame, series_shift(abc, v0), order - 1)
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,11 @@ class RuledSurface:
         return tables
 
     def as_surface_map(self) -> SurfaceMap:
-        u = Jet2.variable("u", self.order)
-        return SurfaceMap(jet=self.gamma + self.xi * u, ruling=self)
+        """gamma(v) + u xi(v) as one jet: gamma is row j = 0 of its table, xi row j = 1."""
+        n = self.order
+        c = np.zeros((3, n + 1, n + 1))
+        c[:, 0], c[:, 1:2, :n] = self.gamma.c[:, 0, : n + 1], self.xi.c[:, :1, :n]  # no row 1 at n = 0
+        return SurfaceMap(jet=Jet3(n, c), ruling=self)
 
 
 def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:
@@ -198,20 +203,22 @@ def _vjet3(rows: np.ndarray, order: int) -> Jet3:
 
 
 def _dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """First n + 1 coefficients of x(v) . y(v) for vector series."""
-    return sum(series_product(x[:, i], y[:, i], n) for i in range(3))
+    """First n + 1 coefficients of x . y for vector series, y maybe stacked: one product."""
+    x, y = x[: n + 1], y[..., : n + 1, :]
+    p = _product_matrix(y.mT, n)[..., : len(x)] @ x.T[..., None]  # component i: x_i y_i
+    return _checked(p[..., 0, :, 0] + p[..., 1, :, 0] + p[..., 2, :, 0], x, y)
 
 
-def _frame(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xi, xi', xi x xi'), each to one order below xi."""
+def _frame(xi: np.ndarray) -> np.ndarray:
+    """(xi, xi', xi x xi') stacked, each to one order below xi."""
     xid = series_derivative(xi)
     n = len(xid) - 1
-    return xi[: n + 1], xid, series_cross(xi[: n + 1], xid, n)
+    return np.stack([xi[: n + 1], xid, series_cross(xi[: n + 1], xid, n)])
 
 
-def _directrix_derivative(frame, coeffs, n: int) -> np.ndarray:
-    """First n + 1 coefficients of a xi + b xi' + c (xi x xi')."""
-    return sum(series_product(X, p, n) for X, p in zip(frame, coeffs))
+def _directrix_derivative(frame: np.ndarray, abc: np.ndarray, n: int) -> np.ndarray:
+    """First n + 1 coefficients of a xi + b xi' + c (xi x xi'), as one product."""
+    return series_product(frame, np.moveaxis(abc, -1, 0), n).sum(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -261,21 +268,24 @@ def from_deformation(fam: RulingBacking, order: int = 8) -> RuledSurface:
 
 def is_normalized(rs: RuledSurface) -> bool:
     """|xi|^2 = |xi'|^2 = 1 to within NORMALIZED_TOL in every coefficient."""
+    if rs.xi.order < 1:
+        raise JetDomainError(f"normalization reads rulings of order 1, got order {rs.xi.order}")
     xi = rs.xi.c[:, 0].T
     devs = (_dot(x, x, len(x) - 1) - np.eye(1, len(x))[0] for x in (xi, series_derivative(xi)))
     return all(np.max(np.abs(dev)) <= NORMALIZED_TOL for dev in devs)
 
 
 def _reverted(sigma: np.ndarray) -> np.ndarray:
-    """w with sigma(w(t)) = t for sigma(0) = 0 < sigma'(0), by the fixed
-    point w = (t - tail(w)) / sigma'(0), which gains one coefficient a step."""
-    n, s1 = len(sigma) - 1, sigma[1]
-    t = np.eye(1, n + 1, 1)[0]
-    tail = sigma - s1 * t
-    w = t / s1
-    for _ in range(n):
-        w = (t - series_compose(tail, w, n)) / s1
-    return w
+    """w with sigma(w(t)) = t for sigma(0) = 0 < sigma'(0).  Coefficient i of
+    sigma(w) is sigma_1 w_i plus sum_(k >= 2) sigma_k (w^k)_i, and those powers
+    of w need w_1 .. w_(i-1) alone: one table of the powers grows a column a step."""
+    powers = np.zeros((len(sigma), len(sigma)))  # powers[k, i]: t^i in w^k
+    w = powers[1]
+    w[1] = 1.0 / sigma[1]
+    for i in range(2, len(sigma)):
+        powers[2 : i + 1, i] = powers[1:i, i - 1 : 0 : -1] @ w[1:i]
+        w[i] = -(sigma[2 : i + 1] @ powers[2 : i + 1, i]) / sigma[1]
+    return _checked(w, sigma)
 
 
 def normalize(rs: RuledSurface) -> RuledSurface:
@@ -300,8 +310,10 @@ def normalize(rs: RuledSurface) -> RuledSurface:
         raise SingularPointError("ruling direction is stationary at v = 0")
     w = _reverted(series_integral(series_power(speed2, 0.5, n - 1), 0.0))
     m = min(rs.gamma.order, n)
-    gamma = series_compose(rs.gamma.c[:, 0].T, w, m)
-    return RuledSurface(gamma=_vjet3(gamma, m), xi=_vjet3(series_compose(xi1, w, n), n))
+    both = np.zeros((n + 1, 6))  # gamma, zero past its order, beside xi1
+    both[: m + 1, :3], both[:, 3:] = rs.gamma.c[:, 0, : m + 1].T, xi1
+    both = series_compose(both, w, n)
+    return RuledSurface(gamma=_vjet3(both[:, :3], m), xi=_vjet3(both[:, 3:], n))
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +325,7 @@ def frame_coefficients(rs: RuledSurface) -> FrameCoefficients:
         raise ValueError("frame coefficients need a normalized ruled surface")
     frame = _frame(rs.xi.c[:, 0].T)
     gp = series_derivative(rs.gamma.c[:, 0].T)
-    n = min(len(gp), len(frame[0])) - 1
-    return FrameCoefficients(*(_dot(gp, X, n) for X in frame))
+    return FrameCoefficients(*_dot(gp, frame, min(len(gp), frame.shape[1]) - 1))
 
 
 def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> np.ndarray:
@@ -322,7 +333,7 @@ def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> np.ndarray
     gamma', to the lowest order of fc and xi'."""
     frame = _frame(rs.xi.c[:, 0].T)
     n = min(len(frame[0]), len(fc.a), len(fc.b), len(fc.c)) - 1
-    return _directrix_derivative(frame, (fc.a, fc.b, fc.c), n)
+    return _directrix_derivative(frame, np.stack([p[: n + 1] for p in (fc.a, fc.b, fc.c)], axis=1), n)
 
 
 def redeploy(
@@ -331,15 +342,16 @@ def redeploy(
     order: int | None = None,
 ) -> RuledSurface:
     """Ruled surface with the same frame coefficients along a new unit-speed
-    spherical ruling; isometric to any other surface sharing (a, b, c)."""
+    spherical ruling, isometric to any other sharing (a, b, c); a jet ruling
+    caps the order at what it and fc support."""
     n = order if order is not None else len(fc.a)
     if not isinstance(new_xi, Jet3):
         return _backed(_FrameBacking(new_xi, fc), n)
     probe = RuledSurface(gamma=Jet3.zero(new_xi.order), xi=new_xi)
     if not is_normalized(probe):
         raise ValueError("redeployment ruling must be a unit-speed spherical curve")
-    gamma = series_integral(reconstruct_directrix(fc, probe)[:n], 0.0)
-    return RuledSurface(gamma=_vjet3(gamma, n), xi=new_xi.truncated(n))
+    gamma = series_integral(reconstruct_directrix(fc, probe)[:n], 0.0)  # to the order fc and xi' support
+    return RuledSurface(gamma=_vjet3(gamma, len(gamma) - 1), xi=new_xi.truncated(len(gamma) - 1))
 
 
 # ----------------------------------------------------------------------

@@ -199,6 +199,31 @@ def reference_frenet_series(
     return Y[:, :3], Y[:, 3:6], Y[:, 6:]
 
 
+def reference_reverted(sigma: np.ndarray) -> np.ndarray:
+    """w with sigma(w(t)) = t for sigma(0) = 0 < sigma'(0), by the fixed
+    point w = (t - tail(w)) / sigma'(0), which gains one coefficient a step:
+    n compositions in all."""
+    n, s1 = len(sigma) - 1, sigma[1]
+    t = np.eye(1, n + 1, 1)[0]
+    tail = sigma - s1 * t
+    w = t / s1
+    for _ in range(n):
+        w = (t - series_compose(tail, w, n)) / s1
+    return w
+
+
+def reference_dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """x(t) . y(t) for vector series, one series_product per component."""
+    return sum(series_product(x[:, i], y[:, i], n) for i in range(3))
+
+
+def reference_cross(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a(t) x b(t) for vector series, one series_product per component of a."""
+    p = [series_product(b, a[:, i], n) for i in range(3)]  # p[i][:, j] = a_i b_j
+    cols = [p[1][:, 2] - p[2][:, 1], p[2][:, 0] - p[0][:, 2], p[0][:, 1] - p[1][:, 0]]
+    return np.stack(cols, axis=1)
+
+
 def reference_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """``DeformationFamily.ruling_series`` by the composition route: the
     frame in arc length composed with shat(v), whose derivative comes from a

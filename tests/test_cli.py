@@ -1,19 +1,21 @@
 """End-to-end command-line checks driven through main(argv)."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crosscap.cli import main
+from crosscap.cli import cmd_deform, main
 from crosscap.deformation import degenerate_first_form, degenerate_quadratic, verify_isometry
 from crosscap.errors import CrosscapError
 from crosscap.specio import (
@@ -25,7 +27,7 @@ from crosscap.specio import (
     parse_spec,
     write_obj,
 )
-from crosscap.surface import SurfaceMap
+from crosscap.surface import SurfaceMap, first_form
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
@@ -268,6 +270,21 @@ def test_deform_sweep_json(tmp_path, capsys):
     for row in report["metric_deviation"]:
         for entry in row:
             assert entry < 1e-9
+
+
+def test_deform_metric_deviation_is_the_pairwise_max_coeff_diff():
+    # the stacked table against FundamentalForms.max_coeff_diff of each pair, bit for bit
+    kappas = (-1.5, 0.25, 2.0)
+    docs = [{"spherical_deformation": {"kappa_poly": [0.0, 0.4, -0.7], "a02": 1.7, "a11": -0.3}, "order": 8},
+            {"circle_deformation": {"kappa": 0.0, "a02": 0.8, "a11": 0.6}, "order": 6}]
+    for doc in docs:
+        spec = parse_spec(doc)
+        report, _ = cmd_deform(spec, argparse.Namespace(kappas=",".join(map(repr, kappas))), 1e-9)
+        tail = spec.payload["kappa_poly"][1:]
+        members = [replace(spec, payload={**spec.payload, "kappa_poly": (k, *tail)}) for k in kappas]
+        forms = [first_form(build_surface(m).surface) for m in members]
+        assert report["metric_deviation"] == [[fa.max_coeff_diff(fb) for fb in forms] for fa in forms]
+        assert all(type(x) is float for row in report["metric_deviation"] for x in row)
 
 
 def test_deform_rejections(tmp_path, capsys):

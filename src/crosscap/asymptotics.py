@@ -24,8 +24,7 @@ are only round-off apart fits no line (SpreadError).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CrosscapError
 from .invariants import IntrinsicTriple, intrinsic_from_map
@@ -53,8 +52,7 @@ class SpreadError(ValueError):
     """Radii only round-off apart, so that no decay line fits them."""
 
 
-@dataclass(frozen=True)
-class PolarLeading:
+class PolarLeading(NamedTuple):
     theta: float
     a_theta: float
     h_lead: float
@@ -116,8 +114,7 @@ def _fit_order(radii: Sequence[float], errors: Sequence[float]) -> float:
     return _line(*zip(*logs))[0] if len(logs) > 1 else 0.0
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     theta: float
     radii: tuple[float, ...]
     r2k: tuple[float, ...]
@@ -187,8 +184,7 @@ def verify_convergence(
     return _convergence_report(*_samples(f, theta, radii, triple))
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     theta: float
     radii: tuple[float, ...]
     r4gap: tuple[float, ...]

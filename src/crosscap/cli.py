@@ -32,7 +32,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def cmd_deform(spec: specio.SurfaceSpec, args, tol: float):
     members = []
     forms = []
     for kap in kappas:
-        member = replace(spec, payload={**spec.payload, "kappa_poly": (kap, *kappa_poly[1:])})
+        member = spec._replace(payload={**spec.payload, "kappa_poly": (kap, *kappa_poly[1:])})
         built = specio.build_surface(member)
         rep = specio.invariant_report(built, order=spec.order, tol=tol, with_asymptotics=False)
         b3 = next((val for i, val in rep["normal_form"]["b"] if i == 3), 0.0)
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             spec = specio.load_spec(args.spec)
             if args.order is not None:
-                spec = replace(spec, order=args.order)
+                spec = spec._replace(order=args.order)
             if spec.kind not in args.kinds:
                 raise SpecFormatError(f"{args.command} needs a {' or '.join(args.kinds)} spec")
             report, render = args.func(spec, args, tol)

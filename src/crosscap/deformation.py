@@ -40,9 +40,8 @@ differences; they grow no node of the path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .errors import ChartError
 from .jets import Jet2, series_power, series_product
 from .numerics import FrenetPath
 from .ruled import from_deformation
-from .surface import FundamentalForms, SurfaceMap, canonical_crosscap, first_form
+from .surface import FundamentalForms, Immutable, SurfaceMap, canonical_crosscap, first_form
 
 __all__ = [
     "SphericalCurve",
@@ -73,21 +72,22 @@ ISOMETRY_JET_TOL = 1e-9
 ISOMETRY_GRID_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SphericalCurve:
+class SphericalCurve(Immutable):
     """Unit-speed curve on S^2 given by its geodesic curvature polynomial."""
 
-    kappa_poly: tuple[float, ...] = (0.0,)
-    point0: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    tangent0: tuple[float, float, float] = (0.0, 1.0, 0.0)
-
-    def __post_init__(self):
-        c0 = np.asarray(self.point0)
-        e0 = np.asarray(self.tangent0)
+    def __init__(
+        self,
+        kappa_poly: tuple[float, ...] = (0.0,),
+        point0: tuple[float, float, float] = (1.0, 0.0, 0.0),
+        tangent0: tuple[float, float, float] = (0.0, 1.0, 0.0),
+    ):
+        c0 = np.asarray(point0)
+        e0 = np.asarray(tangent0)
         if abs(np.linalg.norm(c0) - 1.0) > FRAME_TOL:
             raise ValueError("initial point must lie on the unit sphere")
         if abs(np.linalg.norm(e0) - 1.0) > FRAME_TOL or abs(c0 @ e0) > FRAME_TOL:
             raise ValueError("initial tangent must be unit and orthogonal to the point")
+        vars(self).update(kappa_poly=kappa_poly, point0=point0, tangent0=tangent0)
 
     def kappa(self, s: float) -> float:
         return float(np.polynomial.polynomial.polyval(s, self.kappa_poly))
@@ -119,8 +119,7 @@ def circle_family(kappa: float) -> SphericalCurve:
     return SphericalCurve(kappa_poly=(float(kappa),))
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+class DeformationFamily(NamedTuple):
     """One member; as a ruling backing it gives xi and gamma' exactly."""
 
     a02: float
@@ -234,8 +233,7 @@ def extrinsic_invariants(kappa0: float, a02: float, a11: float) -> tuple[float, 
 # ----------------------------------------------------------------------
 # isometry verification
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(NamedTuple):
     jet_max_dev: float
     grid_max_dev: float
     passed: bool

@@ -22,7 +22,7 @@ note the factor (h_vv/2)^(3/2): |f_u x f_vv|^2 = h_vv/2 at the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .surface import DEFAULT_TOL, FundamentalForms, SurfaceMap, cross, det3, dot
 ROUTE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class IntrinsicTriple:
+class IntrinsicTriple(NamedTuple):
     a02: float
     a20: float
     a11: float
@@ -48,8 +47,7 @@ class IntrinsicTriple:
 CONIC_OF_SIGN = {"elliptic": "hyperbola", "hyperbolic": "ellipse", "degenerate": "parabola-degenerate"}
 
 
-@dataclass(frozen=True)
-class FocalConic:
+class FocalConic(NamedTuple):
     yy: float
     yz: float
     zz: float
@@ -57,8 +55,7 @@ class FocalConic:
     kind: str  # "hyperbola" | "ellipse" | "parabola-degenerate"
 
 
-@dataclass(frozen=True)
-class ComboQuadruple:
+class ComboQuadruple(NamedTuple):
     c1: float
     c2: float
     c3: float

@@ -39,7 +39,6 @@ at degree d allows RESIDUAL_TOL * s^d with s = max(1, |P_u(0)|, |Q_v(0)|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ __all__ = ["NormalForm", "CrossCapFrame", "reduce_to_normal_form", "classify", "
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     order: int
     a: np.ndarray  # a[j,k] valid for 2 <= j+k <= order
     b: np.ndarray  # b[i] valid for 3 <= i <= order
@@ -94,8 +92,7 @@ class NormalForm:
         return canonical_crosscap(a, b, order=self.order)
 
 
-@dataclass(frozen=True)
-class CrossCapFrame:
+class CrossCapFrame(NamedTuple):
     point: np.ndarray
     tangent: np.ndarray  # unit f_u direction
     principal_normal: np.ndarray  # spans the principal plane with tangent

@@ -49,10 +49,8 @@ other columns are evaluated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import zip_longest
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -60,7 +58,7 @@ from .errors import JetDomainError, SingularPointError
 from .jets import Jet3, _checked, _product_matrix, series_compose, series_cross
 from .jets import series_derivative, series_integral, series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
-from .surface import SurfaceMap, cross, det3, norm
+from .surface import Immutable, SurfaceMap, cross, det3, norm
 
 __all__ = [
     "RuledSurface",
@@ -93,8 +91,7 @@ class RulingBacking(Protocol):
     def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-@dataclass(frozen=True)
-class FrameCoefficients:
+class FrameCoefficients(NamedTuple):
     """Coefficient arrays in v of gamma' in the frame (xi, xi', xi x xi')."""
 
     a: np.ndarray
@@ -102,27 +99,33 @@ class FrameCoefficients:
     c: np.ndarray
 
 
-@dataclass(frozen=True)
-class _FrameBacking:
-    """A spherical ruling plus the frame coefficients of gamma'."""
+class _FrameBacking(NamedTuple):
+    """A spherical ruling plus the frame coefficients of gamma', also as one
+    (len, 3) array of (a, b, c) rows, one per power of v, zero past each
+    coefficient's length: padded once, by ``_frame_backing``."""
 
     curve: SphericalFrame
     coeffs: FrameCoefficients
+    abc: np.ndarray
 
     def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]:
         frame = np.stack(self.curve.series_at(v0, order))
-        abc = np.array(list(zip_longest(self.coeffs.a, self.coeffs.b, self.coeffs.c, fillvalue=0.0)))
-        return frame[0], _directrix_derivative(frame, series_shift(abc, v0), order - 1)
+        return frame[0], _directrix_derivative(frame, series_shift(self.abc, v0), order - 1)
 
 
-@dataclass(frozen=True)
-class RuledSurface:
+def _frame_backing(curve: SphericalFrame, fc: FrameCoefficients) -> _FrameBacking:
+    abc = np.zeros((max(map(len, fc)), 3))
+    for i, p in enumerate(fc):
+        abc[: len(p), i] = p
+    return _FrameBacking(curve, fc, abc)
+
+
+class RuledSurface(Immutable):
     """Directrix and ruling as jets in v at the origin, optionally backed
     by exact pointwise data."""
 
-    gamma: Jet3
-    xi: Jet3
-    backing: RulingBacking | None = None
+    def __init__(self, gamma: Jet3, xi: Jet3, backing: RulingBacking | None = None):
+        vars(self).update(gamma=gamma, xi=xi, backing=backing)
 
     @property
     def order(self) -> int:
@@ -254,7 +257,7 @@ def from_frame(
     """Ruled surface from a unit-speed spherical ruling and polynomial frame
     coefficients of the directrix derivative, kept to degree order."""
     fc = FrameCoefficients(*(np.array(p, dtype=float, ndmin=1)[: order + 1] for p in (a, b, c)))
-    return _backed(_FrameBacking(curve, fc), order)
+    return _backed(_frame_backing(curve, fc), order)
 
 
 def from_deformation(fam: RulingBacking, order: int = 8) -> RuledSurface:
@@ -346,7 +349,7 @@ def redeploy(
     caps the order at what it and fc support."""
     n = order if order is not None else len(fc.a)
     if not isinstance(new_xi, Jet3):
-        return _backed(_FrameBacking(new_xi, fc), n)
+        return _backed(_frame_backing(new_xi, fc), n)
     probe = RuledSurface(gamma=Jet3.zero(new_xi.order), xi=new_xi)
     if not is_normalized(probe):
         raise ValueError("redeployment ruling must be a unit-speed spherical curve")

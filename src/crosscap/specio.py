@@ -40,10 +40,9 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -87,16 +86,14 @@ MAX_RESOLUTION = 1024
 REPORT_THETAS = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(NamedTuple):
     kind: str
     payload: Any
     order: int = 6
     domain: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_DOMAIN
 
 
-@dataclass(frozen=True)
-class BuiltSurface:
+class BuiltSurface(NamedTuple):
     surface: SurfaceMap
 
 
@@ -259,7 +256,7 @@ def build_surface(spec: SurfaceSpec) -> BuiltSurface:
     else:
         rs = ruled.from_polynomials(p["gamma_poly"], p["xi_poly"], order=max(spec.order, 6))
         f = rs.as_surface_map()
-    return BuiltSurface(surface=replace(f, domain_hint=spec.domain))
+    return BuiltSurface(surface=SurfaceMap(f.jet, f.ruling, spec.domain))
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +283,7 @@ def invariant_report(
     combos = invariants.isometry_combos(nf)
     flags = normalform.classify(nf, tol=max(tol, 1e-7))
     report = {
-        "crosscap": dict(vars(test)),
+        "crosscap": test._asdict(),
         "normal_form": {
             "order": nf.order,
             "flipped": nf.flipped,
@@ -300,8 +297,8 @@ def invariant_report(
             "max_discrepancy": invariants.route_discrepancy(t_map, t_metric),
             "a02_from_height_hessian": t_metric.a02_from_height_hessian,
         },
-        "focal_conic": dict(vars(conic)),
-        "combos": dict(vars(combos)),
+        "focal_conic": conic._asdict(),
+        "combos": combos._asdict(),
         "classification": {
             "sign_class": invariants.classify_sign(t_map, tol=tol),
             **flags,
@@ -309,7 +306,7 @@ def invariant_report(
     }
     if with_asymptotics:
         leads = [asymptotics.leading(t_map, theta) for theta in REPORT_THETAS]
-        report["asymptotics"] = [{**vars(lead), "gap_lead": lead.gap_lead} for lead in leads]
+        report["asymptotics"] = [{**lead._asdict(), "gap_lead": lead.gap_lead} for lead in leads]
     return report
 
 

@@ -33,7 +33,6 @@ nonzero, and the determinant is reported alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -84,11 +83,26 @@ class Origin(NamedTuple):
     fv_norm: float
 
 
-@dataclass(frozen=True)
-class SurfaceMap:
-    jet: Jet3
-    ruling: RuledSurface | None = None
-    domain_hint: Domain = ((-1.0, 1.0), (-1.0, 1.0))
+class Immutable:
+    """Attributes set once, by ``__init__`` through ``vars(self)``: a class
+    that caches with ``cached_property`` (which writes the instance dict
+    itself) but whose fields never change.  Equality is identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class SurfaceMap(Immutable):
+    def __init__(
+        self,
+        jet: Jet3,
+        ruling: RuledSurface | None = None,
+        domain_hint: Domain = ((-1.0, 1.0), (-1.0, 1.0)),
+    ):
+        vars(self).update(jet=jet, ruling=ruling, domain_hint=domain_hint)
 
     @property
     def order(self) -> int:
@@ -137,8 +151,7 @@ class SurfaceMap:
         return FundamentalForms(E=E, F=F, G=G)
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     """First-form jets; second-form values are pointwise, see second_form_at."""
 
     E: Jet2
@@ -154,16 +167,14 @@ class FundamentalForms:
         )
 
 
-@dataclass(frozen=True)
-class CrossCapTest:
+class CrossCapTest(NamedTuple):
     is_crosscap: bool
     delta: float
     fv_norm: float
     tol: float
 
 
-@dataclass(frozen=True)
-class LimitingNormal:
+class LimitingNormal(NamedTuple):
     vector: np.ndarray
     orientation: float  # det(f_u, f_vv, nu) at the origin
     leading_order: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import astuple
 
 import numpy as np
 
@@ -165,10 +164,10 @@ def test_criterion_4_combination_invariance(acceptance):
     size = 0.0
     for a02, a11 in ((2.0, 0.0), (1.0, 1.0)):
         base_nf = reduce_to_normal_form(degenerate_quadratic(a02, a11, order=5), order=3)
-        base = np.array(astuple(isometry_combos(base_nf)))
+        base = np.array(tuple(isometry_combos(base_nf)))
         quads = [base]
         for kappa in FAMILY_KAPPAS:
-            quads.append(np.array(astuple(isometry_combos(member_normal_form(a02, a11, kappa)))))
+            quads.append(np.array(tuple(isometry_combos(member_normal_form(a02, a11, kappa)))))
         for q in quads:
             spread = max(spread, float(np.max(np.abs(q - base))))
             size = max(size, float(np.max(np.abs(q))))

@@ -88,3 +88,49 @@ def test_extract_writes_the_named_commit(tmp_path):
     tool.extract(commit, tmp_path)
     for name in ("pyproject.toml", "src/crosscap/surface.py", "perfbench/run.py"):
         assert (tmp_path / name).read_text(encoding="utf-8") == tool.git("show", f"{commit}:{name}") + "\n"
+
+
+def perfbench_stdout(import_s: float, warmup_s: float) -> str:
+    return (
+        "workload family_sweep  seed 31  rounds 7\n"
+        "  correct True  attempted 40  failed 0\n"
+        f"  set-up medians (nominal): import {import_s:.4f} s, inputs and warm-up {warmup_s:.4f} s\n"
+        f"  {'metric':<12} {'nominal':>12} {'raw':>12}\n"
+        f"{result_line(True, 0, 1.0, 10.0)}\n"
+    )
+
+
+def test_setup_split_is_read_from_the_set_up_line():
+    tool = load_tool("bench_pairs")
+    assert tool.setup_split(perfbench_stdout(0.0612, 0.0175)) == {"setup_import_s": 0.0612, "setup_warmup_s": 0.0175}
+    # a run that printed no set-up line records nothing and does not fail
+    assert tool.setup_split("Traceback (most recent call last):\n") == {}
+    assert tool.setup_split(result_line(True, 0, 1.0, 10.0)) == {}
+
+
+def test_setup_split_spreads_per_side_and_counts_no_wins():
+    tool = load_tool("bench_pairs")
+    runs = []
+    for pair, (p_import, c_import) in enumerate([(0.080, 0.061), (0.075, 0.066), (0.090, 0.059)]):
+        for side, import_s in (("parent", p_import), ("change", c_import)):
+            stdout = perfbench_stdout(import_s, 0.02 + pair / 1000)
+            runs.append({"workload": "family_sweep", "pair": pair, "side": side, "returncode": 0,
+                         "result": tool.last_json_line(stdout), "setup": tool.setup_split(stdout)})
+    # one change run without the line: kept as a run, absent from the split
+    runs.append({"workload": "family_sweep", "pair": 3, "side": "change", "returncode": 1, "result": None,
+                 "setup": tool.setup_split("")})
+    record = tool.summarize(runs, BETTER)["family_sweep"]
+    split = record["diagnostics"]
+    assert split["setup_import_s"]["parent"]["values"] == [0.080, 0.075, 0.090]
+    assert split["setup_import_s"]["parent"]["median"] == 0.080
+    assert split["setup_import_s"]["change"]["values"] == [0.061, 0.066, 0.059]
+    assert split["setup_warmup_s"]["change"]["values"] == [0.020, 0.021, 0.022]
+    assert set(split["setup_import_s"]["change"]) == {"median", "q1", "q3", "values"}
+    assert set(record["metrics"]) == set(BETTER)
+    assert len(record["runs"]) == 7
+
+
+def test_setup_split_of_runs_without_it_is_empty():
+    tool = load_tool("bench_pairs")
+    split = tool.summarize(canned_runs(tool), BETTER)["off_origin"]["diagnostics"]
+    assert split["setup_warmup_s"]["parent"] == {"median": None, "q1": None, "q3": None, "values": []}

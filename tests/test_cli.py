@@ -8,7 +8,6 @@ import json
 import math
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,7 +280,7 @@ def test_deform_metric_deviation_is_the_pairwise_max_coeff_diff():
         spec = parse_spec(doc)
         report, _ = cmd_deform(spec, argparse.Namespace(kappas=",".join(map(repr, kappas))), 1e-9)
         tail = spec.payload["kappa_poly"][1:]
-        members = [replace(spec, payload={**spec.payload, "kappa_poly": (k, *tail)}) for k in kappas]
+        members = [spec._replace(payload={**spec.payload, "kappa_poly": (k, *tail)}) for k in kappas]
         forms = [first_form(build_surface(m).surface) for m in members]
         assert report["metric_deviation"] == [[fa.max_coeff_diff(fb) for fb in forms] for fa in forms]
         assert all(type(x) is float for row in report["metric_deviation"] for x in row)

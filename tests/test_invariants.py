@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -233,13 +232,13 @@ def test_metric_route_on_arbitrary_forms(rng):
             t = intrinsic_from_metric(FundamentalForms(*(Jet2.from_terms(c, 3) for c in coeffs)))
         except CrosscapError:
             continue
-        assert all(map(math.isfinite, astuple(t)))
+        assert all(map(math.isfinite, tuple(t)))
 
 
 def test_combo_quadruple():
     nf = reduce_to_normal_form(quadratic_crosscap(1.0, 0.5, 2.0))
     combos = isometry_combos(nf)
-    assert np.allclose(astuple(combos), 0.0, atol=1e-12)
+    assert np.allclose(tuple(combos), 0.0, atol=1e-12)
 
     bad = NormalForm(
         order=2,

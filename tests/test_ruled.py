@@ -1,8 +1,8 @@
 """Ruled surfaces: normalization, frame data, redeployment, classification."""
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,7 +310,8 @@ def _reference_point(f, u: float, v: float) -> np.ndarray:
         bound = horner_bound(rs.gamma.c, 0.0, v) + abs(u) * horner_bound(rs.xi.c, 0.0, v)
     else:
         fam = rs.backing
-        fresh = replace(rs, backing=replace(fam, curve=replace(fam.curve)))
+        curve = SphericalCurve(fam.curve.kappa_poly, fam.curve.point0, fam.curve.tangent0)
+        fresh = RuledSurface(rs.gamma, rs.xi, fam._replace(curve=curve))
         return fresh.grid([u], [v])[0, 0]
     point = f(u, v)
     assert np.all(np.abs(point - ref) <= bound), (u, v, point - ref, bound)
@@ -429,6 +430,25 @@ def test_ruling_series_arrays_match_jet_algebra():
                 for got, jet in zip((xi, gp), by_jets(backing, v0, order)):
                     want = _rows(jet)
                     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_ruling_series_pads_unequal_frame_coefficients_once():
+    # the padded (a, b, c) rows are built with the backing; each call must give
+    # the bits of padding a, b and c to one length with zeros at that call
+    curve = circle_family(0.6)
+    fc = FrameCoefficients(np.array([0.4, -0.2, 0.1, 0.05]), np.array([0.3]), np.array([0.0, 0.5]))
+    backings = [from_frame(curve, a=fc.a, b=fc.b, c=fc.c, order=8).backing, redeploy(fc, curve).backing]
+    backings.append(redeploy(FrameCoefficients(fc.c, fc.a, fc.b), curve).backing)
+    for backing in backings:
+        a, b, c = backing.coeffs
+        assert backing.abc.shape == (max(len(a), len(b), len(c)), 3)
+        abc = np.array(list(itertools.zip_longest(a, b, c, fillvalue=0.0)))
+        for v0 in (0.0, -0.55, np.array([0.3, 0.9])):
+            for order in (1, 2, 8):
+                xi, gp = backing.ruling_series(v0, order)
+                frame = np.stack(curve.series_at(v0, order))
+                want = ruled._directrix_derivative(frame, jets.series_shift(abc, v0), order - 1)
+                assert np.array_equal(xi, frame[0]) and np.array_equal(gp, want), (v0, order)
 
 
 def test_ruling_series_of_an_array_stacks_the_columns():

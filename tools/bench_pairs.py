@@ -16,7 +16,11 @@ For each workload the pairs alternate which side runs first.
 
 The record holds, per workload, metric and side, the median, the
 quartiles and every raw value, and per metric how many pairs the change
-won, the better direction read from BENCHMARK.json.  It lists every run
+won, the better direction read from BENCHMARK.json.  As diagnostics, not
+end-to-end metrics and not counted in any win, it holds per side the spread
+of where ``setup_s`` went, read from perfbench's line ``set-up medians
+(nominal): import X s, inputs and warm-up Y s``: ``setup_import_s`` and
+``setup_warmup_s``; a run without that line adds nothing.  It lists every run
 with its ``correct``, ``attempted`` and ``failed``: a run that is not
 correct is kept, never dropped, and a run that printed no result is kept
 with its exit code.  It also records the commit ids, the seed, the run
@@ -29,6 +33,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SETUP_LINE = re.compile(r"set-up medians \(nominal\): import (\d+\.\d+) s, inputs and warm-up (\d+\.\d+) s")
 
 
 def directions(benchmark: dict) -> dict[str, str]:
@@ -53,10 +59,18 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def setup_split(stdout: str) -> dict[str, float]:
+    """{"setup_import_s", "setup_warmup_s"} from perfbench's set-up line,
+    empty where the run printed none."""
+    match = SETUP_LINE.search(stdout)
+    return {"setup_import_s": float(match[1]), "setup_warmup_s": float(match[2])} if match else {}
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload: each metric's spread on both sides and the pairs the
-    change won, then every run.  A run is {"workload", "pair", "side",
-    "returncode", "result"}, result the parsed last line or None."""
+    change won, the set-up split's spread on both sides, then every run.  A
+    run is {"workload", "pair", "side", "returncode", "result"} and maybe
+    "setup", result the parsed last line or None and setup a setup_split."""
     record = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -75,8 +89,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                     if (p, "parent", name) in value and (p, "change", name) in value]
             won = sum(c < p if direction == "lower" else c > p for p, c in both)
             metrics[name] = {**sides, "better": direction, "pairs_won": won, "pairs": len(both)}
+        setups = {side: [r.get("setup", {}) for r in mine if r["side"] == side] for side in SIDES}
+        diagnostics = {
+            name: {side: spread([split[name] for split in setups[side] if name in split]) for side in SIDES}
+            for name in ("setup_import_s", "setup_warmup_s")
+        }
         record[workload] = {
             "metrics": metrics,
+            "diagnostics": diagnostics,
             "runs": [
                 {
                     "pair": r["pair"],
@@ -104,7 +124,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
-    return {"returncode": proc.returncode, "result": last_json_line(proc.stdout)}
+    return {"returncode": proc.returncode, "result": last_json_line(proc.stdout), "setup": setup_split(proc.stdout)}
 
 
 def git(*args: str) -> str:

@@ -111,12 +111,14 @@ class CrossCapFrame(NamedTuple):
 
 def _rotation_for(fu: Vec, fvv: Vec) -> np.ndarray:
     """Rows e1 = f_u / |f_u|, e2 = e3 x e1 and e3, the unit part of f_vv normal to f_u."""
-    length = jets._checked(norm(fu), fu)
-    e1 = tuple(x / length for x in fu)
+    fu_len = norm(fu)
+    e1 = tuple(x / fu_len for x in fu)
     s = dot(fvv, e1)
     w = tuple(x - s * e for x, e in zip(fvv, e1))
-    length = jets._checked(norm(w), w)
-    e3 = tuple(x / length for x in w)
+    w_len = norm(w)
+    # Python floats: a length that overflowed only turns its unit vector into zeros
+    jets._checked((fu_len, w_len), fu, fvv)
+    e3 = tuple(x / w_len for x in w)
     return np.array([e1, cross(e3, e1), e3])
 
 
@@ -169,9 +171,7 @@ def _basis_plan(n: int) -> _Plan:
 def _grow(basis: np.ndarray, rows, parents, by: int, gather: np.ndarray) -> None:
     """basis[rows] = row ``by`` times basis[parents]: one product with the
     rows of by's product matrix at the degree that the slices hold."""
-    times = basis[by][gather]
-    below = basis[parents]
-    basis[rows] = jets._checked(below @ times.T, below, times)
+    basis[rows] = basis[parents] @ basis[by][gather].T
 
 
 def _check_second(dev: np.ndarray, degree: int, scale: float) -> None:
@@ -230,9 +230,10 @@ def reduce_to_normal_form(
     for d, step in enumerate(plan.steps, start=2):
         for product in step.grow:
             _grow(basis, *product)
-        # g(P, Q) at degrees d-1 and d, by ascending power of u
-        cols = basis[:, step.read]
-        comp = jets._checked(gflat @ cols, gflat, cols)
+        # g(P, Q) at degrees d-1 and d, by ascending power of u.  Every basis slice is
+        # read here (P Q and Q^2 by the next pass) and P and Q change by ufuncs alone,
+        # so a basis overflow makes comp non-finite from a finite g, reported here
+        comp = jets._checked(gflat @ basis[:, step.read], gflat)
         second = comp[1] - uvflat[step.read]
         if d > 2:
             _check_second(second[1:d], d - 1, scale)

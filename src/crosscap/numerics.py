@@ -120,9 +120,7 @@ def frenet_series(
     overhead, so it runs on Python floats with each coefficient a 3-tuple,
     once per column where c0, e0 and kappa_poly stack columns along leading
     axes (w: one per column or one for all), and the arrays are built once
-    at the end.  Python floats overflow silently; a coefficient that left
-    the float range from finite data is reported as numpy overflow
-    (jets._checked).
+    at the end, then checked once for overflow (the rule in ``jets``).
     """
     kappa = np.asarray(kappa_poly, dtype=float)[..., : order + 1]
     c0, e0, w = np.asarray(c0, dtype=float), np.asarray(e0, dtype=float), np.asarray(w, dtype=float)

@@ -55,7 +55,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .errors import JetDomainError, SingularPointError
-from .jets import Jet3, _checked, _product_matrix, series_compose, series_cross
+from .jets import Jet3, _checked, series_compose, series_cross
 from .jets import series_derivative, series_integral, series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
 from .surface import Immutable, SurfaceMap, cross, det3, norm
@@ -206,10 +206,9 @@ def _vjet3(rows: np.ndarray, order: int) -> Jet3:
 
 
 def _dot(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """First n + 1 coefficients of x . y for vector series, y maybe stacked: one product."""
-    x, y = x[: n + 1], y[..., : n + 1, :]
-    p = _product_matrix(y.mT, n)[..., : len(x)] @ x.T[..., None]  # component i: x_i y_i
-    return _checked(p[..., 0, :, 0] + p[..., 1, :, 0] + p[..., 2, :, 0], x, y)
+    """First n + 1 coefficients of x . y for vector series, y maybe stacked: one series_product."""
+    p = series_product(x.T[..., None], y.mT, n)  # component i: x_i y_i
+    return p[..., 0, :, 0] + p[..., 1, :, 0] + p[..., 2, :, 0]
 
 
 def _frame(xi: np.ndarray) -> np.ndarray:

@@ -66,8 +66,7 @@ def norm(a: Vec) -> float:
 
 
 def det3(a: Vec, b: Vec, c: Vec) -> float:
-    """det(a, b, c) as a . (b x c).  Python floats overflow to inf silently,
-    where numpy reports: callers that must report check with jets._checked."""
+    """det(a, b, c) as a . (b x c), on Python floats (see the overflow rule in ``jets``)."""
     return dot(a, cross(b, c))
 
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 import warnings
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from crosscap import jets, ruled
 from crosscap.cli import cmd_deform, main
 from crosscap.deformation import degenerate_first_form, degenerate_quadratic, verify_isometry
 from crosscap.errors import CrosscapError
@@ -27,6 +29,8 @@ from crosscap.specio import (
     write_obj,
 )
 from crosscap.surface import SurfaceMap, first_form
+
+from helpers import load_cli_outputs
 
 COS_ROWS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
 SIN_ROWS = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
@@ -238,6 +242,36 @@ def test_origin_is_read_once_per_map(tmp_path, capsys, origin_readings, args, do
     assert main([args[0], write_spec(tmp_path, doc), *args[1:]]) == 0
     assert len(origin_readings) == readings
     assert len({id(f) for f in origin_readings}) == readings
+
+
+@pytest.fixture
+def overflow_checks(monkeypatch):
+    """The name of the function behind each jets._checked call, one entry per check."""
+    real, callers = jets._checked, []
+
+    def counted(out, *operands):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(out, *operands)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crosscap") and getattr(module, "_checked", None) is real:
+            monkeypatch.setattr(module, "_checked", counted)
+    return callers
+
+
+def test_overflow_is_checked_once_per_stage(tmp_path, capsys, overflow_checks, rng):
+    # ufuncs report overflow themselves: the basis products of the normal
+    # form, read by its pass compositions, and the table product check nothing
+    germ12 = load_cli_outputs().SPECS["germ12"]
+    assert main(["analyze", write_spec(tmp_path, germ12)]) == 0
+    assert 0 < len(overflow_checks) <= 15
+    assert not {"_grow", "_product"} & set(overflow_checks)
+    # a cross and a dot product are one series_product each, and its check
+    x, y = rng.normal(size=(2, 9, 3))
+    overflow_checks.clear()
+    jets.series_cross(x, y, 8)
+    ruled._dot(x, np.stack([x, y]), 8)
+    assert overflow_checks == ["series_product", "series_product"]
 
 
 def test_overflowing_frame_recurrence_exits_two(tmp_path, capsys):

@@ -28,6 +28,20 @@ def trees(tmp_path, a: dict, b: dict) -> tuple[str, str]:
     return str(tmp_path / "a"), str(tmp_path / "b")
 
 
+# the ufunc that reports each overflow: the bracket at the origin and the
+# frame recurrence on Python floats (multiply, by jets._checked), the normal
+# form's basis (matmul) and the curvatures along asymptotic rays (vecdot)
+OVERFLOWS = {
+    "scaled.analyze": "multiply",
+    "scaled.asymptotics": "multiply",
+    "scaled_tail.analyze": "matmul",
+    "scaled_tail.asymptotics": "vecdot",
+    "steep_kappa.asymptotics": "multiply",
+    "steep_kappa.mesh": "multiply",
+}
+RESIDUALS = {"steep_kappa.deform.json": 6, "steep_kappa.deform.order.json": 9}
+
+
 def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
     # main puts ROOT/src on sys.path and changes the working directory
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -41,10 +55,22 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
     # the tangent developable has a cuspidal edge, not a cross cap, at its
     # origin; the steep germ's normal form refuses at order 11; bad_terms
-    # has a negative power in its fourth entry, bad_rows a true in a row
-    for line in (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines():
+    # has a negative power in its fourth entry, bad_rows a true in a row;
+    # the scaled germs and kappa' = 1e50 overflow in the runs OVERFLOWS
+    # names, and the deform sweeps of kappa' = 1e50 refuse by residual;
+    # their other runs exit 0
+    lines = (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines()
+    runs = [line.split(" ", 1)[0] for line in lines]
+    assert set(OVERFLOWS) <= {".".join(run.split(".")[:2]) for run in runs} and set(RESIDUALS) <= set(runs)
+    for line in lines:
         run, rc, err = line.split(" ", 2)
-        if run.startswith(("tangent.analyze", "tangent.asymptotics")):
+        command = ".".join(run.split(".")[:2])
+        if command in OVERFLOWS:
+            assert rc == "2" and err == repr(f"analysis failed: overflow encountered in {OVERFLOWS[command]}\n"), line
+        elif run in RESIDUALS:
+            message = f"analysis failed: second-component residual survived at degree {RESIDUALS[run]}\n"
+            assert rc == "2" and err == repr(message), line
+        elif run.startswith(("tangent.analyze", "tangent.asymptotics")):
             assert rc == "2" and "not a cross cap" in err, line
         elif run == "steep.analyze.above.json":
             assert rc == "2" and err == repr("analysis failed: second-component residual survived at degree 11\n"), line

@@ -534,6 +534,18 @@ def test_series_refuse_bad_input_and_report_overflow():
         assert series_product([0.0, 1e200], [0.0, 1e200], 1).tolist() == [0.0, 0.0]
 
 
+def test_long_series_product_reports_overflow_in_any_thread():
+    # one 1,501-row matrix-vector product, whose last rows OpenBLAS may run
+    # in a worker thread that np.errstate does not see: series_product's own
+    # check reports the overflowing kept coefficient all the same
+    n = 1500
+    a, b = np.zeros(n + 1), np.zeros(n + 1)
+    a[0], b[n] = 1e300, 1e10
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            series_product(a, b, n)
+
+
 def test_series_shift_is_the_recentring_in_v(rng):
     # c(t0 + t) agrees with Jet2.shifted_origin along v, for scalar and
     # vector series, and n truncates or pads the result with zeros

@@ -302,6 +302,29 @@ def test_basis_without_its_refresh_is_refused(monkeypatch):
         reduce_to_normal_form(f)
 
 
+def test_overflow_in_the_basis_is_reported_as_overflow(monkeypatch):
+    # the basis products check nothing: the third, pass 2's P Q and Q^2
+    # refresh, is read by pass 3's composition, whose check must report a
+    # slice that overflowed before a residual check reads a value that is not finite
+    rng = np.random.default_rng(8)
+    _, a, b = random_canonical(rng, order=8)
+    f = scramble(canonical_crosscap(a, b, order=8), rng)
+    grow, calls = normalform._grow, []
+
+    def overflowing(basis, rows, *args):
+        grow(basis, rows, *args)
+        calls.append(rows)
+        if len(calls) == 3:
+            basis[rows] = np.inf
+
+    monkeypatch.setattr(normalform, "_grow", overflowing)
+    # inf times a zero of g makes nan in the composition; only overflow raises
+    with np.errstate(over="raise", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            reduce_to_normal_form(f)
+    assert len(calls) == 5  # pass 3 grows the basis twice, then composes
+
+
 def test_flipped_presentation_mirrors_exactly(rng):
     # f and f(-u, -v) have brackets of opposite sign; the flip is carried by
     # the signs of P and Q alone, so every floating-point operation of one

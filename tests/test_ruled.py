@@ -615,7 +615,6 @@ def test_ruled_kernels_make_one_product_each(monkeypatch, rng):
     def refused(*args):
         raise AssertionError("series_compose called")
 
-    monkeypatch.setattr(ruled, "_product_matrix", counted)
     monkeypatch.setattr(jets, "_product_matrix", counted)
     sigma = np.array([0.0, 1.2, *rng.uniform(-1.0, 1.0, 11)])
     with monkeypatch.context() as m:

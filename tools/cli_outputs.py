@@ -67,6 +67,12 @@ DUP_TERMS = [[1, 0, 1, 0, 0], [1, 1, 0, 0.5, 0], [0, 2, 0, 0, 1], [1, 1, 0.25, 0
              [0, 2, 0.125, 0, 0], [2, 0, 0.3, -0.75, 0.2], [1, 1, -0.25, 0, 0.1], [0, 3, 0, 0.2, 0.3],
              [0, 7, 0.01, 0, -0.02]]
 
+# the germ scaled by 1e110, every entry or only those of degree >= 3: its
+# bracket overflows at the origin on Python floats, or the normal form's
+# basis overflows in a matrix product
+SCALED = [[j, k, *(1e110 * x for x in xyz)] for j, k, *xyz in GERM]
+SCALED_TAIL = [[j, k, *(1e110 * x if j + k >= 3 else x for x in xyz)] for j, k, *xyz in GERM]
+
 SPECS = {
     "quadratic": {"quadratic_crosscap": {"a20": -1, "a11": 0, "a02": 1}},
     "circle": {"circle_deformation": {"kappa": 0.7, "a02": 2, "a11": -0.3},
@@ -93,8 +99,14 @@ SPECS = {
     "bad_terms": {"polynomial": [*DUP_TERMS[:3], [2, -1, 0, 0, 1], *DUP_TERMS[3:]]},
     # the ruled spec with a JSON true in a row: the row-by-row checks name it
     "bad_rows": {"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, True, 0]]}},
+    # overflow refusals, one for each kind of check: Python floats at the
+    # origin, a matrix product in the normal form, and the frame recurrence
+    # on Python floats
+    "scaled": {"polynomial": SCALED, "order": 12},
+    "scaled_tail": {"polynomial": SCALED_TAIL, "order": 12},
+    "steep_kappa": {"spherical_deformation": {"kappa_poly": [0, 1e50], "a02": 2, "a11": 0}},
 }
-FAMILY = ("circle", "poly_kappa", "quartic_kappa")
+FAMILY = ("circle", "poly_kappa", "quartic_kappa", "steep_kappa")
 
 
 def runs(name: str, doc: dict) -> dict[str, list[str]]:

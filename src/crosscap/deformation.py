@@ -96,10 +96,6 @@ class SphericalCurve(Immutable):
     def path(self) -> FrenetPath:
         return FrenetPath(self.kappa_poly, self.point0, self.tangent0)
 
-    def series_at(self, s0: float, order: int):
-        """Local Taylor coefficients of (c, e, n) around s0."""
-        return self.path.series(s0, order)
-
 
 def circle_point(kappa: float, s: float) -> np.ndarray:
     """Closed-form circle of geodesic curvature kappa through (1,0,0)."""

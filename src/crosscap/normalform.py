@@ -16,9 +16,10 @@ admissible germ to this shape, order by order:
    xz-plane with positive z-part;
 4. solve for the domain diffeomorphism (P, Q) degree by degree, from its
    linear part in closed form.  g(P, Q) is linear in the powers P^a Q^b,
-   which a basis holds flat, one homogeneous degree more per pass: at
-   degree d, P^a Q^b (a >= 1) is P times P^(a-1) Q^b and Q^b is Q times
-   Q^(b-1), one matrix product for each of the two.  Pass d reads g(P, Q) off the
+   which a basis holds flat, one homogeneous degree more per pass; its rows
+   P^1 and Q^1 are P and Q themselves, solved in place.  At degree d,
+   P^a Q^b (a >= 1) is P times P^(a-1) Q^b and Q^b is Q times Q^(b-1), one
+   matrix product for each of the two.  Pass d reads g(P, Q) off the
    basis at degree d-1, to check it (from d = 3), and at degree d, to
    solve Q at degree d-1 from the second component's mixed monomials (the
    divisor is (f_uv . e2) * P_u(0), a multiple of the bracket), then P at
@@ -133,7 +134,7 @@ class _Step(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    p: int  # the basis rows of P and Q
+    p: int  # the basis rows of P and Q, also the flat positions of u and v
     q: int
     steps: tuple  # passes d = 2, ..., n
 
@@ -203,28 +204,25 @@ def reduce_to_normal_form(
     alpha = sign * norm(fu)  # g_x,u(0), the divisor for P
     gamma2 = float(g.c[1, 1, 1])  # the uv-coefficient of g_y, nonzero iff the bracket is
 
-    p = np.zeros((n + 1, n + 1))  # the tables of P and Q
-    p[1, 0] = 1.0 / alpha
-    q = np.zeros_like(p)
+    plan = _basis_plan(n)
+    j, k = jets._table_lags(n)[:2]
+    # basis[(a, b)] holds P^a Q^b flat, through the degrees passed so far; the
+    # flat positions of u and v are the rows of P and Q, so P_u is P[plan.p]
+    basis = np.zeros((len(j), len(j) + 1))
+    P, Q = basis[plan.p], basis[plan.q]
+    P[plan.p] = 1.0 / alpha
     qdiv = gamma2 / alpha  # gamma2 * P_u(0), the diagonal divisor for Q
     # Q's linear part in closed form: the uv- and u^2-coefficients of g_y(P, Q)
     # are gamma2 P_u Q_v and g_y,uu(0)/2 P_u^2 + gamma2 P_u Q_u
-    q[0, 1] = 1.0 / qdiv
-    q[1, 0] = -(g.c[1, 2, 0] * p[1, 0] * p[1, 0]) / qdiv
+    Q[plan.q] = 1.0 / qdiv
+    Q[plan.p] = -(g.c[1, 2, 0] * P[plan.p] * P[plan.p]) / qdiv
     # composing with (P, Q) multiplies degree-d coefficients, and their
     # round-off, by about P_u(0)^j Q_v(0)^k; RESIDUAL_TOL holds at scale 1
-    scale = max(1.0, abs(p[1, 0]), abs(q[0, 1]))
+    scale = max(1.0, abs(P[plan.p]), abs(Q[plan.q]))
 
     uv = Jet2.from_terms({(1, 1): 1.0}, n).c  # the canonical second component, b_i aside
-
-    plan = _basis_plan(n)
-    j, k = jets._table_lags(n)[:2]
     gflat = g.c[:, j, k]
     uvflat = uv[j, k]
-    # basis[(a, b)] holds P^a Q^b flat, through the degrees passed so far
-    basis = np.zeros((len(j), len(j) + 1))
-    basis[plan.p] = np.append(p[j, k], 0.0)
-    basis[plan.q] = np.append(q[j, k], 0.0)
 
     # pass d grows the basis by degree d, checks degree d-1 and solves degree d
     for d, step in enumerate(plan.steps, start=2):
@@ -237,25 +235,24 @@ def reduce_to_normal_form(
         second = comp[1] - uvflat[step.read]
         if d > 2:
             _check_second(second[1:d], d - 1, scale)
-        i = np.arange(d + 1)  # u^i v^(d-i) runs over the degree-d monomials
         # second component: mixed monomials of degree d determine Q at d-1
         dq = second[d + 1 :] / qdiv
-        q[i[:-1], d - 1 - i[:-1]] -= dq
+        Q[step.read[:d]] -= dq
         # first component: degree-d monomials determine P at d.  Q's update
         # -dq reaches degree d only through the degree-1 part l of g_x,v(P, Q):
         # its square starts at degree 2d-2 > d for d >= 3, and at d = 2 dq is
         # the round-off of Q's closed-form linear part, so its square is below it
-        lu = g.c[0, 1, 1] * p[1, 0] + 2.0 * g.c[0, 0, 2] * q[1, 0]
-        lv = 2.0 * g.c[0, 0, 2] * q[0, 1]
+        lu = g.c[0, 1, 1] * P[plan.p] + 2.0 * g.c[0, 0, 2] * Q[plan.p]
+        lv = 2.0 * g.c[0, 0, 2] * Q[plan.q]
         first = comp[0, d:]
         first[1:] -= lu * dq
         first[:-1] -= lv * dq
-        p[i, d - i] -= first / alpha
-        basis[plan.p, step.read[d:]] = p[i, d - i]
-        basis[plan.q, step.read[:d]] = q[i[:-1], d - 1 - i[:-1]]
+        P[step.read[d:]] -= first / alpha
         for product in step.refresh:
             _grow(basis, *product)
 
+    p, q = np.zeros((2, n + 1, n + 1))  # the tables of P and Q
+    p[j, k], q[j, k] = P[:-1], Q[:-1]
     # the tables come from one composition, independent of the basis
     final = jets._compose(g.c, p, q, n)
     m = np.arange(1, n + 1)

@@ -17,10 +17,11 @@ first fundamental form completely:
 Swapping the spherical curve xi for any other unit-speed spherical curve
 while keeping (a, b, c) therefore deforms the surface isometrically
 (redeploy).  The singular point at the origin is classified by open
-criteria on the frame data; developable members (b = c = 0) fall into
-the cuspidal edge / swallowtail / cuspidal cross cap trichotomy, and the
-criteria being sufficient conditions only, anything failing every test
-is reported as unclassified rather than guessed.
+criteria: surface.detect_crosscap on the surface's map, then the frame
+data; developable members (b = c = 0) fall into the cuspidal edge /
+swallowtail / cuspidal cross cap trichotomy, and the criteria being
+sufficient conditions only, anything failing every test is reported as
+unclassified rather than guessed.
 
 Series in v alone are coefficient arrays, one row per power of v, and all of
 the above is series arithmetic in one variable (jets.series_product and its
@@ -30,6 +31,7 @@ series reversion solved a coefficient at a time.  RuledSurface keeps gamma and
 xi as jets in v for SurfaceMap; the first rows of their tables,
 ``jet.c[:, 0].T``, are the vector series, one 3-vector per power of v.  A
 surface can be backed (see RulingBacking) by exact data: a spherical curve
+(deformation.SphericalCurve, whose frame series are ``curve.path.series``)
 plus frame coefficients (``redeploy``, ``from_frame``) or a deformation family
 member (``from_deformation``), which give the Taylor coefficients of xi and
 gamma' around any v0.  A backed surface follows gamma and xi along one Taylor
@@ -50,7 +52,7 @@ other columns are evaluated.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from typing import NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -58,7 +60,10 @@ from .errors import JetDomainError, SingularPointError
 from .jets import Jet3, _checked, series_compose, series_cross
 from .jets import series_derivative, series_integral, series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
-from .surface import Immutable, SurfaceMap, cross, det3, norm
+from .surface import Immutable, SurfaceMap, cross, det3, detect_crosscap, norm
+
+if TYPE_CHECKING:
+    from .deformation import SphericalCurve
 
 __all__ = [
     "RuledSurface",
@@ -75,12 +80,6 @@ __all__ = [
 ]
 
 NORMALIZED_TOL = 1e-8
-
-
-class SphericalFrame(Protocol):
-    """A unit-speed spherical curve, such as deformation.SphericalCurve."""
-
-    def series_at(self, s0, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 class RulingBacking(Protocol):
@@ -104,16 +103,16 @@ class _FrameBacking(NamedTuple):
     (len, 3) array of (a, b, c) rows, one per power of v, zero past each
     coefficient's length: padded once, by ``_frame_backing``."""
 
-    curve: SphericalFrame
+    curve: SphericalCurve
     coeffs: FrameCoefficients
     abc: np.ndarray
 
     def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]:
-        frame = np.stack(self.curve.series_at(v0, order))
+        frame = np.stack(self.curve.path.series(v0, order))
         return frame[0], _directrix_derivative(frame, series_shift(self.abc, v0), order - 1)
 
 
-def _frame_backing(curve: SphericalFrame, fc: FrameCoefficients) -> _FrameBacking:
+def _frame_backing(curve: SphericalCurve, fc: FrameCoefficients) -> _FrameBacking:
     abc = np.zeros((max(map(len, fc)), 3))
     for i, p in enumerate(fc):
         abc[: len(p), i] = p
@@ -165,6 +164,8 @@ class RuledSurface(Immutable):
         n = order + 1
         # gamma's rows 1 .. order and xi's rows 0 .. order, per distinct v0
         gamma, xi = np.empty((len(v0s), order, 3)), np.empty((len(v0s), n, 3))
+        # kept on purpose: at v0 = 0, where every radius of a theta = 0 ray sits,
+        # the held rows replace a backing's series or a shift (see ROADMAP)
         at_origin = (v0s == 0.0) & (order <= self.order)
         if at_origin.any():
             gamma[at_origin], xi[at_origin] = self.gamma.c[:, 0, 1:n].T, self.xi.c[:, 0, :n].T
@@ -247,7 +248,7 @@ def _backed(backing: RulingBacking, order: int) -> RuledSurface:
 
 
 def from_frame(
-    curve: SphericalFrame,
+    curve: SphericalCurve,
     a: Sequence[float] | float = 0.0,
     b: Sequence[float] | float = 0.0,
     c: Sequence[float] | float = 0.0,
@@ -340,7 +341,7 @@ def reconstruct_directrix(fc: FrameCoefficients, rs: RuledSurface) -> np.ndarray
 
 def redeploy(
     fc: FrameCoefficients,
-    new_xi: SphericalFrame | Jet3,
+    new_xi: SphericalCurve | Jet3,
     order: int | None = None,
 ) -> RuledSurface:
     """Ruled surface with the same frame coefficients along a new unit-speed
@@ -369,9 +370,8 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     """
     if rs.order < 3:
         raise JetDomainError(f"classification reads jets of order 3, got order {rs.order}")
-    gamma, xi = rs.gamma.c[:, 0].T, rs.xi.c[:, 0].T
-    # detect_crosscap's test on f_v = gamma'(0), f_u = xi(0), f_uv = xi'(0), f_vv = 2 gamma''(0)
-    if norm(gamma[1]) <= tol and abs(det3(xi[0], xi[1], 2.0 * gamma[2])) > tol:
+    f = rs.as_surface_map()
+    if detect_crosscap(f, tol).is_crosscap:
         return "cross_cap"
     try:
         rsn = normalize(rs)
@@ -391,6 +391,6 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
             return "swallowtail"
         if abs(a0) > tol:
             return "cuspidal_edge"
-    if norm(cross(xi[0], gamma[1])) > tol:
+    if norm(cross(f._origin.fu, f._origin.fv)) > tol:
         return "regular"
     return "unclassified"

@@ -281,7 +281,8 @@ def invariant_report(
     t_metric = invariants.intrinsic_from_metric(surface.first_form(f))
     conic = invariants.focal_conic(t_map, tol=tol)
     combos = invariants.isometry_combos(nf)
-    flags = normalform.classify(nf, tol=max(tol, 1e-7))
+    sign_class = invariants.classify_sign(t_map, tol=tol)  # also the one degeneracy verdict
+    flags = {**normalform.classify(nf, tol=max(tol, 1e-7)), "degenerate": sign_class == "degenerate"}
     report = {
         "crosscap": test._asdict(),
         "normal_form": {
@@ -300,7 +301,7 @@ def invariant_report(
         "focal_conic": conic._asdict(),
         "combos": combos._asdict(),
         "classification": {
-            "sign_class": invariants.classify_sign(t_map, tol=tol),
+            "sign_class": sign_class,
             **flags,
         },
     }

@@ -233,7 +233,7 @@ def reference_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tu
     m, n = fam.m, order
     w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
     shat = series_integral(series_power(w2, -1.0, n - 1) * math.sqrt(m), 0.0)
-    C, _, _ = fam.curve.series_at(fam.arc_parameter(v0), n)
+    C, _, _ = fam.curve.path.series(fam.arc_parameter(v0), n)
     xi = series_product(series_compose(C, shat, n), series_power(w2, 0.5, n), n)
     xi_d = series_derivative(xi)
     B = series_cross(xi[:n], xi_d, n - 1) + xi_d * fam.a11

@@ -67,6 +67,22 @@ def test_analyze_text_classification(tmp_path, capsys):
     assert "cross cap" in out
 
 
+@pytest.mark.parametrize("a20, sign_class", [(5e-8, "elliptic"), (5e-10, "degenerate")])
+def test_degenerate_flag_is_the_sign_class_verdict(tmp_path, capsys, a20, sign_class):
+    # the normal form's a20 is degenerate below 1e-7, the sign class's below
+    # the tolerance 1e-9: the report keeps the second, in JSON and in text,
+    # where the flag keeps its place
+    path = write_spec(tmp_path, quadratic_spec(a20=a20, a11=0.3, a02=1.0))
+    assert main(["analyze", path, "--json"]) == 0
+    cl = json.loads(capsys.readouterr().out)["classification"]
+    assert cl["sign_class"] == sign_class and cl["degenerate"] == (sign_class == "degenerate")
+    assert main(["analyze", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"sign class         {sign_class}" in lines
+    flags = "degenerate quadratic" if sign_class == "degenerate" else "quadratic"
+    assert f"shape flags        {flags} normal_up_to_order" in lines
+
+
 def test_analyze_json_is_deterministic_and_roundtrips(tmp_path, capsys):
     path = write_spec(tmp_path, quadratic_spec(a20=0.7, a11=-0.3, a02=1.9))
     assert main(["analyze", path, "--json"]) == 0
@@ -272,6 +288,15 @@ def test_overflow_is_checked_once_per_stage(tmp_path, capsys, overflow_checks, r
     jets.series_cross(x, y, 8)
     ruled._dot(x, np.stack([x, y]), 8)
     assert overflow_checks == ["series_product", "series_product"]
+
+
+def test_overflowing_ruled_germ_is_one_refusal(tmp_path, capsys):
+    # |f_v| = 1e200 at the origin overflows on Python floats; classify reads
+    # the origin as analyze and asymptotics do, and refuses with their line
+    path = write_spec(tmp_path, load_cli_outputs().SPECS["ruled_overflow"])
+    for command in ("classify", "analyze", "asymptotics"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == "analysis failed: overflow encountered in multiply\n", command
 
 
 def test_overflowing_frame_recurrence_exits_two(tmp_path, capsys):

@@ -28,18 +28,23 @@ def trees(tmp_path, a: dict, b: dict) -> tuple[str, str]:
     return str(tmp_path / "a"), str(tmp_path / "b")
 
 
-# the ufunc that reports each overflow: the bracket at the origin and the
-# frame recurrence on Python floats (multiply, by jets._checked), the normal
-# form's basis (matmul) and the curvatures along asymptotic rays (vecdot)
+# the ufunc that reports each overflow: the bracket or |f_v| at the origin
+# and the frame recurrence on Python floats (multiply, by jets._checked), the
+# normal form's basis (matmul) and the curvatures along asymptotic rays (vecdot)
 OVERFLOWS = {
     "scaled.analyze": "multiply",
     "scaled.asymptotics": "multiply",
+    "ruled_overflow.analyze": "multiply",
+    "ruled_overflow.asymptotics": "multiply",
+    "ruled_overflow.classify": "multiply",
     "scaled_tail.analyze": "matmul",
     "scaled_tail.asymptotics": "vecdot",
     "steep_kappa.asymptotics": "multiply",
     "steep_kappa.mesh": "multiply",
 }
 RESIDUALS = {"steep_kappa.deform.json": 6, "steep_kappa.deform.order.json": 9}
+# ruled specs whose origin is no cross cap
+NOT_CROSS_CAPS = {f"{name}.{c}" for name in ("tangent", "cylinder", "cone") for c in ("analyze", "asymptotics")}
 
 
 def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
@@ -53,12 +58,13 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
     assert files[0] == files[1] and files[0]
     for rel in files[0]:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
-    # the tangent developable has a cuspidal edge, not a cross cap, at its
-    # origin; the steep germ's normal form refuses at order 11; bad_terms
-    # has a negative power in its fourth entry, bad_rows a true in a row;
-    # the scaled germs and kappa' = 1e50 overflow in the runs OVERFLOWS
-    # names, and the deform sweeps of kappa' = 1e50 refuse by residual;
-    # their other runs exit 0
+    # the tangent developable has a cuspidal edge, the cylinder a regular
+    # point and the cone an apex, not a cross cap, at the origin, which
+    # classify names; the steep germ's normal form refuses at order 11;
+    # bad_terms has a negative power in its fourth entry, bad_rows a true in
+    # a row; the scaled germs, kappa' = 1e50 and the ruled speed 1e200
+    # overflow in the runs OVERFLOWS names, and the deform sweeps of
+    # kappa' = 1e50 refuse by residual; their other runs exit 0
     lines = (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines()
     runs = [line.split(" ", 1)[0] for line in lines]
     assert set(OVERFLOWS) <= {".".join(run.split(".")[:2]) for run in runs} and set(RESIDUALS) <= set(runs)
@@ -70,7 +76,7 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
         elif run in RESIDUALS:
             message = f"analysis failed: second-component residual survived at degree {RESIDUALS[run]}\n"
             assert rc == "2" and err == repr(message), line
-        elif run.startswith(("tangent.analyze", "tangent.asymptotics")):
+        elif command in NOT_CROSS_CAPS:
             assert rc == "2" and "not a cross cap" in err, line
         elif run == "steep.analyze.above.json":
             assert rc == "2" and err == repr("analysis failed: second-component residual survived at degree 11\n"), line
@@ -80,6 +86,8 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
             assert rc == "1" and err == repr("spec error: field 'ruled.xi_poly[1].y': expected a number\n"), line
         else:
             assert rc == "0" and err == "''", line
+    for name, verdict in (("cylinder", "regular"), ("cone", "unclassified")):
+        assert (outs[0] / f"{name}.classify.txt").read_text(encoding="utf-8") == f"{verdict}\n"
 
 
 def test_writer_matches_the_former_writer_on_every_report(tool, tmp_path, monkeypatch):

@@ -245,7 +245,7 @@ def test_frenet_series_matches_path():
     assert np.linalg.norm(c_series - curve.path.state(s)[0:3]) <= 1e-9
 
     # recentered series around s0 reproduces nearby frames
-    C2, E2, N2 = curve.series_at(0.4, 10)
+    C2, E2, N2 = curve.path.series(0.4, 10)
     h = 0.05
     powers = h ** np.arange(11)
     assert np.linalg.norm(powers @ C2 - curve.path.state(0.4 + h)[0:3]) <= 1e-9
@@ -254,7 +254,7 @@ def test_frenet_series_matches_path():
 
 def test_series_at_origin_grows_no_node():
     for curve in (circle_family(0.7), deformation_family(1.5, 0.25, (0.5, -0.4, 0.2)).curve):
-        first = curve.series_at(0.0, 8)
+        first = curve.path.series(0.0, 8)
         # the root block of the path is grown on the first state query only
         assert "_nodes" not in vars(curve.path)
         curve.path.state(1.2)

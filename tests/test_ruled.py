@@ -392,7 +392,7 @@ def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
     m = fam.m
     w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
     shat = _integrate_v(w2.recip() * math.sqrt(m)).truncated(order)
-    C, _, _ = fam.curve.series_at(fam.arc_parameter(v0), order)
+    C, _, _ = fam.curve.path.series(fam.arc_parameter(v0), order)
     chat = stack(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
     xi = chat * w2.sqrt()
     xi_d = xi.deriv_v()
@@ -404,7 +404,7 @@ def _frame_series_by_jets(backing, v0: float, order: int) -> tuple[Jet3, Jet3]:
     # gamma' = a xi + b xi' + c (xi x xi') as bivariate jet algebra
     xi, xid, nu = (
         stack(*(vpoly(X[:, i], order) for i in range(3)))
-        for X in backing.curve.series_at(v0, order)
+        for X in backing.curve.path.series(v0, order)
     )
     a, b, c = (
         vpoly(p, len(p) - 1).shifted_origin(0.0, v0).truncated(order)
@@ -446,7 +446,7 @@ def test_ruling_series_pads_unequal_frame_coefficients_once():
         for v0 in (0.0, -0.55, np.array([0.3, 0.9])):
             for order in (1, 2, 8):
                 xi, gp = backing.ruling_series(v0, order)
-                frame = np.stack(curve.series_at(v0, order))
+                frame = np.stack(curve.path.series(v0, order))
                 want = ruled._directrix_derivative(frame, jets.series_shift(abc, v0), order - 1)
                 assert np.array_equal(xi, frame[0]) and np.array_equal(gp, want), (v0, order)
 

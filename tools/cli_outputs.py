@@ -73,6 +73,10 @@ DUP_TERMS = [[1, 0, 1, 0, 0], [1, 1, 0, 0.5, 0], [0, 2, 0, 0, 1], [1, 1, 0.25, 0
 SCALED = [[j, k, *(1e110 * x for x in xyz)] for j, k, *xyz in GERM]
 SCALED_TAIL = [[j, k, *(1e110 * x if j + k >= 3 else x for x in xyz)] for j, k, *xyz in GERM]
 
+# cos v and sin v to degree 8
+COS = [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0, 1 / 40320]
+SIN = [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040, 0.0]
+
 SPECS = {
     "quadratic": {"quadratic_crosscap": {"a20": -1, "a11": 0, "a02": 1}},
     "circle": {"circle_deformation": {"kappa": 0.7, "a02": 2, "a11": -0.3},
@@ -105,6 +109,14 @@ SPECS = {
     "scaled": {"polynomial": SCALED, "order": 12},
     "scaled_tail": {"polynomial": SCALED_TAIL, "order": 12},
     "steep_kappa": {"spherical_deformation": {"kappa_poly": [0, 1e50], "a02": 2, "a11": 0}},
+    # a cylinder and a cone over the unit circle: classify finds a regular
+    # point on the first and leaves the apex of the second unclassified
+    "cylinder": {"ruled": {"gamma_poly": [[c, s, 0] for c, s in zip(COS, SIN)], "xi_poly": [[0, 0, 1]]}},
+    "cone": {"ruled": {"gamma_poly": [[0, 0, 0]], "xi_poly": [[c, s, 0] for c, s in zip(COS, SIN)]}},
+    # a directrix of speed 1e200, whose |f_v| overflows at the origin on
+    # Python floats: every command that reads the origin refuses alike
+    "ruled_overflow": {"ruled": {"gamma_poly": [[0, 0, 0], [1e200, 0, 0], [0, 0, 1]],
+                                 "xi_poly": [[1, 0, 0], [0, 1, 0]]}},
 }
 FAMILY = ("circle", "poly_kappa", "quartic_kappa", "steep_kappa")
 

@@ -143,7 +143,7 @@ def _deform_text(report: dict) -> str:
 
 
 def cmd_classify(spec: specio.SurfaceSpec, args, tol: float):
-    cls = ruled.classify_singularity(specio.build_surface(spec).surface.ruling, tol=tol)
+    cls = ruled.classify_singularity(specio.build_surface(spec).surface, tol=tol)
     return {"classification": cls}, lambda report: report["classification"] + "\n"
 
 

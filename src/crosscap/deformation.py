@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ChartError
 from .jets import Jet2, series_power, series_product
 from .numerics import FrenetPath
-from .ruled import from_deformation
+from .ruled import RuledSurface, from_deformation
 from .surface import FundamentalForms, Immutable, SurfaceMap, canonical_crosscap, first_form
 
 __all__ = [
@@ -177,9 +177,9 @@ def deformation_family(
     return DeformationFamily(a02=float(a02), a11=float(a11), curve=curve)
 
 
-def build_crosscap(fam: DeformationFamily, order: int = 6) -> SurfaceMap:
-    """Surface map of the family member, exact anywhere in the chart."""
-    return from_deformation(fam, order).as_surface_map()
+def build_crosscap(fam: DeformationFamily, order: int = 6) -> RuledSurface:
+    """The family member's ruled surface map, exact anywhere in the chart."""
+    return from_deformation(fam, order)
 
 
 def degenerate_quadratic(a02: float, a11: float, order: int = 6) -> SurfaceMap:

@@ -293,13 +293,12 @@ def reduce_to_normal_form(
 
 
 def classify(nf: NormalForm, tol: float = DEFAULT_TOL) -> dict[str, bool]:
-    """Degeneracy and shape flags read off the coefficient tables."""
+    """Shape flags read off the coefficient tables."""
     higher_a = max(
         (abs(val) for j, k, val in nf.a_table() if j + k >= 3), default=0.0
     )
     higher_b = max((abs(val) for _, val in nf.b_table()), default=0.0)
     return {
-        "degenerate": abs(nf.a_coeff(2, 0)) <= tol,
         "quadratic": higher_a <= tol and higher_b <= tol,
         "normal_up_to_order": higher_b <= tol,
     }

@@ -17,7 +17,7 @@ first fundamental form completely:
 Swapping the spherical curve xi for any other unit-speed spherical curve
 while keeping (a, b, c) therefore deforms the surface isometrically
 (redeploy).  The singular point at the origin is classified by open
-criteria: surface.detect_crosscap on the surface's map, then the frame
+criteria: surface.detect_crosscap on the surface itself, then the frame
 data; developable members (b = c = 0) fall into the cuspidal edge /
 swallowtail / cuspidal cross cap trichotomy, and the criteria being
 sufficient conditions only, anything failing every test is reported as
@@ -27,9 +27,10 @@ Series in v alone are coefficient arrays, one row per power of v, and all of
 the above is series arithmetic in one variable (jets.series_product and its
 kin), each dot, cross and frame projection one stacked product;
 FrameCoefficients holds them, and the arc length chart of ``normalize`` is a
-series reversion solved a coefficient at a time.  RuledSurface keeps gamma and
-xi as jets in v for SurfaceMap; the first rows of their tables,
-``jet.c[:, 0].T``, are the vector series, one 3-vector per power of v.  A
+series reversion solved a coefficient at a time.  A RuledSurface is a
+surface.SurfaceMap that keeps gamma and xi as jets in v, whose first rows,
+``gamma.c[:, 0].T``, are the vector series, one 3-vector per power of v; the
+map's own jet, gamma in row j = 0 and xi in row j = 1, is built when read.  A
 surface can be backed (see RulingBacking) by exact data: a spherical curve
 (deformation.SphericalCurve, whose frame series are ``curve.path.series``)
 plus frame coefficients (``redeploy``, ``from_frame``) or a deformation family
@@ -40,14 +41,14 @@ arrays there, so it expands exactly around any point of the chart; unbacked
 surfaces are their polynomial jets, exact where those are the surface
 (``from_polynomials``) and truncations elsewhere (``normalize``).
 
-gamma and xi depend on v alone, so evaluation goes by v column: ``grid``
-takes one value per column and broadcasts it over u, and
+gamma and xi depend on v alone, so evaluation goes by v column:
+``evaluate_grid`` takes one value per column and broadcasts it over u, and
 ``derivative_jets`` writes the tables of paired points (u0, v0), less the
 directrix point gamma(v0), from one expansion of (gamma, xi) per distinct
 v0.  Those need only the backing's series, all from one ``ruling_series``
-call, not the path; gamma(v0) comes from ``grid`` alone.  Node positions
-depend only on the backing, so a column's values do not depend on which
-other columns are evaluated.
+call, not the path; gamma(v0) comes from ``evaluate_grid`` alone.  Node
+positions depend only on the backing, so a column's values do not depend on
+which other columns are evaluated.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from .errors import JetDomainError, SingularPointError
 from .jets import Jet3, _checked, series_compose, series_cross
 from .jets import series_derivative, series_integral, series_power, series_product, series_shift
 from .numerics import TAYLOR_ORDER, TaylorPath
-from .surface import Immutable, SurfaceMap, cross, det3, detect_crosscap, norm
+from .surface import DEFAULT_DOMAIN, Domain, SurfaceMap, cross, det3, detect_crosscap, norm
 
 if TYPE_CHECKING:
     from .deformation import SphericalCurve
@@ -119,20 +120,34 @@ def _frame_backing(curve: SphericalCurve, fc: FrameCoefficients) -> _FrameBackin
     return _FrameBacking(curve, fc, abc)
 
 
-class RuledSurface(Immutable):
+class RuledSurface(SurfaceMap):
     """Directrix and ruling as jets in v at the origin, optionally backed
     by exact pointwise data."""
 
-    def __init__(self, gamma: Jet3, xi: Jet3, backing: RulingBacking | None = None):
-        vars(self).update(gamma=gamma, xi=xi, backing=backing)
+    def __init__(
+        self,
+        gamma: Jet3,
+        xi: Jet3,
+        backing: RulingBacking | None = None,
+        domain_hint: Domain = DEFAULT_DOMAIN,
+    ):
+        vars(self).update(gamma=gamma, xi=xi, backing=backing, domain_hint=domain_hint)
 
     @property
     def order(self) -> int:
         return min(self.gamma.order, self.xi.order)
 
+    @cached_property
+    def jet(self) -> Jet3:
+        """gamma(v) + u xi(v) as one jet: gamma is row j = 0 of its table, xi row j = 1."""
+        n = self.order
+        c = np.zeros((3, n + 1, n + 1))
+        c[:, 0], c[:, 1:2, :n] = self.gamma.c[:, 0, : n + 1], self.xi.c[:, :1, :n]  # no row 1 at n = 0
+        return Jet3(n, c)
+
     # ------------------------------------------------------------------
     # evaluation, one v column at a time
-    def grid(self, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
+    def evaluate_grid(self, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
         """Points gamma(v) + u xi(v), shape (len(us), len(vs), 3).
 
         gamma(v) and xi(v) are computed once per column and broadcast over u.
@@ -152,11 +167,13 @@ class RuledSurface(Immutable):
         refusal = "directrix series does not converge near v ="
         return TaylorPath(block, self.gamma.coeff_vector(0, 0), refusal)
 
-    def derivative_jets(self, us: Sequence[float], vs: Sequence[float], order: int) -> np.ndarray:
+    def derivative_jets(self, us: Sequence[float], vs: Sequence[float], order: int = 2) -> np.ndarray:
         """Jet tables of gamma(v) - gamma(v0) + u xi(v) at the points (u0, v0)
         of us and vs, broadcast together, exact for backed surfaces and read
         without the directrix path: row 0 of each table is u0 xi plus
         gamma's terms past the constant."""
+        if order < 0:
+            raise JetDomainError("jet order must be nonnegative")
         us, vs = np.broadcast_arrays(np.asarray(us, dtype=float), np.asarray(vs, dtype=float))
         index: dict[float, int] = {}  # the column of each distinct v0, in order of appearance
         col = [index.setdefault(v, len(index)) for v in vs.ravel().tolist()]
@@ -183,13 +200,6 @@ class RuledSurface(Immutable):
         tables[..., 0, :] = rows.mT
         tables[..., 1:2, :order] = xi[..., :order, :].mT[..., None, :]
         return tables
-
-    def as_surface_map(self) -> SurfaceMap:
-        """gamma(v) + u xi(v) as one jet: gamma is row j = 0 of its table, xi row j = 1."""
-        n = self.order
-        c = np.zeros((3, n + 1, n + 1))
-        c[:, 0], c[:, 1:2, :n] = self.gamma.c[:, 0, : n + 1], self.xi.c[:, :1, :n]  # no row 1 at n = 0
-        return SurfaceMap(jet=Jet3(n, c), ruling=self)
 
 
 def _directrix_block(backing: RulingBacking, v0: float, y: np.ndarray) -> np.ndarray:
@@ -370,8 +380,7 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
     """
     if rs.order < 3:
         raise JetDomainError(f"classification reads jets of order 3, got order {rs.order}")
-    f = rs.as_surface_map()
-    if detect_crosscap(f, tol).is_crosscap:
+    if detect_crosscap(rs, tol).is_crosscap:
         return "cross_cap"
     try:
         rsn = normalize(rs)
@@ -391,6 +400,6 @@ def classify_singularity(rs: RuledSurface, tol: float = 1e-9) -> str:
             return "swallowtail"
         if abs(a0) > tol:
             return "cuspidal_edge"
-    if norm(cross(f._origin.fu, f._origin.fv)) > tol:
+    if norm(cross(rs._origin.fu, rs._origin.fv)) > tol:
         return "regular"
     return "unclassified"

@@ -49,7 +49,7 @@ import numpy as np
 from . import asymptotics, deformation, invariants, normalform, ruled, surface
 from .errors import CrosscapError, SpecFormatError
 from .jets import Jet3
-from .surface import SurfaceMap
+from .surface import DEFAULT_DOMAIN, SurfaceMap
 
 __all__ = [
     "SurfaceSpec",
@@ -77,7 +77,6 @@ FIELDS = {
     "circle_deformation": ("a02", "a11", "kappa"),
     "spherical_deformation": ("a02", "a11"),
 }
-DEFAULT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
 ORDERS = range(2, 13)
 # the top degree of polynomial terms and of series in v (kappa_poly, ruled rows)
 MAX_DEGREE = 64
@@ -174,6 +173,7 @@ def parse_spec(doc: Any) -> SurfaceSpec:
             lo = _number(pair[0], f"domain.{axis}[0]")
             hi = _number(pair[1], f"domain.{axis}[1]")
             _require(lo < hi, f"domain.{axis}", "needs lo < hi")
+            _require(math.isfinite(hi - lo), f"domain.{axis}", "width hi - lo overflows")
             spans.append((lo, hi))
         domain = (spans[0], spans[1])
 
@@ -247,16 +247,16 @@ def build_surface(spec: SurfaceSpec) -> BuiltSurface:
         # in entry order
         c = np.zeros((3, order + 1, order + 1))
         np.add.at(c, (slice(None), j, k), rows[:, 2:].T)
-        f = SurfaceMap(jet=Jet3(order, c))
-    elif spec.kind == "quadratic_crosscap":
-        f = surface.quadratic_crosscap(p["a20"], p["a11"], p["a02"], order=spec.order)
-    elif spec.kind in FAMILY_KINDS:
+        return BuiltSurface(SurfaceMap(Jet3(order, c), spec.domain))
+    if spec.kind == "quadratic_crosscap":
+        jet = surface.quadratic_crosscap(p["a20"], p["a11"], p["a02"], order=spec.order).jet
+        return BuiltSurface(SurfaceMap(jet, spec.domain))
+    if spec.kind in FAMILY_KINDS:
         fam = deformation.deformation_family(p["a02"], p["a11"], p["kappa_poly"])
-        f = deformation.build_crosscap(fam, order=spec.order)
+        rs = deformation.build_crosscap(fam, order=spec.order)
     else:
         rs = ruled.from_polynomials(p["gamma_poly"], p["xi_poly"], order=max(spec.order, 6))
-        f = rs.as_surface_map()
-    return BuiltSurface(surface=SurfaceMap(f.jet, f.ruling, spec.domain))
+    return BuiltSurface(ruled.RuledSurface(rs.gamma, rs.xi, rs.backing, spec.domain))
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +282,7 @@ def invariant_report(
     conic = invariants.focal_conic(t_map, tol=tol)
     combos = invariants.isometry_combos(nf)
     sign_class = invariants.classify_sign(t_map, tol=tol)  # also the one degeneracy verdict
-    flags = {**normalform.classify(nf, tol=max(tol, 1e-7)), "degenerate": sign_class == "degenerate"}
+    flags = {"degenerate": sign_class == "degenerate", **normalform.classify(nf, tol=max(tol, 1e-7))}
     report = {
         "crosscap": test._asdict(),
         "normal_form": {

@@ -1,12 +1,13 @@
 """Surface map germs and their pointwise differential geometry.
 
 A :class:`SurfaceMap` wraps the jet of a map germ (u,v) -> R^3 at the
-origin.  A polynomial map is its jet.  A ruled surface
-gamma(v) + u xi(v) also carries its ruled.RuledSurface, which gives
-positions and Taylor data recentered at any parameter point (exactly,
-when the ruling is backed).  All pointwise quantities (fundamental forms,
-curvatures) are read off the Taylor tables of ``derivative_jets``, so no
-finite differencing is involved on the library side.
+origin.  A polynomial map is its jet.  A ruled surface gamma(v) + u xi(v)
+is the subclass ruled.RuledSurface, which overrides ``evaluate_grid`` and
+``derivative_jets`` to give positions and Taylor data recentered at any
+parameter point (exactly, when the ruling is backed).  All pointwise
+quantities (fundamental forms, curvatures) are read off the Taylor tables
+of ``derivative_jets``, so no finite differencing is involved on the
+library side.
 
 Off the origin a map answers two questions.  Points come in grids
 (``evaluate_grid``; a single point is a one-point grid), derivatives at
@@ -34,19 +35,17 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import JetDomainError, NotACrossCapError, SingularPointError
 from .jets import Jet2, Jet3, _checked, _product, table_shift
 
-if TYPE_CHECKING:
-    from .ruled import RuledSurface
-
 DEFAULT_TOL = 1e-9
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
+DEFAULT_DOMAIN: Domain = ((-1.0, 1.0), (-1.0, 1.0))
 Vec = tuple[float, float, float]
 
 
@@ -95,13 +94,8 @@ class Immutable:
 
 
 class SurfaceMap(Immutable):
-    def __init__(
-        self,
-        jet: Jet3,
-        ruling: RuledSurface | None = None,
-        domain_hint: Domain = ((-1.0, 1.0), (-1.0, 1.0)),
-    ):
-        vars(self).update(jet=jet, ruling=ruling, domain_hint=domain_hint)
+    def __init__(self, jet: Jet3, domain_hint: Domain = DEFAULT_DOMAIN):
+        vars(self).update(jet=jet, domain_hint=domain_hint)
 
     @property
     def order(self) -> int:
@@ -113,8 +107,6 @@ class SurfaceMap(Immutable):
     def evaluate_grid(self, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
         """Points f(u, v) for u in us and v in vs, shape (len(us), len(vs), 3);
         a polynomial map's by Horner's rule, each the bits of ``self.jet(u, v)``."""
-        if self.ruling is not None:
-            return self.ruling.grid(us, vs)
         return np.moveaxis(np.polynomial.polynomial.polygrid2d(us, vs, np.moveaxis(self.jet.c, 0, -1)), 0, -1)
 
     def local_jet(self, u0: float, v0: float, order: int = 2) -> Jet3:
@@ -130,8 +122,6 @@ class SurfaceMap(Immutable):
         term: a ruled surface leaves out gamma(v0), which needs the directrix path."""
         if order < 0:
             raise JetDomainError("jet order must be nonnegative")
-        if self.ruling is not None:
-            return self.ruling.derivative_jets(us, vs, order)
         return table_shift(self.jet.c, us, vs, min(order, self.jet.order))
 
     @cached_property
@@ -185,7 +175,7 @@ class LimitingNormal(NamedTuple):
 def surface_from_polynomial(
     terms: Mapping[tuple[int, int], Sequence[float]],
     order: int = 6,
-    domain: Domain = ((-1.0, 1.0), (-1.0, 1.0)),
+    domain: Domain = DEFAULT_DOMAIN,
 ) -> SurfaceMap:
     jet = Jet3.from_terms(terms, order)
     return SurfaceMap(jet=jet, domain_hint=domain)

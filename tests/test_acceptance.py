@@ -274,7 +274,7 @@ def test_criterion_8_ruled_classification(acceptance, rng):
             c=rng.uniform(-0.5, 0.5, 3),
         )
         forms = [
-            first_form(redeploy(fc, curve, order=8).as_surface_map()) for curve in curves
+            first_form(redeploy(fc, curve, order=8)) for curve in curves
         ]
         n = min(forms[0].E.order, forms[1].E.order)
         metric_dev = max(
@@ -289,10 +289,9 @@ def test_criterion_8_ruled_classification(acceptance, rng):
         from_frame(circle_family(0.0), a=1.0),
         from_frame(SphericalCurve(kappa_poly=(0.0, 1.0)), a=1.0),
     ):
-        f = rs.as_surface_map()
         for u in np.linspace(0.2, 1.0, 10):
             for v in np.linspace(-0.4, 0.4, 5):
-                K, _ = curvatures_at(f, float(u), float(v))
+                K, _ = curvatures_at(rs, float(u), float(v))
                 k_max = max(k_max, abs(K))
     ok = got == want and metric_dev <= 1e-9 and k_max < 1e-8
     acceptance(

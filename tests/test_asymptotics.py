@@ -250,15 +250,15 @@ def assert_same_report(a, b):
 
 def test_ray_reports_read_each_ray_in_one_derivative_jets_call(monkeypatch):
     calls = []
-    tables = surface.SurfaceMap.derivative_jets
-
-    def counted(self, us, vs, order=2):
-        calls.append(len(us))
-        return tables(self, us, vs, order)
-
-    monkeypatch.setattr(surface.SurfaceMap, "derivative_jets", counted)
     n = len(_clamped_radii(None))
     for f in (standard_crosscap(), build_crosscap(deformation_family(2.0, 0.3, (0.5, -0.4)))):
+        tables = type(f).derivative_jets
+
+        def counted(self, us, vs, order=2, tables=tables):
+            calls.append(len(us))
+            return tables(self, us, vs, order)
+
+        monkeypatch.setattr(type(f), "derivative_jets", counted)
         for theta in (0.7, -1.2, math.pi / 2.0):
             calls.clear()
             asymptotics.ray_reports(f, theta)

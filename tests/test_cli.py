@@ -463,6 +463,16 @@ def test_mesh_whose_points_overflow_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("analysis failed:")
 
 
+@pytest.mark.parametrize("axis, domain", [("u", [[-1e308, 1e308], [-1, 1]]), ("v", [[-1, 1], [-1e308, 1e308]])])
+def test_domain_whose_width_overflows_is_a_spec_error(tmp_path, capsys, axis, domain):
+    # lo < hi, but hi - lo is inf, which would put u0 + inf * 0 = nan at a vertex
+    doc = {"circle_deformation": {"kappa": 1, "a02": 2, "a11": 0}, "domain": domain}
+    target = tmp_path / "x.obj"
+    assert main(["mesh", write_spec(tmp_path, doc), "--out", str(target), "--resolution", "4"]) == 1
+    assert capsys.readouterr().err == f"spec error: field 'domain.{axis}': width hi - lo overflows\n"
+    assert not target.exists()
+
+
 def test_mesh_resolution_validation(tmp_path, capsys):
     path = write_spec(tmp_path, quadratic_spec())
     for res in (0, MAX_RESOLUTION + 1):
@@ -586,8 +596,8 @@ def test_mesh_of_large_member_scales_with_a02(tmp_path):
     doc = member(1e6)
     assert main(["mesh", write_spec(tmp_path, doc), "--out", str(tmp_path / "x.obj"), "--resolution", "8"]) == 0
     vs = [-3.0, -2.2, -0.7, 0.0, 0.4, 1.9, 3.0]
-    big = build_surface(parse_spec(doc)).surface.ruling.grid([0.0], vs)[0]
-    unit = build_surface(parse_spec(member(1.0))).surface.ruling.grid([0.0], vs)[0]
+    big = build_surface(parse_spec(doc)).surface.evaluate_grid([0.0], vs)[0]
+    unit = build_surface(parse_spec(member(1.0))).surface.evaluate_grid([0.0], vs)[0]
     assert np.max(np.abs(big - 1e6 * unit)) <= 1e-13 * np.max(np.abs(big))
 
 

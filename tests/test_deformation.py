@@ -379,7 +379,7 @@ def test_node_layout_is_pinned():
     for (a02, a11, kappa), (directrix, frame) in zip(NODE_MEMBERS, want):
         fam = deformation_family(a02, a11, kappa)
         surface = from_deformation(fam)
-        surface.grid([0.0], np.linspace(-1.0, 1.0, 25))
+        surface.evaluate_grid([0.0], np.linspace(-1.0, 1.0, 25))
         for nodes, (counts, lasts) in ((surface._path._nodes, directrix), (fam.curve.path._nodes, frame)):
             assert tuple(len(nodes[sign][0]) for sign in (1, -1)) == counts
             assert [nodes[sign][0][-1] for sign in (1, -1)] == pytest.approx(lasts, abs=1e-14)
@@ -389,7 +389,7 @@ def test_node_positions_are_python_floats():
     for a02, a11, kappa in NODE_MEMBERS:
         fam = deformation_family(a02, a11, kappa)
         surface = from_deformation(fam)
-        surface.grid([0.0], np.linspace(-1.0, 1.0, 25))
+        surface.evaluate_grid([0.0], np.linspace(-1.0, 1.0, 25))
         for nodes in (surface._path._nodes, fam.curve.path._nodes):
             for starts, _, steps in nodes.values():
                 assert all(type(x) is float for x in starts + steps)
@@ -427,7 +427,7 @@ def test_directrix_matches_mpmath_oracle(k1):
             # D the rotation by pi about c(0)
             ref[-v] = np.array([-1.0, 1.0, 1.0]) * ref[v]
     vs = sorted(ref)
-    gamma = from_deformation(deformation_family(a02, a11, (0.0, k1))).grid([0.0], vs)[0]
+    gamma = from_deformation(deformation_family(a02, a11, (0.0, k1))).evaluate_grid([0.0], vs)[0]
     assert max(np.max(np.abs(g - ref[v])) for g, v in zip(gamma, vs)) <= 1e-12
 
 
@@ -437,7 +437,7 @@ def test_built_surface_is_freed_by_reference_counting(tmp_path):
     try:
         built = build_surface(spec)
         write_obj(built.surface, str(tmp_path / "m.obj"), 4)
-        curve = weakref.ref(built.surface.ruling.backing.curve)
+        curve = weakref.ref(built.surface.backing.curve)
         del built
         assert curve() is None
     finally:

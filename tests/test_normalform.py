@@ -143,10 +143,7 @@ def test_canonical_map_recomposes(rng):
 def test_classify_flags():
     quad = reduce_to_normal_form(quadratic_crosscap(1.0, 0.5, 2.0))
     flags = classify(quad)
-    assert flags == {"degenerate": False, "quadratic": True, "normal_up_to_order": True}
-
-    degen = reduce_to_normal_form(quadratic_crosscap(0.0, 0.5, 2.0))
-    assert classify(degen)["degenerate"]
+    assert flags == {"quadratic": True, "normal_up_to_order": True}
 
     with_b = reduce_to_normal_form(canonical_crosscap({(0, 2): 2.0}, {4: 1.0}, order=5))
     flags = classify(with_b)

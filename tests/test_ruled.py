@@ -160,7 +160,7 @@ def test_family_members_classify_as_cross_caps():
 def test_family_ruled_surface_is_exact_off_origin():
     # the ruled presentation is backed by the family, not its truncated jets
     fam = deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))
-    ruled_map = from_deformation(fam, 8).as_surface_map()
+    ruled_map = from_deformation(fam, 8)
     built = build_crosscap(fam)
     for u, v in ((0.5, 0.7), (-0.3, -0.6), (0.8, 0.2)):
         assert np.linalg.norm(ruled_map(u, v) - built(u, v)) <= 1e-12
@@ -190,7 +190,7 @@ def test_redeploy_preserves_first_form(rng):
             c=rng.uniform(-0.5, 0.5, 3),
         )
         forms = [
-            first_form(redeploy(fc, curve, order=8).as_surface_map()) for curve in curves
+            first_form(redeploy(fc, curve, order=8)) for curve in curves
         ]
         base = forms[0]
         for other in forms[1:]:
@@ -225,7 +225,7 @@ def test_redeploy_standard_onto_curved_circle():
     rs0 = normalize(standard_ruled())
     fc = frame_coefficients(rs0)
     redeployed = redeploy(fc, circle_family(1.0), order=8)
-    nf_r = reduce_to_normal_form(redeployed.as_surface_map(), order=3)
+    nf_r = reduce_to_normal_form(redeployed, order=3)
     member = build_crosscap(deformation_family(2.0, 0.0, 1.0), order=5)
     nf_m = reduce_to_normal_form(member, order=3)
     dev = max(
@@ -236,7 +236,7 @@ def test_redeploy_standard_onto_curved_circle():
 
     # redeploying back onto the flat circle recovers the standard tables
     again = redeploy(fc, circle_family(0.0), order=8)
-    nf_s = reduce_to_normal_form(again.as_surface_map(), order=3)
+    nf_s = reduce_to_normal_form(again, order=3)
     assert nf_s.a_coeff(0, 2) == pytest.approx(2.0, abs=1e-8)
     for j, k, val in nf_s.a_table():
         if (j, k) != (0, 2):
@@ -263,8 +263,8 @@ def test_redeploy_rotated_frame_is_congruent():
         point0=tuple(axis @ np.array([1.0, 0.0, 0.0])),
         tangent0=tuple(axis @ np.array([0.0, 1.0, 0.0])),
     )
-    nf1 = reduce_to_normal_form(redeploy(fc, circle_family(kappa), order=8).as_surface_map(), order=3)
-    nf2 = reduce_to_normal_form(redeploy(fc, rotated, order=8).as_surface_map(), order=3)
+    nf1 = reduce_to_normal_form(redeploy(fc, circle_family(kappa), order=8), order=3)
+    nf2 = reduce_to_normal_form(redeploy(fc, rotated, order=8), order=3)
     dev = max(
         abs(v1 - v2) for (_, _, v1), (_, _, v2) in zip(nf1.a_table(), nf2.a_table())
     )
@@ -278,11 +278,10 @@ def test_developables_have_zero_gauss_curvature():
         from_frame(SphericalCurve(kappa_poly=(0.0, 1.0)), a=1.0),
     ]
     for rs in surfaces:
-        f = rs.as_surface_map()
         count = 0
         for u in np.linspace(0.2, 1.0, 10):
             for v in np.linspace(-0.4, 0.4, 5):
-                K, _ = curvatures_at(f, float(u), float(v))
+                K, _ = curvatures_at(rs, float(u), float(v))
                 assert abs(K) < 1e-8, (u, v, K)
                 count += 1
         assert count == 50
@@ -294,7 +293,7 @@ def test_developables_have_zero_gauss_curvature():
 def _column_surfaces():
     member = build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3)))
     above_order = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [9, 9, 1, 1, 1]]}
-    return [member, standard_ruled().as_surface_map(), build_surface(parse_spec(above_order)).surface]
+    return [member, standard_ruled(), build_surface(parse_spec(above_order)).surface]
 
 
 def _reference_point(f, u: float, v: float) -> np.ndarray:
@@ -302,17 +301,16 @@ def _reference_point(f, u: float, v: float) -> np.ndarray:
     f(u, v) once it lies within horner_bound of the per-table kernel
     reference_point; a backed point is evaluated on a freshly built surface
     whose directrix and frame paths have grown no node yet."""
-    rs = f.ruling
-    if rs is None:
+    if not isinstance(f, RuledSurface):
         ref, bound = reference_point(f.jet.c, u, v), horner_bound(f.jet.c, u, v)
-    elif rs.backing is None:
-        ref = reference_point(rs.gamma.c, 0.0, v) + u * reference_point(rs.xi.c, 0.0, v)
-        bound = horner_bound(rs.gamma.c, 0.0, v) + abs(u) * horner_bound(rs.xi.c, 0.0, v)
+    elif f.backing is None:
+        ref = reference_point(f.gamma.c, 0.0, v) + u * reference_point(f.xi.c, 0.0, v)
+        bound = horner_bound(f.gamma.c, 0.0, v) + abs(u) * horner_bound(f.xi.c, 0.0, v)
     else:
-        fam = rs.backing
+        fam = f.backing
         curve = SphericalCurve(fam.curve.kappa_poly, fam.curve.point0, fam.curve.tangent0)
-        fresh = RuledSurface(rs.gamma, rs.xi, fam._replace(curve=curve))
-        return fresh.grid([u], [v])[0, 0]
+        fresh = RuledSurface(f.gamma, f.xi, fam._replace(curve=curve))
+        return fresh.evaluate_grid([u], [v])[0, 0]
     point = f(u, v)
     assert np.all(np.abs(point - ref) <= bound), (u, v, point - ref, bound)
     return point
@@ -349,7 +347,7 @@ def test_local_jets_match_local_jet():
         curvatures_at(f, 0.3, -0.6)
         second_form_at(f, -0.2, 0.9)
         assert verify_isometry(f, g).passed
-        assert "_path" not in f.ruling.__dict__ and "_path" not in g.ruling.__dict__
+        assert "_path" not in f.__dict__ and "_path" not in g.__dict__
 
 
 def test_quadrature_runs_once_per_column(monkeypatch, tmp_path):
@@ -476,7 +474,7 @@ def test_directrix_path_grows_without_jet_algebra(monkeypatch, tmp_path):
     frame = from_frame(SphericalCurve(kappa_poly=(0.5, -1.0)), a=[0.4, -0.2], b=0.3, c=0.1)
     surfaces = [
         build_crosscap(deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))),
-        frame.as_surface_map(),
+        frame,
     ]
     pair = [build_crosscap(deformation_family(1.3, -0.4, k)) for k in (0.8, (0.7, -0.5, 0.3))]
     # the coefficient-wise half of verify_isometry multiplies the origin
@@ -500,7 +498,7 @@ def test_directrix_path_grows_without_jet_algebra(monkeypatch, tmp_path):
         counting(owner, name)
     for i, f in enumerate(surfaces):
         write_obj(f, str(tmp_path / f"{i}.obj"), 16)
-        assert len(f.ruling._path._nodes[1][0]) > 2
+        assert len(f._path._nodes[1][0]) > 2
     assert verify_isometry(*pair, grid=(6, 5)).passed
     moved = redeploy(frame_coefficients(normalize(member)), circle_family(0.6))
     assert classify_singularity(moved) == "cross_cap"
@@ -637,7 +635,7 @@ def _ruled_tables(rs: RuledSurface) -> np.ndarray:
     return (rs.gamma + rs.xi * Jet2.variable("u", rs.order)).c
 
 
-def test_as_surface_map_writes_the_ruled_table():
+def test_ruled_jet_writes_the_ruled_table():
     fam = deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))
     rsn = normalize(from_deformation(fam, order=8))
     fc = frame_coefficients(rsn)
@@ -653,10 +651,33 @@ def test_as_surface_map_writes_the_ruled_table():
         RuledSurface(gamma=rsn.gamma, xi=rsn.xi.truncated(4), backing=None),
     ]
     for rs in surfaces:
-        f = rs.as_surface_map()
         want = _ruled_tables(rs)
-        assert f.ruling is rs and f.jet.order == rs.order
-        assert f.jet.c.shape == want.shape and f.jet.c.tobytes() == want.tobytes()
+        assert rs.jet.order == rs.order
+        assert rs.jet.c.shape == want.shape and rs.jet.c.tobytes() == want.tobytes()
+
+
+def test_classify_singularity_caches_the_table_and_origin_on_the_surface():
+    tangent = from_polynomials([[0, 0, 0], [1, 0, 0], [0, 0.5, 0], [0, 0, 1 / 6]], [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]])
+    for rs, want in ((standard_ruled(), "cross_cap"), (tangent, "cuspidal_edge")):
+        assert classify_singularity(rs) == want
+        assert {"jet", "_origin"} <= set(vars(rs))
+        jet, origin = rs.jet, rs._origin
+        assert classify_singularity(rs) == want
+        assert rs.jet is jet and rs._origin is origin
+
+
+def test_ruled_constructors_build_no_table_until_it_is_read():
+    fam = deformation_family(1.3, -0.4, (0.7, -0.5, 0.3))
+    fc = frame_coefficients(normalize(from_deformation(fam, order=8)))
+    surfaces = [
+        normalize(from_deformation(fam, order=8)),
+        redeploy(fc, circle_family(0.6)),
+        redeploy(fc, unit_circle_jet(6)),
+        from_frame(SphericalCurve(kappa_poly=(0.5, -1.0)), a=[0.4, -0.2], b=0.3, c=0.1),
+    ]
+    for rs in surfaces:
+        assert rs.order >= 2 and "jet" not in vars(rs)
+        assert rs.jet.order == rs.order and "jet" in vars(rs)
 
 
 def test_redeploy_onto_a_lower_order_jet_ruling_caps_the_order():

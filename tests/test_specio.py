@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosscap import SpecFormatError
-from crosscap.specio import build_surface, dumps_report, parse_spec
+from crosscap.ruled import RuledSurface
+from crosscap.specio import FAMILY_KINDS, build_surface, dumps_report, parse_spec
+from crosscap.surface import SurfaceMap
 
 from helpers import load_cli_outputs, reference_dumps, reference_parse_spec, reference_polynomial_jet
 
@@ -163,3 +165,22 @@ def test_polynomial_build_matches_the_former_build(entries, order):
         want = reference_polynomial_jet(spec.payload, spec.order)
     assert got.order == want.order
     assert np.array_equal(got.c, want.c, equal_nan=True)
+
+
+BUILD_PAYLOADS = {
+    "polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1]],
+    "quadratic_crosscap": {"a20": -1, "a11": 0, "a02": 1},
+    "circle_deformation": {"kappa": 0.7, "a02": 2, "a11": -0.3},
+    "spherical_deformation": {"kappa_poly": [0.5, -0.4], "a02": 1.5, "a11": 0.25},
+    "ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_PAYLOADS))
+def test_build_surface_makes_one_surface_on_the_spec_domain(kind):
+    # a ruled or family spec is built as a ruled surface, any other as a
+    # plain surface map; each is the final object, on the spec's domain
+    f = build_surface(parse_spec({kind: BUILD_PAYLOADS[kind], "domain": [[-0.5, 0.75], [-1.2, 0.9]]})).surface
+    assert isinstance(f, SurfaceMap)
+    assert type(f) is (RuledSurface if kind == "ruled" or kind in FAMILY_KINDS else SurfaceMap)
+    assert f.domain_hint == ((-0.5, 0.75), (-1.2, 0.9))

@@ -46,7 +46,7 @@ def test_standard_first_form_closed():
 def test_first_form_is_computed_once_per_map():
     f = quadratic_crosscap(0.5, -0.3, 1.2)
     assert first_form(f) is first_form(f)
-    g = SurfaceMap(f.jet, f.ruling, ((-2.0, 2.0), (-1.0, 1.0)))
+    g = SurfaceMap(f.jet, ((-2.0, 2.0), (-1.0, 1.0)))
     assert first_form(g) is not first_form(f)
     assert first_form(g).max_coeff_diff(first_form(f)) == 0.0
 
@@ -187,7 +187,7 @@ def test_curvatures_refuse_a_point_that_is_not_finite():
 
 
 def test_negative_derivative_order_is_a_jet_domain_error():
-    ruled = from_polynomials([[0, 0, 0], [0.1, 0.2, 0.3]], [[1, 0, 0], [0, 1, 0.2]]).as_surface_map()
+    ruled = from_polynomials([[0, 0, 0], [0.1, 0.2, 0.3]], [[1, 0, 0], [0, 1, 0.2]])
     for f in (standard_crosscap(), build_crosscap(deformation_family(1.3, -0.4, 1.2)), ruled):
         with pytest.raises(JetDomainError, match="nonnegative"):
             f.local_jet(0.2, 0.1, -1)
@@ -240,10 +240,10 @@ def test_polynomial_derivative_columns_match_pointwise_shifts(rng):
     fam = deformation_family(1.5, 0.25, (0.5, -0.4, 0.2))
     fc = frame_coefficients(normalize(from_deformation(fam, order=8)))
     ruled_maps = (
-        from_polynomials([[0, 0, 0], [0.1, 0.2, 0.3], [0.0, -0.4, 0.5]], [[1, 0, 0], [0, 1, 0.2]]).as_surface_map(),
+        from_polynomials([[0, 0, 0], [0.1, 0.2, 0.3], [0.0, -0.4, 0.5]], [[1, 0, 0], [0, 1, 0.2]]),
         build_crosscap(deformation_family(1.3, -0.4, 1.2), order=8),
         build_crosscap(fam, order=8),
-        redeploy(fc, circle_family(0.6), order=8).as_surface_map(),
+        redeploy(fc, circle_family(0.6), order=8),
     )
     for f in ruled_maps:
         # order 9 is past the surfaces' own, where v = 0 takes no shortcut

@@ -85,6 +85,10 @@ SPECS = {
                    "order": 8},
     "germ12": {"polynomial": GERM, "order": 12},
     "ruled": {"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, 1, 0]]}},
+    # the same unbacked ruled surface on a domain other than the default,
+    # which its mesh covers
+    "ruled_domain": {"ruled": {"gamma_poly": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "xi_poly": [[1, 0, 0], [0, 1, 0]]},
+                     "domain": [[-0.5, 0.75], [-1.2, 0.9]]},
     # the tangent developable of (v, v^2/2, v^3/6): its classify goes
     # through normalize and frame_coefficients to a cuspidal edge
     "tangent": {"ruled": {"gamma_poly": [[0, 0, 0], [1, 0, 0], [0, 0.5, 0], [0, 0, 1 / 6]],

@@ -25,8 +25,8 @@ vhat = v - v0, around any v0, are coefficient arrays.  The frame
 (chat, ehat, nhat) is solved in vhat directly: with w2 = 1 + m v^2 and
 shat(v) = arctan(v sqrt(m)), so that w2 shat' = sqrt(m), it satisfies
 w2 y' = sqrt(m) (ehat, K nhat - chat, -K ehat), K = kappa(shat), by the
-frame recurrence of numerics.frenet_series, started from the curve's
-FrenetPath at shat(v0).  No cross product is formed: c x e = n gives
+frame recurrence of numerics.frenet_series, started from the curve, a
+FrenetPath, at shat(v0).  No cross product is formed: c x e = n gives
 
     xi x xi' = sqrt(w2) chat x (sqrt(w2) shat' ehat) = sqrt(m) nhat,
 
@@ -40,7 +40,6 @@ differences; they grow no node of the path.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,7 +71,7 @@ ISOMETRY_JET_TOL = 1e-9
 ISOMETRY_GRID_TOL = 1e-6
 
 
-class SphericalCurve(Immutable):
+class SphericalCurve(Immutable, FrenetPath):
     """Unit-speed curve on S^2 given by its geodesic curvature polynomial."""
 
     def __init__(
@@ -87,14 +86,10 @@ class SphericalCurve(Immutable):
             raise ValueError("initial point must lie on the unit sphere")
         if abs(np.linalg.norm(e0) - 1.0) > FRAME_TOL or abs(c0 @ e0) > FRAME_TOL:
             raise ValueError("initial tangent must be unit and orthogonal to the point")
-        vars(self).update(kappa_poly=kappa_poly, point0=point0, tangent0=tangent0)
+        super().__init__(kappa_poly, point0, tangent0)
 
     def kappa(self, s: float) -> float:
         return float(np.polynomial.polynomial.polyval(s, self.kappa_poly))
-
-    @cached_property
-    def path(self) -> FrenetPath:
-        return FrenetPath(self.kappa_poly, self.point0, self.tangent0)
 
 
 def circle_point(kappa: float, s: float) -> np.ndarray:
@@ -145,7 +140,7 @@ class DeformationFamily(NamedTuple):
             return np.array([f(x) for x in v.tolist()]) if v.ndim else f(v.tolist())
 
         w2 = per_column(lambda x: (1.0 + m * x * x, 2.0 * m * x, m))
-        C, _, N = self.curve.path.series(per_column(self.arc_parameter), n, w2, sm)
+        C, _, N = self.curve.series(per_column(self.arc_parameter), n, w2, sm)
         xi = series_product(C, series_power(w2, 0.5, n), n)
         B = xi[..., 1:, :] * np.arange(1, n + 1)[:, None] * self.a11 + N[..., :n, :] * sm
         return xi, series_product(B, per_column(lambda x: (x, 1.0)), n - 1) * (self.a02 / m)

@@ -17,10 +17,11 @@ for the frame system on the unit sphere with geodesic curvature kappa(s),
 
     c' = e,    e' = kappa n - c,    n' = -kappa e,
 
-kappa recentred at each node.  The recursion is a scalar recurrence on
-Python floats, one 3-tuple per coefficient, like jets.series_power: a
-step is a few dozen products, which numpy calls would cost more to
-dispatch than to compute.  A backed ruled surface holds a second path,
+kappa recentred at each node.  A spherical curve is its own FrenetPath
+(deformation.SphericalCurve).  The recursion is a scalar recurrence on
+Python floats, one 3-tuple per coefficient, like jets.series_power: a step
+is a few dozen products, which numpy calls would cost more to dispatch
+than to compute.  A backed ruled surface holds a second path,
 in v, for its directrix and ruling (ruled.RuledSurface); every node of it
 needs one frame series, and off-origin local jets one column per v, all
 columns from one call.  That series is taken in v, not in s: the same
@@ -176,10 +177,11 @@ def _composed(kappa: list, w: tuple, rate: float, n: int) -> list:
 
 class TaylorPath:
     """y(t) from y(0) = y0, where block(t0, y(t0)) is the Taylor table of y
-    around t0; refusal opens the ChartError raised below STEP_FLOOR."""
+    around t0; refusal opens the ChartError raised below STEP_FLOOR.  Fields
+    are set through ``vars(self)``, so that an immutable subclass can be one."""
 
     def __init__(self, block: Callable[..., np.ndarray], y0: np.ndarray, refusal: str):
-        self._block, self._y0, self._refusal = block, y0, refusal
+        vars(self).update(_block=block, _y0=y0, _refusal=refusal)
 
     @cached_property
     def _nodes(self) -> dict:
@@ -206,22 +208,22 @@ class TaylorPath:
         return (t - sign * starts[idx]) ** _POWERS @ blocks[idx]
 
 
-def _frame_block(kappa: Sequence[float], s0: float, y: np.ndarray, order: int = TAYLOR_ORDER) -> np.ndarray:
-    return np.concatenate(frenet_series(series_shift(kappa, s0), y[0:3], y[3:6], order), axis=1)
+def _frame_block(kappa: Sequence[float], s0: float, y: np.ndarray) -> np.ndarray:
+    return np.concatenate(frenet_series(series_shift(kappa, s0), y[0:3], y[3:6], TAYLOR_ORDER), axis=1)
 
 
 class FrenetPath(TaylorPath):
     """Dense frame trajectory s -> (c, e, n) of a spherical unit-speed curve.
 
-    kappa_poly holds the coefficients of the geodesic curvature polynomial.
-    The chart is the open interval |s| < pi/2; queries outside it, or past a
-    point where the curvature outruns STEP_FLOOR, raise ChartError.
+    kappa_poly holds the geodesic curvature's coefficients, point0 and
+    tangent0 c and e at s = 0.  The chart is |s| < pi/2; queries outside it,
+    or past a point where the curvature outruns STEP_FLOOR, raise ChartError.
     """
 
     def __init__(self, kappa_poly: Sequence[float], point0: np.ndarray, tangent0: np.ndarray):
+        vars(self).update(kappa_poly=kappa_poly, point0=point0, tangent0=tangent0)
         y0 = np.concatenate([point0, tangent0])
         super().__init__(partial(_frame_block, kappa_poly), y0, "curvature too large near arc length")
-        self._kappa = kappa_poly
 
     def series(
         self, s0, order: int, w: Sequence[float] = (1.0,), rate: float = 1.0
@@ -233,7 +235,7 @@ class FrenetPath(TaylorPath):
         # at s0 = 0 the state is y0, and no node needs growing
         y = [self._y0 if s == 0.0 else self.state(s)[:6] for s in s0.reshape(-1).tolist()]
         y = np.array(y) if s0.ndim else y[0]
-        return frenet_series(series_shift(self._kappa, s0), y[..., 0:3], y[..., 3:6], order, w, rate)
+        return frenet_series(series_shift(self.kappa_poly, s0), y[..., 0:3], y[..., 3:6], order, w, rate)
 
     def state(self, s: float) -> np.ndarray:
         """Frame state (c, e, n) at arc length s."""

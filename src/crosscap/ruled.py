@@ -32,7 +32,7 @@ surface.SurfaceMap that keeps gamma and xi as jets in v, whose first rows,
 ``gamma.c[:, 0].T``, are the vector series, one 3-vector per power of v; the
 map's own jet, gamma in row j = 0 and xi in row j = 1, is built when read.  A
 surface can be backed (see RulingBacking) by exact data: a spherical curve
-(deformation.SphericalCurve, whose frame series are ``curve.path.series``)
+(deformation.SphericalCurve, whose frame series are ``curve.series``)
 plus frame coefficients (``redeploy``, ``from_frame``) or a deformation family
 member (``from_deformation``), which give the Taylor coefficients of xi and
 gamma' around any v0.  A backed surface follows gamma and xi along one Taylor
@@ -100,16 +100,15 @@ class FrameCoefficients(NamedTuple):
 
 
 class _FrameBacking(NamedTuple):
-    """A spherical ruling plus the frame coefficients of gamma', also as one
+    """A spherical ruling plus the frame coefficients of gamma' as one
     (len, 3) array of (a, b, c) rows, one per power of v, zero past each
     coefficient's length: padded once, by ``_frame_backing``."""
 
     curve: SphericalCurve
-    coeffs: FrameCoefficients
     abc: np.ndarray
 
     def ruling_series(self, v0, order: int) -> tuple[np.ndarray, np.ndarray]:
-        frame = np.stack(self.curve.path.series(v0, order))
+        frame = np.stack(self.curve.series(v0, order))
         return frame[0], _directrix_derivative(frame, series_shift(self.abc, v0), order - 1)
 
 
@@ -117,7 +116,7 @@ def _frame_backing(curve: SphericalCurve, fc: FrameCoefficients) -> _FrameBackin
     abc = np.zeros((max(map(len, fc)), 3))
     for i, p in enumerate(fc):
         abc[: len(p), i] = p
-    return _FrameBacking(curve, fc, abc)
+    return _FrameBacking(curve, abc)
 
 
 class RuledSurface(SurfaceMap):

@@ -272,9 +272,11 @@ def invariant_report(
     tol: float = surface.DEFAULT_TOL,
     with_asymptotics: bool = True,
 ) -> dict:
-    """Full cross cap report for a built surface; raises NotACrossCapError
-    when the origin fails the criterion."""
+    """Full cross cap report for a built surface, read from its jet to order
+    alone; raises NotACrossCapError when the origin fails the criterion."""
     f = built.surface
+    if f.order > order:  # the normal form, both routes and the combos read one map
+        f = surface.SurfaceMap(f.jet.truncated(order), f.domain_hint)
     test = surface.require_crosscap(f, tol=tol)
     nf = normalform.reduce_to_normal_form(f, order=order, tol=tol)
     t_map = invariants.intrinsic_from_map(f, tol=tol)

@@ -233,7 +233,7 @@ def reference_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tu
     m, n = fam.m, order
     w2 = [1.0 + m * v0 * v0, 2.0 * m * v0, m]
     shat = series_integral(series_power(w2, -1.0, n - 1) * math.sqrt(m), 0.0)
-    C, _, _ = fam.curve.path.series(fam.arc_parameter(v0), n)
+    C, _, _ = fam.curve.series(fam.arc_parameter(v0), n)
     xi = series_product(series_compose(C, shat, n), series_power(w2, 0.5, n), n)
     xi_d = series_derivative(xi)
     B = series_cross(xi[:n], xi_d, n - 1) + xi_d * fam.a11
@@ -267,7 +267,7 @@ def mpmath_ruling_series(fam: DeformationFamily, v0: float, order: int) -> tuple
         kappa = [mpf(x) for x in fam.curve.kappa_poly]
         K = [mpmath.fsum(math.comb(i, j) * kappa[i] * mpf(s0) ** (i - j) for i in range(j, len(kappa)))
              for j in range(len(kappa))]
-        y = fam.curve.path.state(s0)
+        y = fam.curve.state(s0)
         c, e = [mpf(x) for x in y[0:3]], [mpf(x) for x in y[3:6]]
         C, E, N = [c], [e], [cross(c, e)]
         for k in range(n):

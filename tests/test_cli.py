@@ -103,8 +103,11 @@ def test_analyze_order_override(tmp_path, capsys):
 
 
 def test_order_2_refuses_the_metric_route(tmp_path, capsys):
-    # an order-2 germ has an order-1 first form, too short for the metric route
-    for command, doc in (("analyze", quadratic_spec(a20=0.5, a11=0.3, a02=1.0)), ("deform", FAMILY_SPEC)):
+    # an order-2 germ has an order-1 first form, too short for the metric route,
+    # whatever terms the spec holds above degree 2
+    cubic = {"polynomial": [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 2, 0, 0, 1], [0, 3, 0, 0, 0.1]], "order": 2}
+    for command, doc in (("analyze", quadratic_spec(a20=0.5, a11=0.3, a02=1.0)), ("deform", FAMILY_SPEC),
+                         ("analyze", cubic), ("analyze", STD_RULED)):
         assert main([command, write_spec(tmp_path, doc), "--order", "2"]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1

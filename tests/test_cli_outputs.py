@@ -43,6 +43,8 @@ OVERFLOWS = {
     "steep_kappa.mesh": "multiply",
 }
 RESIDUALS = {"steep_kappa.deform.json": 6, "steep_kappa.deform.order.json": 9}
+# runs at order 2 on specs with terms above degree 2: the metric route refuses
+ORDER2 = {"dup_terms.analyze.order2", "ruled.analyze.order2"}
 # ruled specs whose origin is no cross cap
 NOT_CROSS_CAPS = {f"{name}.{c}" for name in ("tangent", "cylinder", "cone") for c in ("analyze", "asymptotics")}
 
@@ -64,10 +66,11 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
     # bad_terms has a negative power in its fourth entry, bad_rows a true in
     # a row; the scaled germs, kappa' = 1e50 and the ruled speed 1e200
     # overflow in the runs OVERFLOWS names, and the deform sweeps of
-    # kappa' = 1e50 refuse by residual; their other runs exit 0
+    # kappa' = 1e50 refuse by residual, analyze at order 2 refuses the metric
+    # route; their other runs exit 0
     lines = (outs[0] / "status.txt").read_text(encoding="utf-8").splitlines()
     runs = [line.split(" ", 1)[0] for line in lines]
-    assert set(OVERFLOWS) <= {".".join(run.split(".")[:2]) for run in runs} and set(RESIDUALS) <= set(runs)
+    assert set(OVERFLOWS) <= {".".join(run.split(".")[:2]) for run in runs} and set(RESIDUALS) | ORDER2 <= set(runs)
     for line in lines:
         run, rc, err = line.split(" ", 2)
         command = ".".join(run.split(".")[:2])
@@ -75,6 +78,9 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
             assert rc == "2" and err == repr(f"analysis failed: overflow encountered in {OVERFLOWS[command]}\n"), line
         elif run in RESIDUALS:
             message = f"analysis failed: second-component residual survived at degree {RESIDUALS[run]}\n"
+            assert rc == "2" and err == repr(message), line
+        elif run in ORDER2:
+            message = "analysis failed: metric route needs first-form order >= 2 (germ order >= 3), got 1\n"
             assert rc == "2" and err == repr(message), line
         elif command in NOT_CROSS_CAPS:
             assert rc == "2" and "not a cross cap" in err, line

@@ -25,7 +25,7 @@ from crosscap import (
 )
 from crosscap.deformation import DeformationFamily, circle_family
 from crosscap.jets import series_shift
-from crosscap.numerics import frenet_series
+from crosscap.numerics import TAYLOR_ORDER, frenet_series
 from crosscap.ruled import from_deformation
 from crosscap.specio import build_surface, parse_spec, write_obj
 from helpers import mpmath_ruling_series, reference_frenet_series, reference_ruling_series
@@ -38,7 +38,7 @@ def test_circle_point_matches_integrated_frame():
     for kappa in (0.0, 1.0, 3.0):
         curve = circle_family(kappa)
         for s in S_GRID:
-            assert np.linalg.norm(curve.path.state(s)[0:3] - circle_point(kappa, s)) <= 1e-9
+            assert np.linalg.norm(curve.state(s)[0:3] - circle_point(kappa, s)) <= 1e-9
 
 
 def test_circle_point_stays_on_sphere():
@@ -50,7 +50,7 @@ def test_circle_point_stays_on_sphere():
 def test_frame_conservation_drift():
     for curve in (circle_family(1.0), SphericalCurve(kappa_poly=(0.0, 1.0))):
         for s in np.linspace(-1.0, 1.0, 9):
-            y = curve.path.state(s)
+            y = curve.state(s)
             c, e, n = y[0:3], y[3:6], y[6:9]
             assert abs(np.linalg.norm(c) - 1.0) <= 1e-9
             assert abs(np.linalg.norm(e) - 1.0) <= 1e-9
@@ -60,11 +60,11 @@ def test_frame_conservation_drift():
 
 def test_chart_boundary_raises():
     with pytest.raises(ChartError):
-        circle_family(1.0).path.state(1.6)
+        circle_family(1.0).state(1.6)
     # a refusal at the root names it as 0 in either direction, never as -0
     for s in (-0.1, 0.1):
         with pytest.raises(ChartError, match=r"near arc length 0\.000000:"):
-            circle_family(1e6).path.state(s)
+            circle_family(1e6).state(s)
 
 
 def test_flat_member_jet_is_quadratic():
@@ -242,25 +242,24 @@ def test_frenet_series_matches_path():
     s = 0.3
     powers = s ** np.arange(11)
     c_series = powers @ C
-    assert np.linalg.norm(c_series - curve.path.state(s)[0:3]) <= 1e-9
+    assert np.linalg.norm(c_series - curve.state(s)[0:3]) <= 1e-9
 
     # recentered series around s0 reproduces nearby frames
-    C2, E2, N2 = curve.path.series(0.4, 10)
+    C2, E2, N2 = curve.series(0.4, 10)
     h = 0.05
     powers = h ** np.arange(11)
-    assert np.linalg.norm(powers @ C2 - curve.path.state(0.4 + h)[0:3]) <= 1e-9
-    assert np.linalg.norm(powers @ E2 - curve.path.state(0.4 + h)[3:6]) <= 1e-9
+    assert np.linalg.norm(powers @ C2 - curve.state(0.4 + h)[0:3]) <= 1e-9
+    assert np.linalg.norm(powers @ E2 - curve.state(0.4 + h)[3:6]) <= 1e-9
 
 
 def test_series_at_origin_grows_no_node():
     for curve in (circle_family(0.7), deformation_family(1.5, 0.25, (0.5, -0.4, 0.2)).curve):
-        first = curve.path.series(0.0, 8)
+        first = curve.series(0.0, TAYLOR_ORDER)
         # the root block of the path is grown on the first state query only
-        assert "_nodes" not in vars(curve.path)
-        curve.path.state(1.2)
-        path = curve.path
-        assert len(path._nodes[1][0]) > 1
-        grown = np.hsplit(path._block(0.0, path.state(0.0), 8), 3)
+        assert "_nodes" not in vars(curve)
+        curve.state(1.2)
+        assert len(curve._nodes[1][0]) > 1
+        grown = np.hsplit(curve._block(0.0, curve.state(0.0)), 3)
         for a, b in zip(first, grown):
             assert a.tobytes() == b.tobytes()
 
@@ -276,7 +275,7 @@ def test_frame_matches_mpmath_oracle(k1):
     with mpmath.workdps(20):
         ref = mpmath.odefun(frenet_rhs, 0, [1, 0, 0, 0, 1, 0, 0, 0, 1])(1.2)
         ref = np.array([float(x) for x in ref])
-    path = SphericalCurve(kappa_poly=(0.0, k1)).path
+    path = SphericalCurve(kappa_poly=(0.0, k1))
     assert np.max(np.abs(path.state(1.2) - ref)) <= 1e-10
     # kappa is odd, so the rotation by pi about c(0) maps s to -s with
     # (c, e, n) -> (D c, -D e, -D n)
@@ -290,7 +289,7 @@ def test_frame_refuses_series_that_is_not_finite():
     # which must not pass for a zero tail
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ChartError, match="curvature too large"):
-            SphericalCurve(kappa_poly=(0.0, 1e100)).path.state(0.5)
+            SphericalCurve(kappa_poly=(0.0, 1e100)).state(0.5)
 
 
 @pytest.mark.parametrize("degree", [0, 2, 7])
@@ -380,7 +379,7 @@ def test_node_layout_is_pinned():
         fam = deformation_family(a02, a11, kappa)
         surface = from_deformation(fam)
         surface.evaluate_grid([0.0], np.linspace(-1.0, 1.0, 25))
-        for nodes, (counts, lasts) in ((surface._path._nodes, directrix), (fam.curve.path._nodes, frame)):
+        for nodes, (counts, lasts) in ((surface._path._nodes, directrix), (fam.curve._nodes, frame)):
             assert tuple(len(nodes[sign][0]) for sign in (1, -1)) == counts
             assert [nodes[sign][0][-1] for sign in (1, -1)] == pytest.approx(lasts, abs=1e-14)
 
@@ -390,7 +389,7 @@ def test_node_positions_are_python_floats():
         fam = deformation_family(a02, a11, kappa)
         surface = from_deformation(fam)
         surface.evaluate_grid([0.0], np.linspace(-1.0, 1.0, 25))
-        for nodes in (surface._path._nodes, fam.curve.path._nodes):
+        for nodes in (surface._path._nodes, fam.curve._nodes):
             for starts, _, steps in nodes.values():
                 assert all(type(x) is float for x in starts + steps)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import crosscap
-from crosscap import asymptotics, deformation, invariants, normalform, ruled, specio, surface
+from crosscap import asymptotics, deformation, invariants, normalform, numerics, ruled, specio, surface
 
 SPEC = {"quadratic_crosscap": {"a20": 0.3, "a11": -0.2, "a02": 1.1}, "order": 5}
 
@@ -135,6 +135,19 @@ def test_ruled_surface_copies_and_pickles(evaluated):
         np.testing.assert_array_equal(copied.evaluate_grid([0.2], [0.7, -0.5]), want)
         with pytest.raises(AttributeError):
             copied.backing = None
+
+
+def test_spherical_curve_is_its_frame_path_and_copies_and_pickles():
+    assert issubclass(deformation.SphericalCurve, numerics.FrenetPath)
+    curve = deformation.SphericalCurve((0.5, 0.2))
+    assert not hasattr(curve, "path")
+    want = curve.state(1.2)
+    for copied in _round_trips(curve):
+        assert type(copied) is deformation.SphericalCurve and copied is not curve
+        assert len(copied._nodes[1][0]) == len(curve._nodes[1][0]) > 1
+        assert copied.state(1.2).tobytes() == want.tobytes()
+        with pytest.raises(AttributeError):
+            copied.kappa_poly = (0.0,)
 
 
 def test_import_loads_no_dataclasses():

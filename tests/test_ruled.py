@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -390,7 +391,7 @@ def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
     m = fam.m
     w2 = vpoly([1.0 + m * v0 * v0, 2.0 * m * v0, m], order)
     shat = _integrate_v(w2.recip() * math.sqrt(m)).truncated(order)
-    C, _, _ = fam.curve.path.series(fam.arc_parameter(v0), order)
+    C, _, _ = fam.curve.series(fam.arc_parameter(v0), order)
     chat = stack(*(vpoly(C[:, i], order) for i in range(3))).compose(Jet2.zero(order), shat)
     xi = chat * w2.sqrt()
     xi_d = xi.deriv_v()
@@ -398,15 +399,16 @@ def _family_series_by_jets(fam, v0: float, order: int) -> tuple[Jet3, Jet3]:
     return xi, B * vpoly([v0, 1.0], order - 1) * (fam.a02 / m)
 
 
-def _frame_series_by_jets(backing, v0: float, order: int) -> tuple[Jet3, Jet3]:
-    # gamma' = a xi + b xi' + c (xi x xi') as bivariate jet algebra
+def _frame_series_by_jets(fc, backing, v0: float, order: int) -> tuple[Jet3, Jet3]:
+    # gamma' = a xi + b xi' + c (xi x xi') as bivariate jet algebra, from the
+    # coefficients fc the backing was built from
     xi, xid, nu = (
         stack(*(vpoly(X[:, i], order) for i in range(3)))
-        for X in backing.curve.path.series(v0, order)
+        for X in backing.curve.series(v0, order)
     )
     a, b, c = (
         vpoly(p, len(p) - 1).shifted_origin(0.0, v0).truncated(order)
-        for p in (backing.coeffs.a, backing.coeffs.b, backing.coeffs.c)
+        for p in (fc.a, fc.b, fc.c)
     )
     return xi, (xi * a + xid * b + nu * c).truncated(order - 1)
 
@@ -417,9 +419,10 @@ def test_ruling_series_arrays_match_jet_algebra():
     for fam in members:
         cases.append((fam, _family_series_by_jets))
         frame = from_frame(fam.curve, a=[0.4, -0.2, 0.1], b=0.3, c=[0.0, 0.5], order=8)
-        cases.append((frame.backing, _frame_series_by_jets))
+        by_frame = partial(_frame_series_by_jets, FrameCoefficients([0.4, -0.2, 0.1], [0.3], [0.0, 0.5]))
+        cases.append((frame.backing, by_frame))
         fc = frame_coefficients(normalize(from_deformation(fam, order=8)))
-        cases.append((redeploy(fc, circle_family(0.6), order=8).backing, _frame_series_by_jets))
+        cases.append((redeploy(fc, circle_family(0.6), order=8).backing, partial(_frame_series_by_jets, fc)))
     for backing, by_jets in cases:
         for v0 in (0.0, -0.55, 0.3, 0.9):
             for order in (2, 3, 8, 20):
@@ -435,16 +438,16 @@ def test_ruling_series_pads_unequal_frame_coefficients_once():
     # the bits of padding a, b and c to one length with zeros at that call
     curve = circle_family(0.6)
     fc = FrameCoefficients(np.array([0.4, -0.2, 0.1, 0.05]), np.array([0.3]), np.array([0.0, 0.5]))
-    backings = [from_frame(curve, a=fc.a, b=fc.b, c=fc.c, order=8).backing, redeploy(fc, curve).backing]
-    backings.append(redeploy(FrameCoefficients(fc.c, fc.a, fc.b), curve).backing)
-    for backing in backings:
-        a, b, c = backing.coeffs
+    turned = FrameCoefficients(fc.c, fc.a, fc.b)
+    backings = [(from_frame(curve, a=fc.a, b=fc.b, c=fc.c, order=8).backing, fc), (redeploy(fc, curve).backing, fc)]
+    backings.append((redeploy(turned, curve).backing, turned))
+    for backing, (a, b, c) in backings:
         assert backing.abc.shape == (max(len(a), len(b), len(c)), 3)
         abc = np.array(list(itertools.zip_longest(a, b, c, fillvalue=0.0)))
         for v0 in (0.0, -0.55, np.array([0.3, 0.9])):
             for order in (1, 2, 8):
                 xi, gp = backing.ruling_series(v0, order)
-                frame = np.stack(curve.path.series(v0, order))
+                frame = np.stack(curve.series(v0, order))
                 want = ruled._directrix_derivative(frame, jets.series_shift(abc, v0), order - 1)
                 assert np.array_equal(xi, frame[0]) and np.array_equal(gp, want), (v0, order)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from crosscap import SpecFormatError
 from crosscap.ruled import RuledSurface
-from crosscap.specio import FAMILY_KINDS, build_surface, dumps_report, parse_spec
+from crosscap.specio import FAMILY_KINDS, build_surface, dumps_report, invariant_report, parse_spec
 from crosscap.surface import SurfaceMap
 
 from helpers import load_cli_outputs, reference_dumps, reference_parse_spec, reference_polynomial_jet
@@ -184,3 +184,17 @@ def test_build_surface_makes_one_surface_on_the_spec_domain(kind):
     assert isinstance(f, SurfaceMap)
     assert type(f) is (RuledSurface if kind == "ruled" or kind in FAMILY_KINDS else SurfaceMap)
     assert f.domain_hint == ((-0.5, 0.75), (-1.2, 0.9))
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "ruled"])
+def test_report_below_the_map_order_reads_the_truncated_map(kind):
+    # the report reads the jet to its order alone: no first form of the
+    # built map, at the map's own higher order, is formed
+    payload = BUILD_PAYLOADS[kind]
+    if kind == "polynomial":
+        payload = [*payload, [0, 3, 0, 0, 0.1], [2, 5, 0.01, 0, 0.02]]
+    built = build_surface(parse_spec({kind: payload, "order": 3}))
+    assert built.surface.order > 3
+    report = invariant_report(built, order=3)
+    assert report["normal_form"]["order"] == 3
+    assert "_first_form" not in vars(built.surface)

@@ -123,6 +123,8 @@ SPECS = {
                                  "xi_poly": [[1, 0, 0], [0, 1, 0]]}},
 }
 FAMILY = ("circle", "poly_kappa", "quartic_kappa", "steep_kappa")
+# specs with terms above degree 2, analyzed at order 2, where the metric route refuses
+ORDER2 = ("dup_terms", "ruled")
 
 
 def runs(name: str, doc: dict) -> dict[str, list[str]]:
@@ -141,6 +143,8 @@ def runs(name: str, doc: dict) -> dict[str, list[str]]:
                                   "--theta=1.5707963267948966,-1.5707963267948966,0", "--radii", "0.01,0.001"],
         "mesh": ["mesh", spec, "--out", f"{name}.mesh.obj", "--resolution", "24"],
     }
+    if name in ORDER2:
+        out["analyze.order2"] = ["analyze", spec, "--order", "2"]
     if order == 12:  # no order above the largest
         del out["analyze.above.json"]
     if name in FAMILY:

@@ -22,11 +22,11 @@ Each series operation is one array operation on tables:
   monomials x y = t, one reduction over a pair list cached per order;
 - composition p(g, h) is linear in p: on flat tables, a product with g
   or h is one gathered (2-D Toeplitz) matrix from the same index, so the
-  powers of h (shared by a Jet3's tables), the rows r_j = sum_k c[j,k] h^k
-  and each step of Horner's rule in g are matrix products, about 2n in
-  all, with no series product.  The normal form calls it once per
-  reduction: its passes grow the powers of its own (g, h) one degree at
-  a time, from the rows of the same matrices.  A power p^q (square root,
+  powers of h, the rows r_j = sum_k c[j,k] h^k of all tables and each step
+  of Horner's rule in g (one stacked matrix-vector product per step) are
+  about 2n products in all, with no series product.  The normal form calls
+  it once per reduction: its passes grow the powers of its own (g, h) one
+  degree at a time, from the rows of the same matrices.  A power p^q (square root,
   reciprocal) is c00^q (1 + w)^q with w = p/c00 - 1, the binomial series
   composed with w;
 - recentring at (u0, v0) is U^T c V with the binomial (Pascal) matrices
@@ -252,7 +252,9 @@ def _table_product_matrix(b: np.ndarray, n: int) -> np.ndarray:
 
 def _compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     """Tables of p(g, h) at order n for each table p stacked in c[..., j, k];
-    g and h are tables of order >= n that vanish at the origin."""
+    g and h are tables of order >= n that vanish at the origin.  A table
+    whose top nonzero row is below another's starts Horner's rule by adding
+    exact zeros, which moves at most the sign of an exact zero."""
     if g[0, 0] != 0.0 or h[0, 0] != 0.0:
         raise JetDomainError("composition requires inner jets with zero constant term")
     c = c[..., : n + 1, : n + 1]
@@ -265,16 +267,15 @@ def _compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
     times_h = _table_product_matrix(h, n) if kmax else None
     for p in range(1, kmax + 1):
         hp[p] = times_h @ hp[p - 1]
-    times_g = _table_product_matrix(g, n) if tables[:, 1:].any() else None
+    # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
+    rows = tables[:, :, : kmax + 1] @ hp
+    jtop = np.flatnonzero(tables.any(axis=(0, 2))).max(initial=0)
+    times_g = _table_product_matrix(g, n) if jtop else None
+    acc = rows[:, jtop, :, None]
+    for r in range(jtop - 1, -1, -1):
+        acc = times_g @ acc + rows[:, r, :, None]
     out = np.zeros_like(tables)
-    for i, t in enumerate(tables):
-        # rows r_j = sum_k c[j,k] h^k, then Horner in g from the top nonzero row
-        rows = t[:, : kmax + 1] @ hp
-        jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
-        acc = rows[jtop]
-        for r in range(jtop - 1, -1, -1):
-            acc = times_g @ acc + rows[r]
-        out[i, j, k] = acc
+    out[:, j, k] = acc[..., 0]
     return _checked(out.reshape(c.shape), c, g, h)
 
 

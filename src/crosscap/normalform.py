@@ -17,19 +17,19 @@ admissible germ to this shape, order by order:
 4. solve for the domain diffeomorphism (P, Q) degree by degree, from its
    linear part in closed form.  g(P, Q) is linear in the powers P^a Q^b,
    which a basis holds flat, one homogeneous degree more per pass; its rows
-   P^1 and Q^1 are P and Q themselves, solved in place.  At degree d,
-   P^a Q^b (a >= 1) is P times P^(a-1) Q^b and Q^b is Q times Q^(b-1), one
-   matrix product for each of the two.  Pass d reads g(P, Q) off the
-   basis at degree d-1, to check it (from d = 3), and at degree d, to
-   solve Q at degree d-1 from the second component's mixed monomials (the
-   divisor is (f_uv . e2) * P_u(0), a multiple of the bracket), then P at
-   degree d from the first component with divisor g_x,u(0) = 1/P_u(0).
-   Q's update dQ reaches the first component at degree d only as l dQ,
-   with l the degree-1 part of g_x,v(P, Q), and the basis at degree d
-   only in P Q and Q^2, which take that slice again.  One full-order
-   composition, apart from the basis, gives the tables and degree n's
-   check: an order-n reduction composes once.  A residual that fails to
-   cancel raises with its degree.
+   P^1 and Q^1 are P and Q themselves, solved in place.  At degree d, P^a
+   Q^b (a >= 1) is P times P^(a-1) Q^b and Q^b is Q times Q^(b-1), one
+   matrix product of flat gathers, planned per order, for each of the two.
+   Pass d reads g(P, Q) off the basis at degree d-1, to check it (from
+   d = 3), and at degree d, to solve Q at degree d-1 from the second
+   component's mixed monomials (the divisor is (f_uv . e2) * P_u(0), a
+   multiple of the bracket), then P at degree d from the first component
+   with divisor g_x,u(0) = 1/P_u(0).  Q's update dQ reaches the first
+   component at degree d only as l dQ, with l the degree-1 part of
+   g_x,v(P, Q), and the basis at degree d only in P Q and Q^2, which take
+   that slice again.  One full-order composition, apart from the basis,
+   gives the tables and degree n's check: an order-n reduction composes
+   once.  A residual that fails to cancel raises with its degree.
 
 The recomposition rotation @ (f(P,Q) - translation) is compared against
 the canonical shape and the largest stray coefficient is stored on the
@@ -125,8 +125,8 @@ def _rotation_for(fu: Vec, fvv: Vec) -> np.ndarray:
 
 class _Step(NamedTuple):
     """Pass d of a reduction: the flat positions of degrees d-1 and d, each
-    by ascending power of u, and the products (rows, parents, by, gather)
-    that ``_grow`` runs before the solve and after it."""
+    by ascending power of u, and the products (rows, parents, gather) that
+    ``_grow`` runs before the solve and after it."""
 
     read: np.ndarray
     grow: tuple
@@ -142,22 +142,22 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=None)
 def _basis_plan(n: int) -> _Plan:
     """The bookkeeping of an order-n basis of rows P^a Q^b, 1 <= a + b <= n,
-    in ``jets._table_lags`` order: for each pass, the rows that gain a
-    slice, their parents, read below its degree as P and Q vanish at the
-    origin, and the rows of P's or Q's product matrix at its degree."""
+    in ``jets._table_lags`` order: for each pass, as flat indices into the
+    (N, N + 1) basis, the slices that grow, their parents' slices below
+    its degree (P and Q vanish at the origin) and the gathered product
+    matrix of P or Q at its degree."""
     j, k, lags = jets._table_lags(n)[:3]
     pos = {(a, b): i for i, (a, b) in enumerate(zip(j.tolist(), k.tolist()))}
-    deg = j + k
+    deg, width = j + k, len(j) + 1
 
     def product(at, below, gather, by, pairs):
-        rows, parents = zip(*pairs)
-        rows, at, parents, below = map(jets._frozen, (*np.ix_(rows, at), *np.ix_(parents, below)))
-        return (rows, at), (parents, below), by, gather
+        rows, parents = (np.array(x)[:, None] * width for x in zip(*pairs))
+        return tuple(map(jets._frozen, (rows + at, parents + below, by * width + gather)))
 
     steps = []
     for d in range(2, n + 1):
         at, below = np.flatnonzero(deg == d), np.flatnonzero((deg > 0) & (deg < d))
-        slices = (at, below, jets._frozen(lags[np.ix_(at, below)]))  # one gather for P and Q
+        slices = (at, below, lags[np.ix_(at, below)])  # one gather for P and Q
         grown = [(a, b) for a, b in pos if 2 <= a + b <= d]
         grow = (
             product(*slices, pos[1, 0], [(pos[a, b], pos[a - 1, b]) for a, b in grown if a > 0]),
@@ -169,10 +169,10 @@ def _basis_plan(n: int) -> _Plan:
     return _Plan(pos[1, 0], pos[0, 1], tuple(steps))
 
 
-def _grow(basis: np.ndarray, rows, parents, by: int, gather: np.ndarray) -> None:
-    """basis[rows] = row ``by`` times basis[parents]: one product with the
-    rows of by's product matrix at the degree that the slices hold."""
-    basis[rows] = basis[parents] @ basis[by][gather].T
+def _grow(basis: np.ndarray, rows: np.ndarray, parents: np.ndarray, gather: np.ndarray) -> None:
+    """The slices at ``rows`` become the parents' slices times a product
+    matrix, gathered from its row of the basis: one matrix product."""
+    basis.put(rows, basis.take(parents) @ basis.take(gather).T)
 
 
 def _check_second(dev: np.ndarray, degree: int, scale: float) -> None:
@@ -293,11 +293,10 @@ def reduce_to_normal_form(
 
 
 def classify(nf: NormalForm, tol: float = DEFAULT_TOL) -> dict[str, bool]:
-    """Shape flags read off the coefficient tables."""
-    higher_a = max(
-        (abs(val) for j, k, val in nf.a_table() if j + k >= 3), default=0.0
-    )
-    higher_b = max((abs(val) for _, val in nf.b_table()), default=0.0)
+    """Shape flags read off the coefficient arrays, zero outside their tables."""
+    idx = np.arange(nf.order + 1)
+    higher_a = float(np.abs(np.where(idx[:, None] + idx >= 3, nf.a, 0.0)).max())
+    higher_b = float(np.abs(nf.b).max())
     return {
         "quadratic": higher_a <= tol and higher_b <= tol,
         "normal_up_to_order": higher_b <= tol,

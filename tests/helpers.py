@@ -14,7 +14,8 @@ import numpy as np
 from crosscap import Jet2, Jet3, JetDomainError, SpecFormatError, SurfaceMap, canonical_crosscap
 from crosscap import SingularPointError, surface_from_polynomial
 from crosscap.deformation import DeformationFamily
-from crosscap.jets import _checked, _mask, series_compose, series_cross, series_derivative
+from crosscap.jets import _checked, _mask, _table_lags, _table_product_matrix, series_compose, series_cross
+from crosscap.jets import series_derivative
 from crosscap.jets import series_integral, series_power, series_product
 from crosscap.normalform import NormalForm
 from crosscap.specio import DEFAULT_DOMAIN, FAMILY_KINDS, FIELDS, MAX_DEGREE, ORDERS, SPEC_KINDS, SurfaceSpec
@@ -151,6 +152,65 @@ def reference_compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np
             acc = reference_product(acc, g, n) + rows[j]
         out[i] = acc
     return out.reshape(c.shape)
+
+
+def reference_table_compose(c: np.ndarray, g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """``jets._compose`` as it was before its stacked Horner step: the same
+    gathered matrices, with the rows and Horner's rule in g run table by
+    table, each from its own top nonzero row."""
+    c = c[..., : n + 1, : n + 1]
+    tables = c.reshape(-1, n + 1, n + 1)
+    j, k = _table_lags(n)[:2]
+    kmax = np.flatnonzero(tables.any(axis=(0, 1))).max(initial=0)
+    hp = np.zeros((kmax + 1, len(j)))
+    hp[0, 0] = 1.0
+    times_h = _table_product_matrix(h, n) if kmax else None
+    for p in range(1, kmax + 1):
+        hp[p] = times_h @ hp[p - 1]
+    times_g = _table_product_matrix(g, n) if tables[:, 1:].any() else None
+    out = np.zeros_like(tables)
+    for i, t in enumerate(tables):
+        rows = t[:, : kmax + 1] @ hp
+        jtop = np.flatnonzero(t.any(axis=1)).max(initial=0)
+        acc = rows[jtop]
+        for r in range(jtop - 1, -1, -1):
+            acc = times_g @ acc + rows[r]
+        out[i, j, k] = acc
+    return out.reshape(c.shape)
+
+
+def reference_basis_plan(n: int) -> list[list[tuple]]:
+    """The products of each pass of an order-n reduction, its grown slices
+    then its refresh, as ``normalform._basis_plan`` wrote them before its
+    flat indices: ((rows, at), (parents, below), by, gather), which set
+    basis[np.ix_(rows, at)] = basis[np.ix_(parents, below)] @ basis[by][gather].T."""
+    j, k, lags = _table_lags(n)[:3]
+    pos = {(a, b): i for i, (a, b) in enumerate(zip(j.tolist(), k.tolist()))}
+    deg = j + k
+    passes = []
+    for d in range(2, n + 1):
+        at, below = np.flatnonzero(deg == d), np.flatnonzero((deg > 0) & (deg < d))
+        gather = lags[np.ix_(at, below)]
+        grown = [(a, b) for a, b in pos if 2 <= a + b <= d]
+        products = [
+            (pos[1, 0], [(pos[a, b], pos[a - 1, b]) for a, b in grown if a > 0]),
+            (pos[0, 1], [(pos[0, b], pos[0, b - 1]) for a, b in grown if a == 0]),
+            (pos[0, 1], [(pos[1, 1], pos[1, 0]), (pos[0, 2], pos[0, 1])]),
+        ]
+        step = []
+        for by, pairs in products:
+            rows, parents = zip(*pairs)
+            step.append(((rows, at), (parents, below), by, gather))
+        passes.append(step)
+    return passes
+
+
+def reference_classify(nf: NormalForm, tol: float) -> dict[str, bool]:
+    """``normalform.classify`` as it was before it read the arrays: maxima of
+    generators over ``a_table()`` and ``b_table()``."""
+    higher_a = max((abs(val) for j, k, val in nf.a_table() if j + k >= 3), default=0.0)
+    higher_b = max((abs(val) for _, val in nf.b_table()), default=0.0)
+    return {"quadratic": higher_a <= tol and higher_b <= tol, "normal_up_to_order": higher_b <= tol}
 
 
 def reference_domain_change(g: Jet3) -> tuple[Jet2, Jet2]:

@@ -1,6 +1,6 @@
-"""tools/cli_outputs.py: its runs give the same tree twice, every report
-they write is the former writer's text, and --compare lets numbers move
-but nothing else."""
+"""tools/cli_outputs.py: its runs give the same tree twice, that tree is
+the one its manifest records, every report they write is the former
+writer's text, and --compare lets numbers move but nothing else."""
 from __future__ import annotations
 
 import sys
@@ -94,6 +94,39 @@ def test_two_runs_write_byte_identical_trees(tool, tmp_path, monkeypatch):
             assert rc == "0" and err == "''", line
     for name, verdict in (("cylinder", "regular"), ("cone", "unclassified")):
         assert (outs[0] / f"{name}.classify.txt").read_text(encoding="utf-8") == f"{verdict}\n"
+
+
+def test_tree_matches_the_manifest(tool, tmp_path, monkeypatch):
+    # a change that moves report bytes writes the manifest again
+    # (tools/cli_outputs.py --digest OUTDIR) and names each moved file
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(tmp_path)
+    assert tool.main([str(TOOL.parent.parent), str(tmp_path / "out")]) == 0
+    problems = tool.check(tmp_path / "out")
+    assert not problems, "tree differs from tools/cli_outputs.sha256:\n" + "\n".join(problems)
+
+
+def test_manifest_check_names_each_file(tool, tmp_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    for name in ("kept.json", "moved.json", "gone.json"):
+        (tree / name).write_text(REPORT, encoding="utf-8")
+    manifest = tmp_path / "tree.sha256"
+    tool.write_manifest(tree, manifest)
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == tool.versions() and len(lines) == 4 and lines[1].endswith("  gone.json")
+    assert tool.check(tree, manifest) == []
+    (tree / "moved.json").write_text(REPORT.replace("-0.5", "-0.6"), encoding="utf-8")
+    (tree / "gone.json").unlink()
+    (tree / "extra.json").write_text(REPORT, encoding="utf-8")
+    assert tool.check(tree, manifest) == ["gone.json: missing", "moved.json: differs", "extra.json: not in the manifest"]
+    # other versions alone pass; with a mismatch the message names them
+    manifest.write_text("# python 0.0 numpy 0.0\n" + "\n".join(lines[1:]) + "\n", encoding="utf-8")
+    assert tool.check(tree, manifest)[-1].startswith("the versions differ: the manifest has 'python 0.0 numpy 0.0'")
+    (tree / "moved.json").write_text(REPORT, encoding="utf-8")
+    (tree / "gone.json").write_text(REPORT, encoding="utf-8")
+    (tree / "extra.json").unlink()
+    assert tool.check(tree, manifest) == []
 
 
 def test_writer_matches_the_former_writer_on_every_report(tool, tmp_path, monkeypatch):

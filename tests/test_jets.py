@@ -17,7 +17,7 @@ from crosscap.jets import (
     series_shift,
 )
 
-from helpers import random_rotation, reference_compose, reference_product, stack, vpoly
+from helpers import random_rotation, reference_compose, reference_product, reference_table_compose, stack, vpoly
 
 
 def as_dict(p: Jet2) -> dict[tuple[int, int], float]:
@@ -312,6 +312,21 @@ def test_compose_matches_the_convolution_reference(rng, n):
                 want = reference_compose(p.c, *cs, n)
                 bound = reference_compose(np.abs(p.c), *(np.abs(x) for x in cs), n).max()
                 assert np.abs(p.compose(*inner).c - want).max() <= 1e-14 * bound
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_compose_matches_the_per_table_loop_bit_for_bit(rng, n):
+    # one stacked Horner step for all tables against the former loop, table
+    # by table from its own top nonzero row, on stacks of one and three
+    # tables whose top rows in u and top powers of v differ
+    g, h = inner_jet(rng, n).c, inner_jet(rng, n).c
+    for _ in range(20):
+        c = np.where(jets._mask(n), rng.uniform(-1.0, 1.0, size=(3, n + 1, n + 1)), 0.0)
+        for t, (u_top, v_top) in zip(c, rng.integers(0, n + 1, size=(3, 2))):
+            t[u_top + 1 :] = 0.0
+            t[:, v_top + 1 :] = 0.0
+        for tables in (c, c[0], c[2]):
+            assert np.array_equal(jets._compose(tables, g, h, n), reference_table_compose(tables, g, h, n))
 
 
 def test_compose_reports_overflow_of_kept_coefficients_only():

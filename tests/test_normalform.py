@@ -22,11 +22,13 @@ from crosscap import (
 )
 from crosscap.cli import main
 from crosscap.jets import Jet2, Jet3
-from crosscap.surface import SurfaceMap
+from crosscap.surface import DEFAULT_TOL, SurfaceMap
 
 from helpers import (
     random_canonical,
     random_rotation,
+    reference_basis_plan,
+    reference_classify,
     reference_compose,
     reference_domain_change,
     scramble,
@@ -152,6 +154,26 @@ def test_classify_flags():
     with_a30 = reduce_to_normal_form(canonical_crosscap({(0, 2): 2.0, (3, 0): 1.0}, order=5))
     flags = classify(with_a30)
     assert not flags["quadratic"] and flags["normal_up_to_order"]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_classify_matches_the_former_generators(rng, n):
+    # the maxima off the arrays against the former generators over the
+    # tables, at every tolerance where a flag can flip; order 2 has an empty
+    # b table, and a scrambled quadratic germ only round-off above degree 2
+    _, a, b = random_canonical(rng, order=n)
+    germs = [
+        scramble(canonical_crosscap(a, b, order=n), rng),
+        canonical_crosscap({key: val for key, val in a.items() if sum(key) == 2}, b, order=n),
+        canonical_crosscap(a, order=n),
+        quadratic_crosscap(a[2, 0], a[1, 1], a[0, 2], order=n),
+        scramble(quadratic_crosscap(a[2, 0], a[1, 1], a[0, 2], order=n), rng),
+    ]
+    for f in germs:
+        nf = reduce_to_normal_form(f)
+        assert nf.order == n
+        for tol in (0.0, DEFAULT_TOL, 1e-7, *np.abs(nf.a).ravel().tolist(), *np.abs(nf.b).tolist()):
+            assert classify(nf, tol) == reference_classify(nf, tol)
 
 
 def test_frame_standard_and_translated():
@@ -299,6 +321,22 @@ def test_basis_without_its_refresh_is_refused(monkeypatch):
         reduce_to_normal_form(f)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_grow_on_flat_indices_matches_the_former_writes(rng, n):
+    # each product of the flat plan, grown slices then refresh, against the
+    # former np.ix_ gathers and write, in the order a reduction runs them;
+    # the basis's last column is the zero past the table
+    size = len(jets._table_lags(n)[0])
+    new = np.zeros((size, size + 1))
+    new[:, :-1] = rng.uniform(-1.0, 1.0, size=(size, size))
+    old = new.copy()
+    for step, former in zip(normalform._basis_plan(n).steps, reference_basis_plan(n), strict=True):
+        for product, ((rows, at), (parents, below), by, gather) in zip(step.grow + step.refresh, former, strict=True):
+            normalform._grow(new, *product)
+            old[np.ix_(rows, at)] = old[np.ix_(parents, below)] @ old[by][gather].T
+            assert np.array_equal(new, old)
+
+
 def test_overflow_in_the_basis_is_reported_as_overflow(monkeypatch):
     # the basis products check nothing: the third, pass 2's P Q and Q^2
     # refresh, is read by pass 3's composition, whose check must report a
@@ -312,7 +350,7 @@ def test_overflow_in_the_basis_is_reported_as_overflow(monkeypatch):
         grow(basis, rows, *args)
         calls.append(rows)
         if len(calls) == 3:
-            basis[rows] = np.inf
+            basis.put(rows, np.inf)
 
     monkeypatch.setattr(normalform, "_grow", overflowing)
     # inf times a zero of g makes nan in the composition; only overflow raises

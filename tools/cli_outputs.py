@@ -1,8 +1,9 @@
 """Write the output of every crosscap command on fixed specs to a directory,
-or compare two such directories number by number.
+compare two such directories number by number, or record a tree's digests.
 
     python tools/cli_outputs.py ROOT OUTDIR
     python tools/cli_outputs.py --compare OUT_A OUT_B
+    python tools/cli_outputs.py --digest OUTDIR
 
 imports crosscap from ROOT/src and runs each command through
 ``cli.main`` inside OUTDIR, with relative paths, so that two checkouts
@@ -30,13 +31,23 @@ paths of the changed values, list indices left out, so that
 ``metric_deviation`` stands for any of its entries.  It exits 1 if
 anything other than numbers differs: a word, a layout, a file present in
 one tree only.
+
+``--digest`` writes this checkout's tree to OUTDIR and its manifest to
+``tools/cli_outputs.sha256``: a header line with the Python and numpy
+versions, then one ``SHA256  PATH`` line per file, sorted by path, as
+``sha256sum -c`` reads them inside the tree.  ``check`` names each file of
+a tree that differs from the manifest, is missing from the tree or is not
+in the manifest, and says so when the versions differ too.  A change that
+moves report bytes writes the manifest again and names each moved file.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 from pathlib import Path
@@ -251,9 +262,49 @@ def compare(tree_a: str, tree_b: str) -> int:
     return 1 if text_differs else 0
 
 
+MANIFEST = Path(__file__).resolve().with_suffix(".sha256")
+
+
+def versions() -> str:
+    """The manifest's header: the Python and numpy versions of this process."""
+    import numpy
+
+    return f"# python {platform.python_version()} numpy {numpy.__version__}"
+
+
+def digests(tree) -> dict[str, str]:
+    """Relative path -> SHA-256 of every file of a tree, sorted by path."""
+    root = Path(tree)
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in files}
+
+
+def write_manifest(tree, manifest: Path = MANIFEST) -> None:
+    lines = [versions()] + [f"{sha}  {name}" for name, sha in digests(tree).items()]
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def check(tree, manifest: Path = MANIFEST) -> list[str]:
+    """One line per file of a tree that differs from the manifest, is
+    missing or is extra, then whether the versions differ; empty if none."""
+    header, *lines = manifest.read_text(encoding="utf-8").splitlines()
+    want = dict(reversed(line.split("  ", 1)) for line in lines)
+    have = digests(tree)
+    problems = [f"{name}: {'differs' if name in have else 'missing'}" for name in want if want[name] != have.get(name)]
+    problems += [f"{name}: not in the manifest" for name in have if name not in want]
+    if problems and header != versions():
+        problems.append(f"the versions differ: the manifest has {header[2:]!r}, this process {versions()[2:]!r}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(argv[1], argv[2])
+    if len(argv) == 2 and argv[0] == "--digest":
+        outdir = Path(argv[1]).resolve()
+        main([str(MANIFEST.parent.parent), str(outdir)])
+        write_manifest(outdir)
+        return 0
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 1
